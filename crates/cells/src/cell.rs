@@ -254,6 +254,10 @@ impl Cell {
                 }
             }
         }
+        // A sum of enumerated probabilities can round to 1 + 2⁻⁵².
+        for p in &mut probs {
+            *p = p.clamp(0.0, 1.0);
+        }
         probs
     }
 
@@ -273,7 +277,9 @@ impl Cell {
         Vector::all(self.num_pins)
             .filter(|v| self.eval(&v.to_bools()))
             .map(|v| v.probability(pin_probs))
-            .sum()
+            .sum::<f64>()
+            // The sum can round to 1 + 2⁻⁵², and `1 − p` then to −2⁻⁵².
+            .clamp(0.0, 1.0)
     }
 }
 
@@ -361,6 +367,36 @@ mod tests {
         let c = and2();
         assert!((c.output_probability(&[0.5, 0.5]) - 0.25).abs() < 1e-12);
         assert!((c.output_probability(&[1.0, 0.3]) - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn enumerated_probabilities_are_clamped_to_one() {
+        let nand3 = Cell::new(
+            "NAND3",
+            3,
+            vec![Stage::new(
+                Network::parallel_bank(3),
+                vec![Source::Pin(0), Source::Pin(1), Source::Pin(2)],
+            )],
+            CellTiming {
+                intrinsic_ps: 10.0,
+                per_load_ps: 4.0,
+                input_cap: 1.0,
+            },
+        )
+        .unwrap();
+        // Pin 0 is held low, so the output is high and pin 0's PMOS is
+        // stressed with probability exactly 1 — but the raw sum over the
+        // enumerated vectors rounds one ulp above it.
+        let pins = [0.0, 0.02, 0.46];
+        let raw: f64 = Vector::all(3)
+            .filter(|v| !v.bit(0))
+            .map(|v| v.probability(&pins))
+            .sum();
+        assert!(raw > 1.0, "precondition: the raw sum {raw} overshoots");
+        assert_eq!(nand3.output_probability(&pins), 1.0);
+        assert_eq!(nand3.stress_probabilities(&pins)[0], 1.0);
+        assert_eq!(1.0 - nand3.output_probability(&pins), 0.0);
     }
 
     #[test]

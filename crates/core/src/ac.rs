@@ -12,7 +12,10 @@
 //!
 //! For large `n` the recursion admits the closed form
 //! `S_n = (S_1^4 + (n−1)·c/(1+β))^(1/4)`, which this module uses as its fast
-//! path; the exact recursion remains available for validation.
+//! path; the exact recursion remains available for validation. All three
+//! evaluators share one recursion step and one closed-form tail, and
+//! [`s_n_many`] reads a whole row of cycle counts off a single walk of the
+//! exact prefix.
 
 use crate::error::{check_range, ModelError};
 use crate::units::Seconds;
@@ -74,6 +77,17 @@ impl AcStress {
     pub fn trap_factor(&self, n: u64) -> f64 {
         s_n(self.duty_cycle, n) * self.period.0.powf(0.25)
     }
+
+    /// [`AcStress::trap_factor`] at every entry of `ns`, bit-equal to one
+    /// call per entry, from a single walk of the recursion ([`s_n_many`]).
+    pub fn trap_factors(&self, ns: &[u64]) -> Vec<f64> {
+        let scale = self.period.0.powf(0.25);
+        let mut out = s_n_many(self.duty_cycle, ns);
+        for s in &mut out {
+            *s *= scale;
+        }
+        out
+    }
 }
 
 /// The `β = sqrt((1 − c)/2)` term of the recursion.
@@ -105,9 +119,22 @@ pub fn s_n_exact(duty_cycle: f64, n: u64) -> f64 {
     let b = beta(duty_cycle);
     let mut s = s1(duty_cycle);
     for _ in 1..n {
-        s += duty_cycle / (4.0 * (1.0 + b) * s * s * s);
+        s = step(duty_cycle, b, s);
     }
     s
+}
+
+/// One step of the recursion (eq. 10): `S_n → S_{n+1}`.
+#[inline]
+fn step(duty_cycle: f64, b: f64, s: f64) -> f64 {
+    s + duty_cycle / (4.0 * (1.0 + b) * s * s * s)
+}
+
+/// The continuum closed form carried `cycles` further from `anchor`:
+/// `(anchor^4 + cycles·c/(1+β))^(1/4)`.
+#[inline]
+fn tail(duty_cycle: f64, b: f64, anchor: f64, cycles: u64) -> f64 {
+    (anchor.powi(4) + cycles as f64 * duty_cycle / (1.0 + b)).powf(0.25)
 }
 
 /// Closed-form evaluation `S_n = (S_1^4 + (n−1)·c/(1+β))^(1/4)`.
@@ -120,9 +147,7 @@ pub fn s_n_closed(duty_cycle: f64, n: u64) -> f64 {
     if duty_cycle == 0.0 || n == 0 {
         return 0.0;
     }
-    let b = beta(duty_cycle);
-    let s1 = s1(duty_cycle);
-    (s1.powi(4) + (n - 1) as f64 * duty_cycle / (1.0 + b)).powf(0.25)
+    tail(duty_cycle, beta(duty_cycle), s1(duty_cycle), n - 1)
 }
 
 /// Number of recursion steps [`s_n`] runs exactly before switching to the
@@ -130,8 +155,9 @@ pub fn s_n_closed(duty_cycle: f64, n: u64) -> f64 {
 const EXACT_PREFIX: u64 = 4096;
 
 /// Accurate fast evaluator: exact recursion for the first 4096 cycles,
-/// then the continuum closed form anchored at the last exact value. Relative error versus [`s_n_exact`] stays below 0.1%
-/// across the full `(c, n)` range.
+/// then the continuum closed form anchored at the last exact value.
+/// Relative error versus [`s_n_exact`] stays below 0.1% across the full
+/// `(c, n)` range.
 ///
 /// ```
 /// use relia_core::ac::{s_n, s_n_exact};
@@ -150,9 +176,48 @@ pub fn s_n(duty_cycle: f64, n: u64) -> f64 {
     if n <= EXACT_PREFIX {
         return s_n_exact(duty_cycle, n);
     }
-    let b = beta(duty_cycle);
     let anchor = s_n_exact(duty_cycle, EXACT_PREFIX);
-    (anchor.powi(4) + (n - EXACT_PREFIX) as f64 * duty_cycle / (1.0 + b)).powf(0.25)
+    tail(duty_cycle, beta(duty_cycle), anchor, n - EXACT_PREFIX)
+}
+
+/// [`s_n`] at every entry of `ns` from one walk of the exact prefix:
+/// entry `i` of the result is bit-equal to `s_n(duty_cycle, ns[i])`, for
+/// `ns` in any order and with repeats. A lifetime row costs one recursion
+/// of at most 4096 steps plus one closed-form tail per entry, instead of
+/// one recursion per entry.
+///
+/// ```
+/// use relia_core::ac::{s_n, s_n_many};
+///
+/// let ns = [100_000u64, 1, 4096, 0, 1];
+/// let many = s_n_many(0.5, &ns);
+/// for (&n, s) in ns.iter().zip(&many) {
+///     assert_eq!(s.to_bits(), s_n(0.5, n).to_bits());
+/// }
+/// ```
+pub fn s_n_many(duty_cycle: f64, ns: &[u64]) -> Vec<f64> {
+    let mut out = vec![0.0; ns.len()];
+    if duty_cycle == 0.0 {
+        return out;
+    }
+    // Visit the entries in ascending `n` so one walk serves them all.
+    let mut order: Vec<usize> = (0..ns.len()).filter(|&i| ns[i] > 0).collect();
+    order.sort_unstable_by_key(|&i| ns[i]);
+    let b = beta(duty_cycle);
+    let (mut s, mut at) = (s1(duty_cycle), 1);
+    for i in order {
+        let n = ns[i];
+        while at < n.min(EXACT_PREFIX) {
+            s = step(duty_cycle, b, s);
+            at += 1;
+        }
+        out[i] = if n <= EXACT_PREFIX {
+            s
+        } else {
+            tail(duty_cycle, b, s, n - EXACT_PREFIX)
+        };
+    }
+    out
 }
 
 /// Ratio of AC-stress to DC-stress degradation at the same elapsed time, in

@@ -12,7 +12,18 @@
 //! The per-device arithmetic is kept expression-for-expression identical to
 //! the scalar path, so a hoisted evaluation is bit-equal to
 //! [`NbtiModel::delta_vth_with_vth0`] — the parity tests below and the
-//! fig12 golden pin hold this to zero ulps.
+//! fig12 golden pin hold this to zero ulps. A hoist's base *is* a
+//! [`NbtiModel::delta_vth`] call, so the two cannot drift.
+//!
+//! [`NbtiModel::delta_vth_lifetimes`] is the row entry point: one
+//! `(schedule, stress)` column evaluated at many lifetimes, as the
+//! response-surface builder and `/v1/sweep` grids need. Only the cycle
+//! count varies along a row, so the equivalent cycle and `K_v` are built
+//! once and [`crate::ac::s_n_many`] reads every lifetime's `S_n` off one
+//! walk of the exact recursion prefix (up to 4096 dependent steps) instead
+//! of repeating that walk per lifetime. Each entry is bit-equal to the
+//! scalar call — the differential proptests in `tests/proptests.rs`
+//! compare them by `to_bits()`.
 //!
 //! [`VariationKernel`] is the circuit-level sibling: the structure-of-arrays
 //! per-gate fresh/aged delay math that `relia-flow`'s `VariationStudy` runs
@@ -21,7 +32,7 @@
 
 use crate::equivalent::{EquivalentCycle, ModeSchedule, PmosStress};
 use crate::error::{check_finite, check_range, ModelError};
-use crate::model::NbtiModel;
+use crate::model::{check_total_time, mode_cycles, NbtiModel};
 use crate::units::{Seconds, Volts};
 
 /// One `(schedule, stress, time)` point with every device-independent term
@@ -115,34 +126,57 @@ impl NbtiModel {
         schedule: &ModeSchedule,
         stress: &PmosStress,
     ) -> Result<HoistedStress, ModelError> {
-        check_range(
-            "total_time",
-            total_time.0,
-            0.0,
-            f64::MAX,
-            "non-negative seconds",
-        )?;
         let params = self.params();
-        let base = if total_time.0 == 0.0 {
-            0.0
-        } else {
-            let eq = EquivalentCycle::build(params, schedule, stress)?;
-            if eq.stress.duty_cycle() == 0.0 {
-                0.0
-            } else {
-                let n = ((total_time.0 / schedule.period().0).floor() as u64).max(1);
-                check_finite(
-                    "delta_vth",
-                    self.kv(schedule.temp_active()) * eq.stress.trap_factor(n),
-                )?
-            }
-        };
         Ok(HoistedStress {
-            base,
+            base: self.delta_vth(total_time, schedule, stress)?,
             vdd: params.vdd.0,
             od_nom: params.overdrive(),
             field_scale: params.field_scale.0,
         })
+    }
+
+    /// [`NbtiModel::delta_vth`] at every lifetime of one
+    /// `(schedule, stress)` column: entry `i` is bit-equal to
+    /// `delta_vth(lifetimes[i], schedule, stress)`. The equivalent cycle
+    /// and `K_v(T_active)` are built once, and one walk of the AC
+    /// recursion serves every lifetime ([`crate::ac::s_n_many`]).
+    ///
+    /// # Errors
+    ///
+    /// The error the first failing lifetime's `delta_vth` call would
+    /// return — the same `Err` a per-lifetime loop collected into a
+    /// `Result<Vec<_>, _>` gives.
+    pub fn delta_vth_lifetimes(
+        &self,
+        lifetimes: &[Seconds],
+        schedule: &ModeSchedule,
+        stress: &PmosStress,
+    ) -> Result<Vec<f64>, ModelError> {
+        // A per-lifetime loop stops at the first invalid lifetime, but the
+        // lifetimes before it are evaluated first and may fail first.
+        let valid = lifetimes
+            .iter()
+            .position(|&t| check_total_time(t).is_err())
+            .unwrap_or(lifetimes.len());
+        let mut out = vec![0.0; valid];
+        let stressed: Vec<usize> = (0..valid).filter(|&i| lifetimes[i].0 != 0.0).collect();
+        if !stressed.is_empty() {
+            let eq = EquivalentCycle::build(self.params(), schedule, stress)?;
+            if eq.stress.duty_cycle() != 0.0 {
+                let cycles: Vec<u64> = stressed
+                    .iter()
+                    .map(|&i| mode_cycles(lifetimes[i], schedule))
+                    .collect();
+                let kv = self.kv(schedule.temp_active());
+                for (&i, trap) in stressed.iter().zip(eq.stress.trap_factors(&cycles)) {
+                    out[i] = check_finite("delta_vth", kv * trap)?;
+                }
+            }
+        }
+        if let Some(&invalid) = lifetimes.get(valid) {
+            check_total_time(invalid)?;
+        }
+        Ok(out)
     }
 }
 

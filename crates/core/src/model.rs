@@ -86,13 +86,7 @@ impl NbtiModel {
         temp: Kelvin,
         stress: &AcStress,
     ) -> Result<f64, ModelError> {
-        check_range(
-            "total_time",
-            total_time.0,
-            0.0,
-            f64::MAX,
-            "non-negative seconds",
-        )?;
+        check_total_time(total_time)?;
         check_temp("temp", temp)?;
         if total_time.0 == 0.0 {
             return Ok(0.0);
@@ -114,13 +108,7 @@ impl NbtiModel {
         schedule: &ModeSchedule,
         stress: &PmosStress,
     ) -> Result<f64, ModelError> {
-        check_range(
-            "total_time",
-            total_time.0,
-            0.0,
-            f64::MAX,
-            "non-negative seconds",
-        )?;
+        check_total_time(total_time)?;
         if total_time.0 == 0.0 {
             return Ok(0.0);
         }
@@ -128,12 +116,10 @@ impl NbtiModel {
         if eq.stress.duty_cycle() == 0.0 {
             return Ok(0.0);
         }
-        // The number of cycles is governed by the *real* mode period; the
-        // equivalent period only rescales each cycle's worth of damage.
-        let n = ((total_time.0 / schedule.period().0).floor() as u64).max(1);
         check_finite(
             "delta_vth",
-            self.kv(schedule.temp_active()) * eq.stress.trap_factor(n),
+            self.kv(schedule.temp_active())
+                * eq.stress.trap_factor(mode_cycles(total_time, schedule)),
         )
     }
 
@@ -189,13 +175,7 @@ impl NbtiModel {
         trace: &[crate::equivalent::StressInterval],
         temp_ref: Kelvin,
     ) -> Result<f64, ModelError> {
-        check_range(
-            "total_time",
-            total_time.0,
-            0.0,
-            f64::MAX,
-            "non-negative seconds",
-        )?;
+        check_total_time(total_time)?;
         if total_time.0 == 0.0 {
             return Ok(0.0);
         }
@@ -236,7 +216,7 @@ impl NbtiModel {
             return Ok(recoverable);
         }
         let eq = EquivalentCycle::build(&self.params, schedule, stress)?;
-        let n = ((total_time.0 / schedule.period().0).floor() as u64).max(1);
+        let n = mode_cycles(total_time, schedule);
         let total_stress_seconds = eq.t_eq_stress * n as f64;
         let permanent = self.kv(schedule.temp_active()) * total_stress_seconds.powf(0.25);
         check_finite(
@@ -261,8 +241,19 @@ impl NbtiModel {
         stress: &PmosStress,
         vth0: Volts,
     ) -> Result<f64, ModelError> {
+        self.rescale_to_vth0(self.delta_vth(total_time, schedule, stress), vth0)
+    }
+
+    /// Rescales a nominal-threshold shift `base` (a [`NbtiModel::delta_vth`]
+    /// result) to a device whose initial threshold is `vth0`. An invalid
+    /// `vth0` is reported ahead of any error in `base`.
+    pub(crate) fn rescale_to_vth0(
+        &self,
+        base: Result<f64, ModelError>,
+        vth0: Volts,
+    ) -> Result<f64, ModelError> {
         check_range("vth0", vth0.0, 0.0, self.params.vdd.0 - 1e-6, "[0, vdd)")?;
-        let base = self.delta_vth(total_time, schedule, stress)?;
+        let base = base?;
         let overdrive = self.params.vdd.0 - vth0.0;
         // eq. 23: sqrt(V_gs − V_th) prefactor times the exp(E_ox/E_0)
         // oxide-field factor, both referenced to the nominal overdrive.
@@ -270,6 +261,25 @@ impl NbtiModel {
             * ((overdrive - self.params.overdrive()) / self.params.field_scale.0).exp();
         check_finite("delta_vth", base * scale)
     }
+}
+
+/// Validates a total stress time the way every `delta_vth*` entry point
+/// does.
+pub(crate) fn check_total_time(total_time: Seconds) -> Result<f64, ModelError> {
+    check_range(
+        "total_time",
+        total_time.0,
+        0.0,
+        f64::MAX,
+        "non-negative seconds",
+    )
+}
+
+/// Whole mode cycles in `total_time` (at least 1). The number of cycles is
+/// governed by the *real* mode period; the equivalent period only rescales
+/// each cycle's worth of damage.
+pub(crate) fn mode_cycles(total_time: Seconds, schedule: &ModeSchedule) -> u64 {
+    ((total_time.0 / schedule.period().0).floor() as u64).max(1)
 }
 
 #[cfg(test)]

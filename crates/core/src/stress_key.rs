@@ -41,7 +41,8 @@ const VTH_NOMINAL: u32 = u32::MAX;
 ///
 /// Construct with [`StressKey::quantize`] (nominal threshold) or
 /// [`StressKey::quantize_with_vth0`]; evaluate the NBTI model at the key's
-/// canonical point with [`StressKey::evaluate`].
+/// canonical point with [`StressKey::evaluate`], or at many keys' points
+/// with [`StressKey::evaluate_many`].
 ///
 /// ```
 /// use relia_core::{Kelvin, ModeSchedule, NbtiModel, PmosStress, Ras, Seconds, StressKey};
@@ -161,6 +162,58 @@ impl StressKey {
     /// Returns [`ModelError`] when the dequantized point is degenerate
     /// (e.g. both mode times quantized to zero).
     pub fn evaluate(&self, model: &NbtiModel) -> Result<f64, ModelError> {
+        let (schedule, stress) = self.canonical_point()?;
+        let base = model.delta_vth(self.lifetime(), &schedule, &stress);
+        self.at_vth0(model, base)
+    }
+
+    /// [`StressKey::evaluate`] for every key of `keys`: entry `i` is
+    /// bit-equal to `keys[i].evaluate(model)`, error or not.
+    ///
+    /// Consecutive keys that differ only in lifetime and threshold — one
+    /// `(schedule, stress)` row, as a sweep over lifetimes produces — are
+    /// evaluated together through [`NbtiModel::delta_vth_lifetimes`], so
+    /// the row pays for one equivalent cycle and one AC recursion. A row
+    /// the model rejects falls back to per-key evaluation, which yields
+    /// each key's own error.
+    pub fn evaluate_many(keys: &[StressKey], model: &NbtiModel) -> Vec<Result<f64, ModelError>> {
+        let mut out = Vec::with_capacity(keys.len());
+        for row in keys.chunk_by(|a, b| a.row() == b.row()) {
+            match StressKey::evaluate_row(row, model) {
+                Ok(values) => out.extend(values),
+                Err(_) => out.extend(row.iter().map(|key| key.evaluate(model))),
+            }
+        }
+        out
+    }
+
+    /// One non-empty row of [`StressKey::evaluate_many`].
+    fn evaluate_row(
+        row: &[StressKey],
+        model: &NbtiModel,
+    ) -> Result<Vec<Result<f64, ModelError>>, ModelError> {
+        let (schedule, stress) = row[0].canonical_point()?;
+        let lifetimes: Vec<Seconds> = row.iter().map(StressKey::lifetime).collect();
+        let bases = model.delta_vth_lifetimes(&lifetimes, &schedule, &stress)?;
+        Ok(row
+            .iter()
+            .zip(bases)
+            .map(|(key, base)| key.at_vth0(model, Ok(base)))
+            .collect())
+    }
+
+    /// The key with its lifetime and threshold erased: keys with equal rows
+    /// share a schedule and stress vector.
+    fn row(&self) -> StressKey {
+        StressKey {
+            lifetime_ms: 0,
+            vth0_nv: VTH_NOMINAL,
+            ..*self
+        }
+    }
+
+    /// The canonical dequantized schedule and stress vector.
+    fn canonical_point(&self) -> Result<(ModeSchedule, PmosStress), ModelError> {
         let t_active = self.t_active_ms as f64 / TIME_SCALE;
         let t_standby = self.t_standby_ms as f64 / TIME_SCALE;
         let schedule = ModeSchedule::new(
@@ -173,16 +226,21 @@ impl StressKey {
             (self.p_active as f64 / PROB_SCALE).min(1.0),
             (self.p_standby as f64 / PROB_SCALE).min(1.0),
         )?;
-        let lifetime = Seconds(self.lifetime_ms as f64 / TIME_SCALE);
+        Ok((schedule, stress))
+    }
+
+    /// The canonical dequantized lifetime.
+    fn lifetime(&self) -> Seconds {
+        Seconds(self.lifetime_ms as f64 / TIME_SCALE)
+    }
+
+    /// Carries a nominal-threshold result to the key's threshold, if it has
+    /// one.
+    fn at_vth0(&self, model: &NbtiModel, base: Result<f64, ModelError>) -> Result<f64, ModelError> {
         if self.vth0_nv == VTH_NOMINAL {
-            model.delta_vth(lifetime, &schedule, &stress)
+            base
         } else {
-            model.delta_vth_with_vth0(
-                lifetime,
-                &schedule,
-                &stress,
-                Volts(self.vth0_nv as f64 / VTH_SCALE),
-            )
+            model.rescale_to_vth0(base, Volts(self.vth0_nv as f64 / VTH_SCALE))
         }
     }
 }
@@ -281,6 +339,34 @@ mod tests {
                     "p=({p_a},{p_s}) t={lifetime}: {direct} vs {cached}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn evaluate_many_falls_back_to_per_key_errors() {
+        // Both mode times quantize to 0 ms: the canonical point is
+        // degenerate, and every key of the row reports its own error.
+        let tiny = ModeSchedule::new(
+            Ras::new(1.0, 9.0).unwrap(),
+            Seconds(1e-4),
+            Kelvin(400.0),
+            Kelvin(330.0),
+        )
+        .unwrap();
+        let keys: Vec<StressKey> = [0.0, 1.0e8]
+            .iter()
+            .map(|&t| StressKey::quantize(&tiny, &PmosStress::worst_case(), Seconds(t)))
+            .chain([StressKey::quantize(
+                &schedule(),
+                &PmosStress::worst_case(),
+                Seconds(1.0e8),
+            )])
+            .collect();
+        let model = NbtiModel::ptm90().unwrap();
+        let many = StressKey::evaluate_many(&keys, &model);
+        assert!(many[0].is_err() && many[1].is_err() && many[2].is_ok());
+        for (key, got) in keys.iter().zip(many) {
+            assert_eq!(got, key.evaluate(&model));
         }
     }
 

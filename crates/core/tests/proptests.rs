@@ -2,14 +2,28 @@
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
-use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact};
+use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact, s_n_many};
 use relia_core::arrhenius::diffusion_ratio;
 use relia_core::rd::recovery_fraction;
 use relia_core::units::{ElectronVolts, Kelvin, Seconds, Volts};
 use relia_core::{
     DelayDegradation, EquivalentCycle, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras,
-    VthDistribution,
+    StressKey, VthDistribution,
 };
+
+/// Cycle counts on and around the exact-prefix boundary, plus the
+/// degenerate 0 and 1 and a deep closed-form tail.
+const EDGE_CYCLES: [u64; 6] = [0, 1, 4095, 4096, 4097, 10_000_000];
+
+fn paper_schedule(standby_weight: f64, temp_s: f64) -> ModeSchedule {
+    ModeSchedule::new(
+        Ras::new(1.0, standby_weight).unwrap(),
+        Seconds(1000.0),
+        Kelvin(400.0),
+        Kelvin(temp_s),
+    )
+    .unwrap()
+}
 
 proptest! {
     /// The hybrid S_n evaluator tracks the exact recursion everywhere.
@@ -194,6 +208,135 @@ proptest! {
         hoisted.delta_vth_into(&vals, &mut out).unwrap();
         for (v, o) in vals.iter().zip(&out) {
             prop_assert_eq!(hoisted.delta_vth_at(*v).to_bits(), o.to_bits());
+        }
+    }
+
+    /// The row recursion reads each entry's S_n off one walk, bit-equal to
+    /// a scalar call per entry — in any order, with repeats, across the
+    /// exact-prefix boundary and into the closed-form tail.
+    #[test]
+    fn s_n_many_matches_s_n_bit_for_bit(
+        c in 0.0f64..1.0,
+        random in prop::collection::vec(0u64..20_000, 0..24),
+        edge in prop::collection::vec(0usize..6, 1..12),
+    ) {
+        let mut ns: Vec<u64> = random;
+        ns.extend(edge.iter().map(|&i| EDGE_CYCLES[i]));
+        ns.extend_from_slice(&EDGE_CYCLES);
+        ns.extend_from_slice(&EDGE_CYCLES);
+        ns.reverse();
+        let many = s_n_many(c, &ns);
+        prop_assert_eq!(many.len(), ns.len());
+        for (&n, s) in ns.iter().zip(&many) {
+            prop_assert_eq!(s.to_bits(), s_n(c, n).to_bits(), "c={} n={}", c, n);
+        }
+        for (&n, s) in ns.iter().zip(s_n_many(1.0, &ns)) {
+            prop_assert_eq!(s.to_bits(), s_n(1.0, n).to_bits());
+        }
+        for s in s_n_many(0.0, &ns) {
+            prop_assert_eq!(s.to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    /// One column of lifetimes equals one `delta_vth` call per lifetime,
+    /// bit for bit, including the zero lifetime and zero-duty vectors.
+    #[test]
+    fn delta_vth_lifetimes_matches_delta_vth(
+        standby_weight in 0.0f64..20.0,
+        temp_s in 300.0f64..400.0,
+        p_a in 0.0f64..1.0,
+        p_s in 0.0f64..1.0,
+        zero_duty in 0u32..4,
+        times in prop::collection::vec(0.0f64..3.2e8, 0..20),
+    ) {
+        let model = NbtiModel::ptm90().unwrap();
+        let schedule = paper_schedule(standby_weight, temp_s);
+        // One case in four has no stress at all (duty cycle zero).
+        let stress = if zero_duty == 0 {
+            PmosStress::new(0.0, 0.0).unwrap()
+        } else {
+            PmosStress::new(p_a, p_s).unwrap()
+        };
+        let mut lifetimes: Vec<Seconds> = times.into_iter().map(Seconds).collect();
+        lifetimes.extend([Seconds(0.0), Seconds(1.0), Seconds(4.096e6), Seconds(1.0e10)]);
+        let row = model.delta_vth_lifetimes(&lifetimes, &schedule, &stress).unwrap();
+        prop_assert_eq!(row.len(), lifetimes.len());
+        for (&t, v) in lifetimes.iter().zip(&row) {
+            let scalar = model.delta_vth(t, &schedule, &stress).unwrap();
+            prop_assert_eq!(v.to_bits(), scalar.to_bits(), "t={}", t.0);
+        }
+    }
+
+    /// An invalid lifetime fails the row with the error the first failing
+    /// per-lifetime call gives.
+    #[test]
+    fn delta_vth_lifetimes_reports_the_first_failure(
+        times in prop::collection::vec(0.0f64..3.2e8, 0..8),
+        bad in prop::collection::vec(0u32..3, 1..3),
+    ) {
+        let model = NbtiModel::ptm90().unwrap();
+        let schedule = paper_schedule(9.0, 330.0);
+        let stress = PmosStress::worst_case();
+        let mut lifetimes: Vec<Seconds> = times.into_iter().map(Seconds).collect();
+        lifetimes.extend(bad.iter().map(|&b| match b {
+            0 => Seconds(-1.0),
+            1 => Seconds(f64::NAN),
+            _ => Seconds(f64::INFINITY),
+        }));
+        lifetimes.push(Seconds(1.0e8));
+        let expected = lifetimes
+            .iter()
+            .map(|&t| model.delta_vth(t, &schedule, &stress))
+            .collect::<Result<Vec<f64>, _>>()
+            .unwrap_err();
+        let got = model.delta_vth_lifetimes(&lifetimes, &schedule, &stress).unwrap_err();
+        prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+    }
+
+    /// Batched key evaluation equals per-key evaluation bit for bit: one
+    /// row of lifetimes, interleaved rows, and per-device thresholds.
+    #[test]
+    fn evaluate_many_matches_evaluate(
+        rows in prop::collection::vec(
+            (0.5f64..20.0, 300.0f64..400.0, 0.0f64..1.0, 0.0f64..1.0),
+            1..4,
+        ),
+        picks in prop::collection::vec(
+            (0usize..4, 0.0f64..3.2e8, 0u32..3, 0.16f64..0.30),
+            1..40,
+        ),
+    ) {
+        let model = NbtiModel::ptm90().unwrap();
+        let keys: Vec<StressKey> = picks
+            .iter()
+            .map(|&(row, t, kind, vth0)| {
+                let (weight, temp_s, p_a, p_s) = rows[row % rows.len()];
+                let schedule = paper_schedule(weight, temp_s);
+                let stress = PmosStress::new(p_a, p_s).unwrap();
+                match kind {
+                    0 => StressKey::quantize(&schedule, &stress, Seconds(t)),
+                    1 => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(vth0)),
+                    // Past V_dd: every path must report the same error.
+                    _ => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(2.0)),
+                }
+            })
+            .collect();
+        // The whole mixed list, and the first key's row on its own.
+        let row0: Vec<StressKey> = picks
+            .iter()
+            .zip(&keys)
+            .filter(|((row, ..), _)| row % rows.len() == picks[0].0 % rows.len())
+            .map(|(_, key)| *key)
+            .collect();
+        for batch in [&keys, &row0] {
+            let many = StressKey::evaluate_many(batch, &model);
+            prop_assert_eq!(many.len(), batch.len());
+            for (key, got) in batch.iter().zip(&many) {
+                match (got, key.evaluate(&model)) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                    (a, b) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                }
+            }
         }
     }
 }

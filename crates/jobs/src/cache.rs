@@ -186,10 +186,54 @@ impl ShardedCache {
         shard.map.insert(key, (value, tick));
         Ok(value)
     }
-}
 
-impl DeltaVthCache for ShardedCache {
-    fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
+    /// [`DeltaVthCache::delta_vth`] for every key of `keys`, in order:
+    /// the same results, entries, LRU ticks and hit/miss counts as calling
+    /// it once per key, but the cold keys are evaluated together through
+    /// [`StressKey::evaluate_many`], so a row of lifetimes pays for one AC
+    /// recursion. There is no single-flight here; a racing thread computes
+    /// the identical canonical value, as on the per-key path.
+    pub fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Vec<Result<f64, ModelError>> {
+        let cold: Vec<StressKey> = keys
+            .iter()
+            .filter(|key| !self.contains(key))
+            .copied()
+            .collect();
+        let values = StressKey::evaluate_many(&cold, model);
+        let mut fresh: HashMap<StressKey, Result<f64, ModelError>> =
+            cold.into_iter().zip(values).collect();
+        // Replay the per-key loop with the precomputed values; a key evicted
+        // by an earlier insert of this batch is evaluated on its own.
+        keys.iter()
+            .map(|&key| {
+                self.lookup_or_insert(key, || {
+                    fresh.remove(&key).unwrap_or_else(|| key.evaluate(model))
+                })
+            })
+            .collect()
+    }
+
+    /// Whether `key` is stored; touches neither ticks nor counters.
+    fn contains(&self, key: &StressKey) -> bool {
+        self.shard(key)
+            .lock()
+            // relia-lint: allow(unwrap-in-lib)
+            .expect("cache shard poisoned")
+            .map
+            .contains_key(key)
+    }
+
+    /// The memoized value for `key` (a hit), or `evaluate()` admitted
+    /// through [`ShardedCache::insert_checked`] (a miss).
+    fn lookup_or_insert(
+        &self,
+        key: StressKey,
+        evaluate: impl FnOnce() -> Result<f64, ModelError>,
+    ) -> Result<f64, ModelError> {
         {
             let mut shard = self
                 .shard(&key)
@@ -208,9 +252,15 @@ impl DeltaVthCache for ShardedCache {
         // Evaluate outside the lock: a racing thread computes the identical
         // value (evaluation is a pure function of the key), so double
         // insertion is harmless and lock hold times stay tiny.
-        let v = key.evaluate(model)?;
+        let v = evaluate()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.insert_checked(key, v)
+    }
+}
+
+impl DeltaVthCache for ShardedCache {
+    fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
+        self.lookup_or_insert(key, || key.evaluate(model))
     }
 }
 
@@ -229,6 +279,80 @@ mod tests {
         .unwrap();
         let stress = PmosStress::new(0.5, p_standby).unwrap();
         StressKey::quantize(&schedule, &stress, Seconds(1.0e8))
+    }
+
+    fn lifetime_key(p_standby: f64, lifetime: f64) -> StressKey {
+        let schedule = ModeSchedule::new(
+            Ras::new(1.0, 9.0).unwrap(),
+            Seconds(1000.0),
+            Kelvin(400.0),
+            Kelvin(330.0),
+        )
+        .unwrap();
+        let stress = PmosStress::new(0.5, p_standby).unwrap();
+        StressKey::quantize(&schedule, &stress, Seconds(lifetime))
+    }
+
+    /// Every shard's entries with their LRU ticks, in a canonical order.
+    fn contents(cache: &ShardedCache) -> Vec<Vec<(u64, u64, u64)>> {
+        cache
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().unwrap();
+                let mut entries: Vec<(u64, u64, u64)> = shard
+                    .map
+                    .iter()
+                    .map(|(k, &(v, tick))| (k.fingerprint(), v.to_bits(), tick))
+                    .collect();
+                entries.sort_unstable();
+                entries
+            })
+            .collect()
+    }
+
+    #[test]
+    fn delta_vth_many_leaves_the_state_of_the_per_key_loop() {
+        let model = NbtiModel::ptm90().unwrap();
+        // Two rows of lifetimes, a repeat, and keys warmed beforehand —
+        // under enough capacity pressure that the batch evicts its own
+        // inserts and must re-evaluate an evicted repeat.
+        let warm = [lifetime_key(1.0, 3.0e7), lifetime_key(0.5, 1.0e8)];
+        let mut keys: Vec<StressKey> = [1.0e6, 3.0e7, 1.0e8, 1.0e9]
+            .iter()
+            .map(|&t| lifetime_key(1.0, t))
+            .collect();
+        keys.extend([1.0e7, 1.0e8].iter().map(|&t| lifetime_key(0.5, t)));
+        keys.push(lifetime_key(1.0, 1.0e6));
+        for (shards, per_shard) in [(4, 64), (2, 2), (1, 3)] {
+            let (looped, batched) = (
+                ShardedCache::with_capacity(shards, per_shard),
+                ShardedCache::with_capacity(shards, per_shard),
+            );
+            for cache in [&looped, &batched] {
+                for key in warm {
+                    cache.delta_vth(key, &model).unwrap();
+                }
+            }
+            let one_by_one: Vec<f64> = keys
+                .iter()
+                .map(|&k| looped.delta_vth(k, &model).unwrap())
+                .collect();
+            let together: Vec<f64> = batched
+                .delta_vth_many(&keys, &model)
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            for (a, b) in one_by_one.iter().zip(&together) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            assert_eq!(looped.stats(), batched.stats(), "{shards}x{per_shard}");
+            assert_eq!(
+                contents(&looped),
+                contents(&batched),
+                "{shards}x{per_shard}"
+            );
+        }
     }
 
     #[test]

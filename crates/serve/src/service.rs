@@ -72,6 +72,13 @@ pub trait ModelEval: Send + Sync {
     ///
     /// A human-readable reason; the service maps it to HTTP 500.
     fn delta_vth(&self, key: StressKey) -> Result<f64, String>;
+
+    /// [`ModelEval::delta_vth`] for every key of `keys`, in order. The
+    /// default asks once per key; [`CachedEval`] evaluates a row's cache
+    /// misses together.
+    fn delta_vth_many(&self, keys: &[StressKey]) -> Vec<Result<f64, String>> {
+        keys.iter().map(|&key| self.delta_vth(key)).collect()
+    }
 }
 
 /// The production evaluator: the process-wide sharded memo cache in front
@@ -86,6 +93,14 @@ impl ModelEval for CachedEval {
         self.cache
             .delta_vth(key, &self.model)
             .map_err(|e| e.to_string())
+    }
+
+    fn delta_vth_many(&self, keys: &[StressKey]) -> Vec<Result<f64, String>> {
+        self.cache
+            .delta_vth_many(keys, &self.model)
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect()
     }
 }
 
@@ -720,51 +735,35 @@ fn sweep_response(state: &ServeState, request: &Request, deadline: &Deadline) ->
         Err(r) => return r,
     };
     let points = spec.points();
+    // A model grid is evaluated one `(RAS, T_standby)` row of lifetimes at
+    // a time; circuit aging one point at a time.
+    let row_len = match spec.workload {
+        Workload::ModelDeltaVth { .. } => spec.lifetimes.len(),
+        Workload::CircuitAging { .. } => 1,
+    };
     let mut rendered: Vec<String> = Vec::with_capacity(points.len());
-    for point in &points {
-        // Cooperative deadline check between points: a sweep that blows
-        // its budget returns 504 instead of hogging a worker.
+    for row in points.chunks(row_len) {
+        // Cooperative deadline check between rows: a sweep that blows its
+        // budget returns 504 instead of hogging a worker.
         if deadline.fire_if_due(Instant::now()) {
             return Response::error(504, "request deadline exceeded");
         }
-        let prefix = format!(
-            "\"ras\":[{},{}],\"t_standby_k\":{},\"lifetime_s\":{}",
-            fmt_f64(point.ras.0),
-            fmt_f64(point.ras.1),
-            fmt_f64(point.t_standby.0),
-            fmt_f64(point.lifetime.0)
-        );
-        match &point.task {
+        let bodies = match &row[0].task {
             relia_jobs::JobTask::Model {
                 p_active,
                 p_standby,
-            } => {
-                let query = DegradeQuery {
-                    ras: point.ras,
-                    t_standby_k: point.t_standby,
-                    lifetime_s: point.lifetime.0,
-                    p_active: *p_active,
-                    p_standby: *p_standby,
-                };
-                let key = match query.stress_key() {
-                    Ok(k) => k,
-                    Err(e) => return Response::error(400, &e),
-                };
-                let delta_vth = match state.flight.run(key, || state.eval.delta_vth(key)) {
-                    Ok(v) => v,
-                    Err(e) => return Response::error(500, &e),
-                };
-                rendered.push(format!(
-                    "{{{prefix},\"delta_vth_v\":{}}}",
-                    fmt_f64(delta_vth)
-                ));
-            }
+            } => model_row(state, row, *p_active, *p_standby),
             relia_jobs::JobTask::Aging { circuit, policy } => {
-                match run_aging_point(state, circuit, policy, point, deadline) {
-                    Ok(body) => rendered.push(format!("{{{prefix},{body}}}")),
-                    Err(r) => return r,
-                }
+                run_aging_point(state, circuit, policy, &row[0], deadline).map(|body| vec![body])
             }
+        };
+        match bodies {
+            Ok(bodies) => rendered.extend(
+                row.iter()
+                    .zip(bodies)
+                    .map(|(point, body)| format!("{{{},{body}}}", point_prefix(point))),
+            ),
+            Err(r) => return r,
         }
     }
     Response::json(
@@ -775,6 +774,52 @@ fn sweep_response(state: &ServeState, request: &Request, deadline: &Deadline) ->
             rendered.join(",")
         ),
     )
+}
+
+/// The coordinates every sweep point's object opens with.
+fn point_prefix(point: &relia_jobs::JobPoint) -> String {
+    format!(
+        "\"ras\":[{},{}],\"t_standby_k\":{},\"lifetime_s\":{}",
+        fmt_f64(point.ras.0),
+        fmt_f64(point.ras.1),
+        fmt_f64(point.t_standby.0),
+        fmt_f64(point.lifetime.0)
+    )
+}
+
+/// One row of a model sweep: the lifetimes of one `(RAS, T_standby)`
+/// point, whose memo-cache misses are evaluated together. Rows skip
+/// single-flight: a cached value is canonical per key, so a row racing a
+/// degrade request for the same key computes the same bits.
+fn model_row(
+    state: &ServeState,
+    row: &[relia_jobs::JobPoint],
+    p_active: f64,
+    p_standby: f64,
+) -> Result<Vec<String>, Response> {
+    let keys = row
+        .iter()
+        .map(|point| {
+            DegradeQuery {
+                ras: point.ras,
+                t_standby_k: point.t_standby,
+                lifetime_s: point.lifetime.0,
+                p_active,
+                p_standby,
+            }
+            .stress_key()
+        })
+        .collect::<Result<Vec<StressKey>, String>>()
+        .map_err(|e| Response::error(400, &e))?;
+    state
+        .eval
+        .delta_vth_many(&keys)
+        .into_iter()
+        .map(|value| match value {
+            Ok(v) => Ok(format!("\"delta_vth_v\":{}", fmt_f64(v))),
+            Err(e) => Err(Response::error(500, &e)),
+        })
+        .collect()
 }
 
 fn run_aging_point(

@@ -1,9 +1,10 @@
 //! The offline surface builder: evaluates the full grid on the relia-jobs
-//! pool through `relia-core::batch` hoisting, then sweeps every cell
-//! midpoint to *measure* the interpolation sup-error that gets sealed into
-//! the artifact header — the accuracy contract ships with the data.
+//! pool one lifetime column at a time through `relia-core::batch`'s row
+//! entry point, then sweeps every cell midpoint to *measure* the
+//! interpolation sup-error that gets sealed into the artifact header — the
+//! accuracy contract ships with the data.
 
-use relia_core::{Kelvin, ModeSchedule, NbtiModel, PmosStress, Ras, Seconds};
+use relia_core::{Kelvin, ModeSchedule, ModelError, NbtiModel, PmosStress, Ras, Seconds};
 use relia_jobs::{default_workers, run_ordered, JobOutcome, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
@@ -107,6 +108,7 @@ impl BuildSpec {
 /// One exact model evaluation at a surface coordinate: the same
 /// `Ras → ModeSchedule → PmosStress → hoist` path the sweep engine
 /// canonicalizes, with the hoisted base being a plain `delta_vth` value.
+/// The builder evaluates whole columns instead, bit-equal to this.
 ///
 /// # Errors
 ///
@@ -116,23 +118,90 @@ pub fn evaluate_exact(
     period_s: f64,
     query: &SurfaceQuery,
 ) -> Result<f64, SurfaceError> {
-    let build = |e: relia_core::ModelError| SurfaceError::Build(e.to_string());
-    let ras = Ras::new(query.ras_fraction, 1.0 - query.ras_fraction).map_err(build)?;
-    let schedule = ModeSchedule::new(ras, Seconds(period_s), query.t_active_k, query.t_standby_k)
-        .map_err(build)?;
-    let stress = PmosStress::new(query.p_active, query.p_standby).map_err(build)?;
+    let (schedule, stress) = operating_point(
+        period_s,
+        query.t_active_k,
+        query.t_standby_k,
+        query.ras_fraction,
+        (query.p_active, query.p_standby),
+    )?;
     Ok(model
         .hoist(Seconds(query.lifetime_s), &schedule, &stress)
-        .map_err(build)?
+        .map_err(build_error)?
         .base())
 }
 
-/// One grid column: every lifetime at a fixed `(pair, T_a, T_s, ras)`.
+fn build_error(e: ModelError) -> SurfaceError {
+    SurfaceError::Build(e.to_string())
+}
+
+/// The schedule and stress vector of one `(T_a, T_s, ras, pair)` point.
+fn operating_point(
+    period_s: f64,
+    t_active_k: Kelvin,
+    t_standby_k: Kelvin,
+    ras_fraction: f64,
+    (p_active, p_standby): (f64, f64),
+) -> Result<(ModeSchedule, PmosStress), SurfaceError> {
+    let ras = Ras::new(ras_fraction, 1.0 - ras_fraction).map_err(build_error)?;
+    let schedule =
+        ModeSchedule::new(ras, Seconds(period_s), t_active_k, t_standby_k).map_err(build_error)?;
+    let stress = PmosStress::new(p_active, p_standby).map_err(build_error)?;
+    Ok((schedule, stress))
+}
+
+/// One column: every lifetime at a fixed `(pair, T_a, T_s, ras)`.
 struct Column {
     pair: usize,
-    i_ta: usize,
-    i_ts: usize,
-    i_rf: usize,
+    t_active_k: Kelvin,
+    t_standby_k: Kelvin,
+    ras_fraction: f64,
+}
+
+impl Column {
+    /// Every `(pair, T_a, T_s, ras)` combination, pair-major and RAS
+    /// fastest — for grid axes, the order of [`SurfaceGrid::index`].
+    fn all(pairs: usize, t_active_k: &[f64], t_standby_k: &[f64], ras: &[f64]) -> Vec<Column> {
+        let mut columns =
+            Vec::with_capacity(pairs * t_active_k.len() * t_standby_k.len() * ras.len());
+        for pair in 0..pairs {
+            for &ta in t_active_k {
+                for &ts in t_standby_k {
+                    for &rf in ras {
+                        columns.push(Column {
+                            pair,
+                            t_active_k: Kelvin(ta),
+                            t_standby_k: Kelvin(ts),
+                            ras_fraction: rf,
+                        });
+                    }
+                }
+            }
+        }
+        columns
+    }
+
+    /// Exact values at every lifetime of `lifetimes_s`, bit-equal to one
+    /// [`evaluate_exact`] call each, from one equivalent cycle and one AC
+    /// recursion ([`NbtiModel::delta_vth_lifetimes`]).
+    fn exact(
+        &self,
+        model: &NbtiModel,
+        spec: &BuildSpec,
+        lifetimes_s: &[f64],
+    ) -> Result<Vec<f64>, SurfaceError> {
+        let (schedule, stress) = operating_point(
+            spec.period_s,
+            self.t_active_k,
+            self.t_standby_k,
+            self.ras_fraction,
+            spec.pairs[self.pair],
+        )?;
+        let lifetimes: Vec<Seconds> = lifetimes_s.iter().map(|&t| Seconds(t)).collect();
+        model
+            .delta_vth_lifetimes(&lifetimes, &schedule, &stress)
+            .map_err(build_error)
+    }
 }
 
 /// Cell midpoints along one axis (`log` → geometric midpoints); a
@@ -186,83 +255,47 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
     };
 
     // Phase 1: fill the grid, one job per (pair, T_a, T_s, ras) column.
-    let mut columns = Vec::new();
-    for pair in 0..spec.pairs.len() {
-        for i_ta in 0..grid.t_active_k().len() {
-            for i_ts in 0..grid.t_standby_k().len() {
-                for i_rf in 0..grid.ras_fraction().len() {
-                    columns.push(Column {
-                        pair,
-                        i_ta,
-                        i_ts,
-                        i_rf,
-                    });
-                }
-            }
-        }
-    }
+    // Columns come in flat-index order, so each pair's value block is its
+    // columns' lifetime rows laid end to end.
+    let columns = Column::all(
+        spec.pairs.len(),
+        grid.t_active_k(),
+        grid.t_standby_k(),
+        grid.ras_fraction(),
+    );
     let outcomes = run_ordered(&columns, workers, |_, col| {
-        let (pa, ps) = spec.pairs[col.pair];
-        grid.lifetime_s()
-            .iter()
-            .map(|&t| {
-                evaluate_exact(
-                    model,
-                    spec.period_s,
-                    &SurfaceQuery {
-                        t_active_k: Kelvin(grid.t_active_k()[col.i_ta]),
-                        t_standby_k: Kelvin(grid.t_standby_k()[col.i_ts]),
-                        ras_fraction: grid.ras_fraction()[col.i_rf],
-                        lifetime_s: t,
-                        p_active: pa,
-                        p_standby: ps,
-                    },
-                )
-            })
-            .collect::<Result<Vec<f64>, SurfaceError>>()
+        col.exact(model, spec, grid.lifetime_s())
     });
-    let mut values = vec![vec![0.0; grid.len()]; spec.pairs.len()];
+    let mut values: Vec<Vec<f64>> = (0..spec.pairs.len())
+        .map(|_| Vec::with_capacity(grid.len()))
+        .collect();
     for (col, outcome) in columns.iter().zip(outcomes) {
-        let row = unwrap_outcome(outcome)?;
-        for (i_lt, v) in row.into_iter().enumerate() {
-            values[col.pair][grid.index(col.i_ta, col.i_ts, col.i_rf, i_lt)] = v;
-        }
+        values[col.pair].extend(unwrap_outcome(outcome)?);
     }
 
     // Phase 2: measure the sup of the relative interpolation error at
     // every cell midpoint — where multilinear interpolation of a smooth
-    // function peaks — so the header carries evidence, not hope.
-    let mid_ta = midpoints(grid.t_active_k(), false);
-    let mid_ts = midpoints(grid.t_standby_k(), false);
-    let mid_rf = midpoints(grid.ras_fraction(), false);
+    // function peaks — so the header carries evidence, not hope. One job
+    // per midpoint column, again one AC recursion per column.
     let mid_lt = midpoints(grid.lifetime_s(), true);
-    let mut sweep_cols = Vec::new();
-    for pair in 0..spec.pairs.len() {
-        for &ta in &mid_ta {
-            for &ts in &mid_ts {
-                for &rf in &mid_rf {
-                    sweep_cols.push((pair, ta, ts, rf));
-                }
-            }
-        }
-    }
-    let sweeps = run_ordered(&sweep_cols, workers, |_, &(pair, ta, ts, rf)| {
-        let (pa, ps) = spec.pairs[pair];
+    let sweep_cols = Column::all(
+        spec.pairs.len(),
+        &midpoints(grid.t_active_k(), false),
+        &midpoints(grid.t_standby_k(), false),
+        &midpoints(grid.ras_fraction(), false),
+    );
+    let sweeps = run_ordered(&sweep_cols, workers, |_, col| {
+        let exact = col.exact(model, spec, &mid_lt)?;
         let mut worst = 0.0f64;
-        for &t in &mid_lt {
-            let exact = evaluate_exact(
-                model,
-                spec.period_s,
-                &SurfaceQuery {
-                    t_active_k: Kelvin(ta),
-                    t_standby_k: Kelvin(ts),
-                    ras_fraction: rf,
-                    lifetime_s: t,
-                    p_active: pa,
-                    p_standby: ps,
-                },
-            )?;
-            let (approx, _) = interpolate(&grid, &values[pair], ta, ts, rf, t);
+        for (&t, exact) in mid_lt.iter().zip(exact) {
+            let (approx, _) = interpolate(
+                &grid,
+                &values[col.pair],
+                col.t_active_k.0,
+                col.t_standby_k.0,
+                col.ras_fraction,
+                t,
+            );
             worst = worst.max(rel_error(approx, exact));
         }
         Ok(worst)
@@ -299,6 +332,91 @@ mod tests {
             pairs: vec![(0.5, 1.0)],
             period_s: SWEEP_PERIOD_S,
             workers: 2,
+        }
+    }
+
+    /// The builder as a per-point loop: every node from [`evaluate_exact`],
+    /// and the sup-error from one [`evaluate_exact`] per midpoint sample.
+    fn reference_build(model: &NbtiModel, spec: &BuildSpec) -> Artifact {
+        let query = |pair: usize, ta: f64, ts: f64, rf: f64, t: f64| SurfaceQuery {
+            t_active_k: Kelvin(ta),
+            t_standby_k: Kelvin(ts),
+            ras_fraction: rf,
+            lifetime_s: t,
+            p_active: spec.pairs[pair].0,
+            p_standby: spec.pairs[pair].1,
+        };
+        let grid = SurfaceGrid::new(
+            spec.t_active_k.iter().map(|k| k.0).collect(),
+            spec.t_standby_k.iter().map(|k| k.0).collect(),
+            spec.ras_fraction.clone(),
+            spec.lifetime_s.clone(),
+        )
+        .unwrap();
+        let mut values = vec![vec![0.0; grid.len()]; spec.pairs.len()];
+        for (pair, block) in values.iter_mut().enumerate() {
+            for (i_ta, &ta) in grid.t_active_k().iter().enumerate() {
+                for (i_ts, &ts) in grid.t_standby_k().iter().enumerate() {
+                    for (i_rf, &rf) in grid.ras_fraction().iter().enumerate() {
+                        for (i_lt, &t) in grid.lifetime_s().iter().enumerate() {
+                            block[grid.index(i_ta, i_ts, i_rf, i_lt)] =
+                                evaluate_exact(model, spec.period_s, &query(pair, ta, ts, rf, t))
+                                    .unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        let mid_lt = midpoints(grid.lifetime_s(), true);
+        let (mut sup_error, mut error_samples) = (0.0f64, 0u64);
+        for (pair, block) in values.iter().enumerate() {
+            for &ta in &midpoints(grid.t_active_k(), false) {
+                for &ts in &midpoints(grid.t_standby_k(), false) {
+                    for &rf in &midpoints(grid.ras_fraction(), false) {
+                        for &t in &mid_lt {
+                            let exact =
+                                evaluate_exact(model, spec.period_s, &query(pair, ta, ts, rf, t))
+                                    .unwrap();
+                            let (approx, _) = interpolate(&grid, block, ta, ts, rf, t);
+                            sup_error = sup_error.max(rel_error(approx, exact));
+                            error_samples += 1;
+                        }
+                    }
+                }
+            }
+        }
+        Artifact {
+            period_s: spec.period_s,
+            model_fingerprint: model_fingerprint(model).unwrap(),
+            sup_error,
+            error_samples,
+            grid,
+            pairs: spec.pairs.clone(),
+            values,
+        }
+    }
+
+    #[test]
+    fn column_build_is_byte_identical_to_the_per_point_reference() {
+        let model = NbtiModel::ptm90().unwrap();
+        let spec = BuildSpec {
+            pairs: vec![(0.5, 1.0), (0.3, 0.0)],
+            ..test_spec()
+        };
+        let reference = reference_build(&model, &spec).to_bytes();
+        for workers in [1, 4] {
+            let built = build(
+                &model,
+                &BuildSpec {
+                    workers,
+                    ..spec.clone()
+                },
+            )
+            .unwrap();
+            assert!(
+                built.to_bytes() == reference,
+                "build at {workers} worker(s) differs from the per-point reference"
+            );
         }
     }
 

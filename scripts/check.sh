@@ -123,7 +123,7 @@ if [ "$fleet_first" != "$fleet_second" ]; then
 fi
 rm -f "$fleet_ckpt"
 
-echo "==> relia surface (build, probe gate, surface-tier loadgen)"
+echo "==> relia surface (build, probe gate, surface-tier loadgen, worker-count identity)"
 # Build a small artifact through the release CLI (the builder refuses to
 # write one whose measured sup-error exceeds the documented bound), gate
 # an in-domain probe against exact evaluation, confirm the clamp report,
@@ -147,6 +147,17 @@ printf '%s\n' "$probe_out" | grep -q "clamped: true" || {
 cargo run -q --offline --release -p relia-serve --example loadgen -- \
     --requests 1000 --threads 2 --surface "$surface_rls"
 rm -f "$surface_rls"
+# The paper-default grid (the one the benchmark's serve-warm mounts) must
+# be byte-identical whatever the worker count.
+surface_w1="$(mktemp -u).rls"
+surface_w2="$(mktemp -u).rls"
+target/release/relia surface build --workers 1 --out "$surface_w1"
+target/release/relia surface build --workers 2 --out "$surface_w2"
+cmp "$surface_w1" "$surface_w2" || {
+    echo "surface: --workers 1 and --workers 2 builds differ" >&2
+    exit 1
+}
+rm -f "$surface_w1" "$surface_w2"
 
 echo "==> bench_fleet (hoisted-batch speedup gate vs BENCH_fleet.json)"
 cargo run -q --offline --release -p relia-bench --bin bench_fleet -- --check

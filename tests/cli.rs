@@ -237,6 +237,27 @@ fn sweep_runs_a_small_grid() {
 }
 
 #[test]
+fn sweep_on_c3540_has_no_failed_jobs() {
+    // c3540's signal probabilities sum to one ulp above 1 at some nets;
+    // the cell layer clamps them, so neither policy fails validation.
+    let (ok, stdout, stderr) = relia(&[
+        "sweep",
+        "builtin:c3540",
+        "--ras",
+        "1:9",
+        "--tstandby",
+        "330",
+        "--years",
+        "1",
+        "--standby",
+        "worst,best",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(!stdout.contains("FAILED"), "{stdout}");
+    assert!(stderr.contains("0 failed"), "{stderr}");
+}
+
+#[test]
 fn sweep_resumes_from_checkpoint() {
     let dir = std::env::temp_dir().join("relia_cli_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
