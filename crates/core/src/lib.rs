@@ -29,6 +29,9 @@
 //!   threshold-voltage shift.
 //! * [`stress_key`] — quantized stress-point keys ([`StressKey`]) for
 //!   memoizing model evaluations in batch sweeps.
+//! * [`seal`] — CRC-32, FNV-1a, SplitMix64, atomic writes and lossy line
+//!   reading: the one substrate under every checkpoint, artifact and seeded
+//!   schedule in the workspace.
 //! * [`cancel`] — the cooperative [`CancelToken`] that lets sweep watchdogs
 //!   abandon straggling evaluations at safe boundaries.
 //! * [`variation`] — process-variation hooks (gate-overdrive dependence of the
@@ -70,6 +73,7 @@ pub mod model;
 pub mod params;
 pub mod rd;
 pub mod rd_numeric;
+pub mod seal;
 pub mod stress_key;
 pub mod units;
 pub mod variation;

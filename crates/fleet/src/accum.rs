@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn chunk_accum_words_round_trip_exactly() {
         let mut acc = ChunkAccum::new(3);
-        let mut rng = crate::rng::SplitMix64::new(9);
+        let mut rng = crate::SplitMix64::new(9);
         for _ in 0..500 {
             acc.samples += 1;
             for t in acc.per_time.iter_mut() {

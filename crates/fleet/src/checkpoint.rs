@@ -10,30 +10,37 @@
 //!
 //! The header binds the file to a `(spec, chunk size)` fingerprint; a
 //! mismatch rejects the whole file. Individual chunk lines that fail their
-//! CRC or parse (a torn write from a crash) are *skipped*, salvaging every
-//! intact record — the engine simply recomputes the lost chunks.
+//! CRC or parse (a torn write from a crash, bit rot) are *skipped*,
+//! salvaging every intact record — the engine simply recomputes the lost
+//! chunks. When anything was skipped, [`load`] atomically rewrites the file
+//! to the intact records, so the next append starts on a clean line
+//! instead of extending a torn one.
 
 use crate::accum::ChunkAccum;
 use crate::error::FleetError;
+use relia_core::seal::{crc32, lossy_lines, write_atomic};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::Path;
 
 const HEADER_TAG: &str = "relia-fleet-checkpoint";
 const HEADER_VERSION: &str = "v1";
 
-/// CRC-32 (IEEE 802.3, reflected) over the raw bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+fn header_line(fingerprint: u64) -> String {
+    format!("{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}\n")
+}
+
+/// One sealed record line: `chunk <index> <crc> <words...>\n`.
+fn record_line(index: usize, acc: &ChunkAccum) -> String {
+    let payload = chunk_payload(index, &acc.to_words());
+    let crc = crc32(payload.as_bytes());
+    let idx_end = payload.find(' ').unwrap_or(payload.len());
+    format!(
+        "chunk {} {crc:08x}{}\n",
+        &payload[..idx_end],
+        &payload[idx_end..]
+    )
 }
 
 fn chunk_payload(index: usize, words: &[u64]) -> String {
@@ -52,17 +59,16 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Creates (or truncates) the checkpoint at `path` and writes the
-    /// header binding it to `fingerprint`.
+    /// Creates (or replaces) the checkpoint at `path` with the header
+    /// binding it to `fingerprint`, atomically: `path` never holds a
+    /// half-written header.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Self, FleetError> {
-        let mut file = File::create(path).map_err(io_err)?;
-        writeln!(file, "{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}").map_err(io_err)?;
-        file.flush().map_err(io_err)?;
-        Ok(CheckpointWriter { file })
+        write_atomic(path, header_line(fingerprint).as_bytes()).map_err(io_err)?;
+        CheckpointWriter::append(path)
     }
 
     /// Reopens an existing checkpoint for appending (after a salvage load).
@@ -82,18 +88,10 @@ impl CheckpointWriter {
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn record(&mut self, index: usize, acc: &ChunkAccum) -> Result<(), FleetError> {
-        let payload = chunk_payload(index, &acc.to_words());
-        let crc = crc32(payload.as_bytes());
         // Single write call so the line is as close to atomic as the OS gives us.
-        let line = {
-            let idx_end = payload.find(' ').unwrap_or(payload.len());
-            format!(
-                "chunk {} {crc:08x}{}\n",
-                &payload[..idx_end],
-                &payload[idx_end..]
-            )
-        };
-        self.file.write_all(line.as_bytes()).map_err(io_err)?;
+        self.file
+            .write_all(record_line(index, acc).as_bytes())
+            .map_err(io_err)?;
         self.file.flush().map_err(io_err)
     }
 }
@@ -101,22 +99,22 @@ impl CheckpointWriter {
 /// Loads every intact chunk from `path`.
 ///
 /// Returns the salvaged accumulators keyed by chunk index and the number of
-/// lines that were skipped as corrupt. Missing file → empty map.
+/// lines that were skipped as corrupt. Missing file → empty map. When any
+/// line was skipped, the file is atomically rewritten to the header plus
+/// the intact records.
 ///
 /// # Errors
 ///
 /// [`FleetError::Checkpoint`] when the header is missing, malformed, or
-/// fingerprint-mismatched; [`FleetError::Io`] on read failures.
+/// fingerprint-mismatched; [`FleetError::Io`] on read or rewrite failures.
 pub fn load(
     path: &Path,
     fingerprint: u64,
     times: usize,
 ) -> Result<(BTreeMap<usize, ChunkAccum>, usize), FleetError> {
-    if !path.exists() {
+    let Some(mut lines) = lossy_lines(path).map_err(io_err)? else {
         return Ok((BTreeMap::new(), 0));
-    }
-    let file = File::open(path).map_err(io_err)?;
-    let mut lines = BufReader::new(file).lines();
+    };
     let header = match lines.next() {
         Some(Ok(l)) => l,
         Some(Err(e)) => return Err(io_err(e)),
@@ -146,10 +144,7 @@ pub fn load(
     let mut chunks = BTreeMap::new();
     let mut skipped = 0_usize;
     for line in lines {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => return Err(io_err(e)),
-        };
+        let line = line.map_err(io_err)?;
         if line.trim().is_empty() {
             continue;
         }
@@ -159,6 +154,13 @@ pub fn load(
             }
             None => skipped += 1,
         }
+    }
+    if skipped > 0 {
+        let mut text = header_line(fingerprint);
+        for (&index, acc) in &chunks {
+            text.push_str(&record_line(index, acc));
+        }
+        write_atomic(path, text.as_bytes()).map_err(io_err)?;
     }
     Ok((chunks, skipped))
 }
@@ -199,7 +201,7 @@ mod tests {
 
     fn sample_acc(times: usize, salt: u64) -> ChunkAccum {
         let mut acc = ChunkAccum::new(times);
-        let mut rng = crate::rng::SplitMix64::new(salt);
+        let mut rng = crate::SplitMix64::new(salt);
         for _ in 0..100 {
             acc.samples += 1;
             for t in acc.per_time.iter_mut() {
@@ -210,13 +212,6 @@ mod tests {
             acc.lifetime_log10.record(rng.next_f64() * 14.0);
         }
         acc
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The classic check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -274,6 +269,9 @@ mod tests {
         assert_eq!(chunks.len(), 1);
         assert!(chunks.contains_key(&0));
         assert_eq!(skipped, 3);
+        // The salvage rewrote the file to its intact records.
+        let (healed, skipped) = load(&path, 7, 1).expect("healed load");
+        assert_eq!((healed, skipped), (chunks, 0));
         let _ = fs::remove_file(&path);
     }
 

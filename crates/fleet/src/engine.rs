@@ -15,8 +15,8 @@
 use crate::accum::ChunkAccum;
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::error::FleetError;
-use crate::rng::SplitMix64;
 use crate::spec::FleetSpec;
+use relia_core::seal::SplitMix64;
 use relia_core::{
     CancelToken, HoistedStress, NbtiModel, Seconds, VariationKernel, Volts, VthDistribution,
 };

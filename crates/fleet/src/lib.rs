@@ -17,7 +17,7 @@
 //!   drawing a device is then a handful of flops.
 //! * **Deterministic streams.** Samples are drawn in fixed-size chunks,
 //!   each from its own [`SplitMix64`] stream derived from `(seed, chunk
-//!   index)` ([`rng`]). Chunk accumulators ([`accum`]) merge in index
+//!   index)`. Chunk accumulators ([`accum`]) merge in index
 //!   order, so a fleet summary is a pure function of `(spec, seed, chunk
 //!   size)` — bit-identical across worker counts.
 //! * **Correlated variation.** A `correlation` knob links the time-zero
@@ -47,7 +47,6 @@ pub mod accum;
 pub mod checkpoint;
 pub mod engine;
 pub mod error;
-pub mod rng;
 pub mod spec;
 
 pub use accum::{ChunkAccum, Histogram, Moments};
@@ -56,5 +55,5 @@ pub use engine::{
     LifetimeSummary, DEFAULT_CHUNK,
 };
 pub use error::FleetError;
-pub use rng::SplitMix64;
+pub use relia_core::seal::SplitMix64;
 pub use spec::{FleetSpec, FLEET_FORMAT_VERSION};

@@ -3,6 +3,7 @@
 
 use crate::accum::HIST_BINS;
 use crate::error::FleetError;
+use relia_core::seal::Fnv1a;
 use relia_core::{Kelvin, ModeSchedule, ModelError, PmosStress, Ras, Seconds, VthDistribution};
 use relia_jobs::{SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
@@ -131,15 +132,15 @@ impl FleetSpec {
     /// the IEEE-754 bit patterns so `-0.0` vs `0.0` and NaN payloads are
     /// distinguished the same way the sampler would see them.
     pub fn fingerprint(&self, chunk: usize) -> u64 {
-        let mut h = Fnv1a::new();
-        h.word(FLEET_FORMAT_VERSION);
-        h.word(HIST_BINS as u64);
+        let mut h = Fnv1a::default();
+        h.u64(FLEET_FORMAT_VERSION);
+        h.u64(HIST_BINS as u64);
         h.f64(self.ras.active_fraction());
         h.f64(self.ras.standby_fraction());
         h.f64(self.t_standby.0);
         h.f64(self.p_active);
         h.f64(self.p_standby);
-        h.word(self.times.len() as u64);
+        h.u64(self.times.len() as u64);
         for t in &self.times {
             h.f64(t.0);
         }
@@ -148,9 +149,9 @@ impl FleetSpec {
         h.f64(self.correlation);
         h.f64(self.rate_sigma);
         h.f64(self.guardband);
-        h.word(self.samples as u64);
-        h.word(self.seed);
-        h.word(chunk as u64);
+        h.u64(self.samples as u64);
+        h.u64(self.seed);
+        h.u64(chunk as u64);
         h.finish()
     }
 }
@@ -158,30 +159,6 @@ impl FleetSpec {
 fn invalid(what: &str) -> FleetError {
     FleetError::Invalid {
         what: what.to_owned(),
-    }
-}
-
-/// 64-bit FNV-1a over little-endian words.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.word(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -254,5 +231,10 @@ mod tests {
 
         // Same spec, same fingerprint.
         assert_eq!(fp, base.clone().fingerprint(2048));
+        // Pinned: every paper-default checkpoint header carries this value.
+        assert_eq!(
+            base.fingerprint(crate::DEFAULT_CHUNK),
+            0x9e60_0f63_9d5b_f9fd
+        );
     }
 }

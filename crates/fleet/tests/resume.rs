@@ -80,6 +80,65 @@ fn corrupted_chunk_is_recomputed_without_losing_the_rest() {
 }
 
 #[test]
+fn bit_rot_in_a_record_is_skipped_not_an_io_error() {
+    let path = tmp("bitrot");
+    let _ = fs::remove_file(&path);
+    let spec = spec(1_000);
+    let opts = FleetOptions {
+        workers: 1,
+        chunk: 128,
+        checkpoint: Some(path.clone()),
+        cancel: None,
+        trace: None,
+    };
+    let first = run_fleet(&spec, &opts).expect("first run");
+
+    // Set the high bit of one record byte: the line is no longer UTF-8.
+    let mut bytes = fs::read(&path).expect("read checkpoint");
+    let record = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+    bytes[record + 20] ^= 0x80;
+    fs::write(&path, bytes).expect("rewrite checkpoint");
+
+    let second = run_fleet(&spec, &opts).expect("resume over bit rot");
+    assert_eq!(second.metrics.executed_chunks, 1);
+    assert_eq!(second.metrics.salvaged_skips, 1);
+    assert_eq!(first.summary, second.summary);
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn a_torn_tail_heals_on_the_first_resume() {
+    let path = tmp("torn");
+    let _ = fs::remove_file(&path);
+    let spec = spec(1_000);
+    let opts = FleetOptions {
+        workers: 1,
+        chunk: 128,
+        checkpoint: Some(path.clone()),
+        cancel: None,
+        trace: None,
+    };
+    let first = run_fleet(&spec, &opts).expect("first run");
+
+    // A crash mid-append: the last record loses its tail and newline.
+    let len = fs::metadata(&path).expect("stat checkpoint").len();
+    fs::File::options()
+        .write(true)
+        .open(&path)
+        .and_then(|f| f.set_len(len - 7))
+        .expect("truncate checkpoint");
+
+    let second = run_fleet(&spec, &opts).expect("salvage run");
+    assert_eq!(second.metrics.executed_chunks, 1);
+    assert_eq!(second.metrics.salvaged_skips, 1);
+    let third = run_fleet(&spec, &opts).expect("healed run");
+    assert_eq!(third.metrics.executed_chunks, 0);
+    assert_eq!(third.metrics.salvaged_skips, 0);
+    assert_eq!(first.summary, third.summary);
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
 fn changing_the_spec_rejects_the_old_checkpoint() {
     let path = tmp("fingerprint");
     let _ = fs::remove_file(&path);

@@ -31,9 +31,9 @@
 //!   later append continues from a clean line boundary instead of
 //!   concatenating onto a torn one.
 //!
-//! File creation and the salvage rewrite both go through a temp-file +
-//! rename, so a crash mid-create never leaves a half-written header for
-//! the next run to trip over.
+//! File creation and the salvage rewrite both go through
+//! [`write_atomic`], so a crash mid-create never leaves a half-written
+//! header for the next run to trip over.
 //!
 //! The values are flat and self-describing, so the hand-rolled parser below
 //! only handles what the writer emits: one-level objects of strings,
@@ -42,9 +42,11 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use relia_core::seal::{crc32, crc32_extend, lossy_lines, write_atomic};
 
 use crate::spec::{JobResult, JobStatus};
 
@@ -149,23 +151,13 @@ struct RawCheckpoint {
 }
 
 fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
+    // Lossy lines: bit rot can produce invalid UTF-8, which must surface as
+    // an invalid *record* (the mangled text fails its CRC) rather than an
+    // unreadable file.
+    let Some(mut lines) = lossy_lines(path)? else {
+        return Ok(None);
     };
-    if bytes.is_empty() {
-        return Err(CheckpointError::Empty);
-    }
-    // Decode line by line, lossily: bit rot can produce invalid UTF-8,
-    // which must surface as an invalid *record* (the mangled text fails
-    // its CRC) rather than an unreadable file.
-    let mut raw_lines = bytes.split(|&b| b == b'\n');
-    let header_line = std::str::from_utf8(raw_lines.next().unwrap_or_default())
-        .map_err(|_| CheckpointError::BadHeader {
-            what: "not valid UTF-8",
-        })?
-        .to_owned();
+    let header_line = lines.next().ok_or(CheckpointError::Empty)??;
     let header_body = verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
         what: "crc mismatch or missing",
     })?;
@@ -201,14 +193,7 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
             .ok_or(CheckpointError::BadHeader {
                 what: "missing total",
             })?;
-    let mut record_lines: Vec<String> = raw_lines
-        .map(|l| String::from_utf8_lossy(l).into_owned())
-        .collect();
-    // `split` yields one empty tail after a final newline; drop it so
-    // line counts match the writer's one-record-per-line layout.
-    if record_lines.last().is_some_and(String::is_empty) {
-        record_lines.pop();
-    }
+    let record_lines = lines.collect::<io::Result<Vec<String>>>()?;
     Ok(Some(RawCheckpoint {
         header_line,
         fingerprint,
@@ -268,7 +253,7 @@ pub fn load(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
 ///
 /// Records are consumed up to the first invalid line; that line and every
 /// line after it count as dropped. When anything was dropped the file is
-/// **atomically rewritten** (temp file + rename) to exactly the valid
+/// **atomically rewritten** ([`write_atomic`]) to exactly the valid
 /// prefix, so a subsequent [`CheckpointWriter::append`] starts on a clean
 /// line boundary.
 ///
@@ -291,19 +276,13 @@ pub fn salvage(path: &Path) -> Result<Option<Salvage>, CheckpointError> {
     }
     let dropped_records = raw.record_lines.len() - valid_lines;
     if dropped_records > 0 {
-        // Rewrite the valid prefix through a temp file so a crash here
-        // leaves either the old damaged file or the new clean one — never
-        // a half-written hybrid.
-        let tmp = tmp_sibling(path);
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            writeln!(out, "{}", raw.header_line)?;
-            for line in &raw.record_lines[..valid_lines] {
-                writeln!(out, "{line}")?;
-            }
-            out.flush()?;
+        let mut text = raw.header_line;
+        text.push('\n');
+        for line in &raw.record_lines[..valid_lines] {
+            text.push_str(line);
+            text.push('\n');
         }
-        fs::rename(&tmp, path)?;
+        write_atomic(path, text.as_bytes())?;
     }
     Ok(Some(Salvage {
         checkpoint: Checkpoint {
@@ -315,15 +294,6 @@ pub fn salvage(path: &Path) -> Result<Option<Salvage>, CheckpointError> {
     }))
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("checkpoint"),
-        |n| n.to_os_string(),
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 /// An open checkpoint being appended to, one flushed line per result.
 #[derive(Debug)]
 pub struct CheckpointWriter {
@@ -331,9 +301,8 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Creates a checkpoint with a fresh header, atomically: the header is
-    /// written to a temp sibling and renamed into place, so `path` never
-    /// holds a half-written header.
+    /// Creates a checkpoint with a fresh header, atomically
+    /// ([`write_atomic`]), so `path` never holds a half-written header.
     ///
     /// # Errors
     ///
@@ -343,13 +312,7 @@ impl CheckpointWriter {
             "{{\"header\":\"{HEADER_NAME}\",\"version\":{VERSION},\
              \"fingerprint\":\"{fingerprint:016x}\",\"total\":{total}}}"
         );
-        let tmp = tmp_sibling(path);
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            writeln!(out, "{}", seal(&header_body))?;
-            out.flush()?;
-        }
-        fs::rename(&tmp, path)?;
+        write_atomic(path, format!("{}\n", seal(&header_body)).as_bytes())?;
         CheckpointWriter::append(path)
     }
 
@@ -452,12 +415,7 @@ fn verify_crc(line: &str) -> Option<&str> {
     let stored = u32::from_str_radix(hex, 16).ok()?;
     // The body is everything before the crc field, re-closed.
     let prefix = &line[..pos];
-    let mut crc = 0xffff_ffffu32;
-    for &b in prefix.as_bytes() {
-        crc = crc32_step(crc, b);
-    }
-    crc = crc32_step(crc, b'}');
-    if !crc == stored {
+    if crc32_extend(crc32(prefix.as_bytes()), b"}") == stored {
         // The prefix is the body minus its closing brace; `parse_object`
         // treats end-of-input as the close, so the slice parses as the
         // original object without a copy.
@@ -465,21 +423,6 @@ fn verify_crc(line: &str) -> Option<&str> {
     } else {
         None
     }
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one byte.
-fn crc32_step(crc: u32, byte: u8) -> u32 {
-    let mut crc = crc ^ byte as u32;
-    for _ in 0..8 {
-        let mask = (crc & 1).wrapping_neg();
-        crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-    }
-    crc
-}
-
-/// CRC-32 of a whole buffer.
-fn crc32(bytes: &[u8]) -> u32 {
-    !bytes.iter().fold(0xffff_ffffu32, |c, &b| crc32_step(c, b))
 }
 
 /// Shortest-round-trip float serialization; keeps non-finite values
@@ -694,13 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic IEEE 802.3 check value.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0x0000_0000);
-    }
-
-    #[test]
     fn round_trips_bit_exactly() {
         let path = tmp("roundtrip");
         let mut w = CheckpointWriter::create(&path, 0xdead_beef, 5).unwrap();
@@ -899,7 +835,7 @@ mod tests {
         let w = CheckpointWriter::create(&path, 1, 1).unwrap();
         drop(w);
         assert!(path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        assert!(!std::path::PathBuf::from(format!("{}.tmp", path.display())).exists());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -20,7 +20,7 @@
 //! The checkpoint-corruption helpers at the bottom mutate files on disk
 //! (truncation, bit flips, duplicated lines) so tests can prove the
 //! salvage path against realistic damage, with randomness drawn from a
-//! seeded xorshift generator rather than ambient entropy.
+//! seeded [`SplitMix64`] stream rather than ambient entropy.
 
 use std::collections::HashMap;
 use std::fs::OpenOptions;
@@ -30,46 +30,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use relia_core::seal::SplitMix64;
 use relia_core::CancelToken;
 
 use crate::pool::JobFailure;
-
-/// A tiny deterministic xorshift64 stream shared by every fault-injection
-/// layer: checkpoint corruption here, socket-level chaos schedules in
-/// relia-serve. One seed fully determines a fault sequence, which is what
-/// makes chaos runs exactly reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultRng {
-    state: u64,
-}
-
-impl FaultRng {
-    /// A stream seeded with `seed` (zero is nudged to one — xorshift64
-    /// must not start at the all-zero state).
-    pub fn new(seed: u64) -> Self {
-        FaultRng { state: seed.max(1) }
-    }
-
-    /// The next value of the stream.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut s = self.state;
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        self.state = s;
-        s
-    }
-
-    /// A value in `0..bound` (0 when `bound` is 0). The modulo bias is
-    /// irrelevant at fault-schedule scales.
-    pub fn pick(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            0
-        } else {
-            self.next_u64() % bound
-        }
-    }
-}
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,7 +158,7 @@ pub fn flip_bit(path: &Path, byte_index: u64, bit: u8) -> io::Result<()> {
     f.write_all(&b)
 }
 
-/// Flips `flips` bits at positions drawn from a seeded xorshift64 stream,
+/// Flips `flips` bits at positions drawn from a seeded [`SplitMix64`] stream,
 /// restricted to the record region (everything after the first newline, so
 /// the header — whose damage is *designed* to be fatal — stays intact).
 ///
@@ -216,7 +180,7 @@ pub fn flip_random_bits(path: &Path, seed: u64, flips: usize) -> io::Result<()> 
             "no record bytes to corrupt",
         ));
     }
-    let mut rng = FaultRng::new(seed);
+    let mut rng = SplitMix64::new(seed);
     for _ in 0..flips {
         let draw = rng.next_u64();
         let byte = first_record + draw % (len - first_record);
@@ -253,23 +217,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("relia-fault-{}-{name}", std::process::id()));
         p
-    }
-
-    #[test]
-    fn fault_rng_is_deterministic_and_never_stuck_at_zero() {
-        let mut a = FaultRng::new(0xfeed_beef);
-        let mut b = FaultRng::new(0xfeed_beef);
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64(), "same seed, same stream");
-        }
-        let mut c = FaultRng::new(0);
-        assert_eq!(c.clone(), FaultRng::new(1), "zero seed is nudged to one");
-        assert_ne!(c.next_u64(), 0);
-        assert!(FaultRng::new(7).pick(0) == 0, "zero bound degrades to 0");
-        let mut d = FaultRng::new(7);
-        for _ in 0..32 {
-            assert!(d.pick(5) < 5);
-        }
     }
 
     #[test]

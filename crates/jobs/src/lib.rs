@@ -75,7 +75,7 @@ pub use engine::{
     SWEEP_TEMP_ACTIVE_K,
 };
 #[cfg(feature = "fault-inject")]
-pub use fault::{Fault, FaultPlan, FaultRng};
+pub use fault::{Fault, FaultPlan};
 pub use metrics::{MetricsSnapshot, SweepMetrics, SweepTimings};
 pub use pool::{
     default_workers, run_ordered, run_ordered_with, run_pool, Attempt, JobFailure, JobOutcome,

@@ -30,6 +30,7 @@
 
 use crate::graph::{FileSummary, LockEdge};
 use crate::pragma::DeferredAllow;
+use relia_core::seal::write_atomic;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
@@ -45,20 +46,10 @@ pub const CACHE_FILE: &str = ".lint-cache";
 /// One cached file: its content hash and workspace-rule inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
-    /// FNV-1a 64 hash of the file's bytes.
+    /// FNV-1a 64 hash of the file's bytes ([`relia_core::seal::fnv1a`]).
     pub hash: u64,
     /// The file's contribution to workspace-level rules.
     pub summary: FileSummary,
-}
-
-/// FNV-1a 64-bit hash — dependency-free and stable across platforms.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Loads the manifest at `path`. Returns `None` — degrade to a full lint
@@ -158,13 +149,14 @@ pub fn render(entries: &BTreeMap<String, CacheEntry>) -> String {
     out
 }
 
-/// Writes the manifest to `path`.
+/// Writes the manifest to `path` atomically, so an interrupted write can
+/// never leave a torn manifest behind.
 ///
 /// # Errors
 ///
 /// Propagates the underlying filesystem error.
 pub fn save(path: &Path, entries: &BTreeMap<String, CacheEntry>) -> io::Result<()> {
-    std::fs::write(path, render(entries))
+    write_atomic(path, render(entries).as_bytes())
 }
 
 #[cfg(test)]
@@ -238,14 +230,5 @@ mod tests {
     #[test]
     fn missing_file_is_none() {
         assert!(load(Path::new("/nonexistent/.lint-cache")).is_none());
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        // Pinned reference values so the committed manifest format can
-        // never drift silently.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
     }
 }

@@ -223,7 +223,7 @@ pub fn lint_workspace_opts(root: &Path, opts: &WorkspaceOpts) -> Result<Vec<Diag
     let analyze_one = |f: &walker::SourceFile| -> Result<(FileAnalysis, u64), String> {
         let source = std::fs::read_to_string(&f.abs_path)
             .map_err(|e| format!("reading {}: {e}", f.abs_path.display()))?;
-        let hash = cache::fnv1a(source.as_bytes());
+        let hash = relia_core::seal::fnv1a(source.as_bytes());
         if let Some(entry) = cached.get(&f.rel_path) {
             if entry.hash == hash {
                 // Cached files were clean; only their workspace inputs

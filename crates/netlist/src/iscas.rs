@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relia_cells::Library;
+use relia_core::seal::fnv1a;
 
 use crate::builder::CircuitBuilder;
 use crate::circuit::{Circuit, NetId};
@@ -163,16 +164,6 @@ const CELL_MIX: [(&str, u32); 12] = [
     ("BUF", 2),
 ];
 
-fn name_seed(name: &str) -> u64 {
-    // FNV-1a, so each benchmark is deterministic but distinct.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Generates the synthetic stand-in for `spec` (deterministic per name).
 pub fn synthesize(spec: &BenchmarkSpec) -> Circuit {
     // relia-lint: allow(unwrap-in-lib)
@@ -187,7 +178,8 @@ pub fn synthesize(spec: &BenchmarkSpec) -> Circuit {
 /// Returns [`NetlistError`] if a generated gate names a cell the library
 /// lacks or the built circuit fails validation.
 pub fn try_synthesize(spec: &BenchmarkSpec) -> Result<Circuit, NetlistError> {
-    let mut rng = StdRng::seed_from_u64(name_seed(spec.name));
+    // Seeded by name, so each benchmark is deterministic but distinct.
+    let mut rng = StdRng::seed_from_u64(fnv1a(spec.name.as_bytes()));
     let mut b = CircuitBuilder::new(spec.name, Library::ptm90());
 
     let pis: Vec<NetId> = (0..spec.inputs)

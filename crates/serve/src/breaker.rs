@@ -41,6 +41,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use relia_core::seal::SplitMix64;
+
 /// Overload-control knobs, all CLI-settable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadConfig {
@@ -412,14 +414,12 @@ impl OverloadControl {
     }
 
     /// The next `Retry-After` value: `base..=base + jitter`, drawn from a
-    /// deterministic SplitMix-style hash of a sequence counter — bounded
-    /// jitter without ambient entropy, so chaos runs stay reproducible.
+    /// [`SplitMix64`] hash of a sequence counter — bounded jitter without
+    /// ambient entropy, so chaos runs stay reproducible.
     pub fn retry_after(&self) -> u32 {
         let span = u64::from(self.config.retry_after_jitter) + 1;
         let seq = self.jitter_seq.fetch_add(1, Ordering::Relaxed);
-        let mut z = seq.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
+        let z = SplitMix64::new(seq).next_u64();
         self.config.retry_after_base + (z % span) as u32
     }
 

@@ -3,10 +3,10 @@
 //!
 //! The batch engine's fault plan (`relia_jobs::fault`) breaks *jobs*;
 //! this module breaks *connections*. A [`ChaosPlan`] maps connection
-//! indices to [`ConnFault`]s using the same seeded
-//! [`FaultRng`](relia_jobs::FaultRng) stream, so one seed fully
-//! determines the fault sequence of a chaos run — rerunning with the
-//! same seed replays the exact same abuse.
+//! indices to [`ConnFault`]s drawn from the workspace's seeded
+//! [`SplitMix64`] streams, so one seed fully determines the fault
+//! sequence of a chaos run — rerunning with the same seed replays the
+//! exact same abuse.
 //!
 //! [`FaultStream`] wraps a *client-side* stream and misbehaves on the
 //! peer's behalf:
@@ -29,7 +29,7 @@ use std::net::{Shutdown, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use relia_jobs::FaultRng;
+use relia_core::seal::SplitMix64;
 
 /// A stream that can end one or both directions early — the two ways a
 /// real peer disappears.
@@ -97,11 +97,10 @@ impl ChaosPlan {
 
     /// The fault for connection `index`.
     pub fn fault_for(&self, index: u64) -> ConnFault {
-        // Mix the index into the seed (SplitMix-style multiplier) so each
-        // connection gets an independent draw position.
-        let mut rng =
-            FaultRng::new(self.seed ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        match rng.pick(8) {
+        let mut rng = SplitMix64::stream(self.seed, index);
+        // The modulo bias is irrelevant at fault-schedule scales.
+        let mut pick = |bound: u64| rng.next_u64() % bound;
+        match pick(8) {
             // Weight Clean at 2/8: enough control connections that the
             // suite also proves the server still answers normal traffic.
             0 | 1 => ConnFault::Clean,
@@ -114,17 +113,15 @@ impl ChaosPlan {
                 delay_ms: 30,
             },
             4 => ConnFault::ShortWrite {
-                max: 1 + rng.pick(7) as usize,
+                max: 1 + pick(7) as usize,
             },
             5 => ConnFault::Disconnect {
-                after: rng.pick(40) as usize,
+                after: pick(40) as usize,
             },
             6 => ConnFault::Truncate {
-                keep: 1 + rng.pick(40) as usize,
+                keep: 1 + pick(40) as usize,
             },
-            _ => ConnFault::StallKeepAlive {
-                ms: 20 + rng.pick(80),
-            },
+            _ => ConnFault::StallKeepAlive { ms: 20 + pick(80) },
         }
     }
 }

@@ -2,15 +2,14 @@
 //! binary — magic, header (build params, model fingerprint, measured
 //! sup-error), the four grid axes, the `(p_active, p_standby)` pair table,
 //! one flat value block per pair, and a trailing CRC-32 of everything
-//! before it. Torn or corrupted files are rejected the same way fleet
-//! checkpoints are: by construction, not by luck.
+//! before it. Torn or corrupted files are rejected whole, by construction,
+//! not by luck.
 
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
-use relia_fleet::checkpoint::crc32;
+use relia_core::seal::{crc32, write_atomic};
 
 use crate::grid::SurfaceGrid;
 
@@ -325,25 +324,17 @@ impl Artifact {
         })
     }
 
-    /// Writes the artifact atomically: serialize to `<path>.tmp`, fsync,
-    /// rename into place — a crash leaves either the old file or none, the
-    /// same discipline as fleet checkpoints.
+    /// Writes the artifact atomically ([`write_atomic`]): a crash leaves
+    /// either the old file or the new one.
     ///
     /// # Errors
     ///
     /// [`SurfaceError::Io`] on any filesystem failure.
     pub fn write(&self, path: &Path) -> Result<(), SurfaceError> {
-        let io = |source| SurfaceError::Io {
+        write_atomic(path, &self.to_bytes()).map_err(|source| SurfaceError::Io {
             path: path.display().to_string(),
             source,
-        };
-        let tmp = path.with_extension("tmp");
-        let bytes = self.to_bytes();
-        let mut file = fs::File::create(&tmp).map_err(io)?;
-        file.write_all(&bytes).map_err(io)?;
-        file.sync_all().map_err(io)?;
-        drop(file);
-        fs::rename(&tmp, path).map_err(io)
+        })
     }
 
     /// Reads and decodes an artifact from disk.
@@ -433,7 +424,7 @@ mod tests {
         // Patch the version field (right after the magic) and re-seal.
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         let content = bytes.len() - 4;
-        let crc = relia_fleet::checkpoint::crc32(&bytes[..content]);
+        let crc = crc32(&bytes[..content]);
         bytes[content..].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             Artifact::from_bytes(&bytes),
@@ -449,7 +440,7 @@ mod tests {
         let a = artifact();
         a.write(&path).unwrap();
         assert_eq!(Artifact::read(&path).unwrap(), a);
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed");
+        assert!(!dir.join("s.rsf.tmp").exists(), "temp file renamed");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,6 +4,7 @@
 
 use std::path::Path;
 
+use relia_core::seal::Fnv1a;
 use relia_core::{Kelvin, NbtiModel};
 use relia_jobs::{SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
@@ -204,13 +205,7 @@ const ANCHORS: [(f64, f64, f64, f64, f64); 4] = [
 /// [`SurfaceError::Build`] if an anchor evaluation fails (it cannot for a
 /// validated model).
 pub fn model_fingerprint(model: &NbtiModel) -> Result<u64, SurfaceError> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: f64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::default();
     for &(ts, rf, t, pa, ps) in &ANCHORS {
         let base = crate::builder::evaluate_exact(
             model,
@@ -224,10 +219,10 @@ pub fn model_fingerprint(model: &NbtiModel) -> Result<u64, SurfaceError> {
                 p_standby: ps,
             },
         )?;
-        mix(base);
+        hash.f64(base);
     }
-    mix(model.params().overdrive());
-    Ok(hash)
+    hash.f64(model.params().overdrive());
+    Ok(hash.finish())
 }
 
 #[cfg(test)]
@@ -330,6 +325,8 @@ mod tests {
             surface.verify_model(&other),
             Err(SurfaceError::ModelMismatch { .. })
         ));
+        // Pinned: every committed artifact header carries this value.
+        assert_eq!(model_fingerprint(&ptm90).unwrap(), 0x3d63_62de_2326_31ea);
     }
 
     #[test]

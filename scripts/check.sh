@@ -121,7 +121,23 @@ if [ "$fleet_first" != "$fleet_second" ]; then
     echo "fleet: resumed run diverged from the first" >&2
     exit 1
 fi
-rm -f "$fleet_ckpt"
+# A torn tail (crash mid-append) is recomputed on the first resume and
+# healed on disk, so the second resume executes nothing.
+truncate -s -7 "$fleet_ckpt"
+fleet_err="$(mktemp)"
+for _ in 1 2; do
+    fleet_healed="$(target/release/relia fleet --samples 10000 --checkpoint "$fleet_ckpt" 2>"$fleet_err")"
+    if [ "$fleet_first" != "$fleet_healed" ]; then
+        echo "fleet: run resumed over a torn tail diverged from the first" >&2
+        exit 1
+    fi
+done
+grep -q "(0 executed," "$fleet_err" || {
+    echo "fleet: torn checkpoint tail did not heal:" >&2
+    cat "$fleet_err" >&2
+    exit 1
+}
+rm -f "$fleet_ckpt" "$fleet_err"
 
 echo "==> relia surface (build, probe gate, surface-tier loadgen, worker-count identity)"
 # Build a small artifact through the release CLI (the builder refuses to
