@@ -20,7 +20,7 @@ use relia_core::seal::SplitMix64;
 use relia_core::{
     CancelToken, HoistedStress, NbtiModel, Seconds, VariationKernel, Volts, VthDistribution,
 };
-use relia_jobs::{default_workers, run_ordered_with, JobOutcome, MetricsSnapshot};
+use relia_jobs::{default_workers, run_folded, JobOutcome, MetricsSnapshot};
 use relia_obs::{fmt_ns, HistSnapshot, LatencyHist, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -380,14 +380,14 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
     let total_chunks = spec.samples.div_ceil(chunk);
     let fingerprint = spec.fingerprint(chunk);
 
-    let (mut done, salvaged_skips) = match &opts.checkpoint {
+    let (mut resumed, salvaged_skips) = match &opts.checkpoint {
         Some(path) => checkpoint::load(path, fingerprint, spec.times.len())?,
         None => (BTreeMap::new(), 0),
     };
-    done.retain(|&i, _| i < total_chunks);
-    let resumed_chunks = done.len();
+    resumed.retain(|&i, _| i < total_chunks);
+    let resumed_chunks = resumed.len();
     let todo: Vec<usize> = (0..total_chunks)
-        .filter(|i| !done.contains_key(i))
+        .filter(|i| !resumed.contains_key(i))
         .collect();
 
     let mut writer = match &opts.checkpoint {
@@ -403,10 +403,15 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
     };
     let cancel = opts.cancel.clone().unwrap_or_default();
 
+    // Chunks fold into the total strictly in chunk-index order — resumed
+    // ones as the pool's cursor passes their index — so the float sums are
+    // the same bytes no matter how chunks were scheduled or resumed.
+    let mut total = ChunkAccum::new(spec.times.len());
     let started = Instant::now();
     let chunk_hist = LatencyHist::new();
     let mut write_err: Option<FleetError> = None;
-    let outcomes = run_ordered_with(
+    let mut fold_err: Option<FleetError> = None;
+    run_folded(
         &todo,
         workers,
         |_, &index| {
@@ -428,44 +433,38 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
                 }
             }
         },
+        |slot, outcome| {
+            let index = todo[slot];
+            if fold_err.is_none() {
+                fold_err = fold_resumed(&mut total, &mut resumed, index)
+                    .and_then(|()| match outcome {
+                        JobOutcome::Completed(Some(acc)) => total.merge(&acc),
+                        JobOutcome::Completed(None) => Err(FleetError::Cancelled),
+                        other => Err(FleetError::Internal(format!(
+                            "chunk {index} did not complete: {other:?}"
+                        ))),
+                    })
+                    .err();
+            }
+        },
     );
     let execute_secs = started.elapsed().as_secs_f64();
-    if let Some(e) = write_err {
+    if let Some(e) = write_err.or(fold_err) {
         return Err(e);
-    }
-
-    for (slot, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
-            JobOutcome::Completed(Some(acc)) => {
-                done.insert(todo[slot], acc);
-            }
-            JobOutcome::Completed(None) => return Err(FleetError::Cancelled),
-            other => {
-                return Err(FleetError::Internal(format!(
-                    "chunk {} did not complete: {other:?}",
-                    todo[slot]
-                )))
-            }
-        }
     }
     if cancel.is_cancelled() {
         return Err(FleetError::Cancelled);
     }
 
-    // Merge strictly in chunk-index order (BTreeMap iteration) so the
-    // float sums are the same bytes no matter how chunks were scheduled.
     let merge_span = trace.map(|t| t.span("fleet_merge"));
-    let mut total = ChunkAccum::new(spec.times.len());
-    for acc in done.values() {
-        total.merge(acc)?;
-    }
-    drop(merge_span);
+    fold_resumed(&mut total, &mut resumed, total_chunks)?;
     if total.samples != spec.samples as u64 {
         return Err(FleetError::Internal(format!(
             "merged {} samples, expected {}",
             total.samples, spec.samples
         )));
     }
+    drop(merge_span);
 
     let summary = eval.summarize(spec, &total);
     let metrics = FleetMetrics {
@@ -479,6 +478,22 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
         chunk_seconds: chunk_hist.snapshot(),
     };
     Ok(FleetOutcome { summary, metrics })
+}
+
+/// Merges, in index order, every resumed chunk below `upto` into `total`
+/// and drops it.
+fn fold_resumed(
+    total: &mut ChunkAccum,
+    resumed: &mut BTreeMap<usize, ChunkAccum>,
+    upto: usize,
+) -> Result<(), FleetError> {
+    while let Some(entry) = resumed.first_entry() {
+        if *entry.key() >= upto {
+            break;
+        }
+        total.merge(&entry.remove())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

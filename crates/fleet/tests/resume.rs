@@ -225,3 +225,55 @@ fn cancellation_mid_run_checkpoints_progress_and_resume_completes() {
     assert_eq!(resumed.summary, clean.summary);
     let _ = fs::remove_file(&path);
 }
+
+#[test]
+fn every_other_record_resumes_bit_identically_at_any_worker_count() {
+    let spec = spec(5_000);
+    let fresh = run_fleet(
+        &spec,
+        &FleetOptions {
+            workers: 1,
+            chunk: 128,
+            ..FleetOptions::default()
+        },
+    )
+    .expect("fresh run");
+    for workers in [1, 2, 8] {
+        let path = tmp(&format!("every_other_{workers}"));
+        let _ = fs::remove_file(&path);
+        let opts = FleetOptions {
+            workers,
+            chunk: 128,
+            checkpoint: Some(path.clone()),
+            cancel: None,
+            trace: None,
+        };
+        let first = run_fleet(&spec, &opts).expect("checkpointed run");
+        let total = first.metrics.total_chunks;
+
+        // Keep the header and every other record, so resumed and freshly
+        // sampled chunks interleave in the fold.
+        let text = fs::read_to_string(&path).expect("read checkpoint");
+        let kept: String = text
+            .lines()
+            .enumerate()
+            .filter(|(i, _)| i % 2 == 0)
+            .map(|(_, line)| format!("{line}\n"))
+            .collect();
+        fs::write(&path, kept).expect("rewrite checkpoint");
+
+        let resumed = run_fleet(&spec, &opts).expect("resumed run");
+        assert_eq!(
+            resumed.metrics.resumed_chunks,
+            total / 2,
+            "{workers} workers"
+        );
+        assert_eq!(resumed.metrics.executed_chunks, total - total / 2);
+        assert_eq!(
+            format!("{:?}", resumed.summary),
+            format!("{:?}", fresh.summary),
+            "{workers} workers"
+        );
+        let _ = fs::remove_file(&path);
+    }
+}

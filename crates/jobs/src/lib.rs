@@ -78,7 +78,7 @@ pub use engine::{
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{MetricsSnapshot, SweepMetrics, SweepTimings};
 pub use pool::{
-    default_workers, run_ordered, run_ordered_with, run_pool, Attempt, JobFailure, JobOutcome,
+    default_workers, run_folded, run_ordered, run_pool, Attempt, JobFailure, JobOutcome,
     PoolConfig, PoolRun, RetryPolicy, SubmitError, TaskPool,
 };
 pub use relia_core::CancelToken;

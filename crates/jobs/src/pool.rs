@@ -3,11 +3,19 @@
 //!
 //! Workers claim jobs from a shared atomic counter (work stealing without
 //! queues), run each attempt under [`std::panic::catch_unwind`], and report
-//! `(index, outcome)` pairs over a channel. The collector reassembles
-//! results **by job index**, so the output order is a function of the job
+//! `(index, outcome)` pairs over a channel. The collector delivers results
+//! **in job index order**, so the output order is a function of the job
 //! list alone — never of thread scheduling — and a failing job poisons
 //! nothing: it becomes [`JobOutcome::Failed`] (or
 //! [`JobOutcome::TimedOut`]) while every other job completes normally.
+//!
+//! In-order delivery: the collector hands outcome `i` on as soon as
+//! outcomes `0..i` have gone, buffering only those that finished ahead of
+//! a lower, unfinished index. [`run_pool`] and [`run_ordered`] collect the
+//! stream into a `Vec`. [`run_folded`] lets the caller fold it instead and
+//! bounds the buffer with a **window**: a worker does not start job `i`
+//! until `i < consumed + 2 · workers`, so a run over any number of jobs
+//! keeps at most that many outcomes alive.
 //!
 //! Failure handling, per attempt:
 //!
@@ -25,9 +33,10 @@
 //!   pool reports the job as [`JobOutcome::TimedOut`] and drains instead of
 //!   hanging.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -376,6 +385,12 @@ impl Drop for TaskPool {
 /// How often the watchdog scans the running-job slots.
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
+/// How many jobs per worker [`run_folded`] may start ahead of the lowest
+/// unconsumed index: enough that a worker finishing early rarely waits on
+/// a slow neighbour, few enough that the buffer stays a handful of
+/// outcomes at any job count.
+const WINDOW_PER_WORKER: usize = 2;
+
 /// Runs every job and returns the outcomes **in job order** (no retries,
 /// no watchdog). `workers` is clamped to `1..=jobs.len()`; `run` receives
 /// the job's index and a reference to the job. See [`run_pool`] for the
@@ -386,32 +401,43 @@ where
     T: Send,
     F: Fn(usize, &J) -> T + Sync,
 {
-    run_ordered_with(jobs, workers, run, |_, _| {})
+    run_pool(
+        jobs,
+        &PoolConfig::with_workers(workers),
+        |i, j, _| Ok(run(i, j)),
+        |_, _| {},
+    )
+    .outcomes
 }
 
-/// Like [`run_ordered`], with an observer invoked from the collector thread
-/// as each `(index, outcome)` arrives — in **completion** order, which is
-/// scheduling-dependent. Checkpoint writers hang off this hook; because the
-/// observer runs on one thread, it needs no synchronization of its own.
-pub fn run_ordered_with<J, T, F, O>(
-    jobs: &[J],
-    workers: usize,
-    run: F,
-    observe: O,
-) -> Vec<JobOutcome<T>>
+/// Runs every job and folds the outcomes into the caller's state **in job
+/// order**, keeping only a bounded window of them alive.
+///
+/// `observe(i, &outcome)` fires on the collector thread as each outcome
+/// arrives — in **completion** order, so a checkpoint writer hanging off it
+/// records a job the moment it finishes. `consume(i, outcome)` then takes
+/// each outcome by value in job order `0, 1, 2, …`, once the outcomes below
+/// it have been consumed. A worker starts job `i` only while
+/// `i < consumed + 2 · workers`, so at most that many outcomes are ever
+/// running or buffered, however many jobs there are. Both closures run on
+/// one thread and need no synchronization of their own; a panic in either
+/// releases the workers and propagates to the caller.
+pub fn run_folded<J, T, F, O, C>(jobs: &[J], workers: usize, run: F, observe: O, consume: C)
 where
     J: Sync,
     T: Send,
     F: Fn(usize, &J) -> T + Sync,
     O: FnMut(usize, &JobOutcome<T>),
+    C: FnMut(usize, JobOutcome<T>),
 {
-    run_pool(
+    run_in_order(
         jobs,
         &PoolConfig::with_workers(workers),
+        true,
         |i, j, _| Ok(run(i, j)),
         observe,
-    )
-    .outcomes
+        consume,
+    );
 }
 
 /// Runs every job under the full resilience machinery — retry with bounded
@@ -422,38 +448,67 @@ where
 /// [`CancelToken`]; long-running jobs should poll the token so the
 /// watchdog can turn a straggler into [`JobOutcome::TimedOut`] instead of
 /// a pool-stalling hang. `observe` is invoked from the collector thread in
-/// completion order.
-pub fn run_pool<J, T, F, O>(jobs: &[J], config: &PoolConfig, run: F, mut observe: O) -> PoolRun<T>
+/// completion order. Claiming is not windowed: a job in retry backoff or
+/// waiting on its deadline never holds the other workers back.
+pub fn run_pool<J, T, F, O>(jobs: &[J], config: &PoolConfig, run: F, observe: O) -> PoolRun<T>
 where
     J: Sync,
     T: Send,
     F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure> + Sync,
     O: FnMut(usize, &JobOutcome<T>),
 {
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    let retries = run_in_order(jobs, config, false, run, observe, |_, outcome| {
+        outcomes.push(outcome)
+    });
+    PoolRun { outcomes, retries }
+}
+
+/// The one collector behind every finite pool run: spawns the workers (and
+/// the watchdog when a deadline is set), hands each outcome to `observe` as
+/// it arrives and to `consume` in job order, and returns the retry count.
+/// With `windowed`, workers stay within [`WINDOW_PER_WORKER`] jobs per
+/// worker of the consumed prefix.
+fn run_in_order<J, T, F, O, C>(
+    jobs: &[J],
+    config: &PoolConfig,
+    windowed: bool,
+    run: F,
+    mut observe: O,
+    mut consume: C,
+) -> u64
+where
+    J: Sync,
+    T: Send,
+    F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure> + Sync,
+    O: FnMut(usize, &JobOutcome<T>),
+    C: FnMut(usize, JobOutcome<T>),
+{
     if jobs.is_empty() {
-        return PoolRun {
-            outcomes: Vec::new(),
-            retries: 0,
-        };
+        return 0;
     }
     let workers = config.workers.max(1).min(jobs.len());
     let pool_start_ns = config.trace.as_ref().map(|t| t.now_ns());
     let next = AtomicUsize::new(0);
     let retries = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
+    let cursor = Cursor::new(windowed.then_some(WINDOW_PER_WORKER * workers));
     // One slot per worker: the token and deadline of the attempt it is
     // currently running, scanned by the watchdog.
     let slots: Vec<Mutex<Option<(CancelToken, Instant)>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
-    let mut out: Vec<Option<JobOutcome<T>>> = (0..jobs.len()).map(|_| None).collect();
 
     thread::scope(|scope| {
+        // Closes the cursor when the collector returns *or unwinds*: a
+        // panic in `observe` or `consume` must still wake the workers parked
+        // on the window and stop the watchdog, or the scope would wait on
+        // them forever instead of propagating the panic.
+        let _close = CloseOnDrop(&cursor);
         if config.job_timeout.is_some() {
             let slots = &slots;
-            let done = &done;
+            let cursor = &cursor;
             scope.spawn(move || {
-                while !done.load(Ordering::Acquire) {
+                while !cursor.is_closed() {
                     for slot in slots {
                         if let Ok(guard) = slot.lock() {
                             if let Some((token, deadline)) = guard.as_ref() {
@@ -471,10 +526,11 @@ where
             let tx = tx.clone();
             let next = &next;
             let retries = &retries;
+            let cursor = &cursor;
             let run = &run;
             scope.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
+                if i >= jobs.len() || !cursor.admit(i) {
                     break;
                 }
                 if let (Some(tracer), Some(t0)) = (config.trace.as_deref(), pool_start_ns) {
@@ -489,21 +545,105 @@ where
             });
         }
         drop(tx);
+        // `ahead[k]` holds the outcome of job `consumed + k` once it has
+        // finished ahead of a lower, still-running index.
+        let mut ahead: VecDeque<Option<JobOutcome<T>>> = VecDeque::new();
+        let mut consumed = 0;
         for (i, outcome) in rx {
             observe(i, &outcome);
-            out[i] = Some(outcome);
+            assert!(i >= consumed, "every claimed job reports exactly once");
+            let k = i - consumed;
+            if ahead.len() <= k {
+                ahead.resize_with(k + 1, || None);
+            }
+            ahead[k] = Some(outcome);
+            let before = consumed;
+            while let Some(outcome) = ahead.front_mut().and_then(Option::take) {
+                ahead.pop_front();
+                consume(consumed, outcome);
+                consumed += 1;
+            }
+            if consumed > before {
+                cursor.advance(consumed);
+            }
         }
-        done.store(true, Ordering::Release);
+        // Every worker has exited, so every claimed job has reported.
+        assert!(
+            consumed == jobs.len() && ahead.is_empty(),
+            "every claimed job reports exactly once"
+        );
     });
+    retries.load(Ordering::Relaxed)
+}
 
-    PoolRun {
-        outcomes: out
-            .into_iter()
-            // The pool joins all workers before draining the slots.
-            // relia-lint: allow(unwrap-in-lib)
-            .map(|slot| slot.expect("every claimed job reports exactly once"))
-            .collect(),
-        retries: retries.load(Ordering::Relaxed),
+/// The consumed prefix of a pool run, shared with its workers.
+struct Cursor {
+    /// How many jobs past the consumed prefix a worker may start; `None`
+    /// never holds a worker back.
+    window: Option<usize>,
+    state: Mutex<CursorState>,
+    moved: Condvar,
+}
+
+struct CursorState {
+    consumed: usize,
+    /// Set once the collector has returned or is unwinding.
+    closed: bool,
+}
+
+impl Cursor {
+    fn new(window: Option<usize>) -> Self {
+        Cursor {
+            window,
+            state: Mutex::new(CursorState {
+                consumed: 0,
+                closed: false,
+            }),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Every critical section below only reads or overwrites plain
+    /// fields, so a poisoned lock still guards a valid state.
+    fn lock(&self) -> MutexGuard<'_, CursorState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until job `index` falls inside the window. False when the
+    /// run closed first: the worker must stop claiming.
+    fn admit(&self, index: usize) -> bool {
+        let Some(window) = self.window else {
+            return true;
+        };
+        let state = self
+            .moved
+            .wait_while(self.lock(), |s| {
+                !s.closed && index >= s.consumed.saturating_add(window)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        !state.closed
+    }
+
+    /// Publishes a longer consumed prefix to the parked workers.
+    fn advance(&self, consumed: usize) {
+        if self.window.is_some() {
+            self.lock().consumed = consumed;
+            self.moved.notify_all();
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+}
+
+/// Closes a [`Cursor`] when dropped, including during an unwind.
+struct CloseOnDrop<'a>(&'a Cursor);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.moved.notify_all();
     }
 }
 
@@ -643,9 +783,199 @@ mod tests {
     fn observer_sees_every_outcome() {
         let jobs: Vec<usize> = (0..32).collect();
         let mut seen = Vec::new();
-        run_ordered_with(&jobs, 4, |_, &j| j, |i, _| seen.push(i));
+        run_folded(&jobs, 4, |_, &j| j, |i, _| seen.push(i), |_, _| {});
         seen.sort_unstable();
         assert_eq!(seen, (0..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fold_consumes_every_job_once_in_order_at_any_worker_count() {
+        let jobs: Vec<u64> = (0..200).collect();
+        for workers in [1, 2, 7, 64] {
+            let mut consumed = Vec::new();
+            run_folded(
+                &jobs,
+                workers,
+                |i, &j| {
+                    assert_eq!(i as u64, j);
+                    j * j
+                },
+                |_, _| {},
+                |i, outcome| {
+                    assert_eq!(outcome.completed(), Some(&(i as u64 * i as u64)));
+                    consumed.push(i);
+                },
+            );
+            assert_eq!(consumed, (0..200).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    /// Spins until `counter` reaches `target`, without sleeping.
+    fn wait_for(counter: &AtomicUsize, target: usize) {
+        while counter.load(Ordering::SeqCst) < target {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_slow_first_job_holds_the_window_and_still_yields_in_order() {
+        for workers in [2, 3, 7] {
+            let window = WINDOW_PER_WORKER * workers;
+            let jobs: Vec<usize> = (0..100).collect();
+            let finished = AtomicUsize::new(0);
+            let started_past_window = AtomicUsize::new(0);
+            let mut consumed = Vec::new();
+            run_folded(
+                &jobs,
+                workers,
+                |i, _| {
+                    if i == 0 {
+                        // Finish last of the first window: every other job
+                        // the window admits completes before job 0 does.
+                        wait_for(&finished, window - 1);
+                    } else if i >= window && finished.load(Ordering::SeqCst) < window {
+                        started_past_window.fetch_add(1, Ordering::SeqCst);
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                },
+                |_, _| {},
+                |i, outcome| {
+                    assert_eq!(outcome.completed(), Some(&i));
+                    consumed.push(i);
+                },
+            );
+            assert_eq!(consumed, jobs, "{workers} workers");
+            assert_eq!(
+                started_past_window.load(Ordering::SeqCst),
+                0,
+                "no job at or past the window started before job 0 finished"
+            );
+        }
+    }
+
+    /// Counts live instances and the high-water mark.
+    struct Tracked<'a> {
+        live: &'a AtomicUsize,
+    }
+
+    impl<'a> Tracked<'a> {
+        fn new(live: &'a AtomicUsize, peak: &AtomicUsize) -> Self {
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            Tracked { live }
+        }
+    }
+
+    impl Drop for Tracked<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn fold_keeps_at_most_the_window_plus_workers_alive() {
+        for workers in [1, 2, 4] {
+            let live = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let jobs: Vec<usize> = (0..300).collect();
+            let mut consumed = 0;
+            run_folded(
+                &jobs,
+                workers,
+                |i, _| {
+                    // Every seventh job yields a while, so later jobs finish
+                    // ahead of it and pile up in the buffer.
+                    if i % 7 == 0 {
+                        for _ in 0..50 {
+                            thread::yield_now();
+                        }
+                    }
+                    Tracked::new(&live, &peak)
+                },
+                |_, _| {},
+                |_, outcome| {
+                    drop(outcome);
+                    consumed += 1;
+                },
+            );
+            assert_eq!(consumed, 300);
+            assert_eq!(live.load(Ordering::SeqCst), 0);
+            let bound = WINDOW_PER_WORKER * workers + workers;
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= bound, "{peak} alive at once, bound {bound}");
+        }
+    }
+
+    /// Runs `fold` on its own thread and reports whether it panicked,
+    /// failing instead of hanging if it never returns.
+    fn panics_without_hanging(fold: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = mpsc::channel();
+        let handle = thread::spawn(move || {
+            let panicked = catch_unwind(AssertUnwindSafe(fold)).is_err();
+            let _ = tx.send(panicked);
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a panicking fold must release its workers, not hang");
+        handle.join().unwrap();
+        panicked
+    }
+
+    /// Job 0 finishes only after the rest of the first window, so by then
+    /// the workers have claimed past it and park on the window.
+    fn fold_that_panics_in(stage: &'static str) -> impl FnOnce() + Send + 'static {
+        move || {
+            let workers = 3;
+            let window = WINDOW_PER_WORKER * workers;
+            let jobs: Vec<usize> = (0..1000).collect();
+            let finished = AtomicUsize::new(0);
+            run_folded(
+                &jobs,
+                workers,
+                |i, _| {
+                    if i == 0 {
+                        wait_for(&finished, window - 1);
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                },
+                |i, _| {
+                    if stage == "observe" && i == 0 {
+                        panic!("observe exploded");
+                    }
+                },
+                |i, _| {
+                    if stage == "consume" && i == 0 {
+                        panic!("consume exploded");
+                    }
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_in_consume_or_observe_propagates_and_releases_the_workers() {
+        assert!(panics_without_hanging(fold_that_panics_in("consume")));
+        assert!(panics_without_hanging(fold_that_panics_in("observe")));
+        assert!(!panics_without_hanging(fold_that_panics_in("neither")));
+    }
+
+    #[test]
+    fn a_panic_in_observe_stops_the_watchdog_too() {
+        let config = PoolConfig {
+            workers: 2,
+            job_timeout: Some(Duration::from_secs(60)),
+            ..PoolConfig::default()
+        };
+        assert!(panics_without_hanging(move || {
+            let jobs: Vec<usize> = (0..8).collect();
+            run_pool(
+                &jobs,
+                &config,
+                |_, &j, _| Ok(j),
+                |_, _| panic!("observe exploded"),
+            );
+        }));
     }
 
     #[test]

@@ -96,7 +96,8 @@ cargo run -q --offline --release -p relia-serve --features fault-inject \
 echo "==> relia fleet (10k smoke, percentile sanity, resume)"
 # One 10k-sample run through the release CLI, a sanity pass over the
 # printed table (every statistic finite, p50 <= p90 <= p99 per row), then
-# a resume from the checkpoint that must print byte-identical output.
+# resumes from the full, a torn and a half checkpoint that must each print
+# byte-identical output.
 fleet_ckpt="$(mktemp -u)"
 fleet_first="$(target/release/relia fleet --samples 10000 --checkpoint "$fleet_ckpt" 2>/dev/null)"
 printf '%s\n' "$fleet_first" | grep -q "lifetime: p01" || {
@@ -137,7 +138,26 @@ grep -q "(0 executed," "$fleet_err" || {
     cat "$fleet_err" >&2
     exit 1
 }
-rm -f "$fleet_ckpt" "$fleet_err"
+# A checkpoint holding every other record interleaves resumed and fresh
+# chunks in the engine's in-order fold; either worker count must still
+# print the first run's bytes.
+fleet_half="$(mktemp)"
+awk '/^chunk / && ++n % 2 == 0 { next } { print }' "$fleet_ckpt" >"$fleet_half"
+for workers in 1 3; do
+    cp "$fleet_half" "$fleet_ckpt"
+    fleet_interleaved="$(target/release/relia fleet --samples 10000 --workers "$workers" \
+        --checkpoint "$fleet_ckpt" 2>"$fleet_err")"
+    grep -q "(2 executed, 3 resumed)" "$fleet_err" || {
+        echo "fleet: every-other-record checkpoint did not resume 3 of 5 chunks:" >&2
+        cat "$fleet_err" >&2
+        exit 1
+    }
+    if [ "$fleet_first" != "$fleet_interleaved" ]; then
+        echo "fleet: run resumed over every other record diverged (--workers $workers)" >&2
+        exit 1
+    fi
+done
+rm -f "$fleet_ckpt" "$fleet_err" "$fleet_half"
 
 echo "==> relia surface (build, probe gate, surface-tier loadgen, worker-count identity)"
 # Build a small artifact through the release CLI (the builder refuses to
