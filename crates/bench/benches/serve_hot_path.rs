@@ -114,7 +114,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // The lookup alone — what the surface tier substitutes for the model
     // evaluation inside handle_degrade_cold_cache. This pair carries the
-    // acceptance claim (>= 100x, gated by `bench_surface --check`); the
+    // acceptance claim (>= 100x, gated by `bench_micro --check`); the
     // full-dispatch stages above additionally pay HTTP/JSON framing,
     // which both tiers share.
     let surface_query = relia_surface::SurfaceQuery {

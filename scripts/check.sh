@@ -195,19 +195,7 @@ cmp "$surface_w1" "$surface_w2" || {
 }
 rm -f "$surface_w1" "$surface_w2"
 
-echo "==> bench_fleet (hoisted-batch speedup gate vs BENCH_fleet.json)"
-cargo run -q --offline --release -p relia-bench --bin bench_fleet -- --check
-
-echo "==> bench_serve (breaker shed-cost gate vs BENCH_serve.json)"
-cargo run -q --offline --release -p relia-bench --bin bench_serve -- --check
-
-echo "==> bench_lint (per-line analysis-cost gate vs BENCH_lint.json)"
-cargo run -q --offline --release -p relia-bench --bin bench_lint -- --check
-
-echo "==> bench_obs (span/histogram record-cost gate vs BENCH_obs.json)"
-cargo run -q --offline --release -p relia-bench --bin bench_obs -- --check
-
-echo "==> bench_surface (lookup speedup gate vs BENCH_surface.json)"
-cargo run -q --offline --release -p relia-bench --bin bench_surface -- --check
+echo "==> bench_micro (speedup, cost and drift gates vs the committed BENCH_*.json)"
+cargo run -q --offline --release -p relia-bench --bin bench_micro -- --check
 
 echo "==> all checks passed"
