@@ -32,6 +32,9 @@
 //! * [`seal`] — CRC-32, FNV-1a, SplitMix64, atomic writes and lossy line
 //!   reading: the one substrate under every checkpoint, artifact and seeded
 //!   schedule in the workspace.
+//! * [`json`] — the workspace's one JSON codec: escaping, shortest-round-trip
+//!   floats and a depth-bounded parser, shared by service bodies, sweep
+//!   checkpoints and lint reports.
 //! * [`cancel`] — the cooperative [`CancelToken`] that lets sweep watchdogs
 //!   abandon straggling evaluations at safe boundaries.
 //! * [`variation`] — process-variation hooks (gate-overdrive dependence of the
@@ -69,6 +72,7 @@ pub mod consts;
 pub mod degradation;
 pub mod equivalent;
 pub mod error;
+pub mod json;
 pub mod model;
 pub mod params;
 pub mod rd;

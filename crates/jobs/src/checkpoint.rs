@@ -34,10 +34,6 @@
 //! File creation and the salvage rewrite both go through
 //! [`write_atomic`], so a crash mid-create never leaves a half-written
 //! header for the next run to trip over.
-//!
-//! The values are flat and self-describing, so the hand-rolled parser below
-//! only handles what the writer emits: one-level objects of strings,
-//! numbers, and `null`.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -46,6 +42,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use relia_core::json::{self, Json};
 use relia_core::seal::{crc32, crc32_extend, lossy_lines, write_atomic};
 
 use crate::spec::{JobResult, JobStatus};
@@ -158,22 +155,20 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
         return Ok(None);
     };
     let header_line = lines.next().ok_or(CheckpointError::Empty)??;
-    let header_body = verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
+    let verified = verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
         what: "crc mismatch or missing",
     })?;
-    let header = parse_object(header_body).ok_or(CheckpointError::BadHeader {
+    let header = json::parse(verified.as_bytes()).map_err(|_| CheckpointError::BadHeader {
         what: "not a JSON object",
     })?;
-    if header.str_field("header") != Some(HEADER_NAME) {
+    if header.get("header").and_then(Json::as_str) != Some(HEADER_NAME) {
         return Err(CheckpointError::BadHeader {
             what: "not a relia sweep checkpoint",
         });
     }
-    match header.num_field("version") {
-        Some(v) if v == VERSION as f64 => {}
-        Some(v) => {
-            return Err(CheckpointError::UnsupportedVersion { found: v as u64 });
-        }
+    match uint::<u64>(&header, "version") {
+        Some(VERSION) => {}
+        Some(found) => return Err(CheckpointError::UnsupportedVersion { found }),
         None => {
             return Err(CheckpointError::BadHeader {
                 what: "missing version",
@@ -181,18 +176,15 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
         }
     }
     let fingerprint = header
-        .str_field("fingerprint")
+        .get("fingerprint")
+        .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .ok_or(CheckpointError::BadHeader {
             what: "missing fingerprint",
         })?;
-    let total =
-        header
-            .num_field("total")
-            .map(|n| n as usize)
-            .ok_or(CheckpointError::BadHeader {
-                what: "missing total",
-            })?;
+    let total = uint(&header, "total").ok_or(CheckpointError::BadHeader {
+        what: "missing total",
+    })?;
     let record_lines = lines.collect::<io::Result<Vec<String>>>()?;
     Ok(Some(RawCheckpoint {
         header_line,
@@ -204,8 +196,8 @@ fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
 
 /// Validates one record line (CRC + parse). `None` when invalid.
 fn decode_record(line: &str) -> Option<(usize, JobStatus)> {
-    let body = verify_crc(line)?;
-    record_from(&parse_object(body)?)
+    let line = verify_crc(line)?;
+    record_from(&json::parse(line.as_bytes()).ok()?)
 }
 
 /// Loads a checkpoint strictly, or `Ok(None)` when `path` does not exist.
@@ -381,7 +373,7 @@ fn record_body(index: usize, status: &JobStatus) -> String {
             format!(
                 "{{\"index\":{index},\"kind\":\"failed\",\"reason\":\"{}\",\
                  \"attempts\":{attempts}}}",
-                escape(reason)
+                json::escape(reason)
             )
         }
         JobStatus::TimedOut { elapsed_ms } => {
@@ -401,8 +393,8 @@ fn seal(body: &str) -> String {
     )
 }
 
-/// Checks a sealed line's CRC and returns the body (the object without the
-/// CRC field) on success.
+/// Checks a sealed line's CRC and returns the line on success. A sealed
+/// line is itself one complete JSON object, `crc` field included.
 fn verify_crc(line: &str) -> Option<&str> {
     let line = line.trim_end();
     let marker = ",\"crc\":\"";
@@ -415,200 +407,65 @@ fn verify_crc(line: &str) -> Option<&str> {
     let stored = u32::from_str_radix(hex, 16).ok()?;
     // The body is everything before the crc field, re-closed.
     let prefix = &line[..pos];
-    if crc32_extend(crc32(prefix.as_bytes()), b"}") == stored {
-        // The prefix is the body minus its closing brace; `parse_object`
-        // treats end-of-input as the close, so the slice parses as the
-        // original object without a copy.
-        Some(prefix)
-    } else {
-        None
-    }
+    (crc32_extend(crc32(prefix.as_bytes()), b"}") == stored).then_some(line)
 }
 
-/// Shortest-round-trip float serialization; keeps non-finite values
-/// representable (JSON has no infinities, so they are quoted strings — the
-/// parser maps them back).
+/// [`json::fmt_f64`], except that non-finite values stay representable:
+/// JSON has no infinities, so a checkpoint quotes them (`"inf"`, `"NaN"`)
+/// and [`num`] maps them back. Responses write `null` instead.
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
-        format!("{v}")
+        json::fmt_f64(v)
     } else {
         format!("\"{v}\"")
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// A parser for exactly the JSON subset the writer emits: one flat object
-// per line, values limited to strings, numbers, and null. The object may
-// arrive without its closing brace (the CRC verifier hands back the body
-// prefix); end-of-input after a complete field counts as the close.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Null,
-}
-
-#[derive(Debug, Default)]
-struct FlatObject {
-    fields: Vec<(String, Value)>,
-}
-
-impl FlatObject {
-    fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    fn str_field(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num_field(&self, name: &str) -> Option<f64> {
-        match self.field(name) {
-            Some(Value::Num(n)) => Some(*n),
-            // Non-finite floats round-trip as quoted strings.
-            Some(Value::Str(s)) => s.parse().ok(),
-            _ => None,
-        }
+/// A float field: a JSON number, or a quoted non-finite value.
+fn num(value: &Json) -> Option<f64> {
+    match value {
+        Json::Num(n) => Some(*n),
+        Json::Str(s) => s.parse().ok(),
+        _ => None,
     }
 }
 
-fn parse_object(line: &str) -> Option<FlatObject> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
+/// An integer field: a non-negative whole number that fits `T`. Anything
+/// else (negative, fractional, too large, quoted) makes the line invalid
+/// rather than being truncated or saturated by a cast.
+fn uint<T: TryFrom<u64>>(obj: &Json, name: &str) -> Option<T> {
+    let n = obj.get(name)?.as_f64()?;
+    // `u64::MAX as f64` is 2^64, one past the largest u64.
+    if n < 0.0 || n.fract() != 0.0 || n >= u64::MAX as f64 {
         return None;
     }
-    let mut obj = FlatObject::default();
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek() {
-            None => break, // CRC-verified body prefix: end of input closes
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-                continue;
-            }
-            Some('"') => {
-                let key = parse_string(&mut chars)?;
-                skip_ws(&mut chars);
-                if chars.next()? != ':' {
-                    return None;
-                }
-                skip_ws(&mut chars);
-                let value = parse_value(&mut chars)?;
-                obj.fields.push((key, value));
-            }
-            _ => return None,
-        }
-    }
-    Some(obj)
+    T::try_from(n as u64).ok()
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.peek().is_some_and(|c| c.is_whitespace()) {
-        chars.next();
-    }
-}
-
-fn parse_value(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<Value> {
-    match chars.peek()? {
-        '"' => parse_string(chars).map(Value::Str),
-        'n' => {
-            for expected in "null".chars() {
-                if chars.next()? != expected {
-                    return None;
-                }
-            }
-            Some(Value::Null)
-        }
-        _ => {
-            let mut token = String::new();
-            while chars
-                .peek()
-                .is_some_and(|&c| c != ',' && c != '}' && !c.is_whitespace())
-            {
-                token.push(chars.next()?);
-            }
-            token.parse().ok().map(Value::Num)
-        }
-    }
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn record_from(obj: &FlatObject) -> Option<(usize, JobStatus)> {
-    let index = obj.num_field("index")? as usize;
-    let status = match obj.str_field("kind")? {
+fn record_from(obj: &Json) -> Option<(usize, JobStatus)> {
+    let index = uint(obj, "index")?;
+    let float = |name| num(obj.get(name)?);
+    let status = match obj.get("kind")?.as_str()? {
         "aging" => JobStatus::Completed(JobResult::Aging {
-            worst_delta_vth: obj.num_field("worst_delta_vth")?,
-            degradation: obj.num_field("degradation")?,
-            nominal_delay_ps: obj.num_field("nominal_delay_ps")?,
-            degraded_delay_ps: obj.num_field("degraded_delay_ps")?,
-            standby_leakage: match obj.field("standby_leakage")? {
-                Value::Null => None,
-                Value::Num(n) => Some(*n),
-                Value::Str(s) => Some(s.parse().ok()?),
+            worst_delta_vth: float("worst_delta_vth")?,
+            degradation: float("degradation")?,
+            nominal_delay_ps: float("nominal_delay_ps")?,
+            degraded_delay_ps: float("degraded_delay_ps")?,
+            standby_leakage: match obj.get("standby_leakage")? {
+                Json::Null => None,
+                v => Some(num(v)?),
             },
-            active_leakage: obj.num_field("active_leakage")?,
+            active_leakage: float("active_leakage")?,
         }),
         "model" => JobStatus::Completed(JobResult::Model {
-            delta_vth: obj.num_field("delta_vth")?,
+            delta_vth: float("delta_vth")?,
         }),
         "failed" => JobStatus::Failed {
-            reason: obj.str_field("reason")?.to_owned(),
-            attempts: obj.num_field("attempts")? as u32,
+            reason: obj.get("reason")?.as_str()?.to_owned(),
+            attempts: uint(obj, "attempts")?,
         },
         "timed_out" => JobStatus::TimedOut {
-            elapsed_ms: obj.num_field("elapsed_ms")? as u64,
+            elapsed_ms: uint(obj, "elapsed_ms")?,
         },
         _ => return None,
     };
@@ -804,6 +661,48 @@ mod tests {
             load(&path),
             Err(CheckpointError::UnsupportedVersion { found: 1 })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn negative_and_fractional_integers_invalidate_the_line() {
+        let path = tmp("badints");
+        for bad in [
+            r#"{"index":-1,"kind":"model","delta_vth":0.5}"#,
+            r#"{"index":2.9,"kind":"failed","reason":"x","attempts":-4}"#,
+        ] {
+            let mut w = CheckpointWriter::create(&path, 7, 3).unwrap();
+            w.record(0, &aging(0.01)).unwrap();
+            drop(w);
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            writeln!(f, "{}", seal(bad)).unwrap();
+            writeln!(f, "{}", seal(&record_body(1, &aging(0.02)))).unwrap();
+            drop(f);
+            assert!(
+                matches!(
+                    load(&path),
+                    Err(CheckpointError::CorruptRecord { line_no: 3 })
+                ),
+                "{bad}"
+            );
+            let s = salvage(&path).unwrap().unwrap();
+            assert_eq!(s.dropped_records, 2, "{bad}");
+            assert_eq!(s.checkpoint.statuses.len(), 1);
+            assert_eq!(s.checkpoint.statuses.get(&0), Some(&aging(0.01)));
+        }
+        for total in ["-3", "2.5"] {
+            let header = format!(
+                "{{\"header\":\"relia-sweep-checkpoint\",\"version\":2,\
+                 \"fingerprint\":\"0000000000000007\",\"total\":{total}}}"
+            );
+            std::fs::write(&path, format!("{}\n", seal(&header))).unwrap();
+            assert!(matches!(
+                load(&path),
+                Err(CheckpointError::BadHeader {
+                    what: "missing total"
+                })
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 

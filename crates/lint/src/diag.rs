@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use relia_core::json::escape;
+
 /// One finding: a rule violation (or a meta problem with a pragma).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -33,11 +35,11 @@ impl Diagnostic {
     pub fn render_json(&self) -> String {
         format!(
             "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            escape_json(&self.file),
+            escape(&self.file),
             self.line,
             self.col,
             self.rule,
-            escape_json(&self.message)
+            escape(&self.message)
         )
     }
 }
@@ -68,8 +70,8 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
         }
         rules.push_str(&format!(
             "{{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}}}}",
-            escape_json(id),
-            escape_json(summary)
+            escape(id),
+            escape(summary)
         ));
     }
     let mut results = String::new();
@@ -81,9 +83,9 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
             "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
              \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
              \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            escape_json(d.rule),
-            escape_json(&d.message),
-            escape_json(&d.file),
+            escape(d.rule),
+            escape(&d.message),
+            escape(&d.file),
             d.line,
             d.col
         ));
@@ -93,23 +95,6 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
          \"version\":\"2.1.0\",\"runs\":[{{\"tool\":{{\"driver\":{{\
          \"name\":\"relia-lint\",\"rules\":[{rules}]}}}},\"results\":[{results}]}}]}}"
     )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sorts diagnostics into the stable report order: file, then line, then
@@ -142,25 +127,43 @@ mod tests {
         );
     }
 
+    /// A diagnostic whose path and message need every kind of escape:
+    /// quote, backslash, tab, a control character, non-ASCII and astral.
+    fn awkward() -> Diagnostic {
+        Diagnostic {
+            file: "crates/x/src/q\"b\\s\tt\u{1}\u{e9}\u{1F600}.rs".into(),
+            message: "bad \"quote\" back\\slash\ttab \u{1} \u{e9} \u{1F600}\n".into(),
+            ..d()
+        }
+    }
+
     #[test]
     fn json_form_escapes() {
-        let mut diag = d();
-        diag.message = "bad \"quote\"\n".into();
-        let json = diag.render_json();
-        assert!(json.contains("\\\"quote\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        assert_eq!(
+            awkward().render_json(),
+            r#"{"file":"crates/x/src/q\"b\\s\tt\u0001é😀.rs","line":3,"col":9,"rule":"float-eq","message":"bad \"quote\" back\\slash\ttab \u0001 é 😀\n"}"#
+        );
     }
 
     #[test]
     fn sarif_form_names_driver_rules_and_locations() {
-        let doc = render_sarif(&[d()]);
-        assert!(doc.contains("\"version\":\"2.1.0\""));
-        assert!(doc.contains("\"name\":\"relia-lint\""));
-        assert!(doc.contains("\"ruleId\":\"float-eq\""));
-        assert!(doc.contains("\"id\":\"lock-order-inversion\""));
-        assert!(doc.contains("\"startLine\":3"));
-        assert!(doc.contains("\"startColumn\":9"));
+        let expected = concat!(
+            r#"{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"relia-lint","rules":[{"id":"unit-leak","shortDescription":{"text":"unit-named pub field/param typed bare f64"}},"#,
+            r#"{"id":"unwrap-in-lib","shortDescription":{"text":".unwrap()/.expect( in library code"}},"#,
+            r#"{"id":"float-eq","shortDescription":{"text":"==/!= against a non-zero float literal"}},"#,
+            r#"{"id":"print-in-lib","shortDescription":{"text":"println!/eprintln! in library code"}},"#,
+            r#"{"id":"missing-forbid-unsafe","shortDescription":{"text":"crate root lacks #![forbid(unsafe_code)]"}},"#,
+            r#"{"id":"celsius-kelvin","shortDescription":{"text":"celsius-looking literal wrapped in Kelvin(...)"}},"#,
+            r#"{"id":"blocking-in-handler","shortDescription":{"text":"blocking call in request-handler code"}},"#,
+            r#"{"id":"guard-across-blocking","shortDescription":{"text":"live lock guard spans a blocking call"}},"#,
+            r#"{"id":"lock-order-inversion","shortDescription":{"text":"locks acquired in opposite nesting order across the workspace"}},"#,
+            r#"{"id":"unpolled-loop","shortDescription":{"text":"model-evaluating loop never polls cancellation"}},"#,
+            r#"{"id":"counter-leak","shortDescription":{"text":"gauge incremented but an early return skips the decrement"}},"#,
+            r#"{"id":"stale-allow","shortDescription":{"text":"allow pragma suppresses nothing"}},"#,
+            r#"{"id":"bad-pragma","shortDescription":{"text":"malformed or unknown-rule allow pragma"}}]}},"results":["#,
+            r#"{"ruleId":"float-eq","level":"error","message":{"text":"bad \"quote\" back\\slash\ttab \u0001 é 😀\n"},"locations":[{"physicalLocation":{"artifactLocation":{"uri":"crates/x/src/q\"b\\s\tt\u0001é😀.rs"},"region":{"startLine":3,"startColumn":9}}}]}]}]}"#,
+        );
+        assert_eq!(render_sarif(&[awkward()]), expected);
         // An empty report is still a valid document.
         assert!(render_sarif(&[]).contains("\"results\":[]"));
     }

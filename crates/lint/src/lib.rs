@@ -57,9 +57,8 @@
 //! [`graph::FileSummary`] — recomputed on every run, cached or not.
 //!
 //! The analyzer is a hand-rolled lexer plus token-stream rules — no
-//! rustc internals, no syn, no network — so it runs identically in the
-//! offline container and in CI (`relia lint`, or
-//! `cargo run -q -p relia-lint`).
+//! rustc internals, no syn, no network — so it runs identically offline
+//! and in CI. Its front end is `relia lint`.
 
 pub mod cache;
 pub mod diag;

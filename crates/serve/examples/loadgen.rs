@@ -32,13 +32,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use relia_core::json::fmt_f64;
 use relia_core::{DelayDegradation, Kelvin, NbtiModel, NbtiParams, Seconds};
 use relia_flow::{DeltaVthCache, NoCache};
 use relia_jobs::{JobTask, SweepSpec, Workload};
 use relia_obs::{fmt_ns, HistSnapshot, LatencyHist};
-use relia_serve::{
-    degrade_body, fmt_f64, DegradeQuery, ServeConfig, ServeState, Server, ServerHandle,
-};
+use relia_serve::{degrade_body, DegradeQuery, ServeConfig, ServeState, Server, ServerHandle};
 
 struct Args {
     requests: usize,

@@ -27,8 +27,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use relia_core::Kelvin;
-use relia_serve::{json, DegradeQuery, ServeConfig, ServeState, Server};
+use relia_core::{json, Kelvin};
+use relia_serve::{DegradeQuery, ServeConfig, ServeState, Server};
 
 fn parse_addr() -> Result<Option<String>, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();

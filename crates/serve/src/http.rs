@@ -25,6 +25,8 @@
 
 use std::io::{self, BufRead, Write};
 
+use relia_core::json;
+
 /// Upper bounds on one request's dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
@@ -322,7 +324,7 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Self {
         Response::json(
             status,
-            format!("{{\"error\":\"{}\"}}", crate::json::escape(message)),
+            format!("{{\"error\":\"{}\"}}", json::escape(message)),
         )
     }
 

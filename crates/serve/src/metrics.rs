@@ -8,10 +8,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use relia_core::json::fmt_f64;
 use relia_jobs::MetricsSnapshot;
 use relia_obs::{hist, HistSnapshot};
-
-use crate::json::fmt_f64;
 
 /// Monotonic counters of one server instance. All methods are `Relaxed`
 /// atomics: these are statistics, not synchronization.

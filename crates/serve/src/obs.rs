@@ -18,10 +18,9 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use relia_core::json;
 use relia_jobs::MetricsSnapshot;
 use relia_obs::{fmt_ns, LatencyHist, Tracer};
-
-use crate::json;
 
 /// Default span-ring capacity (`--trace` overrides; 0 disables).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
@@ -225,10 +224,7 @@ mod tests {
              {\"dur_ns\":0,\"id\":2,\"name\":\"evaluate\",\"parent\":1,\"start_ns\":50}]}"
         );
         let parsed = json::parse(body.as_bytes()).unwrap();
-        let spans = parsed
-            .get("spans")
-            .and_then(crate::json::Json::as_arr)
-            .unwrap();
+        let spans = parsed.get("spans").and_then(json::Json::as_arr).unwrap();
         assert_eq!(spans.len(), 2);
     }
 

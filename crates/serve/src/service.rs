@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use relia_core::json::{self, fmt_f64, Json};
 use relia_core::{
     Deadline, Kelvin, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras, Seconds, StressKey,
     Volts, VthDistribution,
@@ -47,7 +48,6 @@ use crate::breaker::{
 };
 use crate::coalesce::SingleFlight;
 use crate::http::{write_chunk, write_chunked_end, write_chunked_head, Request, Response};
-use crate::json::{self, fmt_f64, Json};
 use crate::metrics::{render_prometheus, ServeMetrics};
 use crate::obs::ServeObs;
 
@@ -970,48 +970,68 @@ fn handle_fleet(state: &ServeState, request: &Request, deadline: &Deadline) -> R
     if state.overload.gate(Endpoint::Fleet, Instant::now()) == EvalGate::CacheOnly {
         return brownout_shed(state, "inline fleet study");
     }
-    let response = fleet_response(request, deadline);
+    let response = match prepare_fleet(&request.body) {
+        Ok((spec, eval)) => {
+            let Ok(response) = run_fleet_chunks(&spec, &eval, deadline, |_, _| {
+                Ok::<(), std::convert::Infallible>(())
+            });
+            response
+        }
+        Err(r) => r,
+    };
     state
         .overload
         .settle(Endpoint::Fleet, response.status, Instant::now());
     response
 }
 
-fn fleet_response(request: &Request, deadline: &Deadline) -> Response {
-    let spec = match parse_fleet(&request.body) {
-        Ok(s) => s,
-        Err(r) => return r,
-    };
-    let eval = match FleetEvaluator::prepare(&spec) {
-        Ok(e) => e,
+/// Parses a `/v1/fleet` body and prepares its evaluator. `Err` is the
+/// 400/413/500 response, decided before any byte reaches the wire.
+fn prepare_fleet(body: &[u8]) -> Result<(FleetSpec, FleetEvaluator), Response> {
+    let spec = parse_fleet(body)?;
+    match FleetEvaluator::prepare(&spec) {
+        Ok(eval) => Ok((spec, eval)),
         Err(e @ (FleetError::Invalid { .. } | FleetError::Model(_))) => {
-            return Response::error(400, &e.to_string())
+            Err(Response::error(400, &e.to_string()))
         }
-        Err(e) => return Response::error(500, &e.to_string()),
-    };
-    // Chunk-wise evaluation with a cooperative deadline poll between
-    // chunks, exactly like `/v1/sweep` between grid points. Merging in
-    // index order keeps the summary byte-identical to `relia fleet` at the
-    // same (default) chunk size.
+        Err(e) => Err(Response::error(500, &e.to_string())),
+    }
+}
+
+/// Evaluates a prepared fleet chunk by chunk and returns the final
+/// response: `200` with the summary, or the `504`/`500` failure.
+/// `progress(done, of)` runs after each merged chunk; its error aborts the
+/// loop and is returned as is.
+///
+/// The deadline is polled between chunks, exactly like `/v1/sweep` between
+/// grid points. Merging in index order keeps the summary byte-identical to
+/// `relia fleet` at the same (default) chunk size.
+fn run_fleet_chunks<E>(
+    spec: &FleetSpec,
+    eval: &FleetEvaluator,
+    deadline: &Deadline,
+    mut progress: impl FnMut(usize, usize) -> Result<(), E>,
+) -> Result<Response, E> {
     let total_chunks = spec.samples.div_ceil(DEFAULT_CHUNK);
     let mut total = ChunkAccum::new(spec.times.len());
     for index in 0..total_chunks {
         if deadline.fire_if_due(Instant::now()) {
-            return Response::error(504, "request deadline exceeded");
+            return Ok(Response::error(504, "request deadline exceeded"));
         }
         let start = index * DEFAULT_CHUNK;
         let len = DEFAULT_CHUNK.min(spec.samples - start);
         let Some(acc) = eval.run_chunk(spec.seed, index, len, deadline.token()) else {
-            return Response::error(504, "request deadline exceeded");
+            return Ok(Response::error(504, "request deadline exceeded"));
         };
         if let Err(e) = total.merge(&acc) {
-            return Response::error(500, &e.to_string());
+            return Ok(Response::error(500, &e.to_string()));
         }
+        progress(index + 1, total_chunks)?;
     }
-    Response::json(
+    Ok(Response::json(
         200,
-        fleet_body(&eval.summarize(&spec, &total), total_chunks),
-    )
+        fleet_body(&eval.summarize(spec, &total), total_chunks),
+    ))
 }
 
 /// What [`handle_fleet_streamed`] did with the connection.
@@ -1072,68 +1092,27 @@ pub fn handle_fleet_streamed(
             .overload
             .settle(Endpoint::Fleet, status, Instant::now());
     };
-    let spec = match parse_fleet(&request.body) {
-        Ok(s) => s,
+    let (spec, eval) = match prepare_fleet(&request.body) {
+        Ok(prepared) => prepared,
         Err(r) => {
-            settle(r.status);
-            return Ok(FleetStream::Buffered(r));
-        }
-    };
-    let eval = match FleetEvaluator::prepare(&spec) {
-        Ok(e) => e,
-        Err(e) => {
-            let r = match e {
-                FleetError::Invalid { .. } | FleetError::Model(_) => {
-                    Response::error(400, &e.to_string())
-                }
-                other => Response::error(500, &other.to_string()),
-            };
             settle(r.status);
             return Ok(FleetStream::Buffered(r));
         }
     };
     // From here on, bytes hit the wire.
     write_chunked_head(w, 200, "application/json", false)?;
-    let total_chunks = spec.samples.div_ceil(DEFAULT_CHUNK);
-    let mut total = ChunkAccum::new(spec.times.len());
-    let mut failure: Option<(u16, String)> = None;
-    for index in 0..total_chunks {
-        if deadline.fire_if_due(Instant::now()) {
-            failure = Some((504, "request deadline exceeded".to_owned()));
-            break;
-        }
-        let start = index * DEFAULT_CHUNK;
-        let len = DEFAULT_CHUNK.min(spec.samples - start);
-        let Some(acc) = eval.run_chunk(spec.seed, index, len, deadline.token()) else {
-            failure = Some((504, "request deadline exceeded".to_owned()));
-            break;
-        };
-        if let Err(e) = total.merge(&acc) {
-            failure = Some((500, e.to_string()));
-            break;
-        }
-        write_chunk(
-            w,
-            format!("{{\"chunk\":{},\"of\":{total_chunks}}}\n", index + 1).as_bytes(),
-        )?;
-    }
-    let (status, close) = match failure {
-        Some((status, reason)) => {
-            write_chunk(
-                w,
-                format!("{{\"error\":\"{}\"}}\n", json::escape(&reason)).as_bytes(),
-            )?;
-            (status, true)
-        }
-        None => {
-            let body = fleet_body(&eval.summarize(&spec, &total), total_chunks);
-            write_chunk(w, format!("{body}\n").as_bytes())?;
-            (200, false)
-        }
-    };
+    let mut last = run_fleet_chunks(&spec, &eval, deadline, |done, of| {
+        write_chunk(w, format!("{{\"chunk\":{done},\"of\":{of}}}\n").as_bytes())
+    })?;
+    // The summary, or the `{"error":…}` body that replaces it.
+    last.body.push(b'\n');
+    write_chunk(w, &last.body)?;
     write_chunked_end(w)?;
-    settle(status);
-    Ok(FleetStream::Streamed { status, close })
+    settle(last.status);
+    Ok(FleetStream::Streamed {
+        status: last.status,
+        close: last.status != 200,
+    })
 }
 
 fn handle_metrics(state: &ServeState) -> Response {

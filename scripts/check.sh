@@ -159,6 +159,33 @@ for workers in 1 3; do
 done
 rm -f "$fleet_ckpt" "$fleet_err" "$fleet_half"
 
+echo "==> relia sweep (checkpoint resume over a torn tail)"
+# A small grid through the release CLI, then its checkpoint cut mid-record
+# (a crash mid-append). The first resume salvages the valid prefix and
+# re-runs the lost job, the second executes nothing, and both print the
+# first run's bytes.
+sweep_ckpt="$(mktemp -u)"
+sweep_err="$(mktemp)"
+run_sweep() {
+    target/release/relia sweep builtin:c17 --ras 1:1,1:9 --tstandby 330,400 \
+        --standby worst,best --jobs 2 --checkpoint "$sweep_ckpt" 2>"$sweep_err"
+}
+sweep_first="$(run_sweep)"
+truncate -s -7 "$sweep_ckpt"
+for _ in 1 2; do
+    sweep_resumed="$(run_sweep)"
+    if [ "$sweep_first" != "$sweep_resumed" ]; then
+        echo "sweep: run resumed over a torn tail diverged from the first" >&2
+        exit 1
+    fi
+done
+grep -q "(0 executed," "$sweep_err" || {
+    echo "sweep: torn checkpoint tail did not heal:" >&2
+    cat "$sweep_err" >&2
+    exit 1
+}
+rm -f "$sweep_ckpt" "$sweep_err"
+
 echo "==> relia surface (build, probe gate, surface-tier loadgen, worker-count identity)"
 # Build a small artifact through the release CLI (the builder refuses to
 # write one whose measured sup-error exceeds the documented bound), gate

@@ -105,7 +105,7 @@ const USAGE: &str = "usage:
                 [--pactive P] [--pstandby P]     interpolated lookup from an artifact
   relia lint    [--root PATH] [--format text|json|sarif]
                 [--jobs N] [--incremental] [--write-cache]
-                                                 workspace static analysis
+                [--list-rules]                   workspace static analysis
   relia list                                     built-in benchmarks
   relia help                                     this message
   relia --version                                toolkit version
@@ -454,12 +454,13 @@ impl SweepArgs {
     }
 }
 
-/// `relia lint [--root PATH] [--format text|json]` — the in-CLI face of
-/// `relia-lint`. Violations print to stdout (rustc-style text or JSONL)
-/// and the command exits 1, matching the analysis-failure convention;
-/// flag mistakes exit 2 like every other subcommand.
+/// `relia lint [--root PATH] [--format text|json|sarif] ...` — the
+/// front end of `relia-lint`. Violations print to stdout (rustc-style
+/// text, JSONL or one SARIF document) and the command exits 1, matching
+/// the analysis-failure convention; flag mistakes exit 2 like every other
+/// subcommand. `--list-rules` prints the rule table and exits 0.
 fn run_lint_command(args: &[String]) -> Result<(), CliError> {
-    use relia::lint::{diag, lint_workspace_opts, walker, WorkspaceOpts};
+    use relia::lint::{diag, lint_workspace_opts, walker, WorkspaceOpts, RULES};
 
     enum LintFormat {
         Text,
@@ -496,6 +497,12 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
             },
             "--incremental" => opts.incremental = true,
             "--write-cache" => opts.write_cache = true,
+            "--list-rules" => {
+                for (i, r) in RULES.iter().enumerate() {
+                    println!("R{} {} — {}", i + 1, r.id, r.summary);
+                }
+                return Ok(());
+            }
             other => return Err(CliError::Usage(format!("unknown lint flag {other:?}"))),
         }
     }

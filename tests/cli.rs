@@ -689,7 +689,7 @@ fn lint_incremental_run_uses_the_committed_cache() {
 
 #[test]
 fn lint_sarif_output_validates_against_the_minimal_schema() {
-    use relia::serve::json::{parse, Json};
+    use relia::core::json::{parse, Json};
 
     let (code, stdout, stderr) =
         relia_coded(&["lint", "--root", workspace_root(), "--format", "sarif"]);
@@ -729,6 +729,31 @@ fn lint_sarif_output_validates_against_the_minimal_schema() {
 }
 
 #[test]
+fn lint_list_rules_prints_r1_to_r11_in_order() {
+    let (code, stdout, stderr) = relia_coded(&["lint", "--list-rules"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let ids = [
+        "unit-leak",
+        "unwrap-in-lib",
+        "float-eq",
+        "print-in-lib",
+        "missing-forbid-unsafe",
+        "celsius-kelvin",
+        "blocking-in-handler",
+        "guard-across-blocking",
+        "lock-order-inversion",
+        "unpolled-loop",
+        "counter-leak",
+    ];
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), ids.len(), "{stdout}");
+    for (i, (line, id)) in lines.iter().zip(ids).enumerate() {
+        let prefix = format!("R{} {id} — ", i + 1);
+        assert!(line.starts_with(&prefix), "line {i}: {line:?}");
+    }
+}
+
+#[test]
 fn lint_flag_mistakes_exit_2() {
     for args in [
         &["lint", "--jobs", "0"][..],
@@ -746,7 +771,7 @@ fn lint_flag_mistakes_exit_2() {
 
 #[test]
 fn lint_seeded_violation_exits_1_and_lands_in_sarif_results() {
-    use relia::serve::json::{parse, Json};
+    use relia::core::json::{parse, Json};
 
     let dir = std::env::temp_dir().join(format!("relia_lint_cli_{}", std::process::id()));
     std::fs::create_dir_all(dir.join("src")).expect("temp workspace");
