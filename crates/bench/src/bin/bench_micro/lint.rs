@@ -61,7 +61,7 @@ fn measure() -> Record {
     let lines: usize = files.iter().map(|(_, src)| src.lines().count()).sum();
     assert!(lines > 0, "fixture corpus is empty");
 
-    // Lexing alone: the floor every incremental run pays per changed file.
+    // Lexing alone: the floor every analysis pays per file.
     let lex_ns = ns_per_call(PASSES * lines, |_| {
         for _ in 0..PASSES {
             for (_, src) in &files {

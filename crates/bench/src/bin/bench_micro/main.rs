@@ -18,6 +18,7 @@
 //! exits 1. Any other argument exits 2 before anything is measured.
 
 mod fleet;
+mod ivc;
 mod lint;
 mod obs;
 mod record;
@@ -41,12 +42,13 @@ pub(crate) struct Section {
     pub(crate) measure: fn() -> Record,
 }
 
-const SECTIONS: [Section; 5] = [
+const SECTIONS: [Section; 6] = [
     fleet::SECTION,
     serve::SECTION,
     lint::SECTION,
     obs::SECTION,
     surface::SECTION,
+    ivc::SECTION,
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -3,8 +3,9 @@
 //! # relia-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! `DESIGN.md` for the experiment index), plus shared helpers and Criterion
-//! performance benches of the analysis engines.
+//! `DESIGN.md` for the experiment index), plus shared helpers and
+//! `bench_micro`, the micro-benchmark runner that measures and gates the
+//! committed `BENCH_*.json` records.
 //!
 //! Run an experiment with, e.g.:
 //!

@@ -29,9 +29,9 @@
 //!   threshold-voltage shift.
 //! * [`stress_key`] — quantized stress-point keys ([`StressKey`]) for
 //!   memoizing model evaluations in batch sweeps.
-//! * [`seal`] — CRC-32, FNV-1a, SplitMix64, atomic writes and lossy line
-//!   reading: the one substrate under every checkpoint, artifact and seeded
-//!   schedule in the workspace.
+//! * [`seal`] — CRC-32, FNV-1a, the SplitMix64 and xoshiro256++ generators,
+//!   atomic writes and lossy line reading: the one substrate under every
+//!   checkpoint, artifact and seeded draw in the workspace.
 //! * [`json`] — the workspace's one JSON codec: escaping, shortest-round-trip
 //!   floats and a depth-bounded parser, shared by service bodies, sweep
 //!   checkpoints and lint reports.

@@ -1,11 +1,12 @@
 //! The primitives every persisted relia file is built from: CRC-32 seals,
-//! FNV-1a fingerprints, the seeded SplitMix64 generator, atomic replacement
-//! and lossy line reading. Sweep and fleet checkpoints and surface
-//! artifacts all sit on top, each with its own salvage policy (DESIGN.md,
-//! "Sealed files").
+//! FNV-1a fingerprints, the seeded SplitMix64 and xoshiro256++ generators,
+//! atomic replacement and lossy line reading. Sweep and fleet checkpoints
+//! and surface artifacts all sit on top, each with its own salvage policy
+//! (DESIGN.md, "Sealed files").
 //!
-//! Every value computed here is written to disk or picks a cache shard, so
-//! none of them may change without a format version bump.
+//! Every value computed here is written to disk, picks a cache shard or
+//! draws a synthetic circuit, task set or Monte-Carlo sample, so none of
+//! them may change without a format version bump or regenerated results.
 
 use std::ffi::OsString;
 use std::fs::{self, File};
@@ -116,11 +117,101 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// A uniform variate in `[0, 1)` with 53 bits of precision (the same
-    /// `bits >> 11` construction as the vendored `rand`).
+    /// A uniform variate in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
+    }
+}
+
+/// `[0, 1)` from the top 53 bits of `bits`.
+#[inline]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// xoshiro256++ (Blackman & Vigna), its state filled from
+/// [`SplitMix64`] as the authors recommend. It draws the synthetic ISCAS
+/// circuits, the MLV search, the thermal task sets and the Monte-Carlo
+/// threshold and stimulus samples, so the arithmetic of every method is
+/// part of the committed results: changing any of it re-draws them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Xoshiro256 {
+    s: [u64; 4],
+}
+
+impl Xoshiro256 {
+    /// A generator whose four state words are the first four outputs of
+    /// `SplitMix64::new(seed)`.
+    pub fn new(seed: u64) -> Self {
+        let mut fill = SplitMix64::new(seed);
+        Xoshiro256 {
+            s: [
+                fill.next_u64(),
+                fill.next_u64(),
+                fill.next_u64(),
+                fill.next_u64(),
+            ],
+        }
+    }
+
+    /// The next 64 pseudo-random bits.
+    // The draw methods are inlined across crates, as the generic calls
+    // they replace were: netlist synthesis draws several per gate.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let out = self.s[0]
+            .wrapping_add(self.s[3])
+            .rotate_left(23)
+            .wrapping_add(self.s[0]);
+        let t = self.s[1] << 17;
+        self.s[2] ^= self.s[0];
+        self.s[3] ^= self.s[1];
+        self.s[1] ^= self.s[2];
+        self.s[0] ^= self.s[3];
+        self.s[2] ^= t;
+        self.s[3] = self.s[3].rotate_left(45);
+        out
+    }
+
+    /// A uniform variate in `[0, 1)` with 53 bits of precision.
+    #[inline]
+    pub fn next_f64(&mut self) -> f64 {
+        unit_f64(self.next_u64())
+    }
+
+    /// An integer in `[0, n)`: the high word of a widening multiply, with
+    /// no rejection loop, so the bias is below `n / 2^64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is zero.
+    #[inline]
+    pub fn below(&mut self, n: u64) -> u64 {
+        assert!(n > 0, "below(0): empty range");
+        ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
+    }
+
+    /// A uniform variate in `[lo, hi)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lo > hi`.
+    #[inline]
+    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        assert!(lo <= hi, "uniform({lo}, {hi}): empty range");
+        lo + self.next_f64() * (hi - lo)
+    }
+
+    /// `true` with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `p` is outside `[0, 1]`.
+    #[inline]
+    pub fn chance(&mut self, p: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "chance({p}) outside [0, 1]");
+        self.next_f64() < p
     }
 }
 
@@ -244,6 +335,90 @@ mod tests {
             hi = hi.max(u);
         }
         assert!(lo < 0.01 && hi > 0.99, "poor coverage: [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn xoshiro_matches_known_answers() {
+        // Known answers: the synthetic circuits and every committed
+        // result built on them depend on these exact streams.
+        let mut rng = Xoshiro256::new(0);
+        assert_eq!(rng.next_u64(), 0x5317_5d61_490b_23df);
+        assert_eq!(rng.next_u64(), 0x61da_6f3d_c380_d507);
+        assert_eq!(rng.next_u64(), 0x5c0f_df91_ec9a_7bfc);
+        let mut rng = Xoshiro256::new(42);
+        assert_eq!(rng.next_u64(), 0xd076_4d4f_4476_689f);
+        assert_eq!(rng.next_u64(), 0x519e_4174_576f_3791);
+        assert_eq!(rng.next_u64(), 0xfbe0_7cfb_0c24_ed8c);
+
+        let mut rng = Xoshiro256::new(7);
+        assert_eq!(rng.below(10), 0);
+        assert_eq!(rng.next_f64(), 0.17211585444811772);
+        assert_eq!(rng.uniform(0.15, 0.85), 0.6523032898510616);
+        assert!(rng.chance(0.5));
+
+        let mut rng = Xoshiro256::new(11);
+        let below: Vec<u64> = (0..4).map(|_| rng.below(1000)).collect();
+        assert_eq!(below, [859, 806, 964, 603]);
+        let below: Vec<u64> = (0..4).map(|_| rng.below(17)).collect();
+        assert_eq!(below, [4, 12, 2, 0]);
+        let uniform: Vec<f64> = (0..3).map(|_| rng.uniform(10.0, 130.0)).collect();
+        assert_eq!(
+            uniform,
+            [104.67550911081602, 57.247330155179554, 90.18850376410118]
+        );
+        let chance: Vec<bool> = (0..8).map(|_| rng.chance(0.45)).collect();
+        assert_eq!(chance, [true, true, true, true, false, true, false, false]);
+    }
+
+    #[test]
+    fn xoshiro_is_deterministic_per_seed() {
+        let mut a = Xoshiro256::new(42);
+        let mut b = Xoshiro256::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn xoshiro_seeds_differ() {
+        assert_ne!(Xoshiro256::new(1).next_u64(), Xoshiro256::new(2).next_u64());
+    }
+
+    #[test]
+    fn xoshiro_unit_variates_stay_in_range_with_mean_one_half() {
+        let mut rng = Xoshiro256::new(7);
+        let mut sum = 0.0;
+        for _ in 0..10_000 {
+            let x = rng.next_f64();
+            assert!((0.0..1.0).contains(&x));
+            sum += x;
+        }
+        let mean = sum / 10_000.0;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+
+    #[test]
+    fn xoshiro_chance_tracks_probability() {
+        let mut rng = Xoshiro256::new(9);
+        let hits = (0..10_000).filter(|_| rng.chance(0.25)).count();
+        assert!((2200..2800).contains(&hits), "hits {hits}");
+    }
+
+    #[test]
+    fn xoshiro_ranges_are_respected() {
+        let mut rng = Xoshiro256::new(3);
+        for _ in 0..1000 {
+            assert!(rng.below(14) < 14);
+            let f = rng.uniform(-2.0, 3.0);
+            assert!((-2.0..3.0).contains(&f));
+            assert_eq!(rng.below(1), 0);
+        }
+        // Every bucket of a small range is eventually hit.
+        let mut seen = [false; 6];
+        for _ in 0..500 {
+            seen[rng.below(6) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

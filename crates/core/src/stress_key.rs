@@ -23,7 +23,7 @@
 
 use crate::equivalent::{ModeSchedule, PmosStress, Ras};
 use crate::error::ModelError;
-use crate::model::NbtiModel;
+use crate::model::{check_total_time, NbtiModel};
 use crate::seal::Fnv1a;
 use crate::units::{Seconds, Volts};
 
@@ -33,6 +33,9 @@ const PROB_SCALE: f64 = 1.0e9;
 const TEMP_SCALE: f64 = 1.0e3;
 /// Time quantum: 1 ms (keys store milliseconds).
 const TIME_SCALE: f64 = 1.0e3;
+/// `2^64` (`u64::MAX` rounds up to it): a lifetime of this many
+/// milliseconds or more would saturate the key's `u64`.
+const LIFETIME_MS_LIMIT: f64 = u64::MAX as f64;
 /// Threshold-voltage quantum: 1 nV (keys store `round(v * 1e9)`).
 const VTH_SCALE: f64 = 1.0e9;
 /// Sentinel marking "nominal V_th0" (no per-device threshold override).
@@ -56,11 +59,11 @@ const VTH_NOMINAL: u32 = u32::MAX;
 ///     Kelvin(330.0),
 /// )?;
 /// let stress = PmosStress::worst_case();
-/// let key = StressKey::quantize(&schedule, &stress, Seconds(1.0e8));
+/// let key = StressKey::quantize(&schedule, &stress, Seconds(1.0e8))?;
 ///
 /// // Sub-quantum jitter maps to the same key...
 /// let jittered = PmosStress::new(0.5 + 1e-12, 1.0)?;
-/// assert_eq!(key, StressKey::quantize(&schedule, &jittered, Seconds(1.0e8)));
+/// assert_eq!(key, StressKey::quantize(&schedule, &jittered, Seconds(1.0e8))?);
 ///
 /// // ...and the canonical evaluation matches the direct model closely.
 /// let model = NbtiModel::ptm90()?;
@@ -94,34 +97,70 @@ pub struct StressKey {
 impl StressKey {
     /// Quantizes a (schedule, stress, lifetime) point at the nominal
     /// threshold voltage.
-    pub fn quantize(schedule: &ModeSchedule, stress: &PmosStress, lifetime: Seconds) -> Self {
-        StressKey {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] for a lifetime the lattice
+    /// cannot hold (see [`StressKey::lifetime_ms`]).
+    pub fn quantize(
+        schedule: &ModeSchedule,
+        stress: &PmosStress,
+        lifetime: Seconds,
+    ) -> Result<Self, ModelError> {
+        let lifetime_ms = StressKey::lifetime_ms(lifetime)?;
+        Ok(StressKey {
             p_active: (stress.active_stress_prob() * PROB_SCALE).round() as u32,
             p_standby: (stress.standby_stress_prob() * PROB_SCALE).round() as u32,
             temp_active_mk: (schedule.temp_active().0 * TEMP_SCALE).round() as u32,
             temp_standby_mk: (schedule.temp_standby().0 * TEMP_SCALE).round() as u32,
             t_active_ms: (schedule.t_active().0 * TIME_SCALE).round() as u64,
             t_standby_ms: (schedule.t_standby().0 * TIME_SCALE).round() as u64,
-            lifetime_ms: (lifetime.0 * TIME_SCALE).round() as u64,
+            lifetime_ms,
             vth0_nv: VTH_NOMINAL,
+        })
+    }
+
+    /// The lattice coordinate of `lifetime`: whole milliseconds. The
+    /// lattice holds the lifetimes the model accepts (finite and
+    /// non-negative) below `2^64` ms, about 5.8e8 years.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] on `total_time`: the
+    /// model's own error for a negative or non-finite lifetime, and an
+    /// out-of-lattice error past `2^64` ms.
+    pub fn lifetime_ms(lifetime: Seconds) -> Result<u64, ModelError> {
+        let ms = (check_total_time(lifetime)? * TIME_SCALE).round();
+        if ms < LIFETIME_MS_LIMIT {
+            Ok(ms as u64)
+        } else {
+            Err(ModelError::InvalidParameter {
+                name: "total_time",
+                value: lifetime.0,
+                expected: "seconds below 2^64 ms (the 1 ms key lattice)",
+            })
         }
     }
 
     /// Quantizes a point for a device with an explicit initial threshold
     /// (dual-V_th cells, process variation).
+    ///
+    /// # Errors
+    ///
+    /// As [`StressKey::quantize`].
     pub fn quantize_with_vth0(
         schedule: &ModeSchedule,
         stress: &PmosStress,
         lifetime: Seconds,
         vth0: Volts,
-    ) -> Self {
-        let mut key = StressKey::quantize(schedule, stress, lifetime);
+    ) -> Result<Self, ModelError> {
+        let mut key = StressKey::quantize(schedule, stress, lifetime)?;
         // Clamp into the representable lattice; VTH_NOMINAL stays reserved.
         let nv = (vth0.0 * VTH_SCALE)
             .round()
             .clamp(0.0, (VTH_NOMINAL - 1) as f64);
         key.vth0_nv = nv as u32;
-        key
+        Ok(key)
     }
 
     /// True when the key carries an explicit (non-nominal) initial threshold.
@@ -255,8 +294,10 @@ mod tests {
 
     #[test]
     fn equal_inputs_equal_keys() {
-        let a = StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8));
-        let b = StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8));
+        let a =
+            StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
+        let b =
+            StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Pinned: the fingerprint picks the memo-cache shard.
@@ -265,23 +306,26 @@ mod tests {
 
     #[test]
     fn sub_quantum_jitter_shares_a_key() {
-        let base = StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8));
+        let base =
+            StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
         let jittered = PmosStress::new(0.5 + 1e-11, 1.0 - 1e-11).unwrap();
-        let near = StressKey::quantize(&schedule(), &jittered, Seconds(1.0e8));
+        let near = StressKey::quantize(&schedule(), &jittered, Seconds(1.0e8)).unwrap();
         assert_eq!(base, near);
     }
 
     #[test]
     fn super_quantum_changes_split_keys() {
-        let base = StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8));
+        let base =
+            StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
         let shifted = PmosStress::new(0.5 + 1e-8, 1.0).unwrap();
         assert_ne!(
             base,
-            StressKey::quantize(&schedule(), &shifted, Seconds(1.0e8))
+            StressKey::quantize(&schedule(), &shifted, Seconds(1.0e8)).unwrap()
         );
         assert_ne!(
             base,
             StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8 + 1.0))
+                .unwrap()
         );
         let warmer = ModeSchedule::new(
             Ras::new(1.0, 9.0).unwrap(),
@@ -292,20 +336,21 @@ mod tests {
         .unwrap();
         assert_ne!(
             base,
-            StressKey::quantize(&warmer, &PmosStress::worst_case(), Seconds(1.0e8))
+            StressKey::quantize(&warmer, &PmosStress::worst_case(), Seconds(1.0e8)).unwrap()
         );
     }
 
     #[test]
     fn vth0_distinguishes_keys_and_round_trips() {
         let s = schedule();
-        let nominal = StressKey::quantize(&s, &PmosStress::worst_case(), Seconds(1.0e8));
+        let nominal = StressKey::quantize(&s, &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
         let dual = StressKey::quantize_with_vth0(
             &s,
             &PmosStress::worst_case(),
             Seconds(1.0e8),
             Volts(0.3),
-        );
+        )
+        .unwrap();
         assert!(!nominal.has_vth0());
         assert!(dual.has_vth0());
         assert_ne!(nominal, dual);
@@ -326,7 +371,7 @@ mod tests {
             let stress = PmosStress::new(p_a, p_s).unwrap();
             for lifetime in [1.0e4, 3.2e6, 1.0e8] {
                 let direct = model.delta_vth(Seconds(lifetime), &s, &stress).unwrap();
-                let key = StressKey::quantize(&s, &stress, Seconds(lifetime));
+                let key = StressKey::quantize(&s, &stress, Seconds(lifetime)).unwrap();
                 let cached = key.evaluate(&model).unwrap();
                 let tol = 1e-9 * direct.abs().max(1e-12);
                 assert!(
@@ -350,18 +395,37 @@ mod tests {
         .unwrap();
         let keys: Vec<StressKey> = [0.0, 1.0e8]
             .iter()
-            .map(|&t| StressKey::quantize(&tiny, &PmosStress::worst_case(), Seconds(t)))
-            .chain([StressKey::quantize(
-                &schedule(),
-                &PmosStress::worst_case(),
-                Seconds(1.0e8),
-            )])
+            .map(|&t| StressKey::quantize(&tiny, &PmosStress::worst_case(), Seconds(t)).unwrap())
+            .chain([
+                StressKey::quantize(&schedule(), &PmosStress::worst_case(), Seconds(1.0e8))
+                    .unwrap(),
+            ])
             .collect();
         let model = NbtiModel::ptm90().unwrap();
         let many = StressKey::evaluate_many(&keys, &model);
         assert!(many[0].is_err() && many[1].is_err() && many[2].is_ok());
         for (key, got) in keys.iter().zip(many) {
             assert_eq!(got, key.evaluate(&model));
+        }
+    }
+
+    #[test]
+    fn lifetimes_outside_the_lattice_are_refused() {
+        let (s, stress) = (schedule(), PmosStress::worst_case());
+        let model = NbtiModel::ptm90().unwrap();
+        for t in [-1.0, f64::NAN, f64::INFINITY] {
+            let key = StressKey::quantize(&s, &stress, Seconds(t)).unwrap_err();
+            let direct = model.delta_vth(Seconds(t), &s, &stress).unwrap_err();
+            assert_eq!(key.to_string(), direct.to_string(), "{t}");
+        }
+        // Either side of 2^64 ms, about 1.845e16 s.
+        assert_eq!(
+            StressKey::lifetime_ms(Seconds(1.8e16)),
+            Ok(18_000_000_000_000_000_000)
+        );
+        for t in [1.85e16, 1e17] {
+            let err = StressKey::lifetime_ms(Seconds(t)).unwrap_err();
+            assert!(err.to_string().contains("total_time"), "{err}");
         }
     }
 
@@ -373,7 +437,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..100u32 {
             let stress = PmosStress::new(0.001 * i as f64, 1.0 - 0.001 * i as f64).unwrap();
-            let key = StressKey::quantize(&s, &stress, Seconds(1.0e8));
+            let key = StressKey::quantize(&s, &stress, Seconds(1.0e8)).unwrap();
             assert!(seen.insert(key.fingerprint()), "collision at i={i}");
         }
     }

@@ -314,10 +314,10 @@ proptest! {
                 let schedule = paper_schedule(weight, temp_s);
                 let stress = PmosStress::new(p_a, p_s).unwrap();
                 match kind {
-                    0 => StressKey::quantize(&schedule, &stress, Seconds(t)),
-                    1 => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(vth0)),
+                    0 => StressKey::quantize(&schedule, &stress, Seconds(t)).unwrap(),
+                    1 => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(vth0)).unwrap(),
                     // Past V_dd: every path must report the same error.
-                    _ => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(2.0)),
+                    _ => StressKey::quantize_with_vth0(&schedule, &stress, Seconds(t), Volts(2.0)).unwrap(),
                 }
             })
             .collect();

@@ -177,7 +177,9 @@ impl<'a> AgingAnalysis<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError`] for a malformed standby vector.
+    /// Returns [`FlowError`] for a malformed standby vector, and the
+    /// model's error for a lifetime the key lattice cannot hold
+    /// ([`relia_core::StressKey::lifetime_ms`]).
     pub fn gate_delta_vth_at_cached<C: DeltaVthCache>(
         &self,
         policy: &StandbyPolicy,
@@ -216,7 +218,7 @@ impl<'a> AgingAnalysis<'a> {
             for (pi, &p_active) in active.iter().enumerate() {
                 let p_standby = if standby[pi] { 1.0 } else { 0.0 };
                 let stress = PmosStress::new(p_active, p_standby)?;
-                let key = self.config.stress_key(&stress, lifetime);
+                let key = self.config.stress_key(&stress, lifetime)?;
                 let dv = cache.delta_vth(key, &self.config.nbti)?;
                 worst = worst.max(dv);
             }

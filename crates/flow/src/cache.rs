@@ -60,7 +60,8 @@ mod tests {
             Kelvin(330.0),
         )
         .unwrap();
-        let key = StressKey::quantize(&schedule, &PmosStress::worst_case(), Seconds(1.0e8));
+        let key =
+            StressKey::quantize(&schedule, &PmosStress::worst_case(), Seconds(1.0e8)).unwrap();
         let direct = key.evaluate(&model).unwrap();
         let cached = NoCache.delta_vth(key, &model).unwrap();
         assert_eq!(direct, cached);

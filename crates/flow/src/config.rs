@@ -84,7 +84,16 @@ impl FlowConfig {
     /// The quantized memoization key of one stress evaluation under this
     /// config's schedule — the cache-key contract between the analysis loop
     /// and sweep-level caches (see [`crate::cache::DeltaVthCache`]).
-    pub fn stress_key(&self, stress: &PmosStress, lifetime: Seconds) -> StressKey {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] for a lifetime the key lattice cannot hold,
+    /// the model's own error for a negative or non-finite one.
+    pub fn stress_key(
+        &self,
+        stress: &PmosStress,
+        lifetime: Seconds,
+    ) -> Result<StressKey, ModelError> {
         StressKey::quantize(&self.schedule, stress, lifetime)
     }
 

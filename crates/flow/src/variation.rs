@@ -7,8 +7,7 @@
 //! variance-compression effect reported by Wang et al. (CICC'08) that the
 //! paper cites.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use relia_core::seal::Xoshiro256;
 use relia_core::variation::SampleStats;
 use relia_core::{Seconds, VariationKernel, Volts, VthDistribution};
 use relia_sta::TimingAnalysis;
@@ -87,16 +86,13 @@ impl VariationStudy {
         let mut fresh = vec![0.0; num_gates];
         let mut aged = vec![0.0; num_gates];
 
-        let mut rng = StdRng::seed_from_u64(var.seed);
+        let mut rng = Xoshiro256::new(var.seed);
         let mut per_time: Vec<Vec<f64>> = vec![Vec::with_capacity(var.samples); times.len()];
         for _ in 0..var.samples {
             // Draw per-gate thresholds (sample-major, gate-minor — the
             // variate order every earlier release used).
             for v in vth0.iter_mut() {
-                *v = var
-                    .dist
-                    .sample_box_muller(rng.gen::<f64>(), rng.gen::<f64>())
-                    .0;
+                *v = var.dist.sample_box_muller(rng.next_f64(), rng.next_f64()).0;
             }
             // Time-zero delays scale with the overdrive (alpha-power law).
             kernel.fresh_delays_into(&nominal_delays, &vth0, &mut fresh);

@@ -54,6 +54,23 @@ fn cached_run_matches_uncached_run_closely() {
 }
 
 #[test]
+fn cached_and_uncached_paths_refuse_the_same_lifetimes() {
+    let circuit = relia_netlist::iscas::c17();
+    let config = FlowConfig::paper_defaults().unwrap();
+    let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
+    let policy = StandbyPolicy::AllInternalZero;
+    for t in [-1.0, f64::NAN, f64::INFINITY] {
+        let t = relia_core::Seconds(t);
+        let direct = analysis.gate_delta_vth_at(&policy, t).unwrap_err();
+        let cached = analysis
+            .gate_delta_vth_at_cached(&policy, t, &NoCache)
+            .unwrap_err();
+        assert_eq!(cached.to_string(), direct.to_string(), "{t:?}");
+        assert!(direct.to_string().contains("total_time"), "{direct}");
+    }
+}
+
+#[test]
 fn prep_reuse_matches_fresh_analysis() {
     let circuit = relia_netlist::iscas::c17();
     let base = FlowConfig::paper_defaults().unwrap();
@@ -81,10 +98,12 @@ fn cache_trait_is_object_safe_through_references() {
     // the generic entry points.
     let model = relia_core::NbtiModel::ptm90().unwrap();
     let config = FlowConfig::paper_defaults().unwrap();
-    let key = config.stress_key(
-        &relia_core::PmosStress::worst_case(),
-        relia_core::Seconds(1.0e8),
-    );
+    let key = config
+        .stress_key(
+            &relia_core::PmosStress::worst_case(),
+            relia_core::Seconds(1.0e8),
+        )
+        .unwrap();
     let cache = NoCache;
     let via_ref: &dyn DeltaVthCache = &cache;
     assert_eq!(

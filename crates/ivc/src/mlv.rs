@@ -11,8 +11,7 @@
 //! 5. stop when every probability has converged to 0 or 1 (no new vectors
 //!    can appear) or the round budget is exhausted.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use relia_core::seal::Xoshiro256;
 use relia_flow::{AgingAnalysis, FlowError};
 
 /// Parameters of the MLV search.
@@ -88,12 +87,21 @@ impl MlvSet {
 ///
 /// # Errors
 ///
-/// Returns [`FlowError`] if leakage evaluation fails (malformed circuit
-/// state).
+/// Returns [`FlowError::InvalidParameter`] when `vectors_per_round` or
+/// `max_rounds` is zero, which leaves nothing to search, and
+/// [`FlowError`] if leakage evaluation fails (malformed circuit state).
 pub fn search_mlv_set(
     analysis: &AgingAnalysis<'_>,
     config: &MlvSearchConfig,
 ) -> Result<MlvSet, FlowError> {
+    for (name, value) in [
+        ("vectors_per_round", config.vectors_per_round),
+        ("max_rounds", config.max_rounds),
+    ] {
+        if value == 0 {
+            return Err(FlowError::InvalidParameter { name, value: 0.0 });
+        }
+    }
     let mut merged: Vec<(Vec<bool>, f64)> = Vec::new();
     let mut rounds_total = 0;
     for r in 0..config.restarts.max(1) {
@@ -152,13 +160,13 @@ fn search_once(
     seed: u64,
 ) -> Result<MlvSet, FlowError> {
     let n = analysis.circuit().primary_inputs().len();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     // The first restart starts unbiased; later restarts start from random
     // biases so they can converge to different low-leakage basins.
     let mut probs: Vec<f64> = if seed == config.seed {
         vec![0.5; n]
     } else {
-        (0..n).map(|_| rng.gen_range(0.15..0.85)).collect()
+        (0..n).map(|_| rng.uniform(0.15, 0.85)).collect()
     };
     // The evolving MLV set, keyed by vector; (vector, leakage).
     let mut set: Vec<(Vec<bool>, f64)> = Vec::new();
@@ -166,7 +174,7 @@ fn search_once(
 
     for round in 0..config.max_rounds {
         for _ in 0..config.vectors_per_round {
-            let v: Vec<bool> = probs.iter().map(|&p| rng.gen_bool(p)).collect();
+            let v: Vec<bool> = probs.iter().map(|&p| rng.chance(p)).collect();
             if set.iter().any(|(sv, _)| *sv == v) {
                 continue;
             }
@@ -206,17 +214,18 @@ mod tests {
     use relia_flow::FlowConfig;
     use relia_netlist::iscas;
 
-    fn run(seed: u64) -> MlvSet {
+    fn search_c17(config: MlvSearchConfig) -> Result<MlvSet, FlowError> {
         let circuit = iscas::c17();
-        let config = FlowConfig::paper_defaults().unwrap();
-        let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
-        search_mlv_set(
-            &analysis,
-            &MlvSearchConfig {
-                seed,
-                ..MlvSearchConfig::default()
-            },
-        )
+        let flow = FlowConfig::paper_defaults().unwrap();
+        let analysis = AgingAnalysis::new(&flow, &circuit).unwrap();
+        search_mlv_set(&analysis, &config)
+    }
+
+    fn run(seed: u64) -> MlvSet {
+        search_c17(MlvSearchConfig {
+            seed,
+            ..MlvSearchConfig::default()
+        })
         .unwrap()
     }
 
@@ -262,5 +271,43 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         assert_eq!(run(7).vectors(), run(7).vectors());
+    }
+
+    #[test]
+    fn zero_vectors_per_round_is_an_invalid_parameter() {
+        let err = search_c17(MlvSearchConfig {
+            vectors_per_round: 0,
+            ..MlvSearchConfig::default()
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlowError::InvalidParameter {
+                    name: "vectors_per_round",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn zero_max_rounds_is_an_invalid_parameter() {
+        let err = search_c17(MlvSearchConfig {
+            max_rounds: 0,
+            ..MlvSearchConfig::default()
+        })
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlowError::InvalidParameter {
+                    name: "max_rounds",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 }

@@ -278,7 +278,7 @@ mod tests {
         )
         .unwrap();
         let stress = PmosStress::new(0.5, p_standby).unwrap();
-        StressKey::quantize(&schedule, &stress, Seconds(1.0e8))
+        StressKey::quantize(&schedule, &stress, Seconds(1.0e8)).unwrap()
     }
 
     fn lifetime_key(p_standby: f64, lifetime: f64) -> StressKey {
@@ -290,7 +290,7 @@ mod tests {
         )
         .unwrap();
         let stress = PmosStress::new(0.5, p_standby).unwrap();
-        StressKey::quantize(&schedule, &stress, Seconds(lifetime))
+        StressKey::quantize(&schedule, &stress, Seconds(lifetime)).unwrap()
     }
 
     /// Every shard's entries with their LRU ticks, in a canonical order.

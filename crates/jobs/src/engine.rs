@@ -437,7 +437,8 @@ fn execute_point(
             .map_err(|e| JobFailure::permanent(e.to_string()))?;
             let stress = PmosStress::new(*p_active, *p_standby)
                 .map_err(|e| JobFailure::permanent(e.to_string()))?;
-            let key = StressKey::quantize(&schedule, &stress, point.lifetime);
+            let key = StressKey::quantize(&schedule, &stress, point.lifetime)
+                .map_err(|e| JobFailure::permanent(e.to_string()))?;
             let delta_vth = cache
                 .delta_vth(key, model)
                 .map_err(|e| JobFailure::permanent(e.to_string()))?;
@@ -462,7 +463,8 @@ fn poison_point(point: &JobPoint, cache: &ShardedCache) -> Result<JobResult, Job
     )
     .map_err(|e| JobFailure::permanent(e.to_string()))?;
     let stress = PmosStress::new(0.5, 1.0).map_err(|e| JobFailure::permanent(e.to_string()))?;
-    let key = StressKey::quantize(&schedule, &stress, point.lifetime);
+    let key = StressKey::quantize(&schedule, &stress, point.lifetime)
+        .map_err(|e| JobFailure::permanent(e.to_string()))?;
     cache
         .insert_checked(key, f64::NAN)
         .map(|_| unreachable!("NaN cannot pass the admission guardrail"))

@@ -34,8 +34,7 @@ pub struct LockEdge {
     pub second_line: u32,
 }
 
-/// Everything the workspace pass needs from one file; cached verbatim by
-/// incremental mode so skipped files still feed the graph.
+/// Everything the workspace pass needs from one file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileSummary {
     /// Lock-nesting edges contributed by this file.

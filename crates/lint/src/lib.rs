@@ -51,16 +51,14 @@
 //! ```
 //!
 //! Per-file analysis ([`analyze_source`]) is pure in the file's content
-//! and classification, which is what makes `--incremental` ([`cache`])
-//! and `--jobs N` (same results in discovery order, any worker count)
-//! sound. Workspace rules run in [`finish`] over every file's
-//! [`graph::FileSummary`] — recomputed on every run, cached or not.
+//! and classification, which is what makes `--jobs N` (same results in
+//! discovery order, any worker count) sound. Workspace rules run in
+//! [`finish`] over every file's [`graph::FileSummary`].
 //!
 //! The analyzer is a hand-rolled lexer plus token-stream rules — no
 //! rustc internals, no syn, no network — so it runs identically offline
 //! and in CI. Its front end is `relia lint`.
 
-pub mod cache;
 pub mod diag;
 pub mod flow;
 pub mod graph;
@@ -70,7 +68,6 @@ pub mod rules;
 pub mod scope;
 pub mod walker;
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 pub use diag::Diagnostic;
@@ -169,83 +166,29 @@ pub fn lint_source(file: &str, source: &str, opts: &FileOpts) -> Vec<Diagnostic>
     finish(vec![(file.to_owned(), analyze_source(file, source, opts))])
 }
 
-/// Options for a workspace lint run.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkspaceOpts {
-    /// Worker threads for per-file analysis; `<= 1` runs serially. Output
-    /// is identical for every value.
-    pub jobs: usize,
-    /// Skip re-analyzing files whose content hash matches the committed
-    /// `.lint-cache` manifest (their cached summaries still feed R9).
-    pub incremental: bool,
-    /// Rewrite `.lint-cache` from this run's clean files.
-    pub write_cache: bool,
-}
-
-impl Default for WorkspaceOpts {
-    fn default() -> Self {
-        WorkspaceOpts {
-            jobs: 1,
-            incremental: false,
-            write_cache: false,
-        }
-    }
-}
-
-/// Lints every workspace source file under `root`, returning the sorted
-/// diagnostics.
+/// Lints every workspace source file under `root` on `jobs` worker
+/// threads (`<= 1` runs serially), returning the sorted diagnostics. The
+/// output is identical for every worker count.
 ///
 /// # Errors
 ///
-/// Returns an error string when the walk or a file read fails — an I/O
-/// problem, not a lint finding.
-pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    lint_workspace_opts(root, &WorkspaceOpts::default())
-}
-
-/// [`lint_workspace`] with explicit parallelism and incremental-cache
-/// behavior.
-///
-/// # Errors
-///
-/// Returns an error string when the walk, a file read, the cache write,
-/// or a lint worker fails.
-pub fn lint_workspace_opts(root: &Path, opts: &WorkspaceOpts) -> Result<Vec<Diagnostic>, String> {
+/// Returns an error string when the walk, a file read or a lint worker
+/// fails — an I/O problem, not a lint finding.
+pub fn lint_workspace(root: &Path, jobs: usize) -> Result<Vec<Diagnostic>, String> {
     let files = walker::discover(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let cache_path = root.join(cache::CACHE_FILE);
-    let cached = if opts.incremental {
-        cache::load(&cache_path).unwrap_or_default()
-    } else {
-        BTreeMap::new()
-    };
-
-    let analyze_one = |f: &walker::SourceFile| -> Result<(FileAnalysis, u64), String> {
+    let analyze_one = |f: &walker::SourceFile| -> Result<FileAnalysis, String> {
         let source = std::fs::read_to_string(&f.abs_path)
             .map_err(|e| format!("reading {}: {e}", f.abs_path.display()))?;
-        let hash = relia_core::seal::fnv1a(source.as_bytes());
-        if let Some(entry) = cached.get(&f.rel_path) {
-            if entry.hash == hash {
-                // Cached files were clean; only their workspace inputs
-                // survive to this run.
-                return Ok((
-                    FileAnalysis {
-                        diags: Vec::new(),
-                        summary: entry.summary.clone(),
-                    },
-                    hash,
-                ));
-            }
-        }
-        Ok((analyze_source(&f.rel_path, &source, &f.opts), hash))
+        Ok(analyze_source(&f.rel_path, &source, &f.opts))
     };
 
     // `run_ordered` returns outcomes in job (= discovery) order for any
     // worker count, which keeps `--jobs N` output byte-identical to a
     // serial run.
-    let results: Vec<Result<(FileAnalysis, u64), String>> = if opts.jobs <= 1 {
+    let results: Vec<Result<FileAnalysis, String>> = if jobs <= 1 {
         files.iter().map(analyze_one).collect()
     } else {
-        relia_jobs::pool::run_ordered(&files, opts.jobs, |_, f| analyze_one(f))
+        relia_jobs::pool::run_ordered(&files, jobs, |_, f| analyze_one(f))
             .into_iter()
             .map(|o| match o {
                 relia_jobs::pool::JobOutcome::Completed(r) => r,
@@ -256,31 +199,9 @@ pub fn lint_workspace_opts(root: &Path, opts: &WorkspaceOpts) -> Result<Vec<Diag
 
     let mut analyses = Vec::with_capacity(files.len());
     for (f, r) in files.iter().zip(results) {
-        let (analysis, hash) = r?;
-        analyses.push((f.rel_path.clone(), analysis, hash));
+        analyses.push((f.rel_path.clone(), r?));
     }
-
-    if opts.write_cache {
-        let entries: BTreeMap<String, cache::CacheEntry> = analyses
-            .iter()
-            .filter(|(_, a, _)| a.diags.is_empty())
-            .map(|(name, a, hash)| {
-                (
-                    name.clone(),
-                    cache::CacheEntry {
-                        hash: *hash,
-                        summary: a.summary.clone(),
-                    },
-                )
-            })
-            .collect();
-        cache::save(&cache_path, &entries)
-            .map_err(|e| format!("writing {}: {e}", cache_path.display()))?;
-    }
-
-    Ok(finish(
-        analyses.into_iter().map(|(name, a, _)| (name, a)).collect(),
-    ))
+    Ok(finish(analyses))
 }
 
 #[cfg(test)]
@@ -336,7 +257,7 @@ mod tests {
         // tree this crate ships in.
         let root = walker::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("workspace root");
-        let diags = lint_workspace(&root).expect("workspace lints");
+        let diags = lint_workspace(&root, 1).expect("workspace lints");
         assert!(
             diags.is_empty(),
             "workspace has lint violations:\n{}",
@@ -352,24 +273,8 @@ mod tests {
     fn parallel_and_incremental_runs_match_serial() {
         let root = walker::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
             .expect("workspace root");
-        let serial = lint_workspace(&root).expect("serial");
-        let parallel = lint_workspace_opts(
-            &root,
-            &WorkspaceOpts {
-                jobs: 8,
-                ..WorkspaceOpts::default()
-            },
-        )
-        .expect("parallel");
+        let serial = lint_workspace(&root, 1).expect("serial");
+        let parallel = lint_workspace(&root, 8).expect("parallel");
         assert_eq!(serial, parallel);
-        let incremental = lint_workspace_opts(
-            &root,
-            &WorkspaceOpts {
-                incremental: true,
-                ..WorkspaceOpts::default()
-            },
-        )
-        .expect("incremental");
-        assert_eq!(serial, incremental);
     }
 }

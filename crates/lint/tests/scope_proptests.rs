@@ -1,11 +1,11 @@
 //! Property-based hardening of the lexer + scope tracker.
 //!
 //! The linter walks every source file in the workspace, including ones a
-//! developer is mid-edit on (incremental runs) — so the bar is: arbitrary
-//! bytes, valid UTF-8 or not, never panic any stage of the pipeline, and
-//! the scope tracker's invariants (spans inside the token stream, starts
-//! before ends) hold even on unbalanced garbage. Deterministic unit tests
-//! in `src/scope.rs` pin the exact semantics; these tests pin totality.
+//! developer is mid-edit on — so the bar is: arbitrary bytes, valid UTF-8
+//! or not, never panic any stage of the pipeline, and the scope tracker's
+//! invariants (spans inside the token stream, starts before ends) hold
+//! even on unbalanced garbage. Deterministic unit tests in `src/scope.rs`
+//! pin the exact semantics; these tests pin totality.
 
 #![allow(clippy::unwrap_used)]
 

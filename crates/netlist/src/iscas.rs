@@ -11,10 +11,8 @@
 //! `.bench` files can be dropped in through [`crate::bench::parse`] at any
 //! time.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use relia_cells::Library;
-use relia_core::seal::fnv1a;
+use relia_core::seal::{fnv1a, Xoshiro256};
 
 use crate::builder::CircuitBuilder;
 use crate::circuit::{Circuit, NetId};
@@ -179,7 +177,7 @@ pub fn synthesize(spec: &BenchmarkSpec) -> Circuit {
 /// lacks or the built circuit fails validation.
 pub fn try_synthesize(spec: &BenchmarkSpec) -> Result<Circuit, NetlistError> {
     // Seeded by name, so each benchmark is deterministic but distinct.
-    let mut rng = StdRng::seed_from_u64(fnv1a(spec.name.as_bytes()));
+    let mut rng = Xoshiro256::new(fnv1a(spec.name.as_bytes()));
     let mut b = CircuitBuilder::new(spec.name, Library::ptm90());
 
     let pis: Vec<NetId> = (0..spec.inputs)
@@ -218,7 +216,7 @@ pub fn try_synthesize(spec: &BenchmarkSpec) -> Result<Circuit, NetlistError> {
             // The primary-input level is pushed before this loop runs.
             // relia-lint: allow(unwrap-in-lib)
             let prev = levels.last().expect("level 0 exists");
-            let first = if k == 0 || rng.gen_bool(0.7) {
+            let first = if k == 0 || rng.chance(0.7) {
                 tournament_pick(&mut rng, prev, &use_count)
             } else {
                 pick_from_history(&mut rng, &levels, &use_count)
@@ -264,15 +262,15 @@ pub fn try_synthesize(spec: &BenchmarkSpec) -> Result<Circuit, NetlistError> {
     b.build()
 }
 
-fn middle_biased_index(rng: &mut StdRng, depth: usize) -> usize {
+fn middle_biased_index(rng: &mut Xoshiro256, depth: usize) -> usize {
     // Average of two uniforms: triangular distribution peaking mid-depth.
-    let a = rng.gen_range(0..depth);
-    let b = rng.gen_range(0..depth);
+    let a = rng.below(depth as u64) as usize;
+    let b = rng.below(depth as u64) as usize;
     (a + b) / 2
 }
 
-fn pick_cell(rng: &mut StdRng, total_weight: u32) -> &'static str {
-    let mut roll = rng.gen_range(0..total_weight);
+fn pick_cell(rng: &mut Xoshiro256, total_weight: u32) -> &'static str {
+    let mut roll = rng.below(total_weight.into()) as u32;
     for (cell, w) in CELL_MIX {
         if roll < w {
             return cell;
@@ -283,9 +281,9 @@ fn pick_cell(rng: &mut StdRng, total_weight: u32) -> &'static str {
 }
 
 /// Picks from `candidates`, preferring less-used nets (2-way tournament).
-fn tournament_pick(rng: &mut StdRng, candidates: &[NetId], use_count: &[u32]) -> NetId {
-    let a = candidates[rng.gen_range(0..candidates.len())];
-    let b = candidates[rng.gen_range(0..candidates.len())];
+fn tournament_pick(rng: &mut Xoshiro256, candidates: &[NetId], use_count: &[u32]) -> NetId {
+    let a = candidates[rng.below(candidates.len() as u64) as usize];
+    let b = candidates[rng.below(candidates.len() as u64) as usize];
     if use_count[a.index()] <= use_count[b.index()] {
         a
     } else {
@@ -294,10 +292,10 @@ fn tournament_pick(rng: &mut StdRng, candidates: &[NetId], use_count: &[u32]) ->
 }
 
 /// Picks a net from any earlier level, biased toward recent levels.
-fn pick_from_history(rng: &mut StdRng, levels: &[Vec<NetId>], use_count: &[u32]) -> NetId {
+fn pick_from_history(rng: &mut Xoshiro256, levels: &[Vec<NetId>], use_count: &[u32]) -> NetId {
     // Geometric walk back from the latest level.
     let mut li = levels.len() - 1;
-    while li > 0 && rng.gen_bool(0.45) {
+    while li > 0 && rng.chance(0.45) {
         li -= 1;
     }
     tournament_pick(rng, &levels[li], use_count)
@@ -396,12 +394,26 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = circuit("c432").unwrap();
-        let b = circuit("c432").unwrap();
-        assert_eq!(a.gates().len(), b.gates().len());
-        for (ga, gb) in a.gates().iter().zip(b.gates()) {
-            assert_eq!(ga.cell(), gb.cell());
-            assert_eq!(ga.inputs(), gb.inputs());
+        // FNV-1a of every builtin's `.bench` text. A changed generator or
+        // seed re-draws the circuits, and with them every committed result
+        // and benchmark workload built on them.
+        let pinned: [(&str, u64); 11] = [
+            ("c17", 0x2e2d_59ea_796d_78a0),
+            ("c432", 0x7e76_fbf0_06d2_4f57),
+            ("c499", 0xe922_1731_e221_5db2),
+            ("c880", 0x55a5_f7eb_6784_ecea),
+            ("c1355", 0x1e3b_11b6_5f68_454e),
+            ("c1908", 0xb556_44c5_dc8b_06ed),
+            ("c2670", 0x85bc_ee2e_bf66_bc87),
+            ("c3540", 0x4fc5_5634_4ec7_17a5),
+            ("c5315", 0x0cca_c208_c100_e616),
+            ("c6288", 0x4207_fe15_30c1_bfd8),
+            ("c7552", 0xfd56_8a5e_502e_40e3),
+        ];
+        assert_eq!(names(), pinned.map(|(name, _)| name));
+        for (name, hash) in pinned {
+            let text = crate::bench::write(&circuit(name).unwrap());
+            assert_eq!(fnv1a(text.as_bytes()), hash, "{name}");
         }
     }
 

@@ -389,11 +389,7 @@ impl DegradeQuery {
         )
         .map_err(|e| e.to_string())?;
         let stress = PmosStress::new(self.p_active, self.p_standby).map_err(|e| e.to_string())?;
-        Ok(StressKey::quantize(
-            &schedule,
-            &stress,
-            Seconds(self.lifetime_s),
-        ))
+        StressKey::quantize(&schedule, &stress, Seconds(self.lifetime_s)).map_err(|e| e.to_string())
     }
 }
 
@@ -712,6 +708,11 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepSpec, Response> {
                 spec.len()
             ),
         ));
+    }
+    // Both workloads key their model calls by lifetime, so a lifetime the
+    // key lattice cannot hold is a bad request, whichever workload runs.
+    for &lifetime in &spec.lifetimes {
+        StressKey::lifetime_ms(lifetime).map_err(|e| Response::error(400, &e.to_string()))?;
     }
     Ok(spec)
 }
@@ -1288,6 +1289,8 @@ mod tests {
             "{\"ras\":[1],\"t_standby_k\":330,\"lifetime_s\":1,\"p_active\":0.5,\"p_standby\":1}",
             "{\"ras\":[1,9],\"t_standby_k\":330,\"lifetime_s\":1,\"p_active\":2.5,\"p_standby\":1}",
             "{\"ras\":[1,9],\"t_standby_k\":-10,\"lifetime_s\":1,\"p_active\":0.5,\"p_standby\":1}",
+            "{\"ras\":[1,9],\"t_standby_k\":330,\"lifetime_s\":-1,\"p_active\":0.5,\"p_standby\":1}",
+            "{\"ras\":[1,9],\"t_standby_k\":330,\"lifetime_s\":1e17,\"p_active\":0.5,\"p_standby\":1}",
         ] {
             let r = handle(&s, &post("/v1/degrade", body), &d).0;
             assert_eq!(
@@ -1368,6 +1371,23 @@ mod tests {
              \"ras\":[[1,9]],\"t_standby_k\":[330],\"lifetime_s\":[1e8]}";
         let r = handle(&s, &post("/v1/sweep", body), &d).0;
         assert_eq!(r.status, 400);
+
+        // A lifetime the memo keys cannot hold is refused by both workloads.
+        for workload in [
+            "{\"kind\":\"model\",\"p_active\":0.5,\"p_standby\":1}",
+            "{\"kind\":\"aging\",\"circuits\":[\"c17\"],\"policies\":[\"worst\"]}",
+        ] {
+            for lifetime in ["-1", "1e17"] {
+                let body = format!(
+                    "{{\"workload\":{workload},\"ras\":[[1,9]],\"t_standby_k\":[330],\
+                     \"lifetime_s\":[{lifetime}]}}"
+                );
+                let r = handle(&s, &post("/v1/sweep", &body), &d).0;
+                assert_eq!(r.status, 400, "{body}");
+                let text = String::from_utf8(r.body).unwrap();
+                assert!(text.contains("total_time"), "{text}");
+            }
+        }
     }
 
     const FLEET_BODY: &str = "{\"ras\":[1,9],\"t_standby_k\":330,\"p_active\":0.5,\

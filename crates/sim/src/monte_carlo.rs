@@ -5,8 +5,7 @@
 //! (signal probability) and toggle frequencies (activity factor). Seeded
 //! for reproducibility.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use relia_core::seal::Xoshiro256;
 use relia_netlist::{Circuit, NetId};
 
 use crate::error::SimError;
@@ -81,14 +80,14 @@ pub fn estimate(
         return Err(SimError::NoSamples);
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let num_nets = circuit.nets().len();
     let mut ones = vec![0u64; num_nets];
     let mut toggles = vec![0u64; num_nets];
     let mut prev: Option<Vec<bool>> = None;
 
     for _ in 0..samples {
-        let stim: Vec<bool> = pi_probs.iter().map(|&p| rng.gen_bool(p)).collect();
+        let stim: Vec<bool> = pi_probs.iter().map(|&p| rng.chance(p)).collect();
         let values = logic::simulate(circuit, &stim)?;
         let slice = values.as_slice();
         for (i, &v) in slice.iter().enumerate() {

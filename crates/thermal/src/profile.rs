@@ -1,8 +1,7 @@
 //! Task-set power profiles (the paper's Fig. 2 workload: tasks with random
 //! power in the 10–130 W range, after the Montecito per-task power spread).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use relia_core::seal::Xoshiro256;
 use relia_core::units::Seconds;
 
 /// A constant-power phase of a profile.
@@ -37,11 +36,11 @@ impl TaskSet {
     /// assert_eq!(a, b); // deterministic per seed
     /// ```
     pub fn random(tasks: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::new(seed);
         let phases = (0..tasks)
             .map(|_| PowerPhase {
-                watts: rng.gen_range(Self::POWER_RANGE.0..=Self::POWER_RANGE.1),
-                duration: Seconds(rng.gen_range(Self::DURATION_RANGE.0..=Self::DURATION_RANGE.1)),
+                watts: rng.uniform(Self::POWER_RANGE.0, Self::POWER_RANGE.1),
+                duration: Seconds(rng.uniform(Self::DURATION_RANGE.0, Self::DURATION_RANGE.1)),
             })
             .collect();
         TaskSet { phases }

@@ -104,8 +104,7 @@ const USAGE: &str = "usage:
   relia surface probe <artifact> [--tstandby K] [--ras A:S] [--time S]
                 [--pactive P] [--pstandby P]     interpolated lookup from an artifact
   relia lint    [--root PATH] [--format text|json|sarif]
-                [--jobs N] [--incremental] [--write-cache]
-                [--list-rules]                   workspace static analysis
+                [--jobs N] [--list-rules]        workspace static analysis
   relia list                                     built-in benchmarks
   relia help                                     this message
   relia --version                                toolkit version
@@ -460,7 +459,7 @@ impl SweepArgs {
 /// the analysis-failure convention; flag mistakes exit 2 like every other
 /// subcommand. `--list-rules` prints the rule table and exits 0.
 fn run_lint_command(args: &[String]) -> Result<(), CliError> {
-    use relia::lint::{diag, lint_workspace_opts, walker, WorkspaceOpts, RULES};
+    use relia::lint::{diag, lint_workspace, walker, RULES};
 
     enum LintFormat {
         Text,
@@ -470,7 +469,7 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
 
     let mut root: Option<PathBuf> = None;
     let mut format = LintFormat::Text;
-    let mut opts = WorkspaceOpts::default();
+    let mut jobs = 1;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -492,11 +491,9 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
                 }
             },
             "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.jobs = n,
+                Some(n) if n >= 1 => jobs = n,
                 _ => return Err(CliError::Usage("--jobs needs a positive integer".into())),
             },
-            "--incremental" => opts.incremental = true,
-            "--write-cache" => opts.write_cache = true,
             "--list-rules" => {
                 for (i, r) in RULES.iter().enumerate() {
                     println!("R{} {} — {}", i + 1, r.id, r.summary);
@@ -516,7 +513,7 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
             })?
         }
     };
-    let diags = lint_workspace_opts(&root, &opts).map_err(CliError::Usage)?;
+    let diags = lint_workspace(&root, jobs).map_err(CliError::Usage)?;
     match format {
         LintFormat::Text => {
             for d in &diags {
