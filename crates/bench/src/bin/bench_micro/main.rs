@@ -17,6 +17,7 @@
 //! `--check` measures every section, reports every failed gate and then
 //! exits 1. Any other argument exits 2 before anything is measured.
 
+mod ac;
 mod fleet;
 mod ivc;
 mod lint;
@@ -42,7 +43,8 @@ pub(crate) struct Section {
     pub(crate) measure: fn() -> Record,
 }
 
-const SECTIONS: [Section; 6] = [
+const SECTIONS: [Section; 7] = [
+    ac::SECTION,
     fleet::SECTION,
     serve::SECTION,
     lint::SECTION,

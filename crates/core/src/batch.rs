@@ -15,21 +15,26 @@
 //! fig12 golden pin hold this to zero ulps. A hoist's base *is* a
 //! [`NbtiModel::delta_vth`] call, so the two cannot drift.
 //!
-//! [`NbtiModel::delta_vth_lifetimes`] is the row entry point: one
-//! `(schedule, stress)` column evaluated at many lifetimes, as the
-//! response-surface builder and `/v1/sweep` grids need. Only the cycle
-//! count varies along a row, so the equivalent cycle and `K_v` are built
-//! once and [`crate::ac::s_n_many`] reads every lifetime's `S_n` off one
-//! walk of the exact recursion prefix (up to 4096 dependent steps) instead
-//! of repeating that walk per lifetime. Each entry is bit-equal to the
-//! scalar call — the differential proptests in `tests/proptests.rs`
-//! compare them by `to_bits()`.
+//! [`NbtiModel::delta_vth_columns`] is the column entry point: many
+//! `(schedule, stress)` columns, each evaluated at its own lifetimes, as
+//! the response-surface builder, `/v1/sweep` grids, memo-cache fills and
+//! per-gate circuit loops need. Only the cycle count varies along a
+//! column, so each column builds its equivalent cycle and `K_v` once and
+//! owns one row of [`crate::ac::s_n_rows`], which walks the exact
+//! recursion prefix (up to 4096 dependent steps) of
+//! [`crate::ac::LANES`] columns in one loop and reads every lifetime's
+//! `S_n` off it. [`NbtiModel::delta_vth_lifetimes`] is its one-column
+//! call, and [`NbtiModel::hoist_lifetimes`] hoists a fleet's evaluation
+//! times from one such column. Each entry is bit-equal to the scalar
+//! call — the differential proptests in `tests/proptests.rs` compare them
+//! by `to_bits()`.
 //!
 //! [`VariationKernel`] is the circuit-level sibling: the structure-of-arrays
 //! per-gate fresh/aged delay math that `relia-flow`'s `VariationStudy` runs
 //! per Monte-Carlo sample, hoisted here so the flow crate, the fleet engine,
 //! and the benches all share one implementation.
 
+use crate::ac::s_n_rows;
 use crate::equivalent::{EquivalentCycle, ModeSchedule, PmosStress};
 use crate::error::{check_finite, check_range, ModelError};
 use crate::model::{check_total_time, mode_cycles, NbtiModel};
@@ -109,6 +114,18 @@ impl HoistedStress {
     }
 }
 
+/// One `(schedule, stress)` column of [`NbtiModel::delta_vth_columns`]: it
+/// owns the next `len` lifetimes of the call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StressColumn {
+    /// The operating schedule.
+    pub schedule: ModeSchedule,
+    /// The PMOS stress vector.
+    pub stress: PmosStress,
+    /// How many consecutive lifetimes the column owns.
+    pub len: usize,
+}
+
 impl NbtiModel {
     /// Hoists every device-independent term of one
     /// `(schedule, stress, total_time)` point: the equivalent-cycle
@@ -126,20 +143,40 @@ impl NbtiModel {
         schedule: &ModeSchedule,
         stress: &PmosStress,
     ) -> Result<HoistedStress, ModelError> {
+        Ok(self.hoisted(self.delta_vth(total_time, schedule, stress)?))
+    }
+
+    /// [`NbtiModel::hoist`] at every time of `times`, which share one
+    /// schedule and stress: entry `i` equals `hoist(times[i], ..)`, and all
+    /// bases come from one [`NbtiModel::delta_vth_lifetimes`] column.
+    ///
+    /// # Errors
+    ///
+    /// The error the first failing time's `hoist` call would return.
+    pub fn hoist_lifetimes(
+        &self,
+        times: &[Seconds],
+        schedule: &ModeSchedule,
+        stress: &PmosStress,
+    ) -> Result<Vec<HoistedStress>, ModelError> {
+        let bases = self.delta_vth_lifetimes(times, schedule, stress)?;
+        Ok(bases.into_iter().map(|base| self.hoisted(base)).collect())
+    }
+
+    fn hoisted(&self, base: f64) -> HoistedStress {
         let params = self.params();
-        Ok(HoistedStress {
-            base: self.delta_vth(total_time, schedule, stress)?,
+        HoistedStress {
+            base,
             vdd: params.vdd.0,
             od_nom: params.overdrive(),
             field_scale: params.field_scale.0,
-        })
+        }
     }
 
     /// [`NbtiModel::delta_vth`] at every lifetime of one
     /// `(schedule, stress)` column: entry `i` is bit-equal to
-    /// `delta_vth(lifetimes[i], schedule, stress)`. The equivalent cycle
-    /// and `K_v(T_active)` are built once, and one walk of the AC
-    /// recursion serves every lifetime ([`crate::ac::s_n_many`]).
+    /// `delta_vth(lifetimes[i], schedule, stress)`. The one-column call of
+    /// [`NbtiModel::delta_vth_columns`].
     ///
     /// # Errors
     ///
@@ -152,31 +189,96 @@ impl NbtiModel {
         schedule: &ModeSchedule,
         stress: &PmosStress,
     ) -> Result<Vec<f64>, ModelError> {
-        // A per-lifetime loop stops at the first invalid lifetime, but the
-        // lifetimes before it are evaluated first and may fail first.
-        let valid = lifetimes
-            .iter()
-            .position(|&t| check_total_time(t).is_err())
-            .unwrap_or(lifetimes.len());
-        let mut out = vec![0.0; valid];
-        let stressed: Vec<usize> = (0..valid).filter(|&i| lifetimes[i].0 != 0.0).collect();
-        if !stressed.is_empty() {
-            let eq = EquivalentCycle::build(self.params(), schedule, stress)?;
-            if eq.stress.duty_cycle() != 0.0 {
-                let cycles: Vec<u64> = stressed
-                    .iter()
-                    .map(|&i| mode_cycles(lifetimes[i], schedule))
-                    .collect();
-                let kv = self.kv(schedule.temp_active());
-                for (&i, trap) in stressed.iter().zip(eq.stress.trap_factors(&cycles)) {
-                    out[i] = check_finite("delta_vth", kv * trap)?;
+        let column = StressColumn {
+            schedule: *schedule,
+            stress: *stress,
+            len: lifetimes.len(),
+        };
+        let mut out = vec![0.0; lifetimes.len()];
+        let mut status = self.delta_vth_columns(&[column], lifetimes, &mut out);
+        status.pop().unwrap_or(Ok(())).map(|()| out)
+    }
+
+    /// [`NbtiModel::delta_vth_lifetimes`] for many columns in one call.
+    /// Column `j` owns the next `columns[j].len` entries of `lifetimes` and
+    /// of `out`, and entry `j` of the result is the `Ok(())` or the error
+    /// `delta_vth_lifetimes` returns for that column alone. Where it is
+    /// `Ok`, each of the column's entries of `out` is bit-equal to one
+    /// `delta_vth` call; a failed column leaves its entries unspecified.
+    ///
+    /// Each column builds its equivalent cycle and `K_v(T_active)` once,
+    /// and one [`crate::ac::s_n_rows`] walk serves every column's AC
+    /// recursion, [`crate::ac::LANES`] columns per loop.
+    ///
+    /// # Panics
+    ///
+    /// When `out` and `lifetimes` differ in length, or the column lengths
+    /// do not sum to `lifetimes.len()`.
+    pub fn delta_vth_columns(
+        &self,
+        columns: &[StressColumn],
+        lifetimes: &[Seconds],
+        out: &mut [f64],
+    ) -> Vec<Result<(), ModelError>> {
+        // A column's cycle counts; 0 marks an entry the walk leaves at 0
+        // (a zero lifetime, zero duty, or past the first invalid lifetime).
+        let mut cycles = vec![0u64; lifetimes.len()];
+        let mut rows = Vec::with_capacity(columns.len());
+        // Per column: (K_v, τ^(1/4)) when its recursion runs, or its error.
+        let mut scales = Vec::with_capacity(columns.len());
+        let mut start = 0;
+        for column in columns {
+            let end = start + column.len;
+            let row = &lifetimes[start..end];
+            // A per-lifetime loop stops at the first invalid lifetime, but
+            // the lifetimes before it are evaluated first and may fail first.
+            let valid = row
+                .iter()
+                .position(|&t| check_total_time(t).is_err())
+                .unwrap_or(row.len());
+            let mut duty = 0.0;
+            let mut scale = Ok(None);
+            if row[..valid].iter().any(|t| t.0 != 0.0) {
+                match EquivalentCycle::build(self.params(), &column.schedule, &column.stress) {
+                    Ok(eq) if eq.stress.duty_cycle() != 0.0 => {
+                        duty = eq.stress.duty_cycle();
+                        for (n, &t) in cycles[start..start + valid].iter_mut().zip(row) {
+                            if t.0 != 0.0 {
+                                *n = mode_cycles(t, &column.schedule);
+                            }
+                        }
+                        scale = Ok(Some((
+                            self.kv(column.schedule.temp_active()),
+                            eq.stress.period().0.powf(0.25),
+                        )));
+                    }
+                    Ok(_) => {}
+                    Err(e) => scale = Err(e),
                 }
             }
+            rows.push((duty, column.len));
+            scales.push((scale, start + valid, end));
+            start = end;
         }
-        if let Some(&invalid) = lifetimes.get(valid) {
-            check_total_time(invalid)?;
-        }
-        Ok(out)
+        s_n_rows(&rows, &cycles, out);
+
+        let mut start = 0;
+        scales
+            .into_iter()
+            .map(|(scale, valid, end)| {
+                let stressed = start..valid;
+                start = end;
+                if let Some((kv, tau)) = scale? {
+                    for i in stressed.filter(|&i| cycles[i] > 0) {
+                        out[i] = check_finite("delta_vth", kv * (out[i] * tau))?;
+                    }
+                }
+                if valid < end {
+                    check_total_time(lifetimes[valid])?;
+                }
+                Ok(())
+            })
+            .collect()
     }
 }
 

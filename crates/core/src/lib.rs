@@ -84,7 +84,7 @@ pub mod variation;
 
 pub use ac::AcStress;
 pub use arrhenius::diffusion_ratio;
-pub use batch::{HoistedStress, VariationKernel};
+pub use batch::{HoistedStress, StressColumn, VariationKernel};
 pub use calib::{fit_dc_measurements, CalibrationFit, Measurement};
 pub use cancel::{CancelToken, Deadline};
 pub use degradation::DelayDegradation;

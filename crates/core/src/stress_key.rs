@@ -21,6 +21,7 @@
 //!   ranges this perturbs ΔV_th by parts in 1e10 — far below the micro-volt
 //!   resolution of any report.
 
+use crate::batch::StressColumn;
 use crate::equivalent::{ModeSchedule, PmosStress, Ras};
 use crate::error::ModelError;
 use crate::model::{check_total_time, NbtiModel};
@@ -203,35 +204,46 @@ impl StressKey {
     /// bit-equal to `keys[i].evaluate(model)`, error or not.
     ///
     /// Consecutive keys that differ only in lifetime and threshold — one
-    /// `(schedule, stress)` row, as a sweep over lifetimes produces — are
-    /// evaluated together through [`NbtiModel::delta_vth_lifetimes`], so
-    /// the row pays for one equivalent cycle and one AC recursion. A row
-    /// the model rejects falls back to per-key evaluation, which yields
-    /// each key's own error.
+    /// `(schedule, stress)` row, as a sweep over lifetimes produces — form
+    /// one column, and every column goes through one
+    /// [`NbtiModel::delta_vth_columns`] call: a row pays for one
+    /// equivalent cycle, and the rows' AC recursions run
+    /// [`crate::ac::LANES`] at a time. A row the model rejects falls back
+    /// to per-key evaluation, which yields each key's own error.
     pub fn evaluate_many(keys: &[StressKey], model: &NbtiModel) -> Vec<Result<f64, ModelError>> {
         let mut out = Vec::with_capacity(keys.len());
+        let mut columns = Vec::new();
+        let mut lifetimes = Vec::with_capacity(keys.len());
+        let mut starts = Vec::new();
         for row in keys.chunk_by(|a, b| a.row() == b.row()) {
-            match StressKey::evaluate_row(row, model) {
-                Ok(values) => out.extend(values),
+            match row[0].canonical_point() {
+                Ok((schedule, stress)) => {
+                    columns.push(StressColumn {
+                        schedule,
+                        stress,
+                        len: row.len(),
+                    });
+                    starts.push(out.len());
+                    lifetimes.extend(row.iter().map(StressKey::lifetime));
+                    out.extend(row.iter().map(|_| Ok(0.0)));
+                }
                 Err(_) => out.extend(row.iter().map(|key| key.evaluate(model))),
             }
         }
+        let mut bases = vec![0.0; lifetimes.len()];
+        let status = model.delta_vth_columns(&columns, &lifetimes, &mut bases);
+        let mut base = bases.iter();
+        for ((column, &start), status) in columns.iter().zip(&starts).zip(status) {
+            let row = &keys[start..start + column.len];
+            let slots = &mut out[start..start + column.len];
+            for ((slot, key), &value) in slots.iter_mut().zip(row).zip(base.by_ref()) {
+                *slot = match status {
+                    Ok(()) => key.at_vth0(model, Ok(value)),
+                    Err(_) => key.evaluate(model),
+                };
+            }
+        }
         out
-    }
-
-    /// One non-empty row of [`StressKey::evaluate_many`].
-    fn evaluate_row(
-        row: &[StressKey],
-        model: &NbtiModel,
-    ) -> Result<Vec<Result<f64, ModelError>>, ModelError> {
-        let (schedule, stress) = row[0].canonical_point()?;
-        let lifetimes: Vec<Seconds> = row.iter().map(StressKey::lifetime).collect();
-        let bases = model.delta_vth_lifetimes(&lifetimes, &schedule, &stress)?;
-        Ok(row
-            .iter()
-            .zip(bases)
-            .map(|(key, base)| key.at_vth0(model, Ok(base)))
-            .collect())
     }
 
     /// The key with its lifetime and threshold erased: keys with equal rows

@@ -2,13 +2,13 @@
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
-use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact, s_n_many};
+use relia_core::ac::{ac_to_dc_ratio, s_n, s_n_exact, s_n_many, s_n_rows, LANES};
 use relia_core::arrhenius::diffusion_ratio;
 use relia_core::rd::recovery_fraction;
 use relia_core::units::{ElectronVolts, Kelvin, Seconds, Volts};
 use relia_core::{
     DelayDegradation, EquivalentCycle, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras,
-    StressKey, VthDistribution,
+    StressColumn, StressKey, VthDistribution,
 };
 
 /// Cycle counts on and around the exact-prefix boundary, plus the
@@ -213,13 +213,48 @@ proptest! {
 
     /// The row recursion reads each entry's S_n off one walk, bit-equal to
     /// a scalar call per entry — in any order, with repeats, across the
-    /// exact-prefix boundary and into the closed-form tail.
+    /// exact-prefix boundary and into the closed-form tail. Many rows walk
+    /// LANES at a time: ragged rows, empty rows, row counts on either side
+    /// of a multiple of LANES, and duty cycles pinned to 0, 1e-6 and 1.
     #[test]
     fn s_n_many_matches_s_n_bit_for_bit(
         c in 0.0f64..1.0,
         random in prop::collection::vec(0u64..20_000, 0..24),
         edge in prop::collection::vec(0usize..6, 1..12),
+        rows in prop::collection::vec(
+            (
+                0.0f64..1.0,
+                0u32..6,
+                prop::collection::vec(0u64..20_000, 0..5),
+                prop::collection::vec(0usize..6, 0..4),
+            ),
+            0..3 * LANES + 2,
+        ),
     ) {
+        let mut table = Vec::with_capacity(rows.len());
+        let (mut duty, mut flat) = (Vec::new(), Vec::new());
+        for (c, pin, random, edge) in &rows {
+            let c = match pin {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 1e-6,
+                _ => *c,
+            };
+            let row: Vec<u64> = random
+                .iter()
+                .copied()
+                .chain(edge.iter().map(|&i| EDGE_CYCLES[i]))
+                .collect();
+            table.push((c, row.len()));
+            duty.extend(std::iter::repeat_n(c, row.len()));
+            flat.extend(row);
+        }
+        let mut out = vec![f64::NAN; flat.len()];
+        s_n_rows(&table, &flat, &mut out);
+        for ((&c, &n), s) in duty.iter().zip(&flat).zip(&out) {
+            prop_assert_eq!(s.to_bits(), s_n(c, n).to_bits(), "c={} n={}", c, n);
+        }
+
         let mut ns: Vec<u64> = random;
         ns.extend(edge.iter().map(|&i| EDGE_CYCLES[i]));
         ns.extend_from_slice(&EDGE_CYCLES);
@@ -268,21 +303,30 @@ proptest! {
     }
 
     /// An invalid lifetime fails the row with the error the first failing
-    /// per-lifetime call gives.
+    /// per-lifetime call gives. Over more than LANES columns, with columns
+    /// repeated at non-adjacent positions, each column reports its own
+    /// first failure, and every column without one is bit-equal to the
+    /// scalar calls.
     #[test]
     fn delta_vth_lifetimes_reports_the_first_failure(
         times in prop::collection::vec(0.0f64..3.2e8, 0..8),
         bad in prop::collection::vec(0u32..3, 1..3),
+        stresses in prop::collection::vec((0.0f64..20.0, 300.0f64..400.0, 0.0f64..1.0, 0.0f64..1.0), 1..5),
+        columns in prop::collection::vec(
+            (0usize..5, prop::collection::vec(0.0f64..3.2e8, 0..4), 0u32..6),
+            LANES + 1..3 * LANES,
+        ),
     ) {
         let model = NbtiModel::ptm90().unwrap();
-        let schedule = paper_schedule(9.0, 330.0);
-        let stress = PmosStress::worst_case();
-        let mut lifetimes: Vec<Seconds> = times.into_iter().map(Seconds).collect();
-        lifetimes.extend(bad.iter().map(|&b| match b {
+        let invalid = |b: u32| match b {
             0 => Seconds(-1.0),
             1 => Seconds(f64::NAN),
             _ => Seconds(f64::INFINITY),
-        }));
+        };
+        let schedule = paper_schedule(9.0, 330.0);
+        let stress = PmosStress::worst_case();
+        let mut lifetimes: Vec<Seconds> = times.into_iter().map(Seconds).collect();
+        lifetimes.extend(bad.iter().map(|&b| invalid(b)));
         lifetimes.push(Seconds(1.0e8));
         let expected = lifetimes
             .iter()
@@ -291,19 +335,58 @@ proptest! {
             .unwrap_err();
         let got = model.delta_vth_lifetimes(&lifetimes, &schedule, &stress).unwrap_err();
         prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+
+        // Columns pick from a few (schedule, stress) points, so points
+        // repeat; half the columns carry an invalid lifetime somewhere.
+        let (mut table, mut flat) = (Vec::new(), Vec::new());
+        for (pick, times, bad) in &columns {
+            let (weight, temp_s, p_a, p_s) = stresses[pick % stresses.len()];
+            let mut row: Vec<Seconds> = times.iter().map(|&t| Seconds(t)).collect();
+            if *bad < 3 {
+                row.insert(row.len() / 2, invalid(*bad));
+            }
+            row.push(Seconds(1.0e8));
+            table.push(StressColumn {
+                schedule: paper_schedule(weight, temp_s),
+                stress: PmosStress::new(p_a, p_s).unwrap(),
+                len: row.len(),
+            });
+            flat.extend(row);
+        }
+        let mut out = vec![f64::NAN; flat.len()];
+        let status = model.delta_vth_columns(&table, &flat, &mut out);
+        prop_assert_eq!(status.len(), table.len());
+        let mut start = 0;
+        for (column, status) in table.iter().zip(&status) {
+            let row = start..start + column.len;
+            start = row.end;
+            let scalar = flat[row.clone()]
+                .iter()
+                .map(|&t| model.delta_vth(t, &column.schedule, &column.stress))
+                .collect::<Result<Vec<f64>, _>>();
+            match (status, scalar) {
+                (Ok(()), Ok(values)) => {
+                    for (got, want) in out[row].iter().zip(&values) {
+                        prop_assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                }
+                (got, want) => prop_assert_eq!(format!("{got:?}"), format!("{:?}", want.map(|_| ()))),
+            }
+        }
     }
 
     /// Batched key evaluation equals per-key evaluation bit for bit: one
-    /// row of lifetimes, interleaved rows, and per-device thresholds.
+    /// row of lifetimes, interleaved rows, per-device thresholds, and key
+    /// sets spanning more than LANES rows whose repeats are not adjacent.
     #[test]
     fn evaluate_many_matches_evaluate(
         rows in prop::collection::vec(
             (0.5f64..20.0, 300.0f64..400.0, 0.0f64..1.0, 0.0f64..1.0),
-            1..4,
+            1..3 * LANES,
         ),
         picks in prop::collection::vec(
-            (0usize..4, 0.0f64..3.2e8, 0u32..3, 0.16f64..0.30),
-            1..40,
+            (0usize..3 * LANES, 0.0f64..3.2e8, 0u32..3, 0.16f64..0.30),
+            1..6 * LANES,
         ),
     ) {
         let model = NbtiModel::ptm90().unwrap();

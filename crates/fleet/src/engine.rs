@@ -3,9 +3,10 @@
 //! A fleet run evaluates the NBTI delay-degradation model for thousands of
 //! correlated variation samples. The expensive, *sample-independent* work —
 //! the Arrhenius exponentials, the AC-recursion prefix, and the equivalent
-//! stress-time transform — is hoisted once per stress point into a
-//! [`HoistedStress`] ([`relia_core::NbtiModel::hoist`]); the per-sample
-//! loop is then a handful of flops on a structure-of-arrays accumulator.
+//! stress-time transform — is hoisted once per evaluation time into a
+//! [`HoistedStress`], every time from one AC walk
+//! ([`relia_core::NbtiModel::hoist_lifetimes`]); the per-sample loop is
+//! then a handful of flops on a structure-of-arrays accumulator.
 //!
 //! Samples are drawn in fixed-size chunks, each chunk from its own
 //! [`SplitMix64`] stream derived from `(seed, chunk index)`, and chunk
@@ -212,10 +213,8 @@ impl FleetEvaluator {
         let model = NbtiModel::ptm90()?;
         let schedule = spec.schedule()?;
         let stress = spec.stress()?;
-        let mut hoisted = Vec::with_capacity(spec.times.len());
-        for &t in &spec.times {
-            hoisted.push(model.hoist(t, &schedule, &stress)?);
-        }
+        // The times share a schedule and stress: one AC walk hoists them all.
+        let hoisted = model.hoist_lifetimes(&spec.times, &schedule, &stress)?;
         // The Box–Muller draw clamps z to ±3.5, so these two extremes
         // bound every vth0 the sampler can produce.
         let mean = spec.dist.mean().0;

@@ -13,8 +13,9 @@
 //!   Arrhenius evaluation, the multi-cycle AC recursion, and the
 //!   equivalent-stress-time transform per stress point — all independent of
 //!   the sampled device. [`FleetEvaluator::prepare`] pays that cost once
-//!   per `(schedule, duty, time)` via [`relia_core::NbtiModel::hoist`];
-//!   drawing a device is then a handful of flops.
+//!   per `(schedule, duty)`, hoisting every time from one AC walk via
+//!   [`relia_core::NbtiModel::hoist_lifetimes`]; drawing a device is then
+//!   a handful of flops.
 //! * **Deterministic streams.** Samples are drawn in fixed-size chunks,
 //!   each from its own [`SplitMix64`] stream derived from `(seed, chunk
 //!   index)`. Chunk accumulators ([`accum`]) merge in index

@@ -2,7 +2,7 @@
 //! leakage.
 
 use relia_cells::Vector;
-use relia_core::{CancelToken, PmosStress};
+use relia_core::{CancelToken, PmosStress, Seconds, StressColumn};
 use relia_leakage::{circuit_leakage, expected_circuit_leakage, LeakageTable};
 use relia_netlist::Circuit;
 use relia_sim::{logic, prob, SignalProbs};
@@ -14,6 +14,11 @@ use crate::cache::NoCache;
 use crate::config::{FlowConfig, SpEstimator};
 use crate::error::FlowError;
 use crate::policy::StandbyPolicy;
+
+/// Gates whose PMOS stresses the per-gate loop evaluates in one call:
+/// enough stress points to fill several lane groups of the AC walk
+/// ([`relia_core::ac::LANES`]), few enough that its buffers stay small.
+const GATE_CHUNK: usize = 32;
 
 /// The schedule-independent half of an aging analysis: signal
 /// probabilities, per-PMOS active-mode stress duty cycles, and the leakage
@@ -144,25 +149,14 @@ impl<'a> AgingAnalysis<'a> {
     pub fn gate_delta_vth_at(
         &self,
         policy: &StandbyPolicy,
-        lifetime: relia_core::Seconds,
+        lifetime: Seconds,
     ) -> Result<Vec<f64>, FlowError> {
-        let standby_flags = self.standby_stress_flags(policy)?;
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            let standby = &standby_flags[gi];
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let p_standby = if standby[pi] { 1.0 } else { 0.0 };
-                let stress = PmosStress::new(p_active, p_standby)?;
-                let dv = self
-                    .config
-                    .nbti
-                    .delta_vth(lifetime, &self.config.schedule, &stress)?;
-                worst = worst.max(dv);
-            }
-            out.push(worst);
-        }
-        Ok(out)
+        let flags = self.standby_stress_flags(policy)?;
+        self.worst_per_gate(
+            &CancelToken::new(),
+            flagged_stresses(&flags),
+            self.exact_shifts(lifetime),
+        )
     }
 
     /// Like [`AgingAnalysis::gate_delta_vth_at`], but consulting a
@@ -183,18 +177,23 @@ impl<'a> AgingAnalysis<'a> {
     pub fn gate_delta_vth_at_cached<C: DeltaVthCache>(
         &self,
         policy: &StandbyPolicy,
-        lifetime: relia_core::Seconds,
+        lifetime: Seconds,
         cache: &C,
     ) -> Result<Vec<f64>, FlowError> {
         self.gate_delta_vth_at_cached_cancellable(policy, lifetime, cache, &CancelToken::new())
     }
 
     /// Like [`AgingAnalysis::gate_delta_vth_at_cached`], but polling a
-    /// cooperative [`CancelToken`] at every gate boundary: when a watchdog
-    /// sets the token, the loop abandons the remaining gates and returns
-    /// [`FlowError::Cancelled`] instead of running to completion. Partial
-    /// results are discarded, so cancellation can never leak a truncated
-    /// ΔV_th vector into a report.
+    /// cooperative [`CancelToken`] before every chunk of 32 gates: when a
+    /// watchdog sets the token, the loop abandons the remaining gates and
+    /// returns [`FlowError::Cancelled`] instead of running to completion.
+    /// Partial results are discarded, so cancellation can never leak a
+    /// truncated ΔV_th vector into a report.
+    ///
+    /// Each chunk's keys go to the cache in one
+    /// [`DeltaVthCache::delta_vth_many`] call, which leaves the table as a
+    /// per-key loop would. On an error, the rest of that chunk's keys
+    /// have been looked up too.
     ///
     /// # Errors
     ///
@@ -203,28 +202,26 @@ impl<'a> AgingAnalysis<'a> {
     pub fn gate_delta_vth_at_cached_cancellable<C: DeltaVthCache>(
         &self,
         policy: &StandbyPolicy,
-        lifetime: relia_core::Seconds,
+        lifetime: Seconds,
         cache: &C,
         cancel: &CancelToken,
     ) -> Result<Vec<f64>, FlowError> {
-        let standby_flags = self.standby_stress_flags(policy)?;
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            if cancel.is_cancelled() {
-                return Err(FlowError::Cancelled);
+        let flags = self.standby_stress_flags(policy)?;
+        let mut keys = Vec::new();
+        self.worst_per_gate(cancel, flagged_stresses(&flags), |stresses, shifts| {
+            keys.clear();
+            let quantized = stresses.iter().try_for_each(|stress| {
+                keys.push(self.config.stress_key(stress, lifetime)?);
+                Ok::<(), FlowError>(())
+            });
+            for (shift, dv) in shifts
+                .iter_mut()
+                .zip(cache.delta_vth_many(&keys, &self.config.nbti))
+            {
+                *shift = dv?;
             }
-            let standby = &standby_flags[gi];
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let p_standby = if standby[pi] { 1.0 } else { 0.0 };
-                let stress = PmosStress::new(p_active, p_standby)?;
-                let key = self.config.stress_key(&stress, lifetime)?;
-                let dv = cache.delta_vth(key, &self.config.nbti)?;
-                worst = worst.max(dv);
-            }
-            out.push(worst);
-        }
-        Ok(out)
+            quantized
+        })
     }
 
     /// Per-gate worst-case PMOS ΔV_th when each PMOS has a *fractional*
@@ -247,27 +244,94 @@ impl<'a> AgingAnalysis<'a> {
                 got: standby_probs.len(),
             });
         }
-        let mut out = Vec::with_capacity(self.circuit.gates().len());
-        for (gi, active) in self.prep.active_stress.iter().enumerate() {
-            if standby_probs[gi].len() != active.len() {
+        let stresses = |gate: usize, active: &[f64], out: &mut Vec<PmosStress>| {
+            let standby = &standby_probs[gate];
+            if standby.len() != active.len() {
                 return Err(FlowError::GateVectorWidth {
                     expected: active.len(),
-                    got: standby_probs[gi].len(),
+                    got: standby.len(),
                 });
             }
-            let mut worst: f64 = 0.0;
-            for (pi, &p_active) in active.iter().enumerate() {
-                let stress = PmosStress::new(p_active, standby_probs[gi][pi])?;
-                let dv = self.config.nbti.delta_vth(
-                    self.config.lifetime,
-                    &self.config.schedule,
-                    &stress,
-                )?;
-                worst = worst.max(dv);
+            for (&p_active, &p_standby) in active.iter().zip(standby) {
+                out.push(PmosStress::new(p_active, p_standby)?);
             }
-            out.push(worst);
+            Ok(())
+        };
+        self.worst_per_gate(
+            &CancelToken::new(),
+            stresses,
+            self.exact_shifts(self.config.lifetime),
+        )
+    }
+
+    /// The per-gate loop behind every ΔV_th entry point: each gate's
+    /// worst PMOS shift. Per chunk of [`GATE_CHUNK`] gates, `stresses`
+    /// pushes gate `g`'s PMOS stress vectors (or fails), one `shifts` call
+    /// turns the chunk's stresses into ΔV_th values, and each gate keeps
+    /// its largest. `cancel` is polled before every chunk.
+    ///
+    /// The error returned is the one a per-PMOS loop meets first: a
+    /// `shifts` error among the stresses gathered ahead of a `stresses`
+    /// error outranks it.
+    fn worst_per_gate(
+        &self,
+        cancel: &CancelToken,
+        mut stresses: impl FnMut(usize, &[f64], &mut Vec<PmosStress>) -> Result<(), FlowError>,
+        mut shifts: impl FnMut(&[PmosStress], &mut [f64]) -> Result<(), FlowError>,
+    ) -> Result<Vec<f64>, FlowError> {
+        let gates = &self.prep.active_stress;
+        let mut out = Vec::with_capacity(gates.len());
+        let (mut gathered, mut values) = (Vec::new(), Vec::new());
+        for (chunk, first) in gates.chunks(GATE_CHUNK).zip((0..).step_by(GATE_CHUNK)) {
+            if cancel.is_cancelled() {
+                return Err(FlowError::Cancelled);
+            }
+            gathered.clear();
+            let complete = chunk
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, active)| stresses(first + i, active, &mut gathered));
+            values.clear();
+            values.resize(gathered.len(), 0.0);
+            shifts(&gathered, &mut values)?;
+            complete?;
+            let mut rest = values.as_slice();
+            for active in chunk {
+                let (gate, tail) = rest.split_at(active.len());
+                out.push(gate.iter().fold(0.0f64, |worst, &dv| worst.max(dv)));
+                rest = tail;
+            }
         }
         Ok(out)
+    }
+
+    /// Exact ΔV_th of PMOS stress vectors after `lifetime`, bit-equal to
+    /// one [`relia_core::NbtiModel::delta_vth`] call each: every stress is
+    /// a one-lifetime column of one
+    /// [`relia_core::NbtiModel::delta_vth_columns`] call.
+    fn exact_shifts(
+        &self,
+        lifetime: Seconds,
+    ) -> impl FnMut(&[PmosStress], &mut [f64]) -> Result<(), FlowError> + '_ {
+        let (mut columns, mut lifetimes) = (Vec::new(), Vec::new());
+        move |stresses, shifts| {
+            columns.clear();
+            columns.extend(stresses.iter().map(|&stress| StressColumn {
+                schedule: self.config.schedule,
+                stress,
+                len: 1,
+            }));
+            lifetimes.clear();
+            lifetimes.resize(stresses.len(), lifetime);
+            for status in self
+                .config
+                .nbti
+                .delta_vth_columns(&columns, &lifetimes, shifts)
+            {
+                status?;
+            }
+            Ok(())
+        }
     }
 
     /// Standby stress flags (one `bool` per PMOS, grouped per gate) for the
@@ -308,9 +372,10 @@ impl<'a> AgingAnalysis<'a> {
     }
 
     /// Runs the full cached analysis under a cooperative [`CancelToken`]:
-    /// the ΔV_th loop — the expensive half of the flow — polls the token at
-    /// every gate, so a sweep watchdog can turn a straggling job into
-    /// [`FlowError::Cancelled`] instead of a pool-stalling hang.
+    /// the ΔV_th loop — the expensive half of the flow — polls the token
+    /// before every chunk of gates, so a sweep watchdog can turn a
+    /// straggling job into [`FlowError::Cancelled`] instead of a
+    /// pool-stalling hang.
     ///
     /// # Errors
     ///
@@ -444,6 +509,20 @@ impl<'a> AgingAnalysis<'a> {
     /// The configuration in use.
     pub fn config(&self) -> &FlowConfig {
         self.config
+    }
+}
+
+/// Gate `g`'s PMOS stress vectors with standby stress set by `flags`:
+/// a flagged PMOS is stressed for all of standby, the others not at all.
+fn flagged_stresses(
+    flags: &[Vec<bool>],
+) -> impl Fn(usize, &[f64], &mut Vec<PmosStress>) -> Result<(), FlowError> + '_ {
+    move |gate, active, out| {
+        for (pmos, &p_active) in active.iter().enumerate() {
+            let p_standby = if flags[gate][pmos] { 1.0 } else { 0.0 };
+            out.push(PmosStress::new(p_active, p_standby)?);
+        }
+        Ok(())
     }
 }
 

@@ -24,6 +24,18 @@ pub trait DeltaVthCache {
     /// Returns [`ModelError`] when the canonical evaluation fails (the
     /// cache must not memoize errors as successes).
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError>;
+
+    /// [`DeltaVthCache::delta_vth`] for every key of `keys`, in order,
+    /// leaving the table as a per-key loop over `keys` would. The default
+    /// asks once per key; an implementation overrides it to evaluate the
+    /// batch's misses together through [`StressKey::evaluate_many`].
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Vec<Result<f64, ModelError>> {
+        keys.iter().map(|&key| self.delta_vth(key, model)).collect()
+    }
 }
 
 /// The trivial cache: always evaluates.
@@ -37,11 +49,27 @@ impl DeltaVthCache for NoCache {
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
         key.evaluate(model)
     }
+
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Vec<Result<f64, ModelError>> {
+        StressKey::evaluate_many(keys, model)
+    }
 }
 
 impl<C: DeltaVthCache + ?Sized> DeltaVthCache for &C {
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
         (**self).delta_vth(key, model)
+    }
+
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Vec<Result<f64, ModelError>> {
+        (**self).delta_vth_many(keys, model)
     }
 }
 

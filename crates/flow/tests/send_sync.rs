@@ -111,3 +111,69 @@ fn cache_trait_is_object_safe_through_references() {
         key.evaluate(&model).unwrap()
     );
 }
+
+/// A memo table that cancels `token` whenever it is handed a batch, and
+/// counts the batches.
+struct CancelOnBatch<'a> {
+    token: &'a relia_core::CancelToken,
+    batches: std::cell::Cell<usize>,
+}
+
+impl DeltaVthCache for CancelOnBatch<'_> {
+    fn delta_vth(
+        &self,
+        key: relia_core::StressKey,
+        model: &relia_core::NbtiModel,
+    ) -> Result<f64, relia_core::ModelError> {
+        key.evaluate(model)
+    }
+
+    fn delta_vth_many(
+        &self,
+        keys: &[relia_core::StressKey],
+        model: &relia_core::NbtiModel,
+    ) -> Vec<Result<f64, relia_core::ModelError>> {
+        self.batches.set(self.batches.get() + 1);
+        self.token.cancel();
+        relia_core::StressKey::evaluate_many(keys, model)
+    }
+}
+
+#[test]
+fn cancellation_is_polled_between_gate_chunks() {
+    let circuit = relia_netlist::iscas::circuit("c432").unwrap();
+    let config = FlowConfig::paper_defaults().unwrap();
+    let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
+    let policy = StandbyPolicy::AllInternalZero;
+    let token = relia_core::CancelToken::new();
+    let cache = CancelOnBatch {
+        token: &token,
+        batches: std::cell::Cell::new(0),
+    };
+    let got =
+        analysis.gate_delta_vth_at_cached_cancellable(&policy, config.lifetime, &cache, &token);
+    assert!(
+        matches!(got, Err(relia_flow::FlowError::Cancelled)),
+        "{got:?}"
+    );
+    assert_eq!(
+        cache.batches.get(),
+        1,
+        "the loop stops after its first batch"
+    );
+    // Uncancelled, the same cache serves every gate, bit-equal to NoCache.
+    let fresh = relia_core::CancelToken::new();
+    let all = CancelOnBatch {
+        token: &relia_core::CancelToken::new(),
+        batches: std::cell::Cell::new(0),
+    };
+    let served = analysis
+        .gate_delta_vth_at_cached_cancellable(&policy, config.lifetime, &all, &fresh)
+        .unwrap();
+    let direct = analysis
+        .gate_delta_vth_at_cached(&policy, config.lifetime, &NoCache)
+        .unwrap();
+    assert_eq!(served, direct);
+    assert_eq!(served.len(), circuit.gates().len());
+    assert!(all.batches.get() > 1, "c432 spans several chunks");
+}

@@ -18,7 +18,7 @@
 //! cannot grow the memo table without bound, and eviction pressure is
 //! observable through [`CacheStats::evictions`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -187,36 +187,6 @@ impl ShardedCache {
         Ok(value)
     }
 
-    /// [`DeltaVthCache::delta_vth`] for every key of `keys`, in order:
-    /// the same results, entries, LRU ticks and hit/miss counts as calling
-    /// it once per key, but the cold keys are evaluated together through
-    /// [`StressKey::evaluate_many`], so a row of lifetimes pays for one AC
-    /// recursion. There is no single-flight here; a racing thread computes
-    /// the identical canonical value, as on the per-key path.
-    pub fn delta_vth_many(
-        &self,
-        keys: &[StressKey],
-        model: &NbtiModel,
-    ) -> Vec<Result<f64, ModelError>> {
-        let cold: Vec<StressKey> = keys
-            .iter()
-            .filter(|key| !self.contains(key))
-            .copied()
-            .collect();
-        let values = StressKey::evaluate_many(&cold, model);
-        let mut fresh: HashMap<StressKey, Result<f64, ModelError>> =
-            cold.into_iter().zip(values).collect();
-        // Replay the per-key loop with the precomputed values; a key evicted
-        // by an earlier insert of this batch is evaluated on its own.
-        keys.iter()
-            .map(|&key| {
-                self.lookup_or_insert(key, || {
-                    fresh.remove(&key).unwrap_or_else(|| key.evaluate(model))
-                })
-            })
-            .collect()
-    }
-
     /// Whether `key` is stored; touches neither ticks nor counters.
     fn contains(&self, key: &StressKey) -> bool {
         self.shard(key)
@@ -261,6 +231,43 @@ impl ShardedCache {
 impl DeltaVthCache for ShardedCache {
     fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
         self.lookup_or_insert(key, || key.evaluate(model))
+    }
+
+    /// [`DeltaVthCache::delta_vth`] for every key of `keys`, in order:
+    /// the same results, entries, LRU ticks and hit/miss counts as calling
+    /// it once per key, but each distinct cold key is evaluated once, all
+    /// of them in one [`StressKey::evaluate_many`] call, so a row of
+    /// lifetimes pays for one AC recursion and the rows' recursions run
+    /// [`relia_core::ac::LANES`] at a time. There is no single-flight
+    /// here; a racing thread computes the identical canonical value, as on
+    /// the per-key path.
+    fn delta_vth_many(
+        &self,
+        keys: &[StressKey],
+        model: &NbtiModel,
+    ) -> Vec<Result<f64, ModelError>> {
+        let mut seen = HashSet::new();
+        let cold: Vec<StressKey> = keys
+            .iter()
+            .filter(|&&key| seen.insert(key) && !self.contains(&key))
+            .copied()
+            .collect();
+        let values = StressKey::evaluate_many(&cold, model);
+        let fresh: HashMap<StressKey, Result<f64, ModelError>> =
+            cold.into_iter().zip(values).collect();
+        // Replay the per-key loop with the precomputed values; a key that
+        // was warm but got evicted by an earlier insert of this batch is
+        // evaluated on its own.
+        keys.iter()
+            .map(|&key| {
+                self.lookup_or_insert(key, || {
+                    fresh
+                        .get(&key)
+                        .cloned()
+                        .unwrap_or_else(|| key.evaluate(model))
+                })
+            })
+            .collect()
     }
 }
 
@@ -324,7 +331,12 @@ mod tests {
             .collect();
         keys.extend([1.0e7, 1.0e8].iter().map(|&t| lifetime_key(0.5, t)));
         keys.push(lifetime_key(1.0, 1.0e6));
-        for (shards, per_shard) in [(4, 64), (2, 2), (1, 3)] {
+        // More rows than one lane group, with a cold key repeated next to
+        // itself and far from its first use.
+        keys.extend((0..10).map(|i| lifetime_key(0.05 * i as f64, 1.0e8)));
+        keys.push(lifetime_key(0.45, 1.0e8));
+        keys.push(lifetime_key(0.05, 1.0e8));
+        for (shards, per_shard) in [(4, 64), (2, 2), (1, 3), (1, 12)] {
             let (looped, batched) = (
                 ShardedCache::with_capacity(shards, per_shard),
                 ShardedCache::with_capacity(shards, per_shard),
@@ -352,6 +364,60 @@ mod tests {
                 contents(&batched),
                 "{shards}x{per_shard}"
             );
+        }
+    }
+
+    #[test]
+    fn chunked_gate_loop_leaves_the_state_of_the_per_key_loop() {
+        use relia_core::PmosStress;
+        use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
+
+        let circuit = relia_netlist::iscas::circuit("c432").unwrap();
+        let config = FlowConfig::paper_defaults().unwrap();
+        let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
+        let vector: Vec<bool> = (0..circuit.primary_inputs().len())
+            .map(|i| i % 3 == 0)
+            .collect();
+        let flags = analysis.standby_stress_of_vector(&vector).unwrap();
+        let policy = StandbyPolicy::InputVector(vector);
+        // Roomy, and tight enough that the loop evicts its own inserts.
+        for (shards, per_shard) in [(16, 4096), (2, 8)] {
+            let (looped, batched) = (
+                ShardedCache::with_capacity(shards, per_shard),
+                ShardedCache::with_capacity(shards, per_shard),
+            );
+            // Twice: a cold table, then one warmed by the first pass.
+            for _ in 0..2 {
+                let mut reference = Vec::new();
+                for (gate, flags) in circuit.gates().iter().zip(&flags) {
+                    let pins: Vec<f64> = gate
+                        .inputs()
+                        .iter()
+                        .map(|&net| analysis.signal_probs().of(net))
+                        .collect();
+                    let active = circuit
+                        .library()
+                        .cell(gate.cell())
+                        .stress_probabilities(&pins);
+                    let mut worst = 0.0f64;
+                    for (&p_active, &flag) in active.iter().zip(flags) {
+                        let stress =
+                            PmosStress::new(p_active, if flag { 1.0 } else { 0.0 }).unwrap();
+                        let key = config.stress_key(&stress, config.lifetime).unwrap();
+                        worst = worst.max(looped.delta_vth(key, &config.nbti).unwrap());
+                    }
+                    reference.push(worst);
+                }
+                let chunked = analysis
+                    .gate_delta_vth_at_cached(&policy, config.lifetime, &batched)
+                    .unwrap();
+                assert_eq!(reference.len(), chunked.len());
+                for (a, b) in reference.iter().zip(&chunked) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                assert_eq!(looped.stats(), batched.stats(), "{shards}x{per_shard}");
+                assert_eq!(contents(&looped), contents(&batched));
+            }
         }
     }
 

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use relia_core::ac::LANES;
 use relia_core::json::{self, fmt_f64, Json};
 use relia_core::{
     Deadline, Kelvin, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras, Seconds, StressKey,
@@ -74,8 +75,8 @@ pub trait ModelEval: Send + Sync {
     fn delta_vth(&self, key: StressKey) -> Result<f64, String>;
 
     /// [`ModelEval::delta_vth`] for every key of `keys`, in order. The
-    /// default asks once per key; [`CachedEval`] evaluates a row's cache
-    /// misses together.
+    /// default asks once per key; [`CachedEval`] evaluates a batch's
+    /// distinct cache misses together.
     fn delta_vth_many(&self, keys: &[StressKey]) -> Vec<Result<f64, String>> {
         keys.iter().map(|&key| self.delta_vth(key)).collect()
     }
@@ -736,31 +737,33 @@ fn sweep_response(state: &ServeState, request: &Request, deadline: &Deadline) ->
         Err(r) => return r,
     };
     let points = spec.points();
-    // A model grid is evaluated one `(RAS, T_standby)` row of lifetimes at
-    // a time; circuit aging one point at a time.
-    let row_len = match spec.workload {
-        Workload::ModelDeltaVth { .. } => spec.lifetimes.len(),
+    // A model grid is evaluated LANES `(RAS, T_standby)` rows of lifetimes
+    // at a time, so their AC recursions share one lane-parallel walk;
+    // circuit aging one point at a time.
+    let batch_len = match spec.workload {
+        Workload::ModelDeltaVth { .. } => spec.lifetimes.len() * LANES,
         Workload::CircuitAging { .. } => 1,
     };
     let mut rendered: Vec<String> = Vec::with_capacity(points.len());
-    for row in points.chunks(row_len) {
-        // Cooperative deadline check between rows: a sweep that blows its
-        // budget returns 504 instead of hogging a worker.
+    for batch in points.chunks(batch_len) {
+        // Cooperative deadline check between batches: a sweep that blows
+        // its budget returns 504 instead of hogging a worker.
         if deadline.fire_if_due(Instant::now()) {
             return Response::error(504, "request deadline exceeded");
         }
-        let bodies = match &row[0].task {
+        let bodies = match &batch[0].task {
             relia_jobs::JobTask::Model {
                 p_active,
                 p_standby,
-            } => model_row(state, row, *p_active, *p_standby),
+            } => model_rows(state, batch, *p_active, *p_standby),
             relia_jobs::JobTask::Aging { circuit, policy } => {
-                run_aging_point(state, circuit, policy, &row[0], deadline).map(|body| vec![body])
+                run_aging_point(state, circuit, policy, &batch[0], deadline).map(|body| vec![body])
             }
         };
         match bodies {
             Ok(bodies) => rendered.extend(
-                row.iter()
+                batch
+                    .iter()
                     .zip(bodies)
                     .map(|(point, body)| format!("{{{},{body}}}", point_prefix(point))),
             ),
@@ -788,31 +791,42 @@ fn point_prefix(point: &relia_jobs::JobPoint) -> String {
     )
 }
 
-/// One row of a model sweep: the lifetimes of one `(RAS, T_standby)`
-/// point, whose memo-cache misses are evaluated together. Rows skip
-/// single-flight: a cached value is canonical per key, so a row racing a
-/// degrade request for the same key computes the same bits.
-fn model_row(
+/// A batch of whole rows of a model sweep, each row the lifetimes of one
+/// `(RAS, T_standby)` point, whose memo-cache misses are evaluated
+/// together. Rows skip single-flight: a cached value is canonical per key,
+/// so a row racing a degrade request for the same key computes the same
+/// bits.
+///
+/// The error is the one a row-by-row loop returns first. A key is refused
+/// (400) for its row's RAS pair or standby temperature, since
+/// [`parse_sweep`] has checked every lifetime, so the keys ahead of the
+/// first refused one are whole rows: they are evaluated, and their
+/// evaluation errors (500) come first.
+fn model_rows(
     state: &ServeState,
-    row: &[relia_jobs::JobPoint],
+    points: &[relia_jobs::JobPoint],
     p_active: f64,
     p_standby: f64,
 ) -> Result<Vec<String>, Response> {
-    let keys = row
-        .iter()
-        .map(|point| {
-            DegradeQuery {
-                ras: point.ras,
-                t_standby_k: point.t_standby,
-                lifetime_s: point.lifetime.0,
-                p_active,
-                p_standby,
+    let mut keys = Vec::with_capacity(points.len());
+    let mut refused = Ok(());
+    for point in points {
+        let query = DegradeQuery {
+            ras: point.ras,
+            t_standby_k: point.t_standby,
+            lifetime_s: point.lifetime.0,
+            p_active,
+            p_standby,
+        };
+        match query.stress_key() {
+            Ok(key) => keys.push(key),
+            Err(e) => {
+                refused = Err(Response::error(400, &e));
+                break;
             }
-            .stress_key()
-        })
-        .collect::<Result<Vec<StressKey>, String>>()
-        .map_err(|e| Response::error(400, &e))?;
-    state
+        }
+    }
+    let bodies = state
         .eval
         .delta_vth_many(&keys)
         .into_iter()
@@ -820,7 +834,8 @@ fn model_row(
             Ok(v) => Ok(format!("\"delta_vth_v\":{}", fmt_f64(v))),
             Err(e) => Err(Response::error(500, &e)),
         })
-        .collect()
+        .collect::<Result<Vec<String>, Response>>()?;
+    refused.map(|()| bodies)
 }
 
 fn run_aging_point(
@@ -1334,6 +1349,39 @@ mod tests {
         q.t_standby_k = Kelvin(400.0);
         let dvth = q.stress_key().unwrap().evaluate(&model).unwrap();
         assert!(text.contains(&format!("\"delta_vth_v\":{}", fmt_f64(dvth))));
+
+        // More rows than one lane group, a RAS pair listed twice, and a
+        // zero lifetime: every point's bytes are the degrade path's value
+        // in canonical order.
+        let body = "{\"workload\":{\"kind\":\"model\",\"p_active\":0.3,\"p_standby\":1},\
+             \"ras\":[[1,9],[1,5],[1,9]],\"t_standby_k\":[330,345,361.5,370,385,400],\
+             \"lifetime_s\":[1e8,0,3.2e7]}";
+        let r = handle(&s, &post("/v1/sweep", body), &d).0;
+        assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
+        let points = parse_sweep(body.as_bytes()).unwrap().points();
+        assert!(points.len() / 3 > LANES);
+        let expected: Vec<String> = points
+            .iter()
+            .map(|point| {
+                let key = DegradeQuery {
+                    ras: point.ras,
+                    t_standby_k: point.t_standby,
+                    lifetime_s: point.lifetime.0,
+                    p_active: 0.3,
+                    p_standby: 1.0,
+                }
+                .stress_key()
+                .unwrap();
+                let dvth = fmt_f64(key.evaluate(&model).unwrap());
+                format!("{{{},\"delta_vth_v\":{dvth}}}", point_prefix(point))
+            })
+            .collect();
+        let expected = format!(
+            "{{\"count\":{},\"points\":[{}]}}",
+            points.len(),
+            expected.join(",")
+        );
+        assert_eq!(String::from_utf8(r.body).unwrap(), expected);
     }
 
     #[test]
@@ -1351,6 +1399,20 @@ mod tests {
         assert!(text.contains("\"policy\":\"best\""));
         assert!(text.contains("\"worst_delta_vth_v\":"));
         assert!(text.contains("\"nominal_delay_ps\":"));
+    }
+
+    #[test]
+    fn a_refused_sweep_row_answers_400_after_the_rows_ahead_of_it() {
+        let s = state();
+        let d = deadline(Duration::from_secs(30));
+        // Row three of four has a standby temperature the schedule refuses.
+        let body = "{\"workload\":{\"kind\":\"model\",\"p_active\":0.5,\"p_standby\":1},\
+             \"ras\":[[1,9]],\"t_standby_k\":[330,360,-10,400],\"lifetime_s\":[1e8,3.2e7]}";
+        let r = handle(&s, &post("/v1/sweep", body), &d).0;
+        assert_eq!(r.status, 400, "{:?}", String::from_utf8_lossy(&r.body));
+        assert!(String::from_utf8_lossy(&r.body).contains("temp_standby"));
+        // As row by row: the two rows ahead were evaluated, the rest not.
+        assert_eq!(s.cache.stats().entries, 4);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The offline surface builder: evaluates the full grid on the relia-jobs
-//! pool one lifetime column at a time through `relia-core::batch`'s row
-//! entry point, then sweeps every cell midpoint to *measure* the
-//! interpolation sup-error that gets sealed into the artifact header — the
-//! accuracy contract ships with the data.
+//! pool, [`LANES`] lifetime columns per job through `relia-core::batch`'s
+//! column entry point, then sweeps every cell midpoint the same way to
+//! *measure* the interpolation sup-error that gets sealed into the
+//! artifact header — the accuracy contract ships with the data.
 
-use relia_core::{Kelvin, ModeSchedule, ModelError, NbtiModel, PmosStress, Ras, Seconds};
+use relia_core::ac::LANES;
+use relia_core::{
+    Kelvin, ModeSchedule, ModelError, NbtiModel, PmosStress, Ras, Seconds, StressColumn,
+};
 use relia_jobs::{default_workers, run_ordered, JobOutcome, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
@@ -180,28 +183,45 @@ impl Column {
         }
         columns
     }
+}
 
-    /// Exact values at every lifetime of `lifetimes_s`, bit-equal to one
-    /// [`evaluate_exact`] call each, from one equivalent cycle and one AC
-    /// recursion ([`NbtiModel::delta_vth_lifetimes`]).
-    fn exact(
-        &self,
-        model: &NbtiModel,
-        spec: &BuildSpec,
-        lifetimes_s: &[f64],
-    ) -> Result<Vec<f64>, SurfaceError> {
-        let (schedule, stress) = operating_point(
-            spec.period_s,
-            self.t_active_k,
-            self.t_standby_k,
-            self.ras_fraction,
-            spec.pairs[self.pair],
-        )?;
-        let lifetimes: Vec<Seconds> = lifetimes_s.iter().map(|&t| Seconds(t)).collect();
-        model
-            .delta_vth_lifetimes(&lifetimes, &schedule, &stress)
-            .map_err(build_error)
+/// Exact values of `columns` at every lifetime of `lifetimes_s`, laid out
+/// column after column, each bit-equal to one [`evaluate_exact`] call.
+/// Every column builds one equivalent cycle, and the columns' AC
+/// recursions share one lane-parallel walk
+/// ([`NbtiModel::delta_vth_columns`]).
+fn exact_columns(
+    model: &NbtiModel,
+    spec: &BuildSpec,
+    columns: &[Column],
+    lifetimes_s: &[f64],
+) -> Result<Vec<f64>, SurfaceError> {
+    let stress_columns = columns
+        .iter()
+        .map(|col| {
+            let (schedule, stress) = operating_point(
+                spec.period_s,
+                col.t_active_k,
+                col.t_standby_k,
+                col.ras_fraction,
+                spec.pairs[col.pair],
+            )?;
+            Ok(StressColumn {
+                schedule,
+                stress,
+                len: lifetimes_s.len(),
+            })
+        })
+        .collect::<Result<Vec<_>, SurfaceError>>()?;
+    let lifetimes: Vec<Seconds> = stress_columns
+        .iter()
+        .flat_map(|_| lifetimes_s.iter().map(|&t| Seconds(t)))
+        .collect();
+    let mut values = vec![0.0; lifetimes.len()];
+    for status in model.delta_vth_columns(&stress_columns, &lifetimes, &mut values) {
+        status.map_err(build_error)?;
     }
+    Ok(values)
 }
 
 /// Cell midpoints along one axis (`log` → geometric midpoints); a
@@ -254,29 +274,34 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
         spec.workers
     };
 
-    // Phase 1: fill the grid, one job per (pair, T_a, T_s, ras) column.
-    // Columns come in flat-index order, so each pair's value block is its
-    // columns' lifetime rows laid end to end.
+    // Phase 1: fill the grid, one job per LANES (pair, T_a, T_s, ras)
+    // columns, one AC recursion per column and LANES per loop. Columns
+    // come in flat-index order, so each pair's value block is its columns'
+    // lifetime rows laid end to end.
     let columns = Column::all(
         spec.pairs.len(),
         grid.t_active_k(),
         grid.t_standby_k(),
         grid.ras_fraction(),
     );
-    let outcomes = run_ordered(&columns, workers, |_, col| {
-        col.exact(model, spec, grid.lifetime_s())
+    let jobs: Vec<&[Column]> = columns.chunks(LANES).collect();
+    let outcomes = run_ordered(&jobs, workers, |_, cols| {
+        exact_columns(model, spec, cols, grid.lifetime_s())
     });
     let mut values: Vec<Vec<f64>> = (0..spec.pairs.len())
         .map(|_| Vec::with_capacity(grid.len()))
         .collect();
-    for (col, outcome) in columns.iter().zip(outcomes) {
-        values[col.pair].extend(unwrap_outcome(outcome)?);
+    for (cols, outcome) in jobs.iter().zip(outcomes) {
+        let exact = unwrap_outcome(outcome)?;
+        for (col, row) in cols.iter().zip(exact.chunks(grid.lifetime_s().len())) {
+            values[col.pair].extend_from_slice(row);
+        }
     }
 
     // Phase 2: measure the sup of the relative interpolation error at
     // every cell midpoint — where multilinear interpolation of a smooth
-    // function peaks — so the header carries evidence, not hope. One job
-    // per midpoint column, again one AC recursion per column.
+    // function peaks — so the header carries evidence, not hope. Jobs of
+    // LANES midpoint columns again, one AC recursion per column.
     let mid_lt = midpoints(grid.lifetime_s(), true);
     let sweep_cols = Column::all(
         spec.pairs.len(),
@@ -284,19 +309,22 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
         &midpoints(grid.t_standby_k(), false),
         &midpoints(grid.ras_fraction(), false),
     );
-    let sweeps = run_ordered(&sweep_cols, workers, |_, col| {
-        let exact = col.exact(model, spec, &mid_lt)?;
+    let sweep_jobs: Vec<&[Column]> = sweep_cols.chunks(LANES).collect();
+    let sweeps = run_ordered(&sweep_jobs, workers, |_, cols| {
+        let exact = exact_columns(model, spec, cols, &mid_lt)?;
         let mut worst = 0.0f64;
-        for (&t, exact) in mid_lt.iter().zip(exact) {
-            let (approx, _) = interpolate(
-                &grid,
-                &values[col.pair],
-                col.t_active_k.0,
-                col.t_standby_k.0,
-                col.ras_fraction,
-                t,
-            );
-            worst = worst.max(rel_error(approx, exact));
+        for (col, row) in cols.iter().zip(exact.chunks(mid_lt.len())) {
+            for (&t, &exact) in mid_lt.iter().zip(row) {
+                let (approx, _) = interpolate(
+                    &grid,
+                    &values[col.pair],
+                    col.t_active_k.0,
+                    col.t_standby_k.0,
+                    col.ras_fraction,
+                    t,
+                );
+                worst = worst.max(rel_error(approx, exact));
+            }
         }
         Ok(worst)
     });

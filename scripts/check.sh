@@ -11,6 +11,12 @@ cargo build --release --offline
 echo "==> cargo test (workspace)"
 cargo test -q --offline --workspace
 
+echo "==> cargo test --release (relia-core bit-identity oracles on optimized codegen)"
+# Debug builds do not vectorize the lane-parallel AC walk; the proptests
+# comparing it with the scalar recursion bit for bit must also hold on the
+# code the release binaries run.
+cargo test -q --offline --release -p relia-core
+
 echo "==> cargo test (fault injection)"
 cargo test -q --offline -p relia-jobs --features fault-inject
 cargo test -q --offline -p relia-serve --features fault-inject
@@ -218,6 +224,14 @@ target/release/relia surface build --workers 1 --out "$surface_w1"
 target/release/relia surface build --workers 2 --out "$surface_w2"
 cmp "$surface_w1" "$surface_w2" || {
     echo "surface: --workers 1 and --workers 2 builds differ" >&2
+    exit 1
+}
+# ... and byte-identical to the artifact the scalar recursion built: the
+# lane-parallel evaluation must not move a bit. Update the sum only with
+# a model change.
+surface_sum="$(cksum <"$surface_w2")"
+[ "$surface_sum" = "2206792872 255740" ] || {
+    echo "surface: paper-default artifact cksum $surface_sum, expected 2206792872 255740" >&2
     exit 1
 }
 rm -f "$surface_w1" "$surface_w2"
