@@ -49,9 +49,10 @@ fn main() {
         ("footer-gated", &mlv, gating_suppression, true),
     ];
     for (label, vector, suppression, gated) in cases {
-        // Leakage as a function of die temperature (table rebuilt per T).
+        // Leakage as a function of die temperature (c880's cells
+        // re-characterized per T).
         let leak_w = |t: Kelvin| {
-            let table = LeakageTable::build(circuit.library(), &devices, t);
+            let table = LeakageTable::for_circuit(&circuit, &devices, t);
             circuit_leakage(&circuit, vector, &table).expect("valid vector") * VDD * die_scale
                 / suppression
         };

@@ -20,6 +20,7 @@
 mod ac;
 mod fleet;
 mod ivc;
+mod leakage;
 mod lint;
 mod obs;
 mod record;
@@ -43,7 +44,7 @@ pub(crate) struct Section {
     pub(crate) measure: fn() -> Record,
 }
 
-const SECTIONS: [Section; 7] = [
+const SECTIONS: [Section; 8] = [
     ac::SECTION,
     fleet::SECTION,
     serve::SECTION,
@@ -51,6 +52,7 @@ const SECTIONS: [Section; 7] = [
     obs::SECTION,
     surface::SECTION,
     ivc::SECTION,
+    leakage::SECTION,
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

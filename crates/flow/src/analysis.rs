@@ -22,7 +22,7 @@ const GATE_CHUNK: usize = 32;
 
 /// The schedule-independent half of an aging analysis: signal
 /// probabilities, per-PMOS active-mode stress duty cycles, and the leakage
-/// table.
+/// table of the circuit's cells.
 ///
 /// These quantities depend on the circuit and on the probability/leakage
 /// configuration (`input_probs`, `sp_estimator`, `devices`,
@@ -51,8 +51,8 @@ pub struct AgingAnalysis<'a> {
 
 impl<'a> AgingAnalysis<'a> {
     /// Prepares the analysis: propagates signal probabilities, derives each
-    /// PMOS device's active-mode stress duty cycle, and builds the leakage
-    /// table.
+    /// PMOS device's active-mode stress duty cycle, and characterizes the
+    /// leakage table of the circuit's cells on every available core.
     ///
     /// # Errors
     ///
@@ -98,7 +98,7 @@ impl<'a> AgingAnalysis<'a> {
                     .stress_probabilities(&pin_probs)
             })
             .collect();
-        let table = LeakageTable::build(circuit.library(), &config.devices, config.leakage_temp);
+        let table = LeakageTable::for_circuit(circuit, &config.devices, config.leakage_temp);
         Ok(AnalysisPrep {
             probs,
             active_stress,
@@ -125,7 +125,9 @@ impl<'a> AgingAnalysis<'a> {
         &self.prep.probs
     }
 
-    /// The leakage lookup table in use.
+    /// The leakage lookup table in use. It covers the cells the analysed
+    /// circuit instantiates ([`LeakageTable::for_circuit`]); a lookup of
+    /// any other library cell panics.
     pub fn leakage_table(&self) -> &LeakageTable {
         &self.prep.table
     }

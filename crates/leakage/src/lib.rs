@@ -15,7 +15,8 @@
 //! * [`cell`] — per-cell, per-input-vector leakage (all stages).
 //! * [`table`] — the leakage lookup table the paper's flow builds by
 //!   "simulating all the gates in the standard cell library under all
-//!   possible input patterns".
+//!   possible input patterns", for a whole library or for the cells one
+//!   circuit instantiates, on every available core.
 //! * [`circuit`] — whole-netlist leakage under a standby vector, and
 //!   expected leakage under signal probabilities (eq. 24).
 //!

@@ -192,6 +192,31 @@ grep -q "(0 executed," "$sweep_err" || {
 }
 rm -f "$sweep_ckpt" "$sweep_err"
 
+echo "==> relia sweep (four-circuit identity: worker count, pinned checkpoint)"
+# ΔV_th, STA and the active-leakage column (which reads every
+# characterized leakage-table entry of each used cell) end to end on
+# release code: one and two workers print the same bytes, and the
+# one-worker checkpoint matches the pinned sum. Update the sum only with a
+# model or input-generator change (e.g. switching the synthetic circuits'
+# RNG), never to absorb a refactor.
+sweep_ckpt="$(mktemp -u)"
+run_sweep4() {
+    target/release/relia sweep builtin:c880 builtin:c1355 builtin:c1908 builtin:c2670 \
+        --ras 1:5,1:9 --tstandby 330,400 --years 1,10 --standby worst,best "$@" 2>/dev/null
+}
+sweep_j1="$(run_sweep4 --jobs 1 --checkpoint "$sweep_ckpt")"
+sweep_j2="$(run_sweep4 --jobs 2)"
+if [ "$sweep_j1" != "$sweep_j2" ]; then
+    echo "sweep: --jobs 1 and --jobs 2 printed different results" >&2
+    exit 1
+fi
+sweep_sum="$(cksum <"$sweep_ckpt")"
+[ "$sweep_sum" = "1380852501 16332" ] || {
+    echo "sweep: four-circuit checkpoint cksum $sweep_sum, expected 1380852501 16332" >&2
+    exit 1
+}
+rm -f "$sweep_ckpt"
+
 echo "==> relia surface (build, probe gate, surface-tier loadgen, worker-count identity)"
 # Build a small artifact through the release CLI (the builder refuses to
 # write one whose measured sup-error exceeds the documented bound), gate
