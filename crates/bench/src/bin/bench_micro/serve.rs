@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use relia_core::{CancelToken, Deadline, Kelvin};
-use relia_serve::{handle, DegradeQuery, Endpoint, EvalGate, OverloadConfig, Request, ServeState};
+use relia_serve::{handle, DegradeQuery, Endpoint, OverloadConfig, Request, ServeState};
 
 use crate::record::{Gate, Record, Value};
 use crate::{ns_per_call, Section};
@@ -81,9 +81,9 @@ fn measure() -> Record {
     browned
         .overload
         .settle(Endpoint::Degrade, 500, Instant::now());
-    assert_eq!(
-        browned.overload.gate(Endpoint::Degrade, Instant::now()),
-        EvalGate::CacheOnly
+    assert!(
+        !browned.overload.admit(Endpoint::Degrade, Instant::now()),
+        "the gate is cache-hit-only"
     );
     let cache_hit_ns = dispatch(&browned, 200);
 

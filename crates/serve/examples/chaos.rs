@@ -254,10 +254,9 @@ fn run() -> Result<(), String> {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: args.threads,
                 queue_depth: 64,
-                request_timeout: REQUEST_TIMEOUT,
                 ..ServeConfig::default()
             };
-            let state = Arc::new(ServeState::new(config.request_timeout)?);
+            let state = Arc::new(ServeState::new(REQUEST_TIMEOUT)?);
             let server = Server::bind(config, state).map_err(|e| e.to_string())?;
             let addr = server.local_addr().to_string();
             let handle = server.handle();

@@ -362,10 +362,9 @@ fn run() -> Result<(), String> {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: args.threads + 2,
                 queue_depth: 64,
-                request_timeout: Duration::from_secs(30),
                 ..ServeConfig::default()
             };
-            let mut state = ServeState::new(config.request_timeout)?;
+            let mut state = ServeState::new(Duration::from_secs(30))?;
             if let Some(path) = &args.surface {
                 let surface = relia_surface::Surface::load(path)
                     .map_err(|e| format!("cannot mount surface {}: {e}", path.display()))?;

@@ -207,10 +207,9 @@ fn run() -> Result<(), String> {
             let config = ServeConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: 2,
-                request_timeout: Duration::from_secs(30),
                 ..ServeConfig::default()
             };
-            let state = Arc::new(ServeState::new(config.request_timeout)?);
+            let state = Arc::new(ServeState::new(Duration::from_secs(30))?);
             let server = Server::bind(config, state).map_err(|e| e.to_string())?;
             let addr = server.local_addr().to_string();
             hosted = Some(thread::spawn(move || server.run()));

@@ -21,7 +21,7 @@
 //!
 //! ## Brownout
 //!
-//! [`OverloadControl::gate`] combines the breaker with a queue-depth
+//! [`OverloadControl::admit`] combines the breaker with a queue-depth
 //! high-water mark: when the breaker is open or too many connections are
 //! in flight, evaluation is gated to **cache-hit-only** — a memoized
 //! answer is still served, a cold evaluation becomes a fast
@@ -31,9 +31,9 @@
 //! ## Health
 //!
 //! [`HealthMachine`] folds the overload signals into the
-//! `Healthy → Degraded → Draining` state behind `/healthz`, counting and
-//! logging every transition. Draining is absorbing; Healthy ↔ Degraded
-//! follow the brownout signal.
+//! `Healthy → Degraded → Draining` state behind `/healthz`, counting every
+//! transition and handing it to an optional logger. Draining is absorbing;
+//! Healthy ↔ Degraded follow the brownout signal.
 //!
 //! [`admit`]: CircuitBreaker::admit
 
@@ -53,11 +53,6 @@ pub struct OverloadConfig {
     /// In-flight connections (queued + handling) beyond which brownout
     /// engages even with the breakers closed.
     pub brownout_high_water: u64,
-    /// Smallest `Retry-After` a brownout shed advertises, seconds.
-    pub retry_after_base: u32,
-    /// Jitter span added to the base: advertised values are uniform in
-    /// `base..=base + jitter`, from a deterministic sequence.
-    pub retry_after_jitter: u32,
 }
 
 impl Default for OverloadConfig {
@@ -66,11 +61,16 @@ impl Default for OverloadConfig {
             breaker_threshold: 5,
             breaker_cooldown: Duration::from_secs(1),
             brownout_high_water: 48,
-            retry_after_base: 1,
-            retry_after_jitter: 2,
         }
     }
 }
+
+/// Smallest `Retry-After` a brownout shed advertises, seconds.
+const RETRY_AFTER_BASE: u32 = 1;
+
+/// Jitter span added to the base: advertised values are uniform in
+/// `RETRY_AFTER_BASE..=RETRY_AFTER_BASE + RETRY_AFTER_JITTER`.
+const RETRY_AFTER_JITTER: u32 = 2;
 
 /// The three breaker states (also the `/metrics` gauge encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,17 +264,6 @@ pub enum Endpoint {
     Fleet,
 }
 
-/// What the overload gate decided for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvalGate {
-    /// Evaluate normally.
-    Normal,
-    /// Half-open probe: evaluate, outcome decides the breaker.
-    Probe,
-    /// Brownout: serve only from the cache; a miss is a fast 503.
-    CacheOnly,
-}
-
 /// Decrements the in-flight gauge on drop, so a panicking handler still
 /// releases its slot.
 #[derive(Debug)]
@@ -321,11 +310,6 @@ impl OverloadControl {
             brownout_sheds: AtomicU64::new(0),
             jitter_seq: AtomicU64::new(0),
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
     }
 
     /// The breaker guarding `endpoint`.
@@ -376,18 +360,14 @@ impl OverloadControl {
                 .any(|&e| self.breaker(e).state() != BreakerState::Closed)
     }
 
-    /// Gate one request for `endpoint` at time `now`.
-    pub fn gate(&self, endpoint: Endpoint, now: Instant) -> EvalGate {
+    /// Gates one request for `endpoint` at time `now`: `true` admits it to
+    /// evaluation (a half-open probe included — its [`settle`](Self::settle)
+    /// decides the breaker), `false` browns it out to cache-hit-only.
+    pub fn admit(&self, endpoint: Endpoint, now: Instant) -> bool {
         match self.breaker(endpoint).admit(now) {
-            Admission::Probe => EvalGate::Probe,
-            Admission::Shed => EvalGate::CacheOnly,
-            Admission::Normal => {
-                if self.queue_congested() {
-                    EvalGate::CacheOnly
-                } else {
-                    EvalGate::Normal
-                }
-            }
+            Admission::Probe => true,
+            Admission::Shed => false,
+            Admission::Normal => !self.queue_congested(),
         }
     }
 
@@ -413,14 +393,14 @@ impl OverloadControl {
         self.brownout_sheds.load(Ordering::Relaxed)
     }
 
-    /// The next `Retry-After` value: `base..=base + jitter`, drawn from a
+    /// The next `Retry-After` value, 1 to 3 seconds, drawn from a
     /// [`SplitMix64`] hash of a sequence counter — bounded jitter without
     /// ambient entropy, so chaos runs stay reproducible.
     pub fn retry_after(&self) -> u32 {
-        let span = u64::from(self.config.retry_after_jitter) + 1;
+        let span = u64::from(RETRY_AFTER_JITTER) + 1;
         let seq = self.jitter_seq.fetch_add(1, Ordering::Relaxed);
         let z = SplitMix64::new(seq).next_u64();
-        self.config.retry_after_base + (z % span) as u32
+        RETRY_AFTER_BASE + (z % span) as u32
     }
 
     /// Total Closed → Open transitions across every endpoint.
@@ -462,21 +442,17 @@ pub struct HealthTransition {
     pub to: HealthState,
 }
 
-/// Most recent transitions the in-memory log retains.
-const HEALTH_LOG_CAP: usize = 64;
-
 type HealthLogger = Box<dyn Fn(&HealthTransition) + Send + Sync>;
 
 struct HealthInner {
     current: HealthState,
-    log: Vec<HealthTransition>,
     seq: u64,
     logger: Option<HealthLogger>,
 }
 
 /// The observed health state machine: each [`observe`](HealthMachine::observe)
 /// folds the drain flag and the overload signal into the current state,
-/// recording (and optionally logging) every transition.
+/// counting (and optionally logging) every transition.
 pub struct HealthMachine {
     inner: Mutex<HealthInner>,
     transitions: AtomicU64,
@@ -495,7 +471,6 @@ impl Default for HealthMachine {
         HealthMachine {
             inner: Mutex::new(HealthInner {
                 current: HealthState::Healthy,
-                log: Vec::new(),
                 seq: 0,
                 logger: None,
             }),
@@ -542,10 +517,6 @@ impl HealthMachine {
                 to: next,
             };
             inner.current = next;
-            if inner.log.len() == HEALTH_LOG_CAP {
-                inner.log.remove(0);
-            }
-            inner.log.push(transition);
             self.transitions.fetch_add(1, Ordering::Relaxed);
             if let Some(logger) = &inner.logger {
                 logger(&transition);
@@ -564,19 +535,12 @@ impl HealthMachine {
     pub fn transitions(&self) -> u64 {
         self.transitions.load(Ordering::Relaxed)
     }
-
-    /// The retained transition log (the most recent 64 entries), oldest
-    /// first.
-    pub fn log(&self) -> Vec<HealthTransition> {
-        // relia-lint: allow(unwrap-in-lib)
-        let inner = self.inner.lock().expect("health state poisoned");
-        inner.log.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn t0() -> Instant {
         Instant::now()
@@ -654,20 +618,20 @@ mod tests {
             ..OverloadConfig::default()
         });
         let now = t0();
-        assert_eq!(control.gate(Endpoint::Degrade, now), EvalGate::Normal);
+        assert!(control.admit(Endpoint::Degrade, now));
         control.conn_enqueued();
         control.conn_enqueued();
         control.conn_enqueued();
         assert!(control.queue_congested());
         assert!(control.degraded());
-        assert_eq!(control.gate(Endpoint::Degrade, now), EvalGate::CacheOnly);
+        assert!(!control.admit(Endpoint::Degrade, now), "cache-hit-only");
         {
             let _a = control.adopt_inflight();
             let _b = control.adopt_inflight();
         }
         control.conn_dequeued();
         assert_eq!(control.inflight(), 0);
-        assert_eq!(control.gate(Endpoint::Degrade, now), EvalGate::Normal);
+        assert!(control.admit(Endpoint::Degrade, now));
         assert!(!control.degraded());
     }
 
@@ -694,39 +658,27 @@ mod tests {
             control.breaker(Endpoint::Degrade).state(),
             BreakerState::Closed
         );
-        assert_eq!(control.gate(Endpoint::Degrade, now), EvalGate::Normal);
-        assert_eq!(control.gate(Endpoint::Sweep, now), EvalGate::CacheOnly);
+        assert!(control.admit(Endpoint::Degrade, now));
+        assert!(!control.admit(Endpoint::Sweep, now));
     }
 
     #[test]
     fn retry_after_is_bounded_and_deterministic() {
-        let a = OverloadControl::new(OverloadConfig {
-            retry_after_base: 1,
-            retry_after_jitter: 2,
-            ..OverloadConfig::default()
-        });
-        let b = OverloadControl::new(OverloadConfig {
-            retry_after_base: 1,
-            retry_after_jitter: 2,
-            ..OverloadConfig::default()
-        });
+        let a = OverloadControl::default();
+        let b = OverloadControl::default();
         let seq_a: Vec<u32> = (0..64).map(|_| a.retry_after()).collect();
         let seq_b: Vec<u32> = (0..64).map(|_| b.retry_after()).collect();
         assert_eq!(seq_a, seq_b, "jitter is a deterministic sequence");
         assert!(seq_a.iter().all(|&v| (1..=3).contains(&v)));
         assert!(seq_a.windows(2).any(|w| w[0] != w[1]), "jitter varies");
-        // Zero jitter degenerates to the base.
-        let c = OverloadControl::new(OverloadConfig {
-            retry_after_base: 7,
-            retry_after_jitter: 0,
-            ..OverloadConfig::default()
-        });
-        assert!((0..16).all(|_| c.retry_after() == 7));
     }
 
     #[test]
     fn health_machine_walks_healthy_degraded_draining() {
         let h = HealthMachine::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        h.set_logger(Box::new(move |t| sink.lock().unwrap().push(*t)));
         assert_eq!(h.current(), HealthState::Healthy);
         assert_eq!(h.observe(false, false), HealthState::Healthy);
         assert_eq!(h.transitions(), 0, "no-op observations record nothing");
@@ -738,7 +690,7 @@ mod tests {
         assert_eq!(h.observe(false, false), HealthState::Draining);
         assert_eq!(h.observe(false, true), HealthState::Draining);
         assert_eq!(h.transitions(), 3);
-        let log = h.log();
+        let log = seen.lock().unwrap();
         assert_eq!(log.len(), 3);
         assert_eq!(log[0].from, HealthState::Healthy);
         assert_eq!(log[0].to, HealthState::Degraded);
@@ -749,7 +701,6 @@ mod tests {
     #[test]
     fn health_logger_sees_every_transition() {
         use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
         let h = HealthMachine::new();
         let seen = Arc::new(AtomicUsize::new(0));
         let seen_by_logger = Arc::clone(&seen);

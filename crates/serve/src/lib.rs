@@ -4,16 +4,8 @@
 //!
 //! A std-only, offline HTTP/1.1 JSON service answering NBTI degradation
 //! queries from the paper's temperature-aware model — the long-lived
-//! counterpart of the batch engine in `relia-jobs`.
-//!
-//! ```text
-//! POST /v1/degrade      one stress point  → ΔV_th + delay degradation
-//! POST /v1/sweep        small inline grid → canonical-order results
-//! GET  /healthz         liveness / drain state
-//! GET  /metrics         Prometheus text exposition
-//! GET  /debug/trace     most recent request spans (JSON)
-//! POST /admin/shutdown  graceful drain
-//! ```
+//! counterpart of the batch engine in `relia-jobs`. [`service::route`]
+//! lists the endpoints.
 //!
 //! ## Design
 //!
@@ -58,9 +50,8 @@
 //! use std::time::Duration;
 //! use relia_serve::{ServeConfig, ServeState, Server};
 //!
-//! let config = ServeConfig::default();
-//! let state = Arc::new(ServeState::new(config.request_timeout).unwrap());
-//! let server = Server::bind(config, state).unwrap();
+//! let state = Arc::new(ServeState::new(Duration::from_secs(5)).unwrap());
+//! let server = Server::bind(ServeConfig::default(), state).unwrap();
 //! println!("relia-serve listening on {}", server.local_addr());
 //! server.run().unwrap();
 //! ```
@@ -76,7 +67,7 @@ pub mod server;
 pub mod service;
 
 pub use breaker::{
-    Admission, BreakerState, CircuitBreaker, Endpoint, EvalGate, HealthMachine, HealthState,
+    Admission, BreakerState, CircuitBreaker, Endpoint, HealthMachine, HealthState,
     HealthTransition, OverloadConfig, OverloadControl,
 };
 pub use coalesce::SingleFlight;
@@ -90,6 +81,6 @@ pub use metrics::{render_prometheus, ServeMetrics};
 pub use obs::{ServeObs, SlowSink, DEFAULT_TRACE_CAPACITY};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use service::{
-    degrade_body, handle, handle_fleet_streamed, handle_traced, parse_degrade, parse_sweep, Action,
-    CachedEval, DegradeQuery, FleetStream, ModelEval, ServeState, SurfaceTier, MAX_SWEEP_POINTS,
+    degrade_body, handle, parse_degrade, parse_sweep, route, Action, CachedEval, DegradeQuery,
+    FleetJob, ModelEval, Reply, ServeState, SurfaceTier, MAX_SWEEP_POINTS,
 };

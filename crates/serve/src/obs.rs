@@ -107,11 +107,6 @@ impl ServeObs {
         self
     }
 
-    /// The slow-request threshold in milliseconds (0 = off).
-    pub fn slow_ms(&self) -> u64 {
-        self.slow_ns / 1_000_000
-    }
-
     /// Records a finished request into the request histogram and, when it
     /// crossed the slow threshold, emits one slow-log line.
     pub fn observe_request(&self, method: &str, path: &str, status: u16, dur_ns: u64) {

@@ -25,6 +25,17 @@
 //! peer; such connections are counted (`serve_sockopt_failures`) and
 //! dropped instead.
 //!
+//! One setting, [`ServeState::request_timeout`], sizes all three clocks
+//! and the socket write timeout.
+//!
+//! ## Framing
+//!
+//! [`route`] answers a request with a rendered response or an admitted
+//! fleet study. The connection loop matches no endpoint: it streams a
+//! study with chunked framing when the peer speaks HTTP/1.1, and writes
+//! every other answer — a study's included, for HTTP/1.0 peers — with
+//! `content-length` framing.
+//!
 //! ## Graceful drain
 //!
 //! [`ServerHandle::shutdown`] (or `POST /admin/shutdown`) marks the state
@@ -48,9 +59,10 @@ use relia_jobs::{default_workers, TaskPool};
 
 use crate::http::{read_request, write_response, Limits, ParseError, Response};
 use crate::metrics::ServeMetrics;
-use crate::service::{handle_fleet_streamed, handle_traced, Action, FleetStream, ServeState};
+use crate::service::{route, Action, Reply, ServeState};
 
-/// Server knobs, all CLI-settable.
+/// Server knobs. The per-request timeout lives on the
+/// [`ServeState`] the server is bound with.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
@@ -59,8 +71,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Bounded connection queue depth; beyond it, load is shed with 503.
     pub queue_depth: usize,
-    /// Per-request deadline (socket reads and evaluation both).
-    pub request_timeout: Duration,
     /// HTTP parse limits.
     pub limits: Limits,
 }
@@ -71,7 +81,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             threads: 0,
             queue_depth: 64,
-            request_timeout: Duration::from_secs(5),
             limits: Limits::default(),
         }
     }
@@ -162,6 +171,7 @@ impl Server {
         };
         let pool = TaskPool::new(threads, self.config.queue_depth);
         let handle = self.handle();
+        let timeout = self.state.request_timeout();
 
         for incoming in self.listener.incoming() {
             if self.stop.load(Ordering::Acquire) {
@@ -178,12 +188,8 @@ impl Server {
             ServeMetrics::bump(&self.state.metrics.connections);
             // A connection whose read/write timeout cannot be set would be
             // unbounded; count it and drop it rather than serve it.
-            if stream
-                .set_read_timeout(Some(self.config.request_timeout))
-                .is_err()
-                || stream
-                    .set_write_timeout(Some(self.config.request_timeout))
-                    .is_err()
+            if stream.set_read_timeout(Some(timeout)).is_err()
+                || stream.set_write_timeout(Some(timeout)).is_err()
             {
                 ServeMetrics::bump(&self.state.metrics.sockopt_failures);
                 continue;
@@ -196,7 +202,6 @@ impl Server {
             let shed_copy = stream.try_clone().ok();
             let state = Arc::clone(&self.state);
             let limits = self.config.limits;
-            let timeout = self.config.request_timeout;
             let conn_handle = handle.clone();
             // Count the connection into the in-flight gauge while it is
             // queued; the handler adopts the slot via a drop guard.
@@ -214,7 +219,7 @@ impl Server {
                     .obs
                     .tracer
                     .record("queue_wait", 0, now.saturating_sub(waited_ns), waited_ns);
-                serve_connection(&state, stream, &limits, timeout, &conn_handle);
+                serve_connection(&state, stream, &limits, &conn_handle);
             });
             if submit.is_err() {
                 self.state.overload.conn_dequeued();
@@ -309,10 +314,10 @@ impl<R: Read> Read for BudgetReader<R> {
     }
 }
 
-/// Writes `response`, classifying failures into the connection-fault
-/// counters. Returns whether the write succeeded.
-fn write_counted(state: &ServeState, writer: &mut TcpStream, response: &Response) -> bool {
-    match write_response(writer, response) {
+/// Classifies a write failure into the connection-fault counters.
+/// Returns whether the write succeeded.
+fn write_counted(state: &ServeState, written: io::Result<()>) -> bool {
+    match written {
         Ok(()) => true,
         Err(e) => {
             if matches!(
@@ -375,13 +380,13 @@ fn serve_connection(
     state: &ServeState,
     stream: TcpStream,
     limits: &Limits,
-    timeout: Duration,
     server_handle: &ServerHandle,
 ) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
+    let timeout = state.request_timeout();
     let mut reader = BudgetReader::new(stream, timeout);
     loop {
         reader.begin_message();
@@ -402,68 +407,44 @@ fn serve_connection(
                     .record("read", root.id(), start_ns, read_ns);
 
                 let deadline = Deadline::new(CancelToken::new(), Instant::now() + timeout);
-                // Wire-level `POST /v1/fleet` streams chunked progress on
-                // HTTP/1.1 peers; every pre-stream outcome (shed, drain,
-                // parse error) comes back buffered and joins the normal
-                // write path below. HTTP/1.0 peers cannot parse chunked
-                // framing and stay fully buffered.
-                let buffered = if request.http11
-                    && request.method == "POST"
-                    && request.path() == "/v1/fleet"
-                {
-                    match handle_fleet_streamed(state, &request, &deadline, &mut writer) {
-                        Ok(FleetStream::Streamed { status, close }) => {
-                            state.metrics.record_status(status);
-                            let dur_ns = root.finish();
-                            state.obs.observe_request(
-                                &request.method,
-                                request.path(),
-                                status,
-                                dur_ns,
-                            );
-                            if close || !request.keep_alive() || state.is_draining() {
-                                return;
-                            }
-                            continue;
-                        }
-                        Ok(FleetStream::Buffered(response)) => Some(response),
-                        Err(e) => {
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) {
-                                ServeMetrics::bump(&state.metrics.write_timeouts);
-                            } else {
-                                ServeMetrics::bump(&state.metrics.conn_io_errors);
-                            }
-                            return;
-                        }
+                // Decided after the answer: a shutdown request starts the
+                // drain, and a draining server closes every connection.
+                let keep_alive =
+                    |close: bool| !close && request.keep_alive() && !state.is_draining();
+                let (status, action, keep) = match route(state, &request, &deadline, root.id()) {
+                    // HTTP/1.0 peers cannot parse chunked framing; their
+                    // studies are buffered below like every other answer.
+                    Reply::Stream(job) if request.http11 => {
+                        let (status, result) = job.stream(&mut writer);
+                        let written = write_counted(state, result);
+                        // An error frame replaced the summary: close.
+                        (
+                            status,
+                            Action::Continue,
+                            written && keep_alive(status != 200),
+                        )
                     }
-                } else {
-                    None
+                    reply => {
+                        let (mut response, action) = reply.buffered();
+                        let keep = keep_alive(response.close);
+                        response.close = !keep;
+                        let write_span = state.obs.tracer.child("write", root.id());
+                        let t_write = Instant::now();
+                        let written = write_counted(state, write_response(&mut writer, &response));
+                        state.obs.write.record(t_write.elapsed());
+                        drop(write_span);
+                        (response.status, action, written && keep)
+                    }
                 };
-                let (mut response, action) = match buffered {
-                    Some(response) => (response, Action::Continue),
-                    None => handle_traced(state, &request, &deadline, root.id()),
-                };
-                let keep = request.keep_alive() && !response.close && !state.is_draining();
-                if !keep {
-                    response.close = true;
-                }
-                state.metrics.record_status(response.status);
-                let write_span = state.obs.tracer.child("write", root.id());
-                let t_write = Instant::now();
-                let write_ok = write_counted(state, &mut writer, &response);
-                state.obs.write.record(t_write.elapsed());
-                drop(write_span);
+                state.metrics.record_status(status);
                 let dur_ns = root.finish();
                 state
                     .obs
-                    .observe_request(&request.method, request.path(), response.status, dur_ns);
+                    .observe_request(&request.method, request.path(), status, dur_ns);
                 if action == Action::Shutdown {
                     server_handle.shutdown();
                 }
-                if !write_ok || !keep {
+                if !keep {
                     return;
                 }
             }
@@ -474,7 +455,7 @@ fn serve_connection(
                     let mut response = Response::error(status, &e.to_string());
                     response.close = true;
                     state.metrics.record_status(status);
-                    if write_counted(state, &mut writer, &response) {
+                    if write_counted(state, write_response(&mut writer, &response)) {
                         linger_close(&writer);
                     }
                 }
@@ -490,8 +471,11 @@ mod tests {
     use std::io::{BufRead, Read, Write};
     use std::thread;
 
-    fn boot(config: ServeConfig) -> (SocketAddr, ServerHandle, thread::JoinHandle<io::Result<()>>) {
-        let state = Arc::new(ServeState::new(config.request_timeout).unwrap());
+    fn boot(
+        config: ServeConfig,
+        request_timeout: Duration,
+    ) -> (SocketAddr, ServerHandle, thread::JoinHandle<io::Result<()>>) {
+        let state = Arc::new(ServeState::new(request_timeout).unwrap());
         let server = Server::bind(config, state).unwrap();
         let addr = server.local_addr();
         let handle = server.handle();
@@ -529,12 +513,14 @@ mod tests {
 
     #[test]
     fn serves_health_and_drains_cleanly() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(2),
+        );
         let (status, body) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert_eq!(status, 200);
         assert_eq!(body, "{\"status\":\"ok\"}");
@@ -544,12 +530,14 @@ mod tests {
 
     #[test]
     fn keep_alive_serves_multiple_requests_on_one_connection() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(2),
+        );
         let stream = TcpStream::connect(addr).unwrap();
         let mut w = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -566,16 +554,18 @@ mod tests {
 
     #[test]
     fn malformed_and_oversized_requests_get_their_statuses_over_the_wire() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(2),
-            limits: Limits {
-                max_body: 128,
-                ..Limits::default()
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                limits: Limits {
+                    max_body: 128,
+                    ..Limits::default()
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
-        });
+            Duration::from_secs(2),
+        );
         let (status, _) = roundtrip(addr, "GARBAGE LINE\r\n\r\n");
         assert_eq!(status, 400);
         let big = format!(
@@ -590,12 +580,14 @@ mod tests {
 
     #[test]
     fn stalled_request_times_out_with_408() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_millis(200),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_millis(200),
+        );
         let mut stream = TcpStream::connect(addr).unwrap();
         // Half a request line, then silence.
         stream.write_all(b"POST /v1/degr").unwrap();
@@ -611,12 +603,14 @@ mod tests {
         // Each byte lands well inside the 250 ms socket timeout, so the
         // per-read clock alone would never fire; the total arrival budget
         // must be what converts the dribble into a 408.
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_millis(250),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_millis(250),
+        );
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -652,7 +646,6 @@ mod tests {
             ServeConfig {
                 threads: 1,
                 queue_depth: 8,
-                request_timeout: Duration::from_secs(2),
                 ..ServeConfig::default()
             },
             Arc::clone(&state),
@@ -688,12 +681,14 @@ mod tests {
 
     #[test]
     fn live_requests_populate_latency_histograms_and_trace() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(5),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(5),
+        );
         let body = "{\"ras\":[1,9],\"t_standby_k\":330,\"lifetime_s\":1e8,\
              \"p_active\":0.5,\"p_standby\":1}";
         let (status, _) = roundtrip(
@@ -747,12 +742,14 @@ mod tests {
 
     #[test]
     fn fleet_streams_chunked_over_the_wire_and_keeps_alive() {
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(30),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(30),
+        );
         let body = "{\"ras\":[1,9],\"t_standby_k\":330,\"p_active\":0.5,\"p_standby\":1,\
              \"times_s\":[1e8],\"samples\":2000}";
         let stream = TcpStream::connect(addr).unwrap();
@@ -815,12 +812,14 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_drains_the_server() {
-        let (addr, _handle, runner) = boot(ServeConfig {
-            threads: 2,
-            queue_depth: 8,
-            request_timeout: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
+        let (addr, _handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(2),
+        );
         let (status, body) = roundtrip(addr, "POST /admin/shutdown HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
         assert_eq!(body, "{\"status\":\"draining\"}");
@@ -832,12 +831,14 @@ mod tests {
     fn overload_is_shed_with_503_and_retry_after() {
         // One worker, queue depth 1, and the worker is wedged by a slow
         // request → the 3rd+ connection must be shed.
-        let (addr, handle, runner) = boot(ServeConfig {
-            threads: 1,
-            queue_depth: 1,
-            request_timeout: Duration::from_secs(2),
-            ..ServeConfig::default()
-        });
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 1,
+                queue_depth: 1,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(2),
+        );
         // Wedge the worker: open a connection and send nothing; the worker
         // blocks in read for up to request_timeout.
         let wedge1 = TcpStream::connect(addr).unwrap();

@@ -1,18 +1,7 @@
 //! The service layer: request routing, wire schemas, and the degradation
-//! handlers — everything between a parsed [`Request`] and a [`Response`],
-//! with no sockets in sight (so tests drive it directly).
-//!
-//! ## Endpoints
-//!
-//! | Endpoint            | Meaning                                         |
-//! |---------------------|-------------------------------------------------|
-//! | `POST /v1/degrade`  | one stress point → ΔV_th and delay degradation  |
-//! | `POST /v1/sweep`    | a small inline grid (bounded, canonical order)  |
-//! | `POST /v1/fleet`    | a bounded Monte Carlo fleet aging study         |
-//! | `GET /healthz`      | liveness and drain state                        |
-//! | `GET /metrics`      | Prometheus text exposition                      |
-//! | `GET /debug/trace`  | most recent request spans (JSON)                |
-//! | `POST /admin/shutdown` | begin graceful drain                         |
+//! handlers — everything between a parsed [`Request`] and a [`Response`]
+//! or an admitted fleet study, with no sockets in sight (so tests drive it
+//! directly). [`route`] lists the endpoints.
 //!
 //! ## Parity with the batch engine
 //!
@@ -45,7 +34,7 @@ use relia_netlist::Circuit;
 use relia_surface::{Surface, SurfaceQuery};
 
 use crate::breaker::{
-    BreakerState, Endpoint, EvalGate, HealthMachine, HealthState, OverloadConfig, OverloadControl,
+    BreakerState, Endpoint, HealthMachine, HealthState, OverloadConfig, OverloadControl,
 };
 use crate::coalesce::SingleFlight;
 use crate::http::{write_chunk, write_chunked_end, write_chunked_head, Request, Response};
@@ -187,7 +176,8 @@ pub struct ServeState {
 
 impl ServeState {
     /// Production state: built-in PTM 90 nm calibration, a fresh shared
-    /// cache, `request_timeout` as every request's evaluation deadline.
+    /// cache, `request_timeout` as every request's timeout (see
+    /// [`ServeState::request_timeout`]).
     ///
     /// # Errors
     ///
@@ -261,7 +251,8 @@ impl ServeState {
         self.surface.as_ref()
     }
 
-    /// The per-request evaluation deadline.
+    /// The per-request timeout: the socket timeouts, the arrival budget
+    /// and the evaluation deadline.
     pub fn request_timeout(&self) -> Duration {
         self.request_timeout
     }
@@ -535,23 +526,43 @@ fn surface_answer(
     }
 }
 
-fn handle_degrade(
-    state: &ServeState,
+/// The overload protocol of every evaluation-bearing endpoint: the gate
+/// admits the request to `run`, or `browned_out` answers it (a memo hit or
+/// a brownout shed). An admitted response settles the breaker with its
+/// status and an admitted fleet study when it ends, so every admitted
+/// request — the half-open probe included — settles exactly once.
+fn gated<'a>(
+    state: &'a ServeState,
+    endpoint: Endpoint,
+    browned_out: impl FnOnce() -> Response,
+    run: impl FnOnce() -> Reply<'a>,
+) -> Reply<'a> {
+    if !state.overload.admit(endpoint, Instant::now()) {
+        return Reply::Respond(browned_out());
+    }
+    let reply = run();
+    if let Reply::Respond(response) = &reply {
+        state
+            .overload
+            .settle(endpoint, response.status, Instant::now());
+    }
+    reply
+}
+
+fn handle_degrade<'a>(
+    state: &'a ServeState,
     request: &Request,
     deadline: &Deadline,
     parent: u64,
-) -> Response {
-    let mode = match degrade_mode(&request.target) {
-        Ok(m) => m,
-        Err(r) => return r,
-    };
-    let query = match parse_degrade(&request.body) {
-        Ok(q) => q,
-        Err(r) => return r,
-    };
-    let key = match query.stress_key() {
-        Ok(k) => k,
-        Err(e) => return Response::error(400, &e),
+) -> Reply<'a> {
+    let parsed = degrade_mode(&request.target).and_then(|mode| {
+        let query = parse_degrade(&request.body)?;
+        let key = query.stress_key().map_err(|e| Response::error(400, &e))?;
+        Ok((mode, query, key))
+    });
+    let (mode, query, key) = match parsed {
+        Ok(parsed) => parsed,
+        Err(r) => return Reply::Respond(r),
     };
     // The surface tier sits before the overload gate: like a cache peek,
     // an interpolated hit takes no evaluation slot and stays answerable
@@ -562,24 +573,22 @@ fn handle_degrade(
             DegradeMode::Exact => ServeMetrics::bump(&tier.fallbacks),
             DegradeMode::Surface => {
                 if let Some(response) = surface_answer(state, tier, &query, parent) {
-                    return response;
+                    return Reply::Respond(response);
                 }
             }
         }
     }
-    if state.overload.gate(Endpoint::Degrade, Instant::now()) == EvalGate::CacheOnly {
+    gated(
+        state,
+        Endpoint::Degrade,
         // Brownout: a memoized answer is still a full answer (bit-equal
         // to an evaluation); only cold work is refused.
-        if let Some(delta_vth) = state.cache.peek(&key) {
-            return render_degrade(state, delta_vth);
-        }
-        return brownout_shed(state, "cold degrade evaluation");
-    }
-    let response = degrade_eval(state, key, deadline, parent);
-    state
-        .overload
-        .settle(Endpoint::Degrade, response.status, Instant::now());
-    response
+        || match state.cache.peek(&key) {
+            Some(delta_vth) => render_degrade(state, delta_vth),
+            None => brownout_shed(state, "cold degrade evaluation"),
+        },
+        || Reply::Respond(degrade_eval(state, key, deadline, parent)),
+    )
 }
 
 fn degrade_eval(state: &ServeState, key: StressKey, deadline: &Deadline, parent: u64) -> Response {
@@ -718,17 +727,15 @@ pub fn parse_sweep(body: &[u8]) -> Result<SweepSpec, Response> {
     Ok(spec)
 }
 
-fn handle_sweep(state: &ServeState, request: &Request, deadline: &Deadline) -> Response {
+fn handle_sweep<'a>(state: &'a ServeState, request: &Request, deadline: &Deadline) -> Reply<'a> {
     // Inline sweeps are cold batch work by definition: under brownout
     // they are shed whole, before the body is even parsed.
-    if state.overload.gate(Endpoint::Sweep, Instant::now()) == EvalGate::CacheOnly {
-        return brownout_shed(state, "inline sweep");
-    }
-    let response = sweep_response(state, request, deadline);
-    state
-        .overload
-        .settle(Endpoint::Sweep, response.status, Instant::now());
-    response
+    gated(
+        state,
+        Endpoint::Sweep,
+        || brownout_shed(state, "inline sweep"),
+        || Reply::Respond(sweep_response(state, request, deadline)),
+    )
 }
 
 fn sweep_response(state: &ServeState, request: &Request, deadline: &Deadline) -> Response {
@@ -980,25 +987,23 @@ pub fn fleet_body(summary: &FleetSummary, chunks: usize) -> String {
     )
 }
 
-fn handle_fleet(state: &ServeState, request: &Request, deadline: &Deadline) -> Response {
+fn handle_fleet<'a>(state: &'a ServeState, request: &Request, deadline: &'a Deadline) -> Reply<'a> {
     // Fleet studies have no memo cache to answer from: brownout sheds
     // them whole, before parsing.
-    if state.overload.gate(Endpoint::Fleet, Instant::now()) == EvalGate::CacheOnly {
-        return brownout_shed(state, "inline fleet study");
-    }
-    let response = match prepare_fleet(&request.body) {
-        Ok((spec, eval)) => {
-            let Ok(response) = run_fleet_chunks(&spec, &eval, deadline, |_, _| {
-                Ok::<(), std::convert::Infallible>(())
-            });
-            response
-        }
-        Err(r) => r,
-    };
-    state
-        .overload
-        .settle(Endpoint::Fleet, response.status, Instant::now());
-    response
+    gated(
+        state,
+        Endpoint::Fleet,
+        || brownout_shed(state, "inline fleet study"),
+        || match prepare_fleet(&request.body) {
+            Ok((spec, eval)) => Reply::Stream(Box::new(FleetJob {
+                state,
+                deadline,
+                spec,
+                eval,
+            })),
+            Err(r) => Reply::Respond(r),
+        },
+    )
 }
 
 /// Parses a `/v1/fleet` body and prepares its evaluator. `Err` is the
@@ -1050,85 +1055,61 @@ fn run_fleet_chunks<E>(
     ))
 }
 
-/// What [`handle_fleet_streamed`] did with the connection.
-#[derive(Debug)]
-pub enum FleetStream {
-    /// Nothing touched the wire: the caller writes this response
-    /// conventionally (drain, brownout shed, and parse/prepare failures
-    /// all resolve before the first byte, byte-identical to the buffered
-    /// path).
-    Buffered(Response),
-    /// A chunked response was written and terminated. `status` is the
-    /// logical outcome for accounting — a mid-stream failure reports
-    /// 504/500 even though the head already said 200 — and `close` is
-    /// true when an error frame replaced the summary, so the connection
-    /// must drop.
-    Streamed {
-        /// Logical status for metrics and overload accounting.
-        status: u16,
-        /// The connection must close after this response.
-        close: bool,
-    },
+/// An admitted `/v1/fleet` study: the drain check, the overload gate, the
+/// parse and the prepare have passed, and nothing has touched the wire.
+/// Running it — [`buffered`](Self::buffered) or [`stream`](Self::stream)
+/// — settles the fleet breaker.
+#[must_use = "an admitted study settles its breaker only when it runs"]
+pub struct FleetJob<'a> {
+    state: &'a ServeState,
+    deadline: &'a Deadline,
+    spec: FleetSpec,
+    eval: FleetEvaluator,
 }
 
-/// `POST /v1/fleet` with chunked progress streaming. Once the spec parses
-/// and prepares, a `200` chunked head goes out, followed by one NDJSON
-/// progress frame per evaluated chunk (`{"chunk":i,"of":N}`) and, as the
-/// final frame, exactly the summary body the buffered [`handle`] path
-/// would have produced. A mid-stream deadline or merge failure emits an
-/// `{"error":…}` frame instead of the summary, terminates the chunked
-/// body, and demands a close. Counters, gates, and settle calls mirror
-/// the buffered handler.
-///
-/// # Errors
-///
-/// Transport failures writing to `w`; the wire state is then
-/// indeterminate and the caller must drop the connection.
-pub fn handle_fleet_streamed(
-    state: &ServeState,
-    request: &Request,
-    deadline: &Deadline,
-    w: &mut impl io::Write,
-) -> io::Result<FleetStream> {
-    ServeMetrics::bump(&state.metrics.requests);
-    if state.is_draining() {
-        let mut r = Response::error(503, "server is draining");
-        r.retry_after = Some(1);
-        r.close = true;
-        return Ok(FleetStream::Buffered(r));
+impl FleetJob<'_> {
+    /// Evaluates the study and returns its one answer: `200` with the
+    /// summary, or the `504`/`500` failure.
+    pub fn buffered(self) -> Response {
+        let Ok(response) = run_fleet_chunks(&self.spec, &self.eval, self.deadline, |_, _| {
+            Ok::<(), std::convert::Infallible>(())
+        });
+        self.settle(response.status);
+        response
     }
-    if state.overload.gate(Endpoint::Fleet, Instant::now()) == EvalGate::CacheOnly {
-        return Ok(FleetStream::Buffered(brownout_shed(
-            state,
-            "inline fleet study",
-        )));
+
+    /// Streams the study to an HTTP/1.1 peer: a `200` chunked head, one
+    /// NDJSON progress frame per evaluated chunk (`{"chunk":i,"of":N}`),
+    /// then the [`buffered`](Self::buffered) body as the last frame — or,
+    /// after a mid-stream deadline or merge failure, the `{"error":…}` body
+    /// in its place. Returns the logical status (504/500 after an error
+    /// frame: the connection must close) and the transport's result. A
+    /// write failure stops the study and keeps the head's 200, since a
+    /// vanished peer is no verdict on the model.
+    pub fn stream(self, w: &mut impl io::Write) -> (u16, io::Result<()>) {
+        let streamed = self.write_chunked(w);
+        let status = streamed.as_ref().map_or(200, |&status| status);
+        self.settle(status);
+        (status, streamed.map(|_| ()))
     }
-    let settle = |status: u16| {
-        state
+
+    fn write_chunked(&self, w: &mut impl io::Write) -> io::Result<u16> {
+        write_chunked_head(w, 200, "application/json", false)?;
+        let mut last = run_fleet_chunks(&self.spec, &self.eval, self.deadline, |done, of| {
+            write_chunk(w, format!("{{\"chunk\":{done},\"of\":{of}}}\n").as_bytes())
+        })?;
+        // The summary, or the `{"error":…}` body that replaces it.
+        last.body.push(b'\n');
+        write_chunk(w, &last.body)?;
+        write_chunked_end(w)?;
+        Ok(last.status)
+    }
+
+    fn settle(&self, status: u16) {
+        self.state
             .overload
             .settle(Endpoint::Fleet, status, Instant::now());
-    };
-    let (spec, eval) = match prepare_fleet(&request.body) {
-        Ok(prepared) => prepared,
-        Err(r) => {
-            settle(r.status);
-            return Ok(FleetStream::Buffered(r));
-        }
-    };
-    // From here on, bytes hit the wire.
-    write_chunked_head(w, 200, "application/json", false)?;
-    let mut last = run_fleet_chunks(&spec, &eval, deadline, |done, of| {
-        write_chunk(w, format!("{{\"chunk\":{done},\"of\":{of}}}\n").as_bytes())
-    })?;
-    // The summary, or the `{"error":…}` body that replaces it.
-    last.body.push(b'\n');
-    write_chunk(w, &last.body)?;
-    write_chunked_end(w)?;
-    settle(last.status);
-    Ok(FleetStream::Streamed {
-        status: last.status,
-        close: last.status != 200,
-    })
+    }
 }
 
 fn handle_metrics(state: &ServeState) -> Response {
@@ -1140,10 +1121,6 @@ fn handle_metrics(state: &ServeState) -> Response {
     );
     body.push_str(&render_prometheus(&state.snapshot()));
     Response::text(200, body)
-}
-
-fn handle_trace(state: &ServeState) -> Response {
-    Response::json(200, state.obs.trace_json())
 }
 
 fn handle_health(state: &ServeState) -> Response {
@@ -1175,50 +1152,92 @@ fn handle_health(state: &ServeState) -> Response {
     }
 }
 
-/// Routes one request. The response is fully rendered; `Action` tells the
-/// connection loop whether a graceful drain was requested.
-pub fn handle(state: &ServeState, request: &Request, deadline: &Deadline) -> (Response, Action) {
-    handle_traced(state, request, deadline, 0)
+/// What [`route`] decided for one request.
+#[must_use = "an admitted fleet study settles its breaker only when it runs"]
+pub enum Reply<'a> {
+    /// Write this response and keep serving.
+    Respond(Response),
+    /// Write this response, then begin the graceful drain.
+    Shutdown(Response),
+    /// An admitted `/v1/fleet` study; the caller picks its framing.
+    Stream(Box<FleetJob<'a>>),
 }
 
-/// [`handle`] with an explicit parent span id: the connection loop passes
-/// its per-request root span so handler phases (`coalesce`, `evaluate`,
-/// `serialize`) nest under it in `GET /debug/trace`.
-pub fn handle_traced(
-    state: &ServeState,
+impl Reply<'_> {
+    /// The reply as one rendered response: a fleet study runs to its
+    /// [`buffered`](FleetJob::buffered) answer.
+    pub fn buffered(self) -> (Response, Action) {
+        match self {
+            Reply::Respond(response) => (response, Action::Continue),
+            Reply::Shutdown(response) => (response, Action::Shutdown),
+            Reply::Stream(job) => (job.buffered(), Action::Continue),
+        }
+    }
+}
+
+/// Routes one request, the one entry point of every endpoint:
+///
+/// | Endpoint               | Meaning                                        |
+/// |------------------------|------------------------------------------------|
+/// | `POST /v1/degrade`     | one stress point → ΔV_th and delay degradation |
+/// | `POST /v1/sweep`       | a small inline grid (bounded, canonical order) |
+/// | `POST /v1/fleet`       | a bounded Monte Carlo fleet aging study        |
+/// | `GET /healthz`         | liveness and drain state                       |
+/// | `GET /metrics`         | Prometheus text exposition                     |
+/// | `GET /debug/trace`     | most recent request spans (JSON)               |
+/// | `POST /admin/shutdown` | begin graceful drain                           |
+///
+/// Each path and its method appear once below: another method on a known
+/// path answers 405, an unknown path 404. While draining, everything but
+/// `/healthz` answers 503. Handler phases (`surface`, `coalesce`,
+/// `evaluate`, `serialize`) nest under the span `parent` in
+/// `GET /debug/trace`; 0 makes them roots.
+pub fn route<'a>(
+    state: &'a ServeState,
     request: &Request,
-    deadline: &Deadline,
+    deadline: &'a Deadline,
     parent: u64,
-) -> (Response, Action) {
+) -> Reply<'a> {
     ServeMetrics::bump(&state.metrics.requests);
     if state.is_draining() && request.path() != "/healthz" {
         let mut r = Response::error(503, "server is draining");
         r.retry_after = Some(1);
         r.close = true;
-        return (r, Action::Continue);
+        return Reply::Respond(r);
     }
-    let response = match (request.method.as_str(), request.path()) {
-        ("GET", "/healthz") => handle_health(state),
-        ("GET", "/metrics") => handle_metrics(state),
-        ("GET", "/debug/trace") => handle_trace(state),
-        ("POST", "/v1/degrade") => handle_degrade(state, request, deadline, parent),
-        ("POST", "/v1/sweep") => handle_sweep(state, request, deadline),
-        ("POST", "/v1/fleet") => handle_fleet(state, request, deadline),
-        ("POST", "/admin/shutdown") => {
+    match request.path() {
+        "/healthz" => on(request, "GET", || Reply::Respond(handle_health(state))),
+        "/metrics" => on(request, "GET", || Reply::Respond(handle_metrics(state))),
+        "/debug/trace" => on(request, "GET", || {
+            Reply::Respond(Response::json(200, state.obs.trace_json()))
+        }),
+        "/v1/degrade" => on(request, "POST", || {
+            handle_degrade(state, request, deadline, parent)
+        }),
+        "/v1/sweep" => on(request, "POST", || handle_sweep(state, request, deadline)),
+        "/v1/fleet" => on(request, "POST", || handle_fleet(state, request, deadline)),
+        "/admin/shutdown" => on(request, "POST", || {
             state.begin_drain();
-            return (
-                Response::json(200, "{\"status\":\"draining\"}"),
-                Action::Shutdown,
-            );
-        }
-        (
-            _,
-            "/healthz" | "/metrics" | "/debug/trace" | "/v1/degrade" | "/v1/sweep" | "/v1/fleet"
-            | "/admin/shutdown",
-        ) => Response::error(405, "method not allowed for this endpoint"),
-        (_, path) => Response::error(404, &format!("no such endpoint: {path}")),
-    };
-    (response, Action::Continue)
+            Reply::Shutdown(Response::json(200, "{\"status\":\"draining\"}"))
+        }),
+        path => Reply::Respond(Response::error(404, &format!("no such endpoint: {path}"))),
+    }
+}
+
+/// `then()` when `request` uses `method`, its endpoint's one method; 405
+/// otherwise.
+fn on<'a>(request: &Request, method: &str, then: impl FnOnce() -> Reply<'a>) -> Reply<'a> {
+    if request.method == method {
+        then()
+    } else {
+        Reply::Respond(Response::error(405, "method not allowed for this endpoint"))
+    }
+}
+
+/// Answers one request in process: [`route`] without a parent span, a
+/// fleet study run to its buffered answer.
+pub fn handle(state: &ServeState, request: &Request, deadline: &Deadline) -> (Response, Action) {
+    route(state, request, deadline, 0).buffered()
 }
 
 #[cfg(test)]
@@ -1629,7 +1648,7 @@ mod tests {
         let d = deadline(Duration::from_secs(5));
         let root = s.obs.tracer.span("request");
         let parent = root.id();
-        let r = handle_traced(&s, &post("/v1/degrade", &QUERY.to_body()), &d, parent);
+        let r = route(&s, &post("/v1/degrade", &QUERY.to_body()), &d, parent).buffered();
         assert_eq!(r.0.status, 200);
         drop(root);
 
@@ -1802,7 +1821,7 @@ mod tests {
             .with_surface(test_surface());
         let d = deadline(Duration::from_secs(5));
         let root = s.obs.tracer.span("request");
-        let r = handle_traced(&s, &post("/v1/degrade", &QUERY.to_body()), &d, root.id());
+        let r = route(&s, &post("/v1/degrade", &QUERY.to_body()), &d, root.id()).buffered();
         assert_eq!(r.0.status, 200);
         drop(root);
         let parsed = json::parse(s.obs.trace_json().as_bytes()).unwrap();
@@ -1843,17 +1862,12 @@ mod tests {
         let s = state();
         let d = deadline(Duration::from_secs(30));
         let mut wire = Vec::new();
-        let out = handle_fleet_streamed(&s, &post("/v1/fleet", FLEET_BODY), &d, &mut wire).unwrap();
-        assert!(
-            matches!(
-                out,
-                FleetStream::Streamed {
-                    status: 200,
-                    close: false
-                }
-            ),
-            "{out:?}"
-        );
+        let Reply::Stream(job) = route(&s, &post("/v1/fleet", FLEET_BODY), &d, 0) else {
+            panic!("expected an admitted study");
+        };
+        let (status, written) = job.stream(&mut wire);
+        assert_eq!(status, 200);
+        written.unwrap();
         let (head, body) = decode_chunked(&wire);
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(head.contains("transfer-encoding: chunked"));
@@ -1874,23 +1888,19 @@ mod tests {
     fn streamed_fleet_buffers_pre_stream_failures() {
         let s = state();
         let d = deadline(Duration::from_secs(5));
-        let mut wire = Vec::new();
-        let out = handle_fleet_streamed(&s, &post("/v1/fleet", "nope"), &d, &mut wire).unwrap();
-        match out {
-            FleetStream::Buffered(r) => assert_eq!(r.status, 400),
-            other => panic!("expected buffered 400, got {other:?}"),
+        // Parse errors are rendered responses: they never reach a stream.
+        match route(&s, &post("/v1/fleet", "nope"), &d, 0) {
+            Reply::Respond(r) => assert_eq!(r.status, 400),
+            _ => panic!("expected a buffered 400"),
         }
-        assert!(wire.is_empty(), "parse errors never touch the wire");
         s.begin_drain();
-        let out = handle_fleet_streamed(&s, &post("/v1/fleet", FLEET_BODY), &d, &mut wire).unwrap();
-        match out {
-            FleetStream::Buffered(r) => {
+        match route(&s, &post("/v1/fleet", FLEET_BODY), &d, 0) {
+            Reply::Respond(r) => {
                 assert_eq!(r.status, 503);
                 assert!(r.close);
             }
-            other => panic!("expected buffered 503, got {other:?}"),
+            _ => panic!("expected a buffered 503"),
         }
-        assert!(wire.is_empty());
     }
 
     #[test]
@@ -1898,19 +1908,51 @@ mod tests {
         let s = state();
         let d = deadline(Duration::ZERO);
         let mut wire = Vec::new();
-        let out = handle_fleet_streamed(&s, &post("/v1/fleet", FLEET_BODY), &d, &mut wire).unwrap();
-        assert!(
-            matches!(
-                out,
-                FleetStream::Streamed {
-                    status: 504,
-                    close: true
-                }
-            ),
-            "{out:?}"
-        );
+        let Reply::Stream(job) = route(&s, &post("/v1/fleet", FLEET_BODY), &d, 0) else {
+            panic!("expected an admitted study");
+        };
+        let (status, written) = job.stream(&mut wire);
+        assert_eq!(status, 504);
+        written.unwrap();
         let (_, body) = decode_chunked(&wire);
         assert_eq!(body, "{\"error\":\"request deadline exceeded\"}\n");
+    }
+
+    /// A peer that hung up: every write fails.
+    struct Gone;
+
+    impl io::Write for Gone {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stream_cut_by_its_peer_still_settles_the_half_open_probe() {
+        let s = state().with_overload(OverloadConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::ZERO,
+            ..OverloadConfig::default()
+        });
+        s.overload.settle(Endpoint::Fleet, 500, Instant::now());
+        let d = deadline(Duration::from_secs(30));
+        let request = post("/v1/fleet", FLEET_BODY);
+        // The cooled breaker admits this study as its one probe.
+        let Reply::Stream(job) = route(&s, &request, &d, 0) else {
+            panic!("expected the probe to be admitted");
+        };
+        let fleet = s.overload.breaker(Endpoint::Fleet);
+        assert_eq!(fleet.state(), BreakerState::HalfOpen);
+        let (status, written) = job.stream(&mut Gone);
+        assert_eq!(status, 200, "the head's status: no verdict on the model");
+        assert!(written.is_err());
+        // Settled: the slot is free, so later studies are not shed forever.
+        assert_eq!(fleet.state(), BreakerState::Closed);
+        assert!(matches!(route(&s, &request, &d, 0), Reply::Stream(_)));
     }
 
     #[test]

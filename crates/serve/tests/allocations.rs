@@ -1,0 +1,131 @@
+//! Heap allocations per in-process `handle()` on a prebuilt request, for
+//! the three answers that never run the model: a memo-cache hit, a
+//! response-surface hit and a brownout shed. The counts are ceilings: a
+//! change to the request path may lower them, never raise them. The
+//! counting allocator sees every allocation in the process, so this binary
+//! holds exactly one test.
+
+#![allow(clippy::unwrap_used)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+use relia_core::{CancelToken, Deadline, Kelvin, NbtiModel};
+use relia_jobs::SWEEP_PERIOD_S;
+use relia_serve::{handle, DegradeQuery, OverloadConfig, Request, ServeState};
+use relia_surface::{BuildSpec, Surface};
+
+/// `alloc` and `realloc` calls so far.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the wrapper only bumps a counter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`, and the
+        // caller's size obligations pass straight through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` or `realloc` above, i.e. from
+        // `System`.
+        unsafe { System.dealloc(ptr, layout) };
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const QUERY: DegradeQuery = DegradeQuery {
+    ras: (1.0, 9.0),
+    t_standby_k: Kelvin(330.0),
+    lifetime_s: 1.0e8,
+    p_active: 0.5,
+    p_standby: 1.0,
+};
+
+/// Ceilings per answer: the counts when this test was added. Lower them
+/// when the request path allocates less; never raise them.
+const MEMO_HIT: usize = 18;
+const SURFACE_HIT: usize = 17;
+const BROWNOUT_SHED: usize = 16;
+
+fn state() -> ServeState {
+    ServeState::new(Duration::from_secs(60)).unwrap()
+}
+
+/// A surface holding `QUERY`'s stress pair inside its domain.
+fn surface() -> Surface {
+    let model = NbtiModel::ptm90().unwrap();
+    let spec = BuildSpec {
+        t_active_k: vec![Kelvin(relia_jobs::SWEEP_TEMP_ACTIVE_K)],
+        t_standby_k: relia_surface::kelvin_spaced(320.0, 400.0, 9),
+        ras_fraction: relia_surface::lin_spaced(0.1, 0.9, 9),
+        lifetime_s: relia_surface::log_spaced(1e6, 1e9, 13),
+        pairs: vec![(QUERY.p_active, QUERY.p_standby)],
+        period_s: SWEEP_PERIOD_S,
+        workers: 2,
+    };
+    Surface::from_artifact(relia_surface::build(&model, &spec).unwrap()).unwrap()
+}
+
+/// Allocations made by the second of two identical `handle()` calls (the
+/// first one warms whatever a first call initializes), which must answer
+/// `status`.
+fn allocations(state: &ServeState, request: &Request, status: u16) -> usize {
+    let deadline = Deadline::new(CancelToken::new(), Instant::now() + Duration::from_secs(60));
+    assert_eq!(handle(state, request, &deadline).0.status, status);
+    let before = CALLS.load(Ordering::Relaxed);
+    let (response, _) = handle(state, request, &deadline);
+    let after = CALLS.load(Ordering::Relaxed);
+    assert_eq!(response.status, status);
+    after - before
+}
+
+#[test]
+fn answers_without_evaluation_allocate_no_more_than_before() {
+    let request = Request {
+        method: "POST".to_owned(),
+        target: "/v1/degrade".to_owned(),
+        http11: true,
+        headers: vec![],
+        body: QUERY.to_body().into_bytes(),
+    };
+
+    let memo_hit = allocations(&state(), &request, 200);
+
+    let surfaced = state().with_surface(surface());
+    let surface_hit = allocations(&surfaced, &request, 200);
+    assert_eq!(surfaced.surface().map(|tier| tier.hits()), Some(2));
+
+    // Every connection counts into the in-flight gauge; past a zero
+    // high-water mark a cold degrade is shed.
+    let browned = state().with_overload(OverloadConfig {
+        brownout_high_water: 0,
+        ..OverloadConfig::default()
+    });
+    browned.overload.conn_enqueued();
+    let shed = allocations(&browned, &request, 503);
+
+    println!("allocations per handle(): memo hit {memo_hit}, surface hit {surface_hit}, brownout shed {shed}");
+    assert!(memo_hit <= MEMO_HIT, "memo hit: {memo_hit} > {MEMO_HIT}");
+    assert!(
+        surface_hit <= SURFACE_HIT,
+        "surface hit: {surface_hit} > {SURFACE_HIT}"
+    );
+    assert!(
+        shed <= BROWNOUT_SHED,
+        "brownout shed: {shed} > {BROWNOUT_SHED}"
+    );
+}

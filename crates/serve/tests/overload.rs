@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -270,6 +270,11 @@ fn healthz_reports_degraded_with_retry_after_and_recovers() {
             ..OverloadConfig::default()
         },
     );
+    let transitions = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&transitions);
+    state
+        .health
+        .set_logger(Box::new(move |t| sink.lock().unwrap().push(*t)));
     let healthy = send(&state, &get("/healthz"));
     assert_eq!(healthy.status, 200);
     assert_eq!(healthy.body, b"{\"status\":\"ok\"}");
@@ -299,7 +304,7 @@ fn healthz_reports_degraded_with_retry_after_and_recovers() {
         state.snapshot().counter("serve_health_transitions"),
         Some(2)
     );
-    let log = state.health.log();
+    let log = transitions.lock().unwrap();
     assert_eq!(log[0].from, HealthState::Healthy);
     assert_eq!(log[0].to, HealthState::Degraded);
     assert_eq!(log[1].to, HealthState::Healthy);

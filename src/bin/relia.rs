@@ -590,6 +590,7 @@ all queries share one process-wide dVth memo cache. Health transitions
 /// `relia serve` — boots the HTTP service and blocks until drained.
 fn run_serve_command(args: &[String]) -> Result<(), CliError> {
     let mut config = relia::serve::ServeConfig::default();
+    let mut request_timeout = Duration::from_secs(5);
     let mut overload = relia::serve::OverloadConfig::default();
     let mut trace_capacity = relia::serve::DEFAULT_TRACE_CAPACITY;
     let mut slow_ms: u64 = 0;
@@ -632,7 +633,7 @@ fn run_serve_command(args: &[String]) -> Result<(), CliError> {
                         "--request-timeout must be positive, got {value}"
                     )));
                 }
-                config.request_timeout = Duration::from_secs_f64(secs);
+                request_timeout = Duration::from_secs_f64(secs);
             }
             "--breaker-threshold" => {
                 overload.breaker_threshold = value
@@ -677,7 +678,7 @@ fn run_serve_command(args: &[String]) -> Result<(), CliError> {
     let obs = relia::serve::ServeObs::new()
         .with_tracer(relia::obs::Tracer::new(trace_capacity))
         .with_slow_log(slow_ms, Box::new(|line| eprintln!("relia-serve {line}")));
-    let mut state = relia::serve::ServeState::new(config.request_timeout)
+    let mut state = relia::serve::ServeState::new(request_timeout)
         .map_err(CliError::Analysis)?
         .with_overload(overload)
         .with_obs(obs);
