@@ -18,6 +18,7 @@
 //! exits 1. Any other argument exits 2 before anything is measured.
 
 mod ac;
+mod cache;
 mod fleet;
 mod ivc;
 mod leakage;
@@ -34,7 +35,7 @@ use std::time::Instant;
 use record::{check, Gate, Record};
 
 /// Timing repetitions; every reported time is their median.
-const REPS: usize = 5;
+pub(crate) const REPS: usize = 5;
 
 /// One micro-benchmark and the record it keeps.
 pub(crate) struct Section {
@@ -44,8 +45,9 @@ pub(crate) struct Section {
     pub(crate) measure: fn() -> Record,
 }
 
-const SECTIONS: [Section; 8] = [
+const SECTIONS: [Section; 9] = [
     ac::SECTION,
+    cache::SECTION,
     fleet::SECTION,
     serve::SECTION,
     lint::SECTION,

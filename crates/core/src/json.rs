@@ -339,6 +339,17 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// Appends [`fmt_f64`]'s text for `v` to `out`, without a `String` of its
+/// own.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes
 /// added).
 pub fn escape(s: &str) -> String {
@@ -435,6 +446,26 @@ mod tests {
             assert_eq!(back.to_bits(), v.to_bits(), "{text}");
         }
         assert_eq!(fmt_f64(f64::NAN), "null");
+    }
+
+    #[test]
+    fn push_f64_appends_the_text_of_fmt_f64() {
+        let values = [
+            0.0,
+            -0.0,
+            1e21,
+            1e-7,
+            0.031_415_926_535,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let mut out = String::from("x");
+        for v in values {
+            push_f64(&mut out, v);
+        }
+        let expected: String = values.into_iter().map(fmt_f64).collect();
+        assert_eq!(out, format!("x{expected}"));
     }
 
     #[test]

@@ -246,20 +246,24 @@ impl SweepSpec {
             }],
         };
         for task in &tasks {
-            for &ras in &self.ras {
-                for &t_standby in &self.t_standby {
-                    for &lifetime in &self.lifetimes {
-                        out.push(JobPoint {
-                            ras,
-                            t_standby,
-                            lifetime,
-                            task: task.clone(),
-                        });
-                    }
-                }
+            for (r, t, l) in self.grid() {
+                out.push(JobPoint {
+                    ras: self.ras[r],
+                    t_standby: self.t_standby[t],
+                    lifetime: self.lifetimes[l],
+                    task: task.clone(),
+                });
             }
         }
         out
+    }
+
+    /// The `(ras, t_standby, lifetime)` axis indices of one task's points,
+    /// in [`SweepSpec::points`] order: RAS outermost, lifetime fastest.
+    pub fn grid(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (t_count, l_count) = (self.t_standby.len(), self.lifetimes.len());
+        (0..self.ras.len() * t_count * l_count)
+            .map(move |i| (i / (t_count * l_count), i / l_count % t_count, i % l_count))
     }
 
     /// FNV-1a fingerprint of the spec's canonical text form. Stored in

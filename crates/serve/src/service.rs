@@ -25,7 +25,7 @@ use relia_core::{
     Volts, VthDistribution,
 };
 use relia_fleet::{ChunkAccum, FleetError, FleetEvaluator, FleetSpec, FleetSummary, DEFAULT_CHUNK};
-use relia_flow::{AgingAnalysis, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError};
+use relia_flow::{AgingAnalysis, AgingReport, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError};
 use relia_jobs::{
     builtin_resolver, MetricsSnapshot, PolicySpec, ShardedCache, SweepSpec, Workload,
     SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K,
@@ -743,138 +743,200 @@ fn sweep_response(state: &ServeState, request: &Request, deadline: &Deadline) ->
         Ok(s) => s,
         Err(r) => return r,
     };
-    let points = spec.points();
-    // A model grid is evaluated LANES `(RAS, T_standby)` rows of lifetimes
-    // at a time, so their AC recursions share one lane-parallel walk;
-    // circuit aging one point at a time.
-    let batch_len = match spec.workload {
-        Workload::ModelDeltaVth { .. } => spec.lifetimes.len() * LANES,
-        Workload::CircuitAging { .. } => 1,
-    };
-    let mut rendered: Vec<String> = Vec::with_capacity(points.len());
-    for batch in points.chunks(batch_len) {
-        // Cooperative deadline check between batches: a sweep that blows
-        // its budget returns 504 instead of hogging a worker.
-        if deadline.fire_if_due(Instant::now()) {
-            return Response::error(504, "request deadline exceeded");
+    let mut answer = SweepAnswer::new(&spec);
+    let written = match &spec.workload {
+        Workload::ModelDeltaVth {
+            p_active,
+            p_standby,
+        } => model_points(state, &spec, *p_active, *p_standby, deadline, &mut answer),
+        Workload::CircuitAging { circuits, policies } => {
+            aging_points(state, &spec, circuits, policies, deadline, &mut answer)
         }
-        let bodies = match &batch[0].task {
-            relia_jobs::JobTask::Model {
-                p_active,
-                p_standby,
-            } => model_rows(state, batch, *p_active, *p_standby),
-            relia_jobs::JobTask::Aging { circuit, policy } => {
-                run_aging_point(state, circuit, policy, &batch[0], deadline).map(|body| vec![body])
-            }
-        };
-        match bodies {
-            Ok(bodies) => rendered.extend(
-                batch
-                    .iter()
-                    .zip(bodies)
-                    .map(|(point, body)| format!("{{{},{body}}}", point_prefix(point))),
-            ),
-            Err(r) => return r,
+    };
+    match written {
+        Ok(()) => answer.finish(),
+        Err(r) => r,
+    }
+}
+
+/// Bytes reserved per point of a sweep answer: a model point's object is
+/// ~90.
+const SWEEP_POINT_BYTES: usize = 96;
+
+/// A `/v1/sweep` answer, `{"count":N,"points":[…]}`, written in place:
+/// each coordinate is formatted once per axis value, and each point's
+/// object is appended straight to the body.
+struct SweepAnswer {
+    body: String,
+    ras: Vec<String>,
+    t_standby: Vec<String>,
+    lifetimes: Vec<String>,
+}
+
+impl SweepAnswer {
+    fn new(spec: &SweepSpec) -> SweepAnswer {
+        let mut body = format!("{{\"count\":{},\"points\":[", spec.len());
+        body.reserve(SWEEP_POINT_BYTES * spec.len());
+        SweepAnswer {
+            body,
+            ras: spec
+                .ras
+                .iter()
+                .map(|&(a, s)| format!("\"ras\":[{},{}]", fmt_f64(a), fmt_f64(s)))
+                .collect(),
+            t_standby: spec
+                .t_standby
+                .iter()
+                .map(|t| format!(",\"t_standby_k\":{}", fmt_f64(t.0)))
+                .collect(),
+            lifetimes: spec
+                .lifetimes
+                .iter()
+                .map(|l| format!(",\"lifetime_s\":{}", fmt_f64(l.0)))
+                .collect(),
         }
     }
-    Response::json(
-        200,
-        format!(
-            "{{\"count\":{},\"points\":[{}]}}",
-            rendered.len(),
-            rendered.join(",")
-        ),
-    )
+
+    /// Appends the point at `(RAS, T_standby, lifetime)` axis indices
+    /// `(r, t, l)`: its coordinates, then what `fields` writes.
+    fn point(&mut self, (r, t, l): (usize, usize, usize), fields: impl FnOnce(&mut String)) {
+        // The head ends in `[` and every point in `}`.
+        if !self.body.ends_with('[') {
+            self.body.push(',');
+        }
+        self.body.push('{');
+        self.body.push_str(&self.ras[r]);
+        self.body.push_str(&self.t_standby[t]);
+        self.body.push_str(&self.lifetimes[l]);
+        self.body.push(',');
+        fields(&mut self.body);
+        self.body.push('}');
+    }
+
+    fn finish(mut self) -> Response {
+        self.body.push_str("]}");
+        Response::json(200, self.body)
+    }
 }
 
-/// The coordinates every sweep point's object opens with.
-fn point_prefix(point: &relia_jobs::JobPoint) -> String {
-    format!(
-        "\"ras\":[{},{}],\"t_standby_k\":{},\"lifetime_s\":{}",
-        fmt_f64(point.ras.0),
-        fmt_f64(point.ras.1),
-        fmt_f64(point.t_standby.0),
-        fmt_f64(point.lifetime.0)
-    )
-}
-
-/// A batch of whole rows of a model sweep, each row the lifetimes of one
-/// `(RAS, T_standby)` point, whose memo-cache misses are evaluated
-/// together. Rows skip single-flight: a cached value is canonical per key,
-/// so a row racing a degrade request for the same key computes the same
-/// bits.
+/// A model sweep, [`LANES`] `(RAS, T_standby)` rows of lifetimes per
+/// batch, so each batch's memo-cache misses are evaluated together and
+/// their AC recursions share one lane-parallel walk. Rows skip
+/// single-flight: a cached value is canonical per key, so a row racing a
+/// degrade request for the same key computes the same bits.
 ///
-/// The error is the one a row-by-row loop returns first. A key is refused
-/// (400) for its row's RAS pair or standby temperature, since
+/// A batch answers with the error a row-by-row loop meets first. A key is
+/// refused (400) for its row's RAS pair or standby temperature, since
 /// [`parse_sweep`] has checked every lifetime, so the keys ahead of the
 /// first refused one are whole rows: they are evaluated, and their
 /// evaluation errors (500) come first.
-fn model_rows(
+fn model_points(
     state: &ServeState,
-    points: &[relia_jobs::JobPoint],
+    spec: &SweepSpec,
     p_active: f64,
     p_standby: f64,
-) -> Result<Vec<String>, Response> {
-    let mut keys = Vec::with_capacity(points.len());
-    let mut refused = Ok(());
-    for point in points {
-        let query = DegradeQuery {
-            ras: point.ras,
-            t_standby_k: point.t_standby,
-            lifetime_s: point.lifetime.0,
-            p_active,
-            p_standby,
-        };
-        match query.stress_key() {
-            Ok(key) => keys.push(key),
-            Err(e) => {
-                refused = Err(Response::error(400, &e));
-                break;
+    deadline: &Deadline,
+    answer: &mut SweepAnswer,
+) -> Result<(), Response> {
+    let points: Vec<(usize, usize, usize)> = spec.grid().collect();
+    let mut keys = Vec::with_capacity(LANES * spec.lifetimes.len());
+    for batch in points.chunks(LANES * spec.lifetimes.len()) {
+        // Cooperative deadline check between batches: a sweep that blows
+        // its budget returns 504 instead of hogging a worker.
+        if deadline.fire_if_due(Instant::now()) {
+            return Err(Response::error(504, "request deadline exceeded"));
+        }
+        keys.clear();
+        let mut refused = Ok(());
+        for &(r, t, l) in batch {
+            let query = DegradeQuery {
+                ras: spec.ras[r],
+                t_standby_k: spec.t_standby[t],
+                lifetime_s: spec.lifetimes[l].0,
+                p_active,
+                p_standby,
+            };
+            match query.stress_key() {
+                Ok(key) => keys.push(key),
+                Err(e) => {
+                    refused = Err(Response::error(400, &e));
+                    break;
+                }
+            }
+        }
+        for (&point, value) in batch.iter().zip(state.eval.delta_vth_many(&keys)) {
+            let v = value.map_err(|e| Response::error(500, &e))?;
+            answer.point(point, |body| {
+                body.push_str("\"delta_vth_v\":");
+                json::push_f64(body, v);
+            });
+        }
+        refused?;
+    }
+    Ok(())
+}
+
+/// A circuit-aging sweep, one point at a time, `(circuit, policy)` tasks
+/// outermost.
+fn aging_points(
+    state: &ServeState,
+    spec: &SweepSpec,
+    circuits: &[String],
+    policies: &[PolicySpec],
+    deadline: &Deadline,
+    answer: &mut SweepAnswer,
+) -> Result<(), Response> {
+    for circuit in circuits {
+        for policy in policies {
+            let task = format!(
+                "\"circuit\":\"{}\",\"policy\":\"{}\",",
+                json::escape(circuit),
+                json::escape(&policy.label())
+            );
+            for point in spec.grid() {
+                // Cooperative deadline check between points.
+                if deadline.fire_if_due(Instant::now()) {
+                    return Err(Response::error(504, "request deadline exceeded"));
+                }
+                let report = run_aging_point(state, spec, circuit, policy, point, deadline)?;
+                answer.point(point, |body| {
+                    body.push_str(&task);
+                    body.push_str("\"worst_delta_vth_v\":");
+                    json::push_f64(body, report.worst_delta_vth());
+                    body.push_str(",\"delay_degradation\":");
+                    json::push_f64(body, report.degradation_fraction());
+                    body.push_str(",\"nominal_delay_ps\":");
+                    json::push_f64(body, report.nominal.max_delay_ps());
+                    body.push_str(",\"degraded_delay_ps\":");
+                    json::push_f64(body, report.degraded.max_delay_ps());
+                });
             }
         }
     }
-    let bodies = state
-        .eval
-        .delta_vth_many(&keys)
-        .into_iter()
-        .map(|value| match value {
-            Ok(v) => Ok(format!("\"delta_vth_v\":{}", fmt_f64(v))),
-            Err(e) => Err(Response::error(500, &e)),
-        })
-        .collect::<Result<Vec<String>, Response>>()?;
-    refused.map(|()| bodies)
+    Ok(())
 }
 
 fn run_aging_point(
     state: &ServeState,
+    spec: &SweepSpec,
     circuit: &str,
     policy: &PolicySpec,
-    point: &relia_jobs::JobPoint,
+    (r, t, l): (usize, usize, usize),
     deadline: &Deadline,
-) -> Result<String, Response> {
+) -> Result<AgingReport, Response> {
     let pair = state.prep_for(circuit)?;
-    let ras =
-        Ras::new(point.ras.0, point.ras.1).map_err(|e| Response::error(400, &e.to_string()))?;
-    let mut config = FlowConfig::with_schedule(ras, point.t_standby)
+    let (active, standby) = spec.ras[r];
+    let ras = Ras::new(active, standby).map_err(|e| Response::error(400, &e.to_string()))?;
+    let mut config = FlowConfig::with_schedule(ras, spec.t_standby[t])
         .map_err(|e| Response::error(400, &e.to_string()))?;
-    config.lifetime = point.lifetime;
+    config.lifetime = spec.lifetimes[l];
     let analysis = AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone());
-    let report = analysis
+    analysis
         .run_with_cache_cancellable(&policy.to_policy(), state.cache.as_ref(), deadline.token())
         .map_err(|e| match e {
             FlowError::Cancelled => Response::error(504, "request deadline exceeded"),
             other => Response::error(500, &other.to_string()),
-        })?;
-    Ok(format!(
-        "\"circuit\":\"{}\",\"policy\":\"{}\",\"worst_delta_vth_v\":{},\
-         \"delay_degradation\":{},\"nominal_delay_ps\":{},\"degraded_delay_ps\":{}",
-        json::escape(circuit),
-        json::escape(&policy.label()),
-        fmt_f64(report.worst_delta_vth()),
-        fmt_f64(report.degradation_fraction()),
-        fmt_f64(report.nominal.max_delay_ps()),
-        fmt_f64(report.degraded.max_delay_ps())
-    ))
+        })
 }
 
 fn optional_f64(root: &Json, name: &'static str, default: f64) -> Result<f64, Response> {
@@ -1273,6 +1335,18 @@ mod tests {
         }
     }
 
+    /// The coordinates a sweep point's object opens with, rendered point
+    /// by point: the reference for the answer's per-axis writer.
+    fn point_prefix(point: &relia_jobs::JobPoint) -> String {
+        format!(
+            "\"ras\":[{},{}],\"t_standby_k\":{},\"lifetime_s\":{}",
+            fmt_f64(point.ras.0),
+            fmt_f64(point.ras.1),
+            fmt_f64(point.t_standby.0),
+            fmt_f64(point.lifetime.0)
+        )
+    }
+
     const QUERY: DegradeQuery = DegradeQuery {
         ras: (1.0, 9.0),
         t_standby_k: Kelvin(330.0),
@@ -1404,20 +1478,101 @@ mod tests {
     }
 
     #[test]
+    fn model_sweeps_answer_the_same_bytes_from_a_constantly_evicting_cache() {
+        let tiny = Arc::new(ShardedCache::with_capacity(2, 8));
+        let eval = Arc::new(CachedEval {
+            cache: Arc::clone(&tiny),
+            model: NbtiModel::ptm90().unwrap(),
+        });
+        let evicting =
+            ServeState::with_eval(Arc::clone(&tiny), eval, Duration::from_secs(5)).unwrap();
+        let roomy = state();
+        let d = deadline(Duration::from_secs(60));
+        let bodies = [
+            // 4 RAS pairs x 4 standby temperatures x 4 lifetimes.
+            "{\"workload\":{\"kind\":\"model\",\"p_active\":0.5,\"p_standby\":1},\
+             \"ras\":[[1,9],[1,5],[1,1],[5,1]],\"t_standby_k\":[330,350,370,400],\
+             \"lifetime_s\":[1e6,3.2e7,1e8,1e9]}",
+            // More rows than one lane group, a RAS pair listed twice, and a
+            // zero lifetime.
+            "{\"workload\":{\"kind\":\"model\",\"p_active\":0.3,\"p_standby\":0.2},\
+             \"ras\":[[1,9],[1,5],[1,9]],\"t_standby_k\":[330,345,361.5,370,385,400],\
+             \"lifetime_s\":[1e8,0,3.2e7]}",
+        ];
+        // Every body twice: the default cache answers the repeat from
+        // memory, the 2 x 8 one evaluates it again.
+        for body in bodies.iter().chain(&bodies) {
+            let a = handle(&evicting, &post("/v1/sweep", body), &d).0;
+            let b = handle(&roomy, &post("/v1/sweep", body), &d).0;
+            assert_eq!(a.status, 200, "{:?}", String::from_utf8_lossy(&a.body));
+            assert_eq!(
+                String::from_utf8(a.body).unwrap(),
+                String::from_utf8(b.body).unwrap()
+            );
+        }
+        assert!(tiny.stats().evictions > 100, "{:?}", tiny.stats());
+        assert_eq!(roomy.cache.stats().evictions, 0);
+        assert!(roomy.cache.stats().hits >= 118, "{:?}", roomy.cache.stats());
+    }
+
+    #[test]
     fn aging_sweep_reports_circuit_results() {
         let s = state();
         let d = deadline(Duration::from_secs(60));
-        let body = "{\"workload\":{\"kind\":\"aging\",\"circuits\":[\"c17\"],\
+        // c17 listed twice, so four (circuit, policy) tasks each walk a
+        // grid of two RAS pairs by two standby temperatures.
+        let body = "{\"workload\":{\"kind\":\"aging\",\"circuits\":[\"c17\",\"c17\"],\
              \"policies\":[\"worst\",\"best\"]},\
-             \"ras\":[[1,9]],\"t_standby_k\":[330],\"lifetime_s\":[1e8]}";
+             \"ras\":[[1,9],[1,1]],\"t_standby_k\":[330,400],\"lifetime_s\":[1e8]}";
         let r = handle(&s, &post("/v1/sweep", body), &d).0;
         assert_eq!(r.status, 200, "{:?}", String::from_utf8_lossy(&r.body));
         let text = String::from_utf8(r.body).unwrap();
-        assert!(text.contains("\"count\":2"));
+        assert!(text.contains("\"count\":16"));
         assert!(text.contains("\"policy\":\"worst\""));
         assert!(text.contains("\"policy\":\"best\""));
-        assert!(text.contains("\"worst_delta_vth_v\":"));
-        assert!(text.contains("\"nominal_delay_ps\":"));
+        // The whole body, point by point: each report computed apart from
+        // the server, uncached, from the preparation it also uses.
+        let circuit = builtin_resolver("c17").unwrap();
+        let prep = AgingAnalysis::prep(&FlowConfig::paper_defaults().unwrap(), &circuit).unwrap();
+        let points = parse_sweep(body.as_bytes()).unwrap().points();
+        let expected: Vec<String> = points
+            .iter()
+            .map(|point| {
+                let relia_jobs::JobTask::Aging {
+                    circuit: name,
+                    policy,
+                } = &point.task
+                else {
+                    panic!("an aging sweep has aging tasks");
+                };
+                let ras = Ras::new(point.ras.0, point.ras.1).unwrap();
+                let mut config = FlowConfig::with_schedule(ras, point.t_standby).unwrap();
+                config.lifetime = point.lifetime;
+                let report = AgingAnalysis::from_prep(&config, &circuit, prep.clone())
+                    .run_with_cache_cancellable(
+                        &policy.to_policy(),
+                        &NoCache,
+                        &relia_core::CancelToken::new(),
+                    )
+                    .unwrap();
+                format!(
+                    "{{{},\"circuit\":\"{name}\",\"policy\":\"{}\",\"worst_delta_vth_v\":{},\
+                     \"delay_degradation\":{},\"nominal_delay_ps\":{},\"degraded_delay_ps\":{}}}",
+                    point_prefix(point),
+                    policy.label(),
+                    fmt_f64(report.worst_delta_vth()),
+                    fmt_f64(report.degradation_fraction()),
+                    fmt_f64(report.nominal.max_delay_ps()),
+                    fmt_f64(report.degraded.max_delay_ps())
+                )
+            })
+            .collect();
+        let expected = format!(
+            "{{\"count\":{},\"points\":[{}]}}",
+            points.len(),
+            expected.join(",")
+        );
+        assert_eq!(text, expected);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Heap allocations per in-process `handle()` on a prebuilt request, for
-//! the three answers that never run the model: a memo-cache hit, a
-//! response-surface hit and a brownout shed. The counts are ceilings: a
-//! change to the request path may lower them, never raise them. The
-//! counting allocator sees every allocation in the process, so this binary
-//! holds exactly one test.
+//! the four answers that never run the model: a memo-cache hit, a
+//! response-surface hit, a brownout shed and a 64-point model sweep
+//! answered from a warm memo cache. The counts are ceilings: a change to
+//! the request path may lower them, never raise them. The counting
+//! allocator sees every allocation in the process, so this binary holds
+//! exactly one test.
 
 #![allow(clippy::unwrap_used)]
 
@@ -60,6 +61,17 @@ const QUERY: DegradeQuery = DegradeQuery {
 const MEMO_HIT: usize = 18;
 const SURFACE_HIT: usize = 17;
 const BROWNOUT_SHED: usize = 16;
+/// The sweep's ceiling came later, with per-axis answers; it was 1,078
+/// when every point formatted its own coordinates.
+const SWEEP_HIT: usize = 89;
+
+/// A 64-point model sweep, 4 RAS pairs x 4 standby temperatures x 4
+/// lifetimes, with coordinates as long as a generated grid's.
+const SWEEP: &str = "{\"workload\":{\"kind\":\"model\",\"p_active\":0.6180339887498949,\
+    \"p_standby\":1},\"ras\":[[0.2718281828459045,0.7281718171540955],\
+    [0.5772156649015329,0.4227843350984671],[0.3141592653589793,0.6858407346410207],\
+    [0.8414709848078965,0.15852901519210349]],\"t_standby_k\":[318.512,342.77,367.003,398.25],\
+    \"lifetime_s\":[2718281.8284590452,31415926.535897933,141421356.23730951,5772156649.015329]}";
 
 fn state() -> ServeState {
     ServeState::new(Duration::from_secs(60)).unwrap()
@@ -118,7 +130,17 @@ fn answers_without_evaluation_allocate_no_more_than_before() {
     browned.overload.conn_enqueued();
     let shed = allocations(&browned, &request, 503);
 
-    println!("allocations per handle(): memo hit {memo_hit}, surface hit {surface_hit}, brownout shed {shed}");
+    let sweep = Request {
+        target: "/v1/sweep".to_owned(),
+        body: SWEEP.as_bytes().to_vec(),
+        ..request
+    };
+    let sweep_hit = allocations(&state(), &sweep, 200);
+
+    println!(
+        "allocations per handle(): memo hit {memo_hit}, surface hit {surface_hit}, \
+         brownout shed {shed}, 64-point sweep hit {sweep_hit}"
+    );
     assert!(memo_hit <= MEMO_HIT, "memo hit: {memo_hit} > {MEMO_HIT}");
     assert!(
         surface_hit <= SURFACE_HIT,
@@ -127,5 +149,9 @@ fn answers_without_evaluation_allocate_no_more_than_before() {
     assert!(
         shed <= BROWNOUT_SHED,
         "brownout shed: {shed} > {BROWNOUT_SHED}"
+    );
+    assert!(
+        sweep_hit <= SWEEP_HIT,
+        "64-point sweep hit: {sweep_hit} > {SWEEP_HIT}"
     );
 }
