@@ -29,9 +29,11 @@
 //!   threshold-voltage shift.
 //! * [`stress_key`] — quantized stress-point keys ([`StressKey`]) for
 //!   memoizing model evaluations in batch sweeps.
-//! * [`seal`] — CRC-32, FNV-1a, the SplitMix64 and xoshiro256++ generators,
-//!   atomic writes and lossy line reading: the one substrate under every
-//!   checkpoint, artifact and seeded draw in the workspace.
+//! * [`seal`] — CRC-32, FNV-1a, the SplitMix64 and xoshiro256++ generators
+//!   and atomic writes: the one substrate under every checkpoint, artifact
+//!   and seeded draw in the workspace.
+//! * [`journal`] — the append-only sealed line file under sweep and fleet
+//!   checkpoints: one writer, one reader, one salvage policy.
 //! * [`json`] — the workspace's one JSON codec: escaping, shortest-round-trip
 //!   floats and a depth-bounded parser, shared by service bodies, sweep
 //!   checkpoints and lint reports.
@@ -72,6 +74,7 @@ pub mod consts;
 pub mod degradation;
 pub mod equivalent;
 pub mod error;
+pub mod journal;
 pub mod json;
 pub mod model;
 pub mod params;

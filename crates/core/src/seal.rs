@@ -1,8 +1,9 @@
 //! The primitives every persisted relia file is built from: CRC-32 seals,
-//! FNV-1a fingerprints, the seeded SplitMix64 and xoshiro256++ generators,
-//! atomic replacement and lossy line reading. Sweep and fleet checkpoints
-//! and surface artifacts all sit on top, each with its own salvage policy
-//! (DESIGN.md, "Sealed files").
+//! FNV-1a fingerprints, the seeded SplitMix64 and xoshiro256++ generators
+//! and atomic replacement. Sweep and fleet checkpoints sit on top as
+//! [`journal`](crate::journal)s and share its salvage policy; surface
+//! artifacts reject the whole file on any damage (DESIGN.md, "Sealed
+//! files").
 //!
 //! Every value computed here is written to disk, picks a cache shard or
 //! draws a synthetic circuit, task set or Monte-Carlo sample, so none of
@@ -10,7 +11,7 @@
 
 use std::ffi::OsString;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes`.
@@ -237,40 +238,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-/// Streams the lines of `path` (without their `\n`), or `Ok(None)` when
-/// the file does not exist.
-///
-/// Decoding is lossy: a line that is not valid UTF-8 (bit rot) arrives with
-/// replacement characters, so it fails its CRC as a bad record instead of
-/// failing the whole read as an I/O error.
-///
-/// # Errors
-///
-/// Opening errors other than not-found; read errors arrive per line.
-pub fn lossy_lines(path: &Path) -> io::Result<Option<impl Iterator<Item = io::Result<String>>>> {
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let mut reader = BufReader::new(file);
-    Ok(Some(std::iter::from_fn(move || {
-        let mut line = Vec::new();
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => None,
-            Ok(_) => {
-                if line.last() == Some(&b'\n') {
-                    line.pop();
-                }
-                Some(Ok(String::from_utf8(line).unwrap_or_else(|e| {
-                    String::from_utf8_lossy(e.as_bytes()).into_owned()
-                })))
-            }
-            Err(e) => Some(Err(e)),
-        }
-    })))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,19 +386,5 @@ mod tests {
             seen[rng.below(6) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn lossy_lines_turn_bad_utf8_into_a_bad_line() {
-        let path = std::env::temp_dir().join(format!("relia-seal-{}", std::process::id()));
-        assert!(lossy_lines(&path).unwrap().is_none(), "missing file");
-        write_atomic(&path, b"head\nbad \xff byte\n\ntail").unwrap();
-        let lines: Vec<String> = lossy_lines(&path)
-            .unwrap()
-            .unwrap()
-            .collect::<io::Result<_>>()
-            .unwrap();
-        assert_eq!(lines, ["head", "bad \u{fffd} byte", "", "tail"]);
-        fs::remove_file(&path).unwrap();
     }
 }

@@ -1,5 +1,5 @@
-//! Crash-safe fleet checkpoints: an append-only text file of completed
-//! chunk accumulators, each line independently CRC-protected.
+//! Crash-safe fleet checkpoints: a [`Journal`] of completed chunk
+//! accumulators, one CRC-sealed line each.
 //!
 //! Format (one record per line):
 //!
@@ -8,36 +8,30 @@
 //! chunk <index> <crc hex> <word hex> <word hex> ...
 //! ```
 //!
-//! The header binds the file to a `(spec, chunk size)` fingerprint; a
-//! mismatch rejects the whole file. Individual chunk lines that fail their
-//! CRC or parse (a torn write from a crash, bit rot) are *skipped*,
-//! salvaging every intact record — the engine simply recomputes the lost
-//! chunks. When anything was skipped, [`load`] atomically rewrites the file
-//! to the intact records, so the next append starts on a clean line
-//! instead of extending a torn one.
+//! The header binds the file to a `(spec, chunk size)` fingerprint;
+//! [`open`] refuses a mismatched file whole and leaves it untouched. Past
+//! the header, the journal's one salvage policy holds: a chunk line that
+//! fails its CRC or parse (a torn write from a crash, bit rot) is skipped,
+//! every intact record is kept, and the file is healed on disk before the
+//! next append — the engine simply recomputes the lost chunks.
 
 use crate::accum::ChunkAccum;
 use crate::error::FleetError;
-use relia_core::seal::{crc32, lossy_lines, write_atomic};
+use relia_core::journal::Journal;
+use relia_core::seal::crc32;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::Path;
 
 const HEADER_TAG: &str = "relia-fleet-checkpoint";
 const HEADER_VERSION: &str = "v1";
 
-fn header_line(fingerprint: u64) -> String {
-    format!("{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}\n")
-}
-
-/// One sealed record line: `chunk <index> <crc> <words...>\n`.
+/// One sealed record line: `chunk <index> <crc> <words...>`.
 fn record_line(index: usize, acc: &ChunkAccum) -> String {
     let payload = chunk_payload(index, &acc.to_words());
     let crc = crc32(payload.as_bytes());
     let idx_end = payload.find(' ').unwrap_or(payload.len());
     format!(
-        "chunk {} {crc:08x}{}\n",
+        "chunk {} {crc:08x}{}",
         &payload[..idx_end],
         &payload[idx_end..]
     )
@@ -53,9 +47,9 @@ fn chunk_payload(index: usize, words: &[u64]) -> String {
     s
 }
 
-/// Appends completed chunks to `path` as they arrive.
+/// Appends completed chunks to a checkpoint as they arrive.
 pub struct CheckpointWriter {
-    file: File,
+    journal: Journal,
 }
 
 impl CheckpointWriter {
@@ -67,102 +61,77 @@ impl CheckpointWriter {
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn create(path: &Path, fingerprint: u64) -> Result<Self, FleetError> {
-        write_atomic(path, header_line(fingerprint).as_bytes()).map_err(io_err)?;
-        CheckpointWriter::append(path)
+        let header = format!("{HEADER_TAG} {HEADER_VERSION} {fingerprint:016x}");
+        let journal = Journal::create(path, &header).map_err(io_err)?;
+        Ok(CheckpointWriter { journal })
     }
 
-    /// Reopens an existing checkpoint for appending (after a salvage load).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Io`] on any filesystem failure.
-    pub fn append(path: &Path) -> Result<Self, FleetError> {
-        let file = OpenOptions::new().append(true).open(path).map_err(io_err)?;
-        Ok(CheckpointWriter { file })
-    }
-
-    /// Writes one completed chunk and flushes, so a crash immediately
-    /// after still finds the record intact.
+    /// Writes one completed chunk as one line and flushes it, so a crash
+    /// immediately after still finds the record intact.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Io`] on any filesystem failure.
     pub fn record(&mut self, index: usize, acc: &ChunkAccum) -> Result<(), FleetError> {
-        // Single write call so the line is as close to atomic as the OS gives us.
-        self.file
-            .write_all(record_line(index, acc).as_bytes())
-            .map_err(io_err)?;
-        self.file.flush().map_err(io_err)
+        self.journal.append(record_line(index, acc)).map_err(io_err)
     }
 }
 
-/// Loads every intact chunk from `path`.
-///
-/// Returns the salvaged accumulators keyed by chunk index and the number of
-/// lines that were skipped as corrupt. Missing file → empty map. When any
-/// line was skipped, the file is atomically rewritten to the header plus
-/// the intact records.
+/// An existing checkpoint, opened to resume its run.
+pub struct Checkpoint {
+    /// Every intact chunk, keyed by chunk index.
+    pub chunks: BTreeMap<usize, ChunkAccum>,
+    /// Lines skipped as damaged; the healed file no longer holds them.
+    pub skipped: usize,
+    /// Appends to the checkpoint.
+    pub writer: CheckpointWriter,
+}
+
+/// Opens the checkpoint at `path` to resume the run with `fingerprint`
+/// and `times` evaluation times, or `Ok(None)` when there is no file. A
+/// file that needed it is healed on disk first ([`Journal::open`]).
 ///
 /// # Errors
 ///
 /// [`FleetError::Checkpoint`] when the header is missing, malformed, or
-/// fingerprint-mismatched; [`FleetError::Io`] on read or rewrite failures.
-pub fn load(
-    path: &Path,
-    fingerprint: u64,
-    times: usize,
-) -> Result<(BTreeMap<usize, ChunkAccum>, usize), FleetError> {
-    let Some(mut lines) = lossy_lines(path).map_err(io_err)? else {
-        return Ok((BTreeMap::new(), 0));
-    };
-    let header = match lines.next() {
-        Some(Ok(l)) => l,
-        Some(Err(e)) => return Err(io_err(e)),
-        None => {
-            return Err(FleetError::Checkpoint(
-                "checkpoint file is empty".to_owned(),
-            ))
-        }
-    };
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some(HEADER_TAG) || parts.next() != Some(HEADER_VERSION) {
-        return Err(FleetError::Checkpoint(
-            "unrecognized checkpoint header".to_owned(),
-        ));
-    }
-    let fp = parts
-        .next()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| FleetError::Checkpoint("unreadable checkpoint fingerprint".to_owned()))?;
-    if fp != fingerprint {
-        return Err(FleetError::Checkpoint(format!(
-            "checkpoint fingerprint {fp:016x} does not match this run ({fingerprint:016x}); \
-             the spec or chunk size changed"
-        )));
-    }
-
+/// fingerprint-mismatched (the file is then left untouched);
+/// [`FleetError::Io`] on read or rewrite failures.
+pub fn open(path: &Path, fingerprint: u64, times: usize) -> Result<Option<Checkpoint>, FleetError> {
     let mut chunks = BTreeMap::new();
-    let mut skipped = 0_usize;
-    for line in lines {
-        let line = line.map_err(io_err)?;
-        if line.trim().is_empty() {
-            continue;
+    let opened = Journal::open(
+        path,
+        |header| check_header(header, fingerprint),
+        |line| {
+            parse_chunk_line(line, times)
+                .map(|(index, acc)| chunks.insert(index, acc))
+                .is_some()
+        },
+    )
+    .map_err(io_err)??;
+    Ok(opened.map(|(journal, skipped)| Checkpoint {
+        chunks,
+        skipped,
+        writer: CheckpointWriter { journal },
+    }))
+}
+
+fn check_header(header: &str, fingerprint: u64) -> Result<(), FleetError> {
+    let mut parts = header.split_whitespace();
+    let what = if header.is_empty() {
+        "checkpoint file is empty".to_owned()
+    } else if parts.next() != Some(HEADER_TAG) || parts.next() != Some(HEADER_VERSION) {
+        "unrecognized checkpoint header".to_owned()
+    } else {
+        match parts.next().and_then(|s| u64::from_str_radix(s, 16).ok()) {
+            Some(fp) if fp == fingerprint => return Ok(()),
+            Some(fp) => format!(
+                "checkpoint fingerprint {fp:016x} does not match this run ({fingerprint:016x}); \
+                 the spec or chunk size changed"
+            ),
+            None => "unreadable checkpoint fingerprint".to_owned(),
         }
-        match parse_chunk_line(&line, times) {
-            Some((index, acc)) => {
-                chunks.insert(index, acc);
-            }
-            None => skipped += 1,
-        }
-    }
-    if skipped > 0 {
-        let mut text = header_line(fingerprint);
-        for (&index, acc) in &chunks {
-            text.push_str(&record_line(index, acc));
-        }
-        write_atomic(path, text.as_bytes()).map_err(io_err)?;
-    }
-    Ok((chunks, skipped))
+    };
+    Err(FleetError::Checkpoint(what))
 }
 
 fn parse_chunk_line(line: &str, times: usize) -> Option<(usize, ChunkAccum)> {
@@ -214,6 +183,13 @@ mod tests {
         acc
     }
 
+    /// Opens a checkpoint that must exist.
+    fn open_present(path: &Path, fingerprint: u64, times: usize) -> Checkpoint {
+        open(path, fingerprint, times)
+            .expect("open")
+            .expect("present")
+    }
+
     #[test]
     fn round_trip_preserves_chunks_exactly() {
         let path = tmp("roundtrip");
@@ -224,7 +200,9 @@ mod tests {
             w.record(0, &a).expect("record");
             w.record(3, &b).expect("record");
         }
-        let (chunks, skipped) = load(&path, 0xABCD, 2).expect("load");
+        let Checkpoint {
+            chunks, skipped, ..
+        } = open_present(&path, 0xABCD, 2);
         assert_eq!(skipped, 0);
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[&0], a);
@@ -239,7 +217,16 @@ mod tests {
             let mut w = CheckpointWriter::create(&path, 1).expect("create");
             w.record(0, &sample_acc(1, 3)).expect("record");
         }
-        assert!(matches!(load(&path, 2, 1), Err(FleetError::Checkpoint(_))));
+        // Damage the tail too: a refused file must not be healed.
+        let len = fs::metadata(&path).expect("stat").len();
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(len - 7))
+            .expect("truncate");
+        let before = fs::read(&path).expect("read");
+        assert!(matches!(open(&path, 2, 1), Err(FleetError::Checkpoint(_))));
+        assert_eq!(fs::read(&path).expect("read"), before);
         let _ = fs::remove_file(&path);
     }
 
@@ -265,13 +252,15 @@ mod tests {
         lines.push("chunk".to_owned());
         fs::write(&path, lines.join("\n")).expect("write");
 
-        let (chunks, skipped) = load(&path, 7, 1).expect("salvage load");
+        let Checkpoint {
+            chunks, skipped, ..
+        } = open_present(&path, 7, 1);
         assert_eq!(chunks.len(), 1);
         assert!(chunks.contains_key(&0));
         assert_eq!(skipped, 3);
         // The salvage rewrote the file to its intact records.
-        let (healed, skipped) = load(&path, 7, 1).expect("healed load");
-        assert_eq!((healed, skipped), (chunks, 0));
+        let healed = open_present(&path, 7, 1);
+        assert_eq!((healed.chunks, healed.skipped), (chunks, 0));
         let _ = fs::remove_file(&path);
     }
 
@@ -283,10 +272,12 @@ mod tests {
             w.record(0, &sample_acc(1, 6)).expect("record");
         }
         {
-            let mut w = CheckpointWriter::append(&path).expect("append");
+            let mut w = open_present(&path, 9, 1).writer;
             w.record(1, &sample_acc(1, 7)).expect("record");
         }
-        let (chunks, skipped) = load(&path, 9, 1).expect("load");
+        let Checkpoint {
+            chunks, skipped, ..
+        } = open_present(&path, 9, 1);
         assert_eq!(skipped, 0);
         assert_eq!(chunks.len(), 2);
         let _ = fs::remove_file(&path);
@@ -296,8 +287,6 @@ mod tests {
     fn missing_file_loads_empty() {
         let path = tmp("missing");
         let _ = fs::remove_file(&path);
-        let (chunks, skipped) = load(&path, 1, 1).expect("load");
-        assert!(chunks.is_empty());
-        assert_eq!(skipped, 0);
+        assert!(open(&path, 1, 1).expect("open").is_none());
     }
 }

@@ -379,21 +379,22 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
     let total_chunks = spec.samples.div_ceil(chunk);
     let fingerprint = spec.fingerprint(chunk);
 
-    let (mut resumed, salvaged_skips) = match &opts.checkpoint {
-        Some(path) => checkpoint::load(path, fingerprint, spec.times.len())?,
-        None => (BTreeMap::new(), 0),
+    let (mut resumed, salvaged_skips, mut writer) = match &opts.checkpoint {
+        Some(path) => match checkpoint::open(path, fingerprint, spec.times.len())? {
+            Some(ckpt) => (ckpt.chunks, ckpt.skipped, Some(ckpt.writer)),
+            None => (
+                BTreeMap::new(),
+                0,
+                Some(CheckpointWriter::create(path, fingerprint)?),
+            ),
+        },
+        None => (BTreeMap::new(), 0, None),
     };
     resumed.retain(|&i, _| i < total_chunks);
     let resumed_chunks = resumed.len();
     let todo: Vec<usize> = (0..total_chunks)
         .filter(|i| !resumed.contains_key(i))
         .collect();
-
-    let mut writer = match &opts.checkpoint {
-        Some(path) if resumed_chunks > 0 => Some(CheckpointWriter::append(path)?),
-        Some(path) => Some(CheckpointWriter::create(path, fingerprint)?),
-        None => None,
-    };
 
     let workers = if opts.workers == 0 {
         default_workers()

@@ -1,6 +1,6 @@
 //! Crash-safe JSONL checkpointing for interruptible sweeps.
 //!
-//! A checkpoint file is a header line followed by one JSON object per
+//! A checkpoint is a [`Journal`]: a header line, then one JSON object per
 //! finished job, appended (and flushed) as results arrive. Every line —
 //! header included — ends with a CRC-32 of the rest of the object, so
 //! corruption (torn writes, bit rot, editor accidents) is *detected*
@@ -15,42 +15,33 @@
 //!
 //! Floats are serialized with Rust's shortest-round-trip `Display` and
 //! parsed back with `str::parse::<f64>`, so a resumed value is *bit-equal*
-//! to the original — resuming cannot perturb results. The header carries
-//! the [`SweepSpec`](crate::SweepSpec) fingerprint; resuming against a
-//! different spec is rejected rather than silently mixing grids.
+//! to the original — resuming cannot perturb results.
 //!
-//! Two read paths with different contracts:
-//!
-//! * [`load`] is **strict**: any invalid record line is a
-//!   [`CheckpointError::CorruptRecord`]. Use it when corruption should be
-//!   surfaced, not papered over.
-//! * [`salvage`] recovers the **longest valid prefix**: records are
-//!   consumed up to the first invalid line; that line and everything after
-//!   it are dropped (the count is reported), and when anything was dropped
-//!   the file is atomically rewritten to exactly the valid prefix — so a
-//!   later append continues from a clean line boundary instead of
-//!   concatenating onto a torn one.
-//!
-//! File creation and the salvage rewrite both go through
-//! [`write_atomic`], so a crash mid-create never leaves a half-written
-//! header for the next run to trip over.
+//! [`open`] checks the header before it reads a record: a damaged or
+//! foreign header, or one written for a different
+//! [`SweepSpec`](crate::SweepSpec) (its fingerprint and grid size), refuses
+//! the file and leaves it untouched. Past the header, the journal's one
+//! salvage policy holds: every intact record is kept, the last record of
+//! an index wins, a damaged line costs only its own job, and the file is
+//! healed on disk before the next append.
 
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
 
+use relia_core::journal::Journal;
 use relia_core::json::{self, Json};
-use relia_core::seal::{crc32, crc32_extend, lossy_lines, write_atomic};
+use relia_core::seal::{crc32, crc32_extend};
 
+use crate::engine::SweepError;
 use crate::spec::{JobResult, JobStatus};
 
 const HEADER_NAME: &str = "relia-sweep-checkpoint";
 const VERSION: u64 = 2;
 
-/// Typed error for checkpoint I/O and decoding.
+/// Typed error for checkpoint I/O and headers.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// An underlying filesystem error.
@@ -67,12 +58,6 @@ pub enum CheckpointError {
         /// The version found in the file.
         found: u64,
     },
-    /// A record line failed its CRC or did not parse (strict [`load`]
-    /// only; [`salvage`] recovers the prefix instead).
-    CorruptRecord {
-        /// 1-based line number of the first bad line.
-        line_no: usize,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -83,9 +68,6 @@ impl fmt::Display for CheckpointError {
             CheckpointError::BadHeader { what } => write!(f, "checkpoint header: {what}"),
             CheckpointError::UnsupportedVersion { found } => {
                 write!(f, "unsupported checkpoint version {found} (want {VERSION})")
-            }
-            CheckpointError::CorruptRecord { line_no } => {
-                write!(f, "corrupt checkpoint record at line {line_no}")
             }
         }
     }
@@ -106,92 +88,74 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// A loaded checkpoint: the header identity plus the last recorded status
-/// of every job index present in the file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    /// Spec fingerprint recorded at creation.
-    pub fingerprint: u64,
-    /// Grid size recorded at creation.
-    pub total: usize,
-    /// Last-written status per job index.
-    pub statuses: BTreeMap<usize, JobStatus>,
-}
-
-impl Checkpoint {
-    /// Indices whose jobs completed (these are skipped on resume).
-    pub fn completed_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.statuses
-            .iter()
-            .filter(|(_, s)| matches!(s, JobStatus::Completed(_)))
-            .map(|(&i, _)| i)
-    }
-}
-
-/// What [`salvage`] recovered from a (possibly corrupted) checkpoint.
+/// An existing checkpoint, opened to resume its sweep.
 #[derive(Debug)]
-pub struct Salvage {
-    /// The longest valid prefix, parsed.
-    pub checkpoint: Checkpoint,
-    /// Record lines dropped (the first invalid line and everything after
-    /// it). When non-zero, the file on disk has been rewritten to the
-    /// valid prefix.
-    pub dropped_records: usize,
+pub struct Checkpoint {
+    /// Last-written status per job index, from every intact record.
+    pub statuses: BTreeMap<usize, JobStatus>,
+    /// Lines skipped as damaged; the healed file no longer holds them.
+    pub skipped: usize,
+    /// Appends to the checkpoint.
+    pub writer: CheckpointWriter,
 }
 
-/// The parsed header plus the raw record lines that follow it.
-struct RawCheckpoint {
-    header_line: String,
-    fingerprint: u64,
-    total: usize,
-    record_lines: Vec<String>,
+/// Opens the checkpoint at `path` to resume the sweep whose spec has
+/// `fingerprint` and `total` points, or `Ok(None)` when there is no file.
+/// A file that needed it is healed on disk first ([`Journal::open`]).
+///
+/// # Errors
+///
+/// [`SweepError::CheckpointMismatch`] for a checkpoint of another spec,
+/// and [`SweepError::Checkpoint`] for a damaged or foreign header or an
+/// unreadable file. A refused file is left untouched.
+pub fn open(path: &Path, fingerprint: u64, total: usize) -> Result<Option<Checkpoint>, SweepError> {
+    let mut statuses = BTreeMap::new();
+    let opened = Journal::open(
+        path,
+        |header| match read_header(header)? {
+            (found, n) if found == fingerprint && n == total => Ok(()),
+            (found, _) => Err(SweepError::CheckpointMismatch {
+                expected: fingerprint,
+                found,
+            }),
+        },
+        |line| {
+            decode_record(line)
+                .map(|(index, status)| statuses.insert(index, status))
+                .is_some()
+        },
+    )
+    .map_err(CheckpointError::Io)??;
+    Ok(opened.map(|(journal, skipped)| Checkpoint {
+        statuses,
+        skipped,
+        writer: CheckpointWriter { journal },
+    }))
 }
 
-fn read_raw(path: &Path) -> Result<Option<RawCheckpoint>, CheckpointError> {
-    // Lossy lines: bit rot can produce invalid UTF-8, which must surface as
-    // an invalid *record* (the mangled text fails its CRC) rather than an
-    // unreadable file.
-    let Some(mut lines) = lossy_lines(path)? else {
-        return Ok(None);
-    };
-    let header_line = lines.next().ok_or(CheckpointError::Empty)??;
-    let verified = verify_crc(&header_line).ok_or(CheckpointError::BadHeader {
-        what: "crc mismatch or missing",
-    })?;
-    let header = json::parse(verified.as_bytes()).map_err(|_| CheckpointError::BadHeader {
-        what: "not a JSON object",
-    })?;
+/// The spec fingerprint and grid size a header line records.
+fn read_header(line: &str) -> Result<(u64, usize), CheckpointError> {
+    if line.is_empty() {
+        return Err(CheckpointError::Empty);
+    }
+    let bad = |what| CheckpointError::BadHeader { what };
+    let verified = verify_crc(line).ok_or(bad("crc mismatch or missing"))?;
+    let header = json::parse(verified.as_bytes()).map_err(|_| bad("not a JSON object"))?;
     if header.get("header").and_then(Json::as_str) != Some(HEADER_NAME) {
-        return Err(CheckpointError::BadHeader {
-            what: "not a relia sweep checkpoint",
-        });
+        return Err(bad("not a relia sweep checkpoint"));
     }
     match uint::<u64>(&header, "version") {
         Some(VERSION) => {}
         Some(found) => return Err(CheckpointError::UnsupportedVersion { found }),
-        None => {
-            return Err(CheckpointError::BadHeader {
-                what: "missing version",
-            });
-        }
+        None => return Err(bad("missing version")),
     }
     let fingerprint = header
         .get("fingerprint")
         .and_then(Json::as_str)
         .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or(CheckpointError::BadHeader {
-            what: "missing fingerprint",
-        })?;
-    let total = uint(&header, "total").ok_or(CheckpointError::BadHeader {
-        what: "missing total",
-    })?;
-    let record_lines = lines.collect::<io::Result<Vec<String>>>()?;
-    Ok(Some(RawCheckpoint {
-        header_line,
-        fingerprint,
-        total,
-        record_lines,
-    }))
+        .ok_or(bad("missing fingerprint"))?;
+    let total = uint(&header, "total").ok_or(bad("missing total"))?;
+    Ok((fingerprint, total))
 }
 
 /// Validates one record line (CRC + parse). `None` when invalid.
@@ -200,139 +164,37 @@ fn decode_record(line: &str) -> Option<(usize, JobStatus)> {
     record_from(&json::parse(line.as_bytes()).ok()?)
 }
 
-/// Loads a checkpoint strictly, or `Ok(None)` when `path` does not exist.
-///
-/// # Errors
-///
-/// Any unreadable file, damaged header, or invalid record line (CRC
-/// mismatch, torn tail, unparseable object) is an error. Use [`salvage`]
-/// to recover the valid prefix of a damaged file instead.
-pub fn load(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
-    let Some(raw) = read_raw(path)? else {
-        return Ok(None);
-    };
-    let mut statuses = BTreeMap::new();
-    for (offset, line) in raw.record_lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            // A trailing newline artifact, not data; strict mode tolerates
-            // blank lines only at the very end.
-            if raw.record_lines[offset..]
-                .iter()
-                .all(|l| l.trim().is_empty())
-            {
-                break;
-            }
-            return Err(CheckpointError::CorruptRecord {
-                line_no: offset + 2,
-            });
-        }
-        let Some((index, status)) = decode_record(line) else {
-            return Err(CheckpointError::CorruptRecord {
-                line_no: offset + 2, // +1 header, +1 one-based
-            });
-        };
-        statuses.insert(index, status);
-    }
-    Ok(Some(Checkpoint {
-        fingerprint: raw.fingerprint,
-        total: raw.total,
-        statuses,
-    }))
-}
-
-/// Loads the longest valid prefix of a checkpoint, or `Ok(None)` when
-/// `path` does not exist.
-///
-/// Records are consumed up to the first invalid line; that line and every
-/// line after it count as dropped. When anything was dropped the file is
-/// **atomically rewritten** ([`write_atomic`]) to exactly the valid
-/// prefix, so a subsequent [`CheckpointWriter::append`] starts on a clean
-/// line boundary.
-///
-/// # Errors
-///
-/// Filesystem errors and a damaged/foreign *header* are still fatal — a
-/// file whose identity cannot be established is not safe to resume from.
-pub fn salvage(path: &Path) -> Result<Option<Salvage>, CheckpointError> {
-    let Some(raw) = read_raw(path)? else {
-        return Ok(None);
-    };
-    let mut statuses = BTreeMap::new();
-    let mut valid_lines = 0usize;
-    for line in &raw.record_lines {
-        let Some((index, status)) = decode_record(line) else {
-            break;
-        };
-        statuses.insert(index, status);
-        valid_lines += 1;
-    }
-    let dropped_records = raw.record_lines.len() - valid_lines;
-    if dropped_records > 0 {
-        let mut text = raw.header_line;
-        text.push('\n');
-        for line in &raw.record_lines[..valid_lines] {
-            text.push_str(line);
-            text.push('\n');
-        }
-        write_atomic(path, text.as_bytes())?;
-    }
-    Ok(Some(Salvage {
-        checkpoint: Checkpoint {
-            fingerprint: raw.fingerprint,
-            total: raw.total,
-            statuses,
-        },
-        dropped_records,
-    }))
-}
-
 /// An open checkpoint being appended to, one flushed line per result.
 #[derive(Debug)]
 pub struct CheckpointWriter {
-    out: BufWriter<File>,
+    journal: Journal,
 }
 
 impl CheckpointWriter {
-    /// Creates a checkpoint with a fresh header, atomically
-    /// ([`write_atomic`]), so `path` never holds a half-written header.
+    /// Creates a checkpoint holding just its header, atomically
+    /// ([`Journal::create`]), so `path` never holds a half-written header.
     ///
     /// # Errors
     ///
     /// Returns I/O errors from creation, the header write, or the rename.
     pub fn create(path: &Path, fingerprint: u64, total: usize) -> Result<Self, CheckpointError> {
-        let header_body = format!(
+        let header = seal(&format!(
             "{{\"header\":\"{HEADER_NAME}\",\"version\":{VERSION},\
              \"fingerprint\":\"{fingerprint:016x}\",\"total\":{total}}}"
-        );
-        write_atomic(path, format!("{}\n", seal(&header_body)).as_bytes())?;
-        CheckpointWriter::append(path)
+        ));
+        let journal = Journal::create(path, &header)?;
+        Ok(CheckpointWriter { journal })
     }
 
-    /// Reopens an existing checkpoint for appending (the header is already
-    /// on disk; the caller has verified it via [`load`] or [`salvage`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from opening.
-    pub fn append(path: &Path) -> Result<Self, CheckpointError> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(CheckpointWriter {
-            out: BufWriter::new(file),
-        })
-    }
-
-    /// Appends one job's status (with its CRC) and flushes, so a kill
-    /// loses at most the line being written — and [`salvage`] detects that
-    /// torn line instead of mis-parsing it.
+    /// Appends one job's status (with its CRC) as one line and flushes it,
+    /// so a kill loses at most the line being written — and the next
+    /// [`open`] detects that torn line instead of mis-parsing it.
     ///
     /// # Errors
     ///
     /// Returns I/O errors from the write.
     pub fn record(&mut self, index: usize, status: &JobStatus) -> Result<(), CheckpointError> {
-        let body = record_body(index, status);
-        writeln!(self.out, "{}", seal(&body))?;
-        self.out.flush()?;
-        Ok(())
+        Ok(self.journal.append(seal(&record_body(index, status)))?)
     }
 }
 
@@ -475,6 +337,8 @@ fn record_from(obj: &Json) -> Option<(usize, JobStatus)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -491,6 +355,24 @@ mod tests {
             standby_leakage: Some(1.25e-6),
             active_leakage: 2.5e-6,
         })
+    }
+
+    /// Opens `path` as a checkpoint of `(fingerprint, total)` and returns
+    /// its statuses and skip count, after checking that opening it again
+    /// skips nothing and leaves the (healed) file byte for byte.
+    fn reopen(path: &Path, fingerprint: u64, total: usize) -> (BTreeMap<usize, JobStatus>, usize) {
+        let Checkpoint {
+            statuses, skipped, ..
+        } = open(path, fingerprint, total).unwrap().unwrap();
+        let healed = std::fs::read(path).unwrap();
+        let again = open(path, fingerprint, total).unwrap().unwrap();
+        assert_eq!((&again.statuses, again.skipped), (&statuses, 0));
+        assert_eq!(std::fs::read(path).unwrap(), healed);
+        (statuses, skipped)
+    }
+
+    fn open_err(path: &Path) -> SweepError {
+        open(path, 7, 3).expect_err("a refused checkpoint")
     }
 
     #[test]
@@ -521,40 +403,18 @@ mod tests {
         }
         drop(w);
 
-        let ckpt = load(&path).unwrap().unwrap();
-        assert_eq!(ckpt.fingerprint, 0xdead_beef);
-        assert_eq!(ckpt.total, 5);
-        assert_eq!(ckpt.statuses.len(), 5);
+        let (read, skipped) = reopen(&path, 0xdead_beef, 5);
+        assert_eq!(skipped, 0);
+        assert_eq!(read.len(), 5);
         for (i, s) in statuses.iter().enumerate() {
-            assert_eq!(ckpt.statuses.get(&i), Some(s), "index {i}");
+            assert_eq!(read.get(&i), Some(s), "index {i}");
         }
-        assert_eq!(ckpt.completed_indices().collect::<Vec<_>>(), vec![0, 1, 3]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn missing_file_is_none() {
-        assert!(load(&tmp("missing-never-created")).unwrap().is_none());
-        assert!(salvage(&tmp("missing-never-created")).unwrap().is_none());
-    }
-
-    #[test]
-    fn strict_load_rejects_a_torn_last_line() {
-        let path = tmp("torn-strict");
-        let mut w = CheckpointWriter::create(&path, 7, 3).unwrap();
-        w.record(0, &aging(0.01)).unwrap();
-        drop(w);
-        // Simulate a kill mid-write: append half a record.
-        use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "{{\"index\":1,\"kind\":\"ag").unwrap();
-        drop(f);
-
-        match load(&path) {
-            Err(CheckpointError::CorruptRecord { line_no }) => assert_eq!(line_no, 3),
-            other => panic!("expected CorruptRecord, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
+        assert!(open(&tmp("missing-never-created"), 7, 3).unwrap().is_none());
     }
 
     #[test]
@@ -565,28 +425,30 @@ mod tests {
         w.record(1, &aging(0.02)).unwrap();
         drop(w);
         let clean = std::fs::read_to_string(&path).unwrap();
-        use std::io::Write as _;
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "{{\"index\":2,\"kind\":\"ag").unwrap();
         drop(f);
 
-        let s = salvage(&path).unwrap().unwrap();
-        assert_eq!(s.dropped_records, 1);
-        assert_eq!(s.checkpoint.statuses.len(), 2);
-        assert_eq!(s.checkpoint.statuses.get(&0), Some(&aging(0.01)));
+        let Checkpoint {
+            statuses,
+            skipped,
+            writer: mut w,
+        } = open(&path, 7, 3).unwrap().unwrap();
+        assert_eq!(skipped, 1);
+        assert_eq!(statuses.len(), 2);
+        assert_eq!(statuses.get(&0), Some(&aging(0.01)));
         // The file was rewritten back to exactly the clean prefix…
         assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
-        // …so a follow-up append produces a loadable file.
-        let mut w = CheckpointWriter::append(&path).unwrap();
+        // …so a follow-up append produces a clean file.
         w.record(2, &aging(0.03)).unwrap();
         drop(w);
-        let ckpt = load(&path).unwrap().unwrap();
-        assert_eq!(ckpt.statuses.len(), 3);
+        let (statuses, skipped) = reopen(&path, 7, 3);
+        assert_eq!((statuses.len(), skipped), (3, 0));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn a_bit_flip_is_detected_and_everything_after_it_dropped() {
+    fn a_bit_flip_costs_only_its_own_record() {
         let path = tmp("bitflip");
         let mut w = CheckpointWriter::create(&path, 9, 4).unwrap();
         for i in 0..4 {
@@ -608,14 +470,12 @@ mod tests {
         bytes[target] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
 
-        assert!(matches!(
-            load(&path),
-            Err(CheckpointError::CorruptRecord { line_no: 3 })
-        ));
-        let s = salvage(&path).unwrap().unwrap();
-        assert_eq!(s.dropped_records, 3, "bad line + 2 after it");
-        assert_eq!(s.checkpoint.statuses.len(), 1);
-        assert_eq!(s.checkpoint.statuses.get(&0), Some(&aging(0.01)));
+        let (statuses, skipped) = reopen(&path, 9, 4);
+        assert_eq!(skipped, 1, "the flipped line alone");
+        assert_eq!(statuses.keys().copied().collect::<Vec<_>>(), [0, 2, 3]);
+        for i in [0, 2, 3] {
+            assert_eq!(statuses.get(&i), Some(&aging(0.01 * (i + 1) as f64)));
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -632,22 +492,30 @@ mod tests {
         )
         .unwrap();
         drop(w);
-        let mut w = CheckpointWriter::append(&path).unwrap();
+        let mut w = open(&path, 7, 3).unwrap().unwrap().writer;
         w.record(2, &aging(0.02)).unwrap();
         drop(w);
-        let ckpt = load(&path).unwrap().unwrap();
-        assert_eq!(ckpt.statuses.get(&2), Some(&aging(0.02)));
+        let (statuses, _) = reopen(&path, 7, 3);
+        assert_eq!(statuses.get(&2), Some(&aging(0.02)));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn wrong_header_is_an_error_even_for_salvage() {
         let path = tmp("badheader");
-        std::fs::write(&path, "{\"header\":\"something-else\",\"version\":2}\n").unwrap();
-        assert!(load(&path).is_err());
-        assert!(salvage(&path).is_err());
+        let foreign = "{\"header\":\"something-else\",\"version\":2}\n{\"index\":0}";
+        std::fs::write(&path, foreign).unwrap();
+        assert!(matches!(
+            open_err(&path),
+            SweepError::Checkpoint(CheckpointError::BadHeader { .. })
+        ));
+        // Refused, so left as it was: not healed, not truncated.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
         std::fs::write(&path, "").unwrap();
-        assert!(matches!(load(&path), Err(CheckpointError::Empty)));
+        assert!(matches!(
+            open_err(&path),
+            SweepError::Checkpoint(CheckpointError::Empty)
+        ));
         std::fs::remove_file(&path).ok();
     }
 
@@ -658,8 +526,8 @@ mod tests {
                     \"fingerprint\":\"0000000000000007\",\"total\":1}";
         std::fs::write(&path, format!("{}\n", seal(body))).unwrap();
         assert!(matches!(
-            load(&path),
-            Err(CheckpointError::UnsupportedVersion { found: 1 })
+            open_err(&path),
+            SweepError::Checkpoint(CheckpointError::UnsupportedVersion { found: 1 })
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -678,17 +546,11 @@ mod tests {
             writeln!(f, "{}", seal(bad)).unwrap();
             writeln!(f, "{}", seal(&record_body(1, &aging(0.02)))).unwrap();
             drop(f);
-            assert!(
-                matches!(
-                    load(&path),
-                    Err(CheckpointError::CorruptRecord { line_no: 3 })
-                ),
-                "{bad}"
-            );
-            let s = salvage(&path).unwrap().unwrap();
-            assert_eq!(s.dropped_records, 2, "{bad}");
-            assert_eq!(s.checkpoint.statuses.len(), 1);
-            assert_eq!(s.checkpoint.statuses.get(&0), Some(&aging(0.01)));
+            let (statuses, skipped) = reopen(&path, 7, 3);
+            assert_eq!(skipped, 1, "{bad}");
+            assert_eq!(statuses.len(), 2);
+            assert_eq!(statuses.get(&0), Some(&aging(0.01)));
+            assert_eq!(statuses.get(&1), Some(&aging(0.02)));
         }
         for total in ["-3", "2.5"] {
             let header = format!(
@@ -697,8 +559,8 @@ mod tests {
             );
             std::fs::write(&path, format!("{}\n", seal(&header))).unwrap();
             assert!(matches!(
-                load(&path),
-                Err(CheckpointError::BadHeader {
+                open_err(&path),
+                SweepError::Checkpoint(CheckpointError::BadHeader {
                     what: "missing total"
                 })
             ));
@@ -718,9 +580,9 @@ mod tests {
         )
         .unwrap();
         drop(w);
-        let ckpt = load(&path).unwrap().unwrap();
+        let (statuses, _) = reopen(&path, 1, 1);
         assert_eq!(
-            ckpt.statuses.get(&0),
+            statuses.get(&0),
             Some(&JobStatus::Completed(JobResult::Model {
                 delta_vth: f64::INFINITY
             }))

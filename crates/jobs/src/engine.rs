@@ -22,10 +22,11 @@
 //! * with [`SweepOptions::job_timeout`] set, a watchdog cancels straggling
 //!   jobs cooperatively — they surface as [`JobStatus::TimedOut`] and the
 //!   pool drains instead of hanging;
-//! * checkpoints are opened through [`checkpoint::salvage`], so a file
-//!   damaged by a crash (torn tail, bit rot) resumes from its longest
-//!   valid prefix instead of aborting the batch — the dropped-record count
-//!   lands in [`SweepMetrics::salvaged_dropped`];
+//! * checkpoints are opened through [`checkpoint::open`], which refuses a
+//!   file of another spec before touching it, and resumes a file damaged
+//!   by a crash (torn tail, bit rot) from every intact record instead of
+//!   aborting the batch — only the damaged lines' jobs re-run, and their
+//!   count lands in [`SweepMetrics::salvaged_dropped`];
 //! * a non-finite ΔV_th is rejected at the cache-admission boundary
 //!   ([`ShardedCache::insert_checked`]) and becomes a structured job
 //!   failure; `NaN` can never enter the memo table.
@@ -64,8 +65,8 @@ pub const SWEEP_TEMP_ACTIVE_K: f64 = 400.0;
 pub struct SweepOptions {
     /// Worker threads; 0 means [`pool::default_workers`].
     pub workers: usize,
-    /// Checkpoint file: created if absent, resumed from (salvaging a
-    /// corrupted tail) if present.
+    /// Checkpoint file: created if absent, resumed from (keeping every
+    /// intact record) if present.
     pub checkpoint: Option<PathBuf>,
     /// Memo-cache shard count; 0 means [`crate::cache::DEFAULT_SHARDS`].
     /// Ignored when [`SweepOptions::shared_cache`] is set.
@@ -237,22 +238,15 @@ where
     let model = NbtiModel::ptm90().expect("built-in calibration is valid");
     let prepare_secs = t_prepare.elapsed().as_secs_f64();
 
-    // --- Checkpoint phase: salvage previous results, open the writer. ---
+    // --- Checkpoint phase: resume previous results, open the writer. ---
     let mut statuses: Vec<Option<JobStatus>> = vec![None; points.len()];
     let mut resumed_jobs = 0usize;
     let mut salvaged_dropped = 0usize;
     let mut writer: Option<CheckpointWriter> = None;
     if let Some(path) = &options.checkpoint {
-        match checkpoint::salvage(path)? {
-            Some(salvaged) => {
-                let ckpt = salvaged.checkpoint;
-                salvaged_dropped = salvaged.dropped_records;
-                if ckpt.fingerprint != fingerprint || ckpt.total != points.len() {
-                    return Err(SweepError::CheckpointMismatch {
-                        expected: fingerprint,
-                        found: ckpt.fingerprint,
-                    });
-                }
+        writer = Some(match checkpoint::open(path, fingerprint, points.len())? {
+            Some(ckpt) => {
+                salvaged_dropped = ckpt.skipped;
                 for (index, status) in ckpt.statuses {
                     // Only completed jobs are final; failed and timed-out
                     // ones re-run.
@@ -261,12 +255,10 @@ where
                         resumed_jobs += 1;
                     }
                 }
-                writer = Some(CheckpointWriter::append(path)?);
+                ckpt.writer
             }
-            None => {
-                writer = Some(CheckpointWriter::create(path, fingerprint, points.len())?);
-            }
-        }
+            None => CheckpointWriter::create(path, fingerprint, points.len())?,
+        });
     }
     let pending: Vec<usize> = (0..points.len())
         .filter(|&i| statuses[i].is_none())

@@ -20,12 +20,13 @@
 //!   hit/miss counters feed the metrics.
 //! * [`spec`] — [`SweepSpec`]: the grid description and its canonical,
 //!   index-stable enumeration.
-//! * [`checkpoint`] — JSONL persistence with per-record CRC-32, atomic
-//!   file creation, bit-exact float round-trips, and a salvage path that
-//!   recovers the longest valid prefix of a damaged file; resume skips
-//!   completed indices.
+//! * [`checkpoint`] — JSONL records with per-line CRC-32 and bit-exact
+//!   float round-trips, kept in a [`relia_core::journal::Journal`]: atomic
+//!   creation, a header check that refuses another spec's file without
+//!   touching it, and a salvage policy that keeps every intact record of a
+//!   damaged file; resume skips completed indices.
 //! * [`engine`] — [`run_sweep`]: prepare (per-circuit
-//!   [`relia_flow::AnalysisPrep`]) → salvage/resume → execute → summarize.
+//!   [`relia_flow::AnalysisPrep`]) → open/resume → execute → summarize.
 //! * [`metrics`] — [`SweepMetrics`], the operator-facing run summary.
 //! * `fault` (feature `fault-inject` only) — deterministic fault schedules
 //!   and checkpoint-corruption helpers for the resilience test suite; the
@@ -66,10 +67,7 @@ pub mod pool;
 pub mod spec;
 
 pub use cache::{CacheStats, ShardedCache, DEFAULT_SHARDS};
-pub use checkpoint::{
-    load as load_checkpoint, salvage as salvage_checkpoint, Checkpoint, CheckpointError,
-    CheckpointWriter, Salvage,
-};
+pub use checkpoint::{open as open_checkpoint, Checkpoint, CheckpointError, CheckpointWriter};
 pub use engine::{
     builtin_resolver, run_sweep, SweepError, SweepOptions, SweepOutcome, SWEEP_PERIOD_S,
     SWEEP_TEMP_ACTIVE_K,

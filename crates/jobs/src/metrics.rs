@@ -123,7 +123,8 @@ pub struct SweepMetrics {
     /// Retry attempts across all jobs (a job that succeeded on its second
     /// attempt contributes 1).
     pub retried_jobs: u64,
-    /// Corrupt trailing checkpoint records dropped by the salvage pass.
+    /// Checkpoint lines skipped as damaged when the run opened its
+    /// checkpoint (the jobs they recorded re-run).
     pub salvaged_dropped: usize,
     /// Worker threads used.
     pub workers: usize,

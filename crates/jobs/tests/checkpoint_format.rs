@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used)]
 use std::path::{Path, PathBuf};
 
-use relia_jobs::{salvage_checkpoint, CheckpointWriter, JobResult, JobStatus};
+use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobResult, JobStatus};
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sweep_checkpoint_v2.jsonl")
@@ -101,18 +101,26 @@ fn the_committed_checkpoint_reads_back_and_rewrites_byte_for_byte() {
     let expected = statuses();
     let committed = std::fs::read(fixture()).unwrap();
 
-    // Salvage a copy: a reader bug must not rewrite the committed file.
+    // Open a copy: a reader bug must not rewrite the committed file. The
+    // open succeeds only for the fingerprint and grid size in its header.
     let copy = tmp("read");
     std::fs::write(&copy, &committed).unwrap();
-    let s = salvage_checkpoint(&copy).unwrap().unwrap();
-    assert_eq!(s.dropped_records, 0);
-    assert_eq!(s.checkpoint.fingerprint, 0x0123_4567_89ab_cdef);
-    assert_eq!(s.checkpoint.total, expected.len());
-    let got: Vec<_> = s.checkpoint.statuses.values().map(bits).collect();
+    let Checkpoint {
+        statuses, skipped, ..
+    } = open_checkpoint(&copy, 0x0123_4567_89ab_cdef, expected.len())
+        .unwrap()
+        .unwrap();
+    assert_eq!(skipped, 0);
+    assert_eq!(
+        std::fs::read(&copy).unwrap(),
+        committed,
+        "an intact file stays"
+    );
+    let got: Vec<_> = statuses.values().map(bits).collect();
     let want: Vec<_> = expected.iter().map(bits).collect();
     assert_eq!(got, want);
     assert_eq!(
-        s.checkpoint.statuses.keys().copied().collect::<Vec<_>>(),
+        statuses.keys().copied().collect::<Vec<_>>(),
         (0..expected.len()).collect::<Vec<_>>()
     );
     std::fs::remove_file(&copy).ok();

@@ -1,19 +1,19 @@
 //! Property-based corruption tests for the checkpoint salvage path.
 //!
 //! The guarantee under test: for *any* written checkpoint damaged by tail
-//! truncation or a single bit flip in its record region, [`salvage`]
-//! recovers **exactly** the longest valid prefix of records — never a
-//! mis-parsed record, never fewer than the intact ones — and rewrites the
-//! file so a subsequent strict load succeeds.
+//! truncation or a single bit flip in its record region, [`open`] recovers
+//! **exactly** the intact records — never a mis-parsed record, never fewer
+//! than the intact ones — and heals the file, so opening it again skips
+//! nothing and leaves it byte for byte.
 //!
-//! [`salvage`]: relia_jobs::salvage_checkpoint
+//! [`open`]: relia_jobs::open_checkpoint
 
 #![allow(clippy::unwrap_used)]
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use relia_jobs::{load_checkpoint, salvage_checkpoint, CheckpointWriter, JobResult, JobStatus};
+use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobResult, JobStatus};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -47,21 +47,39 @@ fn write_checkpoint(path: &Path, values: &[f64]) -> Vec<(usize, usize)> {
     layout
 }
 
-fn assert_prefix(path: &Path, values: &[f64], expected_records: usize, dropped: usize) {
-    let s = salvage_checkpoint(path).unwrap().unwrap();
-    assert_eq!(s.dropped_records, dropped, "dropped-record count");
-    assert_eq!(s.checkpoint.statuses.len(), expected_records);
-    for (i, &v) in values.iter().enumerate().take(expected_records) {
-        // Exactly the valid prefix, bit-equal values, in order.
+/// Opens the damaged checkpoint and checks that it recovers exactly the
+/// records at `kept`, skipping `skipped` lines, and that the healed file
+/// opens again without skipping anything or changing.
+fn assert_kept(path: &Path, values: &[f64], kept: &[usize], skipped: usize) {
+    let Checkpoint {
+        statuses,
+        skipped: s,
+        ..
+    } = open_checkpoint(path, 0xfeed, values.len())
+        .unwrap()
+        .unwrap();
+    assert_eq!(s, skipped, "skipped-line count");
+    // Exactly the intact records, bit-equal values.
+    assert_eq!(statuses.keys().copied().collect::<Vec<_>>(), kept);
+    for &i in kept {
         assert_eq!(
-            s.checkpoint.statuses.get(&i),
-            Some(&JobStatus::Completed(JobResult::Model { delta_vth: v })),
+            statuses.get(&i),
+            Some(&JobStatus::Completed(JobResult::Model {
+                delta_vth: values[i]
+            })),
             "record {i}"
         );
     }
-    // The rewrite left a strictly loadable file behind.
-    let reloaded = load_checkpoint(path).unwrap().unwrap();
-    assert_eq!(reloaded.statuses.len(), expected_records);
+    let healed = std::fs::read(path).unwrap();
+    let again = open_checkpoint(path, 0xfeed, values.len())
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        (again.statuses, again.skipped),
+        (statuses, 0),
+        "the healed file skips nothing"
+    );
+    assert_eq!(std::fs::read(path).unwrap(), healed);
 }
 
 proptest! {
@@ -96,13 +114,14 @@ proptest! {
             .take_while(|&&(start, content_len)| start + content_len <= keep)
             .count();
         let present = layout[1..].iter().filter(|&&(start, _)| start < keep).count();
-        assert_prefix(&path, &values, surviving, present - surviving);
+        let kept: Vec<usize> = (0..surviving).collect();
+        assert_kept(&path, &values, &kept, present - surviving);
         std::fs::remove_file(&path).ok();
     }
 
     /// A single bit flip anywhere in the record region: the CRC catches
-    /// it, the damaged line and everything after it are dropped, and
-    /// every record before the flip survives untouched.
+    /// it, the damaged line alone is skipped, and every record before and
+    /// after it survives untouched.
     #[test]
     fn salvage_recovers_exactly_the_valid_prefix_after_a_bit_flip(
         values in prop::collection::vec(-1.0e3f64..1.0e3, 1..8),
@@ -118,11 +137,11 @@ proptest! {
         bytes[target] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        // The first line whose span (content + newline) contains the flip
-        // is damaged; flipping an *interior* newline merges two lines into
-        // one damaged line — either way the valid prefix ends there, and
-        // the dropped count is over the lines actually present afterwards.
-        let first_damaged = layout[1..]
+        // The line whose span (content + newline) contains the flip is
+        // damaged; flipping an *interior* newline merges it with the next
+        // line into one damaged line, so both records are lost — either way
+        // exactly one line is skipped.
+        let damaged = layout[1..]
             .iter()
             .position(|&(start, content_len)| target < start + content_len + 1)
             .unwrap();
@@ -130,8 +149,9 @@ proptest! {
             .iter()
             .any(|&(start, content_len)| target == start + content_len)
             && target != bytes.len() - 1;
-        let present = values.len() - usize::from(merges_two_lines);
-        assert_prefix(&path, &values, first_damaged, present - first_damaged);
+        let lost = damaged..=damaged + usize::from(merges_two_lines);
+        let kept: Vec<usize> = (0..values.len()).filter(|i| !lost.contains(i)).collect();
+        assert_kept(&path, &values, &kept, 1);
         std::fs::remove_file(&path).ok();
     }
 }

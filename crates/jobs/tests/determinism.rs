@@ -2,11 +2,11 @@
 //! checkpoint/resume, per-job fault isolation, and a working memo cache.
 
 #![allow(clippy::unwrap_used)]
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use relia_core::units::{Kelvin, Seconds};
 use relia_jobs::{
-    builtin_resolver, load_checkpoint, run_sweep, CheckpointWriter, JobStatus, PolicySpec,
+    builtin_resolver, open_checkpoint, run_sweep, CheckpointWriter, JobStatus, PolicySpec,
     SweepError, SweepOptions, SweepSpec, Workload,
 };
 
@@ -95,7 +95,10 @@ fn resumed_sweep_matches_uninterrupted_sweep() {
         builtin_resolver,
     )
     .unwrap();
-    let full = load_checkpoint(&full_path).unwrap().unwrap();
+    let full = open_checkpoint(&full_path, spec.fingerprint(), spec.len())
+        .unwrap()
+        .unwrap();
+    assert_eq!(full.skipped, 0, "a finished run leaves a clean checkpoint");
 
     let half_path = tmp("half");
     let mut w = CheckpointWriter::create(&half_path, spec.fingerprint(), spec.len()).unwrap();
@@ -165,6 +168,98 @@ fn checkpoint_from_a_different_spec_is_rejected() {
         matches!(err, SweepError::CheckpointMismatch { .. }),
         "{err}"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Options that resume from (or create) the checkpoint at `path`.
+fn checkpointed(path: &Path) -> SweepOptions {
+    SweepOptions {
+        workers: 2,
+        checkpoint: Some(path.to_owned()),
+        ..SweepOptions::default()
+    }
+}
+
+/// Damages the second record of the checkpoint at `path` (its third line)
+/// and returns the damaged bytes.
+fn damage_second_record(path: &Path) -> Vec<u8> {
+    let mut bytes = std::fs::read(path).unwrap();
+    let line_3 = 1 + bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(1)
+        .unwrap()
+        .0;
+    bytes[line_3 + 2] ^= 0x20; // `"index"` becomes `"Index"`
+    std::fs::write(path, &bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn a_damaged_checkpoint_of_another_spec_is_refused_untouched() {
+    let path = tmp("damaged-mismatch");
+    run_sweep(&model_spec(), &checkpointed(&path), builtin_resolver).unwrap();
+    let damaged = damage_second_record(&path);
+
+    let other = SweepSpec {
+        ras: vec![(1.0, 5.0)],
+        ..model_spec()
+    };
+    let err = run_sweep(&other, &checkpointed(&path), builtin_resolver).unwrap_err();
+    assert!(
+        matches!(err, SweepError::CheckpointMismatch { .. }),
+        "{err}"
+    );
+    assert!(std::fs::read(&path).unwrap() == damaged, "left as it was");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_corrupt_middle_line_costs_only_its_own_job() {
+    let spec = model_spec();
+    let path = tmp("middle");
+    let first = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    damage_second_record(&path);
+
+    let resumed = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    assert_eq!(resumed.metrics.salvaged_dropped, 1);
+    assert_eq!(
+        resumed.metrics.executed_jobs, 1,
+        "every later record resumed"
+    );
+    assert_eq!(resumed.metrics.resumed_jobs, spec.len() - 1);
+    assert_eq!(resumed.statuses, first.statuses);
+    let again = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    assert_eq!(again.metrics.salvaged_dropped, 0, "the file was healed");
+    assert_eq!(again.metrics.executed_jobs, 0);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_last_record_without_its_newline_does_not_swallow_the_next_append() {
+    let spec = model_spec();
+    let path = tmp("unterminated");
+    let first = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    // Delete one record and cut the final newline.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines.remove(3);
+    std::fs::write(&path, lines.join("\n")).unwrap();
+
+    let resumed = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    assert_eq!(
+        resumed.metrics.salvaged_dropped, 0,
+        "the last record is intact"
+    );
+    assert_eq!(resumed.metrics.executed_jobs, 1, "the deleted record's job");
+    let again = run_sweep(&spec, &checkpointed(&path), builtin_resolver).unwrap();
+    assert_eq!(
+        again.metrics.salvaged_dropped, 0,
+        "the append got its own line"
+    );
+    assert_eq!(again.metrics.executed_jobs, 0);
+    assert_eq!(again.statuses, first.statuses);
     std::fs::remove_file(&path).ok();
 }
 

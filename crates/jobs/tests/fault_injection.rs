@@ -8,7 +8,7 @@
 //! 2. an injected transient panic succeeds after retry, and the recovered
 //!    sweep is byte-identical to a fault-free run;
 //! 3. a checkpoint corrupted behind the engine's back (torn tail, bit
-//!    flips, duplicated records) resumes from the salvaged prefix and
+//!    flips, duplicated records) resumes from every intact record and
 //!    still produces byte-identical final output;
 //! 4. an injected NaN surfaces as a structured failure and never enters
 //!    the memo cache.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use relia_core::units::{Kelvin, Seconds};
 use relia_jobs::fault::{self, Fault, FaultPlan};
 use relia_jobs::{
-    builtin_resolver, load_checkpoint, run_sweep, JobStatus, SweepOptions, SweepSpec, Workload,
+    builtin_resolver, open_checkpoint, run_sweep, JobStatus, SweepOptions, SweepSpec, Workload,
 };
 
 /// A fast all-model grid (18 points, each a single cached evaluation).
@@ -170,11 +170,19 @@ fn a_corrupted_checkpoint_resumes_from_the_salvaged_prefix() {
     assert_eq!(resumed.metrics.executed_jobs, 0);
     assert_eq!(resumed.statuses, clean.statuses);
 
-    // After each salvage + re-run, the file itself is strictly loadable
-    // and complete again.
+    // After each salvage + re-run, the file is clean and complete again:
+    // re-opening it skips nothing and finds every job completed.
     for p in [&path, &path2, &path3] {
-        let ckpt = load_checkpoint(p).unwrap().unwrap();
-        assert_eq!(ckpt.completed_indices().count(), spec.len());
+        let ckpt = open_checkpoint(p, spec.fingerprint(), spec.len())
+            .unwrap()
+            .unwrap();
+        assert_eq!(ckpt.skipped, 0);
+        let completed = ckpt
+            .statuses
+            .values()
+            .filter(|s| matches!(s, JobStatus::Completed(_)))
+            .count();
+        assert_eq!(completed, spec.len());
         std::fs::remove_file(p).ok();
     }
 }

@@ -165,9 +165,9 @@ for workers in 1 3; do
 done
 rm -f "$fleet_ckpt" "$fleet_err" "$fleet_half"
 
-echo "==> relia sweep (checkpoint resume over a torn tail)"
+echo "==> relia sweep (checkpoint resume over a torn tail and a corrupt middle record)"
 # A small grid through the release CLI, then its checkpoint cut mid-record
-# (a crash mid-append). The first resume salvages the valid prefix and
+# (a crash mid-append). The first resume keeps every intact record and
 # re-runs the lost job, the second executes nothing, and both print the
 # first run's bytes.
 sweep_ckpt="$(mktemp -u)"
@@ -190,6 +190,22 @@ grep -q "(0 executed," "$sweep_err" || {
     cat "$sweep_err" >&2
     exit 1
 }
+# One corrupt record in the middle (bit rot) costs only its own job: the
+# first resume keeps every intact record after it, the second executes
+# nothing, and both print the first run's bytes.
+sed -i '3s/"index":/"indeX":/' "$sweep_ckpt"
+for executed in "(1 executed," "(0 executed,"; do
+    sweep_resumed="$(run_sweep)"
+    if [ "$sweep_first" != "$sweep_resumed" ]; then
+        echo "sweep: run resumed over a corrupt middle record diverged from the first" >&2
+        exit 1
+    fi
+    grep -q "$executed" "$sweep_err" || {
+        echo "sweep: corrupt middle record: expected \"$executed\" in:" >&2
+        cat "$sweep_err" >&2
+        exit 1
+    }
+done
 rm -f "$sweep_ckpt" "$sweep_err"
 
 echo "==> relia sweep (four-circuit identity: worker count, pinned checkpoint)"
