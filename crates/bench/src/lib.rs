@@ -14,6 +14,7 @@
 //! ```
 
 use relia_core::{Kelvin, ModeSchedule, Ras, Seconds};
+use relia_flow::paper_schedule;
 use relia_jobs::{
     builtin_resolver, run_sweep, JobResult, JobStatus, SweepOptions, SweepSpec, Workload,
 };
@@ -34,16 +35,11 @@ pub fn log_times(lo: f64, hi: f64, points: usize) -> Vec<Seconds> {
 ///
 /// Panics on invalid ratio/temperature (the harness passes constants).
 pub fn schedule(ras_active: f64, ras_standby: f64, temp_standby: Kelvin) -> ModeSchedule {
-    ModeSchedule::new(
-        // relia-lint: allow(unwrap-in-lib)
-        Ras::new(ras_active, ras_standby).expect("harness constants are valid"),
-        Seconds(1000.0),
-        Kelvin(400.0),
-        temp_standby,
-    )
-    // Documented panic: the figure harness passes known-good constants.
+    // Documented panics: the figure harness passes known-good constants.
     // relia-lint: allow(unwrap-in-lib)
-    .expect("harness constants are valid")
+    let ras = Ras::new(ras_active, ras_standby).expect("harness constants are valid");
+    // relia-lint: allow(unwrap-in-lib)
+    paper_schedule(ras, temp_standby).expect("harness constants are valid")
 }
 
 /// Evaluates a worst-case-stress ΔV_th grid (`ras` x `temps` x `times`)

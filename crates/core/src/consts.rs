@@ -3,9 +3,6 @@
 /// Boltzmann constant in electron-volts per kelvin.
 pub const BOLTZMANN_EV: f64 = 8.617_333_262e-5;
 
-/// Elementary charge in coulombs.
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
-
 /// Thermal voltage `kT/q` in volts at the given temperature.
 ///
 /// ```

@@ -1,7 +1,6 @@
 //! The aging analysis proper: per-PMOS stress → ΔV_th → degraded timing +
 //! leakage.
 
-use relia_cells::Vector;
 use relia_core::{CancelToken, PmosStress, Seconds, StressColumn};
 use relia_leakage::{circuit_leakage, expected_circuit_leakage, LeakageTable};
 use relia_netlist::Circuit;
@@ -556,11 +555,6 @@ impl AgingReport {
     pub fn worst_delta_vth(&self) -> f64 {
         self.gate_delta_vth.iter().cloned().fold(0.0, f64::max)
     }
-}
-
-/// Expands a [`Vector`] standby vector helper: freeze the circuit at `v`.
-pub fn input_vector_policy(v: Vector) -> StandbyPolicy {
-    StandbyPolicy::InputVector(v.to_bools())
 }
 
 #[cfg(test)]

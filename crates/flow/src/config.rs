@@ -5,6 +5,45 @@ use relia_core::{
 };
 use relia_leakage::DeviceModels;
 
+/// Mode-cycle period of the paper's baseline schedule, in seconds.
+pub const PAPER_PERIOD_S: f64 = 1000.0;
+/// Active-mode temperature of the paper's baseline schedule, in kelvin.
+pub const PAPER_TEMP_ACTIVE_K: f64 = 400.0;
+
+/// The paper's baseline schedule ([`PAPER_PERIOD_S`] period,
+/// [`PAPER_TEMP_ACTIVE_K`] active) at one RAS and standby temperature.
+///
+/// # Errors
+///
+/// Returns [`ModelError`] for an invalid standby temperature.
+pub fn paper_schedule(ras: Ras, temp_standby: Kelvin) -> Result<ModeSchedule, ModelError> {
+    ModeSchedule::new(
+        ras,
+        Seconds(PAPER_PERIOD_S),
+        Kelvin(PAPER_TEMP_ACTIVE_K),
+        temp_standby,
+    )
+}
+
+/// The memo key of one bare ΔV_th evaluation on [`paper_schedule`] — the
+/// key the sweep engine's model jobs and relia-serve's queries share.
+///
+/// # Errors
+///
+/// Returns [`ModelError`] for an invalid standby temperature, stress
+/// probability or lifetime (checked in that order).
+pub fn paper_stress_key(
+    ras: Ras,
+    temp_standby: Kelvin,
+    p_active: f64,
+    p_standby: f64,
+    lifetime: Seconds,
+) -> Result<StressKey, ModelError> {
+    let schedule = paper_schedule(ras, temp_standby)?;
+    let stress = PmosStress::new(p_active, p_standby)?;
+    StressKey::quantize(&schedule, &stress, lifetime)
+}
+
 /// How active-mode signal probabilities are derived.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpEstimator {
@@ -55,12 +94,7 @@ impl FlowConfig {
     pub fn paper_defaults() -> Result<Self, ModelError> {
         Ok(FlowConfig {
             nbti: NbtiModel::ptm90()?,
-            schedule: ModeSchedule::new(
-                Ras::new(1.0, 9.0)?,
-                Seconds(1000.0),
-                Kelvin(400.0),
-                Kelvin(330.0),
-            )?,
+            schedule: paper_schedule(Ras::new(1.0, 9.0)?, Kelvin(330.0))?,
             lifetime: Seconds(1.0e8),
             devices: DeviceModels::ptm90(),
             input_probs: None,
@@ -77,7 +111,7 @@ impl FlowConfig {
     /// Returns [`ModelError`] for invalid ratio or temperature.
     pub fn with_schedule(ras: Ras, temp_standby: Kelvin) -> Result<Self, ModelError> {
         let mut c = FlowConfig::paper_defaults()?;
-        c.schedule = ModeSchedule::new(ras, Seconds(1000.0), Kelvin(400.0), temp_standby)?;
+        c.schedule = paper_schedule(ras, temp_standby)?;
         Ok(c)
     }
 

@@ -41,7 +41,9 @@ pub mod variation;
 
 pub use analysis::{AgingAnalysis, AgingReport, AnalysisPrep};
 pub use cache::{DeltaVthCache, NoCache};
-pub use config::{FlowConfig, SpEstimator};
+pub use config::{
+    paper_schedule, paper_stress_key, FlowConfig, SpEstimator, PAPER_PERIOD_S, PAPER_TEMP_ACTIVE_K,
+};
 pub use dual_vth::{assign_dual_vth, DualVthResult};
 pub use error::FlowError;
 pub use lifetime::{lifetime_to_budget, LifetimeBudget};

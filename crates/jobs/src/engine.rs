@@ -8,8 +8,9 @@
 //!
 //! 1. the grid enumeration is a pure function of the spec
 //!    ([`SweepSpec::points`]);
-//! 2. every model evaluation goes through a [`StressKey`]'s canonical
-//!    point, so a cache hit equals the miss-path computation bit-for-bit;
+//! 2. every model evaluation goes through a
+//!    [`StressKey`](relia_core::StressKey)'s canonical point, so a cache
+//!    hit equals the miss-path computation bit-for-bit;
 //! 3. checkpointed floats round-trip exactly (shortest `Display` ↔
 //!    `parse`), so resumed values equal freshly computed ones.
 //!
@@ -38,10 +39,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use relia_core::{
-    CancelToken, Kelvin, ModeSchedule, NbtiModel, PmosStress, Ras, Seconds, StressKey,
+use relia_core::{CancelToken, NbtiModel, Ras};
+use relia_flow::{
+    paper_stress_key, AgingAnalysis, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError,
 };
-use relia_flow::{AgingAnalysis, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError};
 use relia_netlist::Circuit;
 
 use relia_obs::{LatencyHist, Tracer};
@@ -55,10 +56,11 @@ use crate::spec::{JobPoint, JobResult, JobStatus, JobTask, SweepSpec, Workload};
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
 
-/// Mode-cycle period shared by every sweep point (the paper's baseline).
-pub const SWEEP_PERIOD_S: f64 = 1000.0;
-/// Active-mode temperature shared by every sweep point.
-pub const SWEEP_TEMP_ACTIVE_K: f64 = 400.0;
+/// The paper's baseline period and active temperature, shared by every
+/// sweep point (defined once in relia-flow).
+pub use relia_flow::{
+    PAPER_PERIOD_S as SWEEP_PERIOD_S, PAPER_TEMP_ACTIVE_K as SWEEP_TEMP_ACTIVE_K,
+};
 
 /// Knobs of one engine run.
 #[derive(Debug, Clone, Default)]
@@ -75,7 +77,7 @@ pub struct SweepOptions {
     /// run-private one. A long-lived host (e.g. `relia-serve`) passes its
     /// cache here so batch sweeps and point queries share one memo table —
     /// results are unchanged either way, because cached values are
-    /// canonical per [`StressKey`].
+    /// canonical per [`StressKey`](relia_core::StressKey).
     pub shared_cache: Option<Arc<ShardedCache>>,
     /// Extra attempts for transiently failing jobs (0 disables retrying).
     pub retries: u32,
@@ -420,16 +422,7 @@ fn execute_point(
             p_active,
             p_standby,
         } => {
-            let schedule = ModeSchedule::new(
-                ras,
-                Seconds(SWEEP_PERIOD_S),
-                Kelvin(SWEEP_TEMP_ACTIVE_K),
-                point.t_standby,
-            )
-            .map_err(|e| JobFailure::permanent(e.to_string()))?;
-            let stress = PmosStress::new(*p_active, *p_standby)
-                .map_err(|e| JobFailure::permanent(e.to_string()))?;
-            let key = StressKey::quantize(&schedule, &stress, point.lifetime)
+            let key = paper_stress_key(ras, point.t_standby, *p_active, *p_standby, point.lifetime)
                 .map_err(|e| JobFailure::permanent(e.to_string()))?;
             let delta_vth = cache
                 .delta_vth(key, model)
@@ -447,15 +440,7 @@ fn execute_point(
 fn poison_point(point: &JobPoint, cache: &ShardedCache) -> Result<JobResult, JobFailure> {
     let ras =
         Ras::new(point.ras.0, point.ras.1).map_err(|e| JobFailure::permanent(e.to_string()))?;
-    let schedule = ModeSchedule::new(
-        ras,
-        Seconds(SWEEP_PERIOD_S),
-        Kelvin(SWEEP_TEMP_ACTIVE_K),
-        point.t_standby,
-    )
-    .map_err(|e| JobFailure::permanent(e.to_string()))?;
-    let stress = PmosStress::new(0.5, 1.0).map_err(|e| JobFailure::permanent(e.to_string()))?;
-    let key = StressKey::quantize(&schedule, &stress, point.lifetime)
+    let key = paper_stress_key(ras, point.t_standby, 0.5, 1.0, point.lifetime)
         .map_err(|e| JobFailure::permanent(e.to_string()))?;
     cache
         .insert_checked(key, f64::NAN)

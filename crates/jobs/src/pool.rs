@@ -105,11 +105,6 @@ pub enum JobOutcome<T> {
 }
 
 impl<T> JobOutcome<T> {
-    /// True for [`JobOutcome::Completed`].
-    pub fn is_completed(&self) -> bool {
-        matches!(self, JobOutcome::Completed(_))
-    }
-
     /// The completed value, if any.
     pub fn completed(&self) -> Option<&T> {
         match self {

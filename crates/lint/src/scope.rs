@@ -99,16 +99,6 @@ pub struct ScopeAnalysis {
 }
 
 impl ScopeAnalysis {
-    /// The close-brace token index of the innermost block containing
-    /// token `i` (the last token index when `i` is at top level or out of
-    /// range).
-    pub fn enclosing_block_end(&self, i: usize) -> usize {
-        self.enclosing_close
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| self.enclosing_close.len().saturating_sub(1))
-    }
-
     /// The innermost function whose body contains token `i`.
     pub fn function_of(&self, i: usize) -> Option<&FnScope> {
         self.functions

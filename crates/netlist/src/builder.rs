@@ -129,11 +129,6 @@ impl CircuitBuilder {
         self.net_names.get(name).copied()
     }
 
-    /// Number of gates added so far.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     /// Finalizes the circuit: checks that at least one output exists,
     /// computes the topological order (the construction API is inherently
     /// acyclic, but the order is recomputed and verified), logic levels, and

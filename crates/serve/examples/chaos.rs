@@ -25,7 +25,7 @@
 //! With `--addr`, faults are thrown at an external server instead; the
 //! ledger/drain invariants (which need exclusive traffic) are skipped.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,6 +37,9 @@ use relia_core::Kelvin;
 use relia_serve::{
     ChaosPlan, ConnFault, DegradeQuery, FaultStream, ServeConfig, ServeState, Server,
 };
+
+mod common;
+use common::{read_response, scrape_counter};
 
 /// The server-side arrival budget the fault mix is calibrated against: a
 /// 1-byte-per-30 ms dribble of a ~150-byte request must blow it, a
@@ -89,45 +92,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(u16, Vec<u8>), String> {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("reading status line: {e}"))?;
-    if status_line.is_empty() {
-        return Err("eof before status line".to_owned());
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("reading header: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse().ok())
-        {
-            content_length = v;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("reading body: {e}"))?;
-    Ok((status, body))
 }
 
 /// Drives one connection through its scheduled fault. `Ok(())` means the
@@ -190,13 +154,6 @@ fn run_conn(addr: &str, fault: ConnFault, request: &[u8]) -> Result<(), String> 
             Ok(())
         }
     }
-}
-
-fn scrape_counter(metrics_text: &str, name: &str) -> Option<u64> {
-    metrics_text.lines().find_map(|line| {
-        line.strip_prefix(name)
-            .and_then(|rest| rest.trim().parse().ok())
-    })
 }
 
 /// One plain request/response exchange (no faults).

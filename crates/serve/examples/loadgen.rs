@@ -23,7 +23,7 @@
 //! answer is either a surface hit or an exact fallback, and
 //! `clamps <= misses <= fallbacks`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,6 +38,9 @@ use relia_flow::{DeltaVthCache, NoCache};
 use relia_jobs::{JobTask, SweepSpec, Workload};
 use relia_obs::{fmt_ns, HistSnapshot, LatencyHist};
 use relia_serve::{degrade_body, DegradeQuery, ServeConfig, ServeState, Server, ServerHandle};
+
+mod common;
+use common::{read_response, scrape_counter, write_request};
 
 struct Args {
     requests: usize,
@@ -194,57 +197,6 @@ fn expected_sweep() -> Result<Expected, String> {
     })
 }
 
-fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(u16, Vec<u8>), String> {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("reading status line: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("reading header: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse().ok())
-        {
-            content_length = v;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("reading body: {e}"))?;
-    Ok((status, body))
-}
-
 /// One request over an existing keep-alive connection; returns an error
 /// string describing any status or byte mismatch.
 fn check_one(
@@ -297,14 +249,6 @@ fn check_one(
         return Err(format!("{} {}: empty body", expected.method, expected.path));
     }
     Ok(())
-}
-
-/// Scrapes one counter value out of a Prometheus text exposition.
-fn scrape_counter(metrics_text: &str, name: &str) -> Option<u64> {
-    metrics_text.lines().find_map(|line| {
-        line.strip_prefix(name)
-            .and_then(|rest| rest.trim().parse().ok())
-    })
 }
 
 /// Pulls the `delta_vth_v` number out of a degrade response body.

@@ -20,7 +20,7 @@
 //!
 //! Exit code 0 only if every shape check passes.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -29,6 +29,9 @@ use std::time::Duration;
 
 use relia_core::{json, Kelvin};
 use relia_serve::{DegradeQuery, ServeConfig, ServeState, Server};
+
+mod common;
+use common::{read_response, write_request};
 
 fn parse_addr() -> Result<Option<String>, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -39,57 +42,6 @@ fn parse_addr() -> Result<Option<String>, String> {
             "usage: obs_probe [--addr HOST:PORT], got {other:?}"
         )),
     }
-}
-
-fn write_request(
-    stream: &mut TcpStream,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(u16, Vec<u8>), String> {
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("reading status line: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line {status_line:?}"))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("reading header: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-            .and_then(|v| v.parse().ok())
-        {
-            content_length = v;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("reading body: {e}"))?;
-    Ok((status, body))
 }
 
 /// Validates one Prometheus histogram family inside the exposition text:

@@ -6,8 +6,9 @@
 //! ## Parity with the batch engine
 //!
 //! `/v1/degrade` evaluates through the *same* canonical path as the sweep
-//! engine's model workload: `ModeSchedule` at the engine's fixed period and
-//! active temperature, [`StressKey::quantize`], then the shared memo cache.
+//! engine's model workload: one [`relia_flow::paper_stress_key`] (the
+//! paper's baseline schedule, [`StressKey::quantize`]), then the shared
+//! memo cache.
 //! A value served over HTTP is bit-equal to the one a batch sweep or a
 //! direct library call produces; responses render floats with the
 //! shortest-round-trip convention so the bytes match too.
@@ -21,14 +22,16 @@ use std::time::{Duration, Instant};
 use relia_core::ac::LANES;
 use relia_core::json::{self, fmt_f64, Json};
 use relia_core::{
-    Deadline, Kelvin, ModeSchedule, NbtiModel, NbtiParams, PmosStress, Ras, Seconds, StressKey,
-    Volts, VthDistribution,
+    Deadline, Kelvin, NbtiModel, NbtiParams, Ras, Seconds, StressKey, Volts, VthDistribution,
 };
 use relia_fleet::{ChunkAccum, FleetError, FleetEvaluator, FleetSpec, FleetSummary, DEFAULT_CHUNK};
-use relia_flow::{AgingAnalysis, AgingReport, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError};
+use relia_flow::{
+    paper_stress_key, AgingAnalysis, AgingReport, AnalysisPrep, DeltaVthCache, FlowConfig,
+    FlowError,
+};
 use relia_jobs::{
     builtin_resolver, MetricsSnapshot, PolicySpec, ShardedCache, SweepSpec, Workload,
-    SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K,
+    SWEEP_TEMP_ACTIVE_K,
 };
 use relia_netlist::Circuit;
 use relia_surface::{Surface, SurfaceQuery};
@@ -373,15 +376,15 @@ impl DegradeQuery {
     /// A parameter-validation message (maps to HTTP 400).
     pub fn stress_key(&self) -> Result<StressKey, String> {
         let ras = Ras::new(self.ras.0, self.ras.1).map_err(|e| e.to_string())?;
-        let schedule = ModeSchedule::new(
+        let lifetime = Seconds(self.lifetime_s);
+        paper_stress_key(
             ras,
-            Seconds(SWEEP_PERIOD_S),
-            Kelvin(SWEEP_TEMP_ACTIVE_K),
             self.t_standby_k,
+            self.p_active,
+            self.p_standby,
+            lifetime,
         )
-        .map_err(|e| e.to_string())?;
-        let stress = PmosStress::new(self.p_active, self.p_standby).map_err(|e| e.to_string())?;
-        StressKey::quantize(&schedule, &stress, Seconds(self.lifetime_s)).map_err(|e| e.to_string())
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -1306,6 +1309,7 @@ pub fn handle(state: &ServeState, request: &Request, deadline: &Deadline) -> (Re
 mod tests {
     use super::*;
     use relia_flow::NoCache;
+    use relia_jobs::SWEEP_PERIOD_S;
 
     fn state() -> ServeState {
         ServeState::new(Duration::from_secs(5)).unwrap()

@@ -54,7 +54,6 @@ pub struct TimingReport {
     gate_delays: Vec<f64>,
     arrival: Vec<f64>,
     max_delay: f64,
-    critical_po: Option<NetId>,
     critical_path: Vec<GateId>,
 }
 
@@ -100,7 +99,6 @@ impl TimingReport {
             gate_delays,
             arrival,
             max_delay,
-            critical_po,
             critical_path,
         }
     }
@@ -118,11 +116,6 @@ impl TimingReport {
     /// The circuit's maximum (critical-path) delay in picoseconds.
     pub fn max_delay_ps(&self) -> f64 {
         self.max_delay
-    }
-
-    /// The primary output with the latest arrival.
-    pub fn critical_output(&self) -> Option<NetId> {
-        self.critical_po
     }
 
     /// Gates on the critical path, input side first.
@@ -154,20 +147,6 @@ impl TimingReport {
             .zip(&self.arrival)
             .map(|(r, a)| r - a)
             .collect()
-    }
-
-    /// Gates whose slack at the output net is within `margin_ps` of zero —
-    /// the near-critical set the internal-node-control analysis targets.
-    pub fn near_critical_gates(&self, circuit: &Circuit, margin_ps: f64) -> Vec<GateId> {
-        let slacks = self.slacks(circuit);
-        let mut gates: Vec<GateId> = circuit
-            .topo_order()
-            .iter()
-            .copied()
-            .filter(|gid| slacks[circuit.gate(*gid).output().index()] <= margin_ps)
-            .collect();
-        gates.sort();
-        gates
     }
 }
 

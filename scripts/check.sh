@@ -34,29 +34,34 @@ echo "==> relia lint (unit, reliability & concurrency invariants)"
 # fails the gate. JSON keeps the failure output one-line-per-finding.
 target/release/relia lint --format json --jobs 4
 
+# Boots the release CLI's `relia serve` on an ephemeral port with the given
+# flags, in the background, and waits for it to print its address: sets
+# serve_pid, serve_addr and serve_log, or fails the gate.
+start_serve() {
+    serve_log="$(mktemp)"
+    target/release/relia serve --addr 127.0.0.1:0 "$@" >"$serve_log" &
+    serve_pid=$!
+    serve_addr=""
+    for _ in $(seq 1 100); do
+        serve_addr="$(sed -n 's/^relia-serve listening on //p' "$serve_log")"
+        [ -n "$serve_addr" ] && return 0
+        if ! kill -0 "$serve_pid" 2>/dev/null; then
+            echo "relia serve died before binding:" >&2
+            cat "$serve_log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    echo "relia serve never printed its address" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+}
+
 echo "==> relia serve (boot, loadgen smoke, graceful drain)"
 # Boot the real CLI binary on an ephemeral port, fire 1k mixed requests
 # through the byte-parity load generator, and let it drain the server via
 # POST /admin/shutdown. Both processes must exit 0.
-serve_log="$(mktemp)"
-target/release/relia serve --addr 127.0.0.1:0 --threads 4 >"$serve_log" &
-serve_pid=$!
-serve_addr=""
-for _ in $(seq 1 100); do
-    serve_addr="$(sed -n 's/^relia-serve listening on //p' "$serve_log")"
-    [ -n "$serve_addr" ] && break
-    if ! kill -0 "$serve_pid" 2>/dev/null; then
-        echo "relia serve died before binding:" >&2
-        cat "$serve_log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$serve_addr" ]; then
-    echo "relia serve never printed its address" >&2
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
+start_serve --threads 4
 cargo run -q --offline --release -p relia-serve --example loadgen -- \
     --requests 1000 --threads 2 --addr "$serve_addr"
 wait "$serve_pid"
@@ -68,28 +73,10 @@ echo "==> relia serve (observability: /metrics histograms, /debug/trace shape)"
 # /metrics, every phase histogram with non-decreasing cumulative buckets
 # and a consistent +Inf/_count pair, and /debug/trace JSON of the pinned
 # span schema. The probe exits non-zero on any shape violation.
-obs_log="$(mktemp)"
-target/release/relia serve --addr 127.0.0.1:0 --threads 2 --trace 256 >"$obs_log" &
-obs_pid=$!
-obs_addr=""
-for _ in $(seq 1 100); do
-    obs_addr="$(sed -n 's/^relia-serve listening on //p' "$obs_log")"
-    [ -n "$obs_addr" ] && break
-    if ! kill -0 "$obs_pid" 2>/dev/null; then
-        echo "relia serve died before binding:" >&2
-        cat "$obs_log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-if [ -z "$obs_addr" ]; then
-    echo "relia serve never printed its address" >&2
-    kill "$obs_pid" 2>/dev/null || true
-    exit 1
-fi
-cargo run -q --offline --release -p relia-serve --example obs_probe -- --addr "$obs_addr"
-wait "$obs_pid"
-rm -f "$obs_log"
+start_serve --threads 2 --trace 256
+cargo run -q --offline --release -p relia-serve --example obs_probe -- --addr "$serve_addr"
+wait "$serve_pid"
+rm -f "$serve_log"
 
 echo "==> relia serve (chaos: seeded socket faults, overload, drain)"
 # Self-hosted chaos run: 48 connections through a seeded mix of socket

@@ -1,36 +1,21 @@
 //! `relia` — command-line front end for the aging/leakage toolkit.
 //!
-//! ```text
-//! relia info   <netlist.bench | builtin:NAME>
-//! relia timing <netlist>
-//! relia aging  <netlist> [--ras A:S] [--tstandby K] [--years Y]
-//!                        [--standby worst|best|footer|BITSTRING]
-//! relia sweep  [netlist ...] [--ras LIST] [--tstandby LIST] [--years LIST]
-//!              [--standby LIST] [--jobs N] [--checkpoint PATH]
-//!              [--retries N] [--job-timeout SECS]
-//! relia serve  [--addr HOST:PORT] [--threads N] [--queue-depth N]
-//!              [--request-timeout SECS] [--breaker-threshold N]
-//!              [--breaker-cooldown SECS] [--brownout-high-water N]
-//!              [--surface PATH]
-//! relia fleet  [--samples N] [--seed N] [--times S,...] [--guardband G]
-//!              [--workers N] [--chunk N] [--checkpoint PATH]
-//! relia surface build [--out PATH] [--tstandby LO:HI:N] [--ras LO:HI:N]
-//!              [--times LO:HI:N] [--pairs PA:PS,...] [--workers N]
-//! relia surface probe <artifact> [--tstandby K] [--ras A:S] [--time S]
-//!              [--pactive P] [--pstandby P]
-//! relia mlv    <netlist> [--ras A:S] [--tstandby K]
-//! relia dot    <netlist>
-//! relia list                     # built-in benchmarks
-//! ```
+//! `relia help` prints every subcommand with its flags (`USAGE` below);
+//! `relia serve --help`, `relia fleet --help` and `relia surface --help`
+//! have their own pages. Netlists are ISCAS85 `.bench` or structural
+//! Verilog (`.v`, `.sv`) files; `builtin:c432` names a bundled benchmark.
 //!
-//! Netlists are ISCAS85 `.bench` files; `builtin:c432` names a bundled
-//! benchmark.
-//!
-//! Exit codes: 0 success, 1 analysis failure, 2 usage error.
+//! Every subcommand reads its words through one [`Args`] reader, so a flag
+//! means the same thing wherever it appears. `help`, `-h` or `--help`
+//! anywhere prints the subcommand's usage and exits 0. An unknown flag, a
+//! missing or unparsable value, a zero count or a non-positive duration is
+//! a usage error (exit 2); a parsed value the model or engine refuses fails
+//! like any analysis (exit 1).
 
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,9 +28,11 @@ use relia::netlist::stats::CircuitStats;
 use relia::netlist::{bench, dot, iscas, Circuit};
 use relia::sta::TimingAnalysis;
 
-/// A CLI failure, split by who got it wrong: the invocation (exit 2, usage
-/// reminder printed) or the analysis (exit 1).
+/// How a run ends other than in success: a request for a usage page
+/// (stdout, exit 0), an invocation mistake (exit 2, usage reminder on
+/// stderr) or a failed analysis (exit 1).
 enum CliError {
+    Help(&'static str),
     Usage(String),
     Analysis(String),
 }
@@ -60,6 +47,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Help(usage)) => {
+            println!("{usage}");
+            ExitCode::SUCCESS
+        }
         Err(CliError::Usage(msg)) => {
             eprintln!("relia: {msg}");
             eprintln!();
@@ -120,24 +111,21 @@ sweep notes:
   TIMEOUT rows, re-run on resume).";
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let cmd = args
-        .first()
-        .ok_or_else(|| CliError::Usage("missing command".into()))?;
+    let (cmd, rest) = args.split_first().ok_or_else(|| missing("command"))?;
+    let words = |usage| Args::new(rest, usage);
     match cmd.as_str() {
-        "help" | "-h" | "--help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "-h" | "--help" => Err(CliError::Help(USAGE)),
         "version" | "-V" | "--version" => {
             println!("relia {}", env!("CARGO_PKG_VERSION"));
             Ok(())
         }
-        "sweep" => run_sweep_command(&args[1..]),
-        "serve" => run_serve_command(&args[1..]),
-        "fleet" => run_fleet_command(&args[1..]),
-        "surface" => run_surface_command(&args[1..]),
-        "lint" => run_lint_command(&args[1..]),
+        "sweep" => run_sweep_command(words(USAGE)?),
+        "serve" => run_serve_command(words(SERVE_USAGE)?),
+        "fleet" => run_fleet_command(words(FLEET_USAGE)?),
+        "surface" => run_surface_command(words(SURFACE_USAGE)?),
+        "lint" => run_lint_command(words(USAGE)?),
         "list" => {
+            words(USAGE)?;
             for name in iscas::names() {
                 let c = iscas::circuit(name).expect("known name");
                 let (pi, po, gates, depth) = c.stats();
@@ -146,7 +134,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "info" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
+            let circuit = words(USAGE)?.circuit()?;
             let s = CircuitStats::of(&circuit);
             println!("circuit {}", circuit.name());
             println!("  inputs  : {}", s.inputs);
@@ -165,7 +153,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "timing" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
+            let circuit = words(USAGE)?.circuit()?;
             let report = TimingAnalysis::nominal(&circuit);
             println!("max delay: {:.1} ps", report.max_delay_ps());
             println!("critical path ({} gates):", report.critical_path().len());
@@ -181,11 +169,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "aging" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
-            let opts = Options::parse(&args[2..]).map_err(CliError::Usage)?;
-            let config = opts.config()?;
+            let mut args = words(USAGE)?;
+            let circuit = args.circuit()?;
+            let (config, standby) = read_options(args)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
-            let policy = opts.policy(&circuit)?;
+            let policy = standby_policy(&standby, &circuit)?;
             let report = analysis.run(&policy).map_err(stringify)?;
             println!(
                 "schedule: active {:.1} s @ {}, standby {:.1} s @ {}; lifetime {:.2} years",
@@ -209,9 +197,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "mlv" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
-            let opts = Options::parse(&args[2..]).map_err(CliError::Usage)?;
-            let config = opts.config()?;
+            let mut args = words(USAGE)?;
+            let circuit = args.circuit()?;
+            let (config, _) = read_options(args)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
             let set = search_mlv_set(&analysis, &MlvSearchConfig::default()).map_err(stringify)?;
             let co = co_optimize(&analysis, &set).map_err(stringify)?;
@@ -240,15 +228,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "paths" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
-            let k: usize = args
-                .get(2)
-                .map(|v| {
-                    v.parse()
-                        .map_err(|_| CliError::Usage(format!("bad path count {v}")))
-                })
-                .transpose()?
-                .unwrap_or(5);
+            let mut args = words(USAGE)?;
+            let circuit = args.circuit()?;
+            let k = match args.next() {
+                Some(k) => parse(k, "path count")?,
+                None => 5,
+            };
             let report = TimingAnalysis::nominal(&circuit);
             let top = relia::sta::k_critical_paths(&circuit, &report, k);
             for (i, path) in top.iter().enumerate() {
@@ -266,10 +251,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
         }
         "lib" => {
             use relia::cells::Vector;
-            use relia::core::Kelvin as K;
             use relia::leakage::{DeviceModels, LeakageTable};
+            words(USAGE)?;
             let lib = Library::ptm90();
-            let table = LeakageTable::build(&lib, &DeviceModels::ptm90(), K(400.0));
+            let table = LeakageTable::build(&lib, &DeviceModels::ptm90(), Kelvin(400.0));
             println!(
                 "{:>10} {:>5} {:>6} {:>10} {:>12} {:>12} {:>14}",
                 "cell", "pins", "pmos", "MLV", "min leak", "max leak", "MLV stress"
@@ -300,28 +285,31 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "dot" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
+            let circuit = words(USAGE)?.circuit()?;
             print!("{}", dot::to_dot(&circuit, &dot::DotOptions::default()));
             Ok(())
         }
         "verilog" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
+            let circuit = words(USAGE)?.circuit()?;
             print!("{}", relia::netlist::verilog::write(&circuit));
             Ok(())
         }
         "csv" => {
-            let circuit = load(args.get(1).ok_or_else(|| missing("netlist"))?)?;
-            let opts = Options::parse(&args[2..]).map_err(CliError::Usage)?;
-            let config = opts.config()?;
+            let mut args = words(USAGE)?;
+            let circuit = args.circuit()?;
+            let (config, standby) = read_options(args)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
-            let report = analysis.run(&opts.policy(&circuit)?).map_err(stringify)?;
+            let report = analysis
+                .run(&standby_policy(&standby, &circuit)?)
+                .map_err(stringify)?;
             print!("{}", relia::flow::report::to_csv(&circuit, &report));
             Ok(())
         }
         "liberty" => {
+            words(USAGE)?;
             print!(
                 "{}",
-                relia::leakage::liberty::export(&Library::ptm90(), relia::core::Kelvin(400.0))
+                relia::leakage::liberty::export(&Library::ptm90(), Kelvin(400.0))
             );
             Ok(())
         }
@@ -334,123 +322,115 @@ fn missing(what: &str) -> CliError {
     CliError::Usage(format!("missing {what}"))
 }
 
-/// Grid flags for `relia sweep`. List-valued flags are comma-separated and
-/// multiply into a cartesian grid.
-struct SweepArgs {
-    circuits: Vec<String>,
-    ras: Vec<(f64, f64)>,
-    tstandby: Vec<f64>,
-    years: Vec<f64>,
-    standby: Vec<PolicySpec>,
-    jobs: usize,
-    checkpoint: Option<PathBuf>,
-    retries: u32,
-    job_timeout: Option<Duration>,
+/// The words after a subcommand, read left to right as positional words and
+/// `--flag value` pairs. The caller matches each word; for a flag it reads
+/// the value through the helper that gives the flag its meaning, so a
+/// count, a duration, a list or `--ras` parses the same way in every
+/// subcommand.
+struct Args<'a> {
+    words: std::slice::Iter<'a, String>,
+    /// The word [`Args::next`] returned last: the flag a value belongs to.
+    flag: &'a str,
 }
 
-impl SweepArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut circuits = Vec::new();
-        let mut ras = Vec::new();
-        let mut tstandby = Vec::new();
-        let mut years = Vec::new();
-        let mut standby = Vec::new();
-        let mut jobs = 0usize;
-        let mut checkpoint = None;
-        let mut retries = 0u32;
-        let mut job_timeout = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if !arg.starts_with("--") {
-                circuits.push(arg.clone());
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag {arg} needs a value"))?;
-            match arg.as_str() {
-                "--ras" => {
-                    for part in value.split(',') {
-                        let (a, s) = part
-                            .split_once(':')
-                            .ok_or_else(|| format!("--ras expects A:S, got {part}"))?;
-                        ras.push((
-                            a.parse().map_err(|_| format!("bad ratio {a}"))?,
-                            s.parse().map_err(|_| format!("bad ratio {s}"))?,
-                        ));
-                    }
-                }
-                "--tstandby" => {
-                    for part in value.split(',') {
-                        tstandby.push(part.parse().map_err(|_| format!("bad kelvin {part}"))?);
-                    }
-                }
-                "--years" => {
-                    for part in value.split(',') {
-                        years.push(part.parse().map_err(|_| format!("bad years {part}"))?);
-                    }
-                }
-                "--standby" => {
-                    for part in value.split(',') {
-                        standby.push(PolicySpec::parse(part)?);
-                    }
-                }
-                "--jobs" => {
-                    jobs = value
-                        .parse()
-                        .map_err(|_| format!("bad job count {value}"))?;
-                    if jobs == 0 {
-                        return Err(
-                            "--jobs must be at least 1 (omit the flag to use all cores)".into()
-                        );
-                    }
-                }
-                "--checkpoint" => {
-                    checkpoint = Some(PathBuf::from(value));
-                }
-                "--retries" => {
-                    retries = value
-                        .parse()
-                        .map_err(|_| format!("bad retry count {value}"))?;
-                }
-                "--job-timeout" => {
-                    let secs: f64 = value.parse().map_err(|_| format!("bad timeout {value}"))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(format!("--job-timeout must be positive, got {value}"));
-                    }
-                    job_timeout = Some(Duration::from_secs_f64(secs));
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
+impl<'a> Args<'a> {
+    /// Reads `words`, unless `help`, `-h` or `--help` is among them: that
+    /// asks for `usage` instead.
+    fn new(words: &'a [String], usage: &'static str) -> Result<Self, CliError> {
+        if words
+            .iter()
+            .any(|w| matches!(w.as_str(), "help" | "-h" | "--help"))
+        {
+            return Err(CliError::Help(usage));
         }
-        // Defaults chosen so a bare `relia sweep` exercises a 40-job grid.
-        if circuits.is_empty() {
-            circuits.push("builtin:c17".to_owned());
-        }
-        if ras.is_empty() {
-            ras = vec![(1.0, 1.0), (1.0, 3.0), (1.0, 5.0), (1.0, 7.0), (1.0, 9.0)];
-        }
-        if tstandby.is_empty() {
-            tstandby = vec![330.0, 350.0, 370.0, 400.0];
-        }
-        if years.is_empty() {
-            years.push(Seconds(1.0e8).to_years());
-        }
-        if standby.is_empty() {
-            standby = vec![PolicySpec::Worst, PolicySpec::Best];
-        }
-        Ok(SweepArgs {
-            circuits,
-            ras,
-            tstandby,
-            years,
-            standby,
-            jobs,
-            checkpoint,
-            retries,
-            job_timeout,
+        Ok(Args {
+            words: words.iter(),
+            flag: "",
         })
     }
+
+    /// The next word: a positional, a switch, or a flag whose value the
+    /// caller reads next.
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.words.next()?;
+        Some(self.flag)
+    }
+
+    /// The circuit named by the next word (a netlist path or `builtin:NAME`).
+    fn circuit(&mut self) -> Result<Circuit, CliError> {
+        Ok(load(self.next().ok_or_else(|| missing("netlist"))?)?)
+    }
+
+    /// The current flag's value, whatever it looks like.
+    fn value(&mut self) -> Result<&'a str, CliError> {
+        let flag = self.flag;
+        self.words
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| CliError::Usage(format!("flag {flag} needs a value")))
+    }
+
+    /// The value read as a number (`what` names it in the error).
+    fn number<T: FromStr>(&mut self, what: &str) -> Result<T, CliError> {
+        parse(self.value()?, what)
+    }
+
+    /// The value read as a count of at least 1.
+    fn count<T: FromStr + PartialEq + From<u8>>(&mut self, what: &str) -> Result<T, CliError> {
+        let n = self.number(what)?;
+        if n == T::from(0) {
+            return Err(CliError::Usage(format!("{} must be at least 1", self.flag)));
+        }
+        Ok(n)
+    }
+
+    /// The value read as a positive, finite number of seconds.
+    fn duration(&mut self, what: &str) -> Result<Duration, CliError> {
+        let value = self.value()?;
+        let secs: f64 = parse(value, what)?;
+        if !(secs > 0.0 && secs.is_finite()) {
+            return Err(CliError::Usage(format!(
+                "{} must be positive, got {value}",
+                self.flag
+            )));
+        }
+        Ok(Duration::from_secs_f64(secs))
+    }
+
+    /// The value read as a comma-separated list, each item by `item`.
+    fn list<T>(&mut self, item: impl Fn(&str) -> Result<T, CliError>) -> Result<Vec<T>, CliError> {
+        self.value()?.split(',').map(item).collect()
+    }
+
+    /// The value of `--ras A:S`, as the model takes it: a ratio it
+    /// refuses fails the run (exit 1).
+    fn ras(&mut self) -> Result<Ras, CliError> {
+        let (active, standby) = pair(self.value()?, "--ras", "A:S", "ratio")?;
+        Ok(Ras::new(active, standby).map_err(stringify)?)
+    }
+}
+
+/// `text` read as a number, or the usage error `bad {what} {text}`.
+fn parse<T: FromStr>(text: &str, what: &str) -> Result<T, CliError> {
+    text.parse()
+        .map_err(|_| CliError::Usage(format!("bad {what} {text}")))
+}
+
+/// `text` read as an `X:Y` pair of numbers; `shape` is how `flag` spells it.
+fn pair(text: &str, flag: &str, shape: &str, what: &str) -> Result<(f64, f64), CliError> {
+    let (x, y) = text
+        .split_once(':')
+        .ok_or_else(|| CliError::Usage(format!("{flag} expects {shape}, got {text}")))?;
+    Ok((parse(x, what)?, parse(y, what)?))
+}
+
+/// The usage error for a word no arm of a subcommand matched.
+fn unknown(word: &str) -> CliError {
+    CliError::Usage(if word.starts_with("--") {
+        format!("unknown flag {word}")
+    } else {
+        format!("unexpected argument {word}")
+    })
 }
 
 /// `relia lint [--root PATH] [--format text|json|sarif] ...` — the
@@ -458,49 +438,31 @@ impl SweepArgs {
 /// text, JSONL or one SARIF document) and the command exits 1, matching
 /// the analysis-failure convention; flag mistakes exit 2 like every other
 /// subcommand. `--list-rules` prints the rule table and exits 0.
-fn run_lint_command(args: &[String]) -> Result<(), CliError> {
+fn run_lint_command(mut args: Args) -> Result<(), CliError> {
     use relia::lint::{diag, lint_workspace, walker, RULES};
 
-    enum LintFormat {
-        Text,
-        Json,
-        Sarif,
-    }
-
     let mut root: Option<PathBuf> = None;
-    let mut format = LintFormat::Text;
+    let mut format = "text";
     let mut jobs = 1;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--root" => {
-                root =
-                    Some(PathBuf::from(iter.next().ok_or_else(|| {
-                        CliError::Usage("--root needs a path".into())
-                    })?));
-            }
-            "--format" => match iter.next().map(String::as_str) {
-                Some("text") => format = LintFormat::Text,
-                Some("json") => format = LintFormat::Json,
-                Some("sarif") => format = LintFormat::Sarif,
-                other => {
+    while let Some(flag) = args.next() {
+        match flag {
+            "--root" => root = Some(PathBuf::from(args.value()?)),
+            "--format" => {
+                format = args.value()?;
+                if !matches!(format, "text" | "json" | "sarif") {
                     return Err(CliError::Usage(format!(
-                        "--format wants text|json|sarif, got {:?}",
-                        other.unwrap_or("<missing>")
-                    )))
+                        "--format wants text|json|sarif, got {format:?}"
+                    )));
                 }
-            },
-            "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return Err(CliError::Usage("--jobs needs a positive integer".into())),
-            },
+            }
+            "--jobs" => jobs = args.count("job count")?,
             "--list-rules" => {
                 for (i, r) in RULES.iter().enumerate() {
                     println!("R{} {} — {}", i + 1, r.id, r.summary);
                 }
                 return Ok(());
             }
-            other => return Err(CliError::Usage(format!("unknown lint flag {other:?}"))),
+            other => return Err(unknown(other)),
         }
     }
     let root = match root {
@@ -515,17 +477,9 @@ fn run_lint_command(args: &[String]) -> Result<(), CliError> {
     };
     let diags = lint_workspace(&root, jobs).map_err(CliError::Usage)?;
     match format {
-        LintFormat::Text => {
-            for d in &diags {
-                println!("{}", d.render_text());
-            }
-        }
-        LintFormat::Json => {
-            for d in &diags {
-                println!("{}", d.render_json());
-            }
-        }
-        LintFormat::Sarif => println!("{}", diag::render_sarif(&diags)),
+        "sarif" => println!("{}", diag::render_sarif(&diags)),
+        "json" => diags.iter().for_each(|d| println!("{}", d.render_json())),
+        _ => diags.iter().for_each(|d| println!("{}", d.render_text())),
     }
     if diags.is_empty() {
         Ok(())
@@ -588,91 +542,30 @@ all queries share one process-wide dVth memo cache. Health transitions
 203 + Retry-After while degraded.";
 
 /// `relia serve` — boots the HTTP service and blocks until drained.
-fn run_serve_command(args: &[String]) -> Result<(), CliError> {
+fn run_serve_command(mut args: Args) -> Result<(), CliError> {
     let mut config = relia::serve::ServeConfig::default();
     let mut request_timeout = Duration::from_secs(5);
     let mut overload = relia::serve::OverloadConfig::default();
     let mut trace_capacity = relia::serve::DEFAULT_TRACE_CAPACITY;
     let mut slow_ms: u64 = 0;
     let mut surface_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if matches!(arg.as_str(), "help" | "-h" | "--help") {
-            println!("{SERVE_USAGE}");
-            return Ok(());
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("flag {arg} needs a value")))?;
-        match arg.as_str() {
-            "--addr" => config.addr = value.clone(),
-            "--threads" => {
-                config.threads = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad thread count {value}")))?;
-                if config.threads == 0 {
-                    return Err(CliError::Usage(
-                        "--threads must be at least 1 (omit the flag to use all cores)".into(),
-                    ));
-                }
-            }
-            "--queue-depth" => {
-                config.queue_depth = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad queue depth {value}")))?;
-                if config.queue_depth == 0 {
-                    return Err(CliError::Usage("--queue-depth must be at least 1".into()));
-                }
-            }
-            "--request-timeout" => {
-                let secs: f64 = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad timeout {value}")))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(CliError::Usage(format!(
-                        "--request-timeout must be positive, got {value}"
-                    )));
-                }
-                request_timeout = Duration::from_secs_f64(secs);
-            }
+    while let Some(flag) = args.next() {
+        match flag {
+            "--addr" => config.addr = args.value()?.to_owned(),
+            "--threads" => config.threads = args.count("thread count")?,
+            "--queue-depth" => config.queue_depth = args.count("queue depth")?,
+            "--request-timeout" => request_timeout = args.duration("timeout")?,
             "--breaker-threshold" => {
-                overload.breaker_threshold = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad breaker threshold {value}")))?;
-                if overload.breaker_threshold == 0 {
-                    return Err(CliError::Usage(
-                        "--breaker-threshold must be at least 1".into(),
-                    ));
-                }
+                overload.breaker_threshold = args.count("breaker threshold")?
             }
-            "--breaker-cooldown" => {
-                let secs: f64 = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad cooldown {value}")))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(CliError::Usage(format!(
-                        "--breaker-cooldown must be positive, got {value}"
-                    )));
-                }
-                overload.breaker_cooldown = Duration::from_secs_f64(secs);
-            }
+            "--breaker-cooldown" => overload.breaker_cooldown = args.duration("cooldown")?,
             "--brownout-high-water" => {
-                overload.brownout_high_water = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad high-water mark {value}")))?;
+                overload.brownout_high_water = args.number("high-water mark")?;
             }
-            "--trace" => {
-                trace_capacity = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad trace capacity {value}")))?;
-            }
-            "--slow-ms" => {
-                slow_ms = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad slow threshold {value}")))?;
-            }
-            "--surface" => surface_path = Some(PathBuf::from(value)),
-            other => return Err(CliError::Usage(format!("unknown serve flag {other}"))),
+            "--trace" => trace_capacity = args.number("trace capacity")?,
+            "--slow-ms" => slow_ms = args.number("slow threshold")?,
+            "--surface" => surface_path = Some(PathBuf::from(args.value()?)),
+            other => return Err(unknown(other)),
         }
     }
     let obs = relia::serve::ServeObs::new()
@@ -755,7 +648,7 @@ of --workers.";
 /// Flag mistakes (unparseable numbers, unknown flags, an explicit zero
 /// worker/chunk count) exit 2; spec violations the engine rejects
 /// (e.g. an out-of-range guardband) and checkpoint mismatches exit 1.
-fn run_fleet_command(args: &[String]) -> Result<(), CliError> {
+fn run_fleet_command(mut args: Args) -> Result<(), CliError> {
     use relia::core::{Volts, VthDistribution};
     use relia::fleet::{run_fleet, FleetOptions, FleetSpec};
 
@@ -763,96 +656,39 @@ fn run_fleet_command(args: &[String]) -> Result<(), CliError> {
     let mut opts = FleetOptions::default();
     let mut vth_mean = spec.dist.mean().0;
     let mut vth_sigma = spec.dist.sigma().0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if matches!(arg.as_str(), "help" | "-h" | "--help") {
-            println!("{FLEET_USAGE}");
-            return Ok(());
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("flag {arg} needs a value")))?;
-        let bad = |what: &str| CliError::Usage(format!("bad {what} {value}"));
-        match arg.as_str() {
-            "--samples" => {
-                spec.samples = value.parse().map_err(|_| bad("sample count"))?;
-            }
+    while let Some(flag) = args.next() {
+        match flag {
+            "--samples" => spec.samples = args.number("sample count")?,
             "--seed" => {
-                let v = value.trim();
+                let value = args.value()?;
+                let (v, bad) = (value.trim(), || {
+                    CliError::Usage(format!("bad seed {value}"))
+                });
                 spec.seed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| bad("seed"))?,
-                    None => v.parse().map_err(|_| bad("seed"))?,
+                    Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| bad())?,
+                    None => v.parse().map_err(|_| bad())?,
                 };
             }
-            "--times" => {
-                spec.times.clear();
-                for part in value.split(',') {
-                    let secs: f64 = part
-                        .parse()
-                        .map_err(|_| CliError::Usage(format!("bad time {part}")))?;
-                    spec.times.push(Seconds(secs));
-                }
-            }
-            "--ras" => {
-                let (a, s) = value
-                    .split_once(':')
-                    .ok_or_else(|| CliError::Usage(format!("--ras expects A:S, got {value}")))?;
-                spec.ras = Ras::new(
-                    a.parse().map_err(|_| bad("ratio"))?,
-                    s.parse().map_err(|_| bad("ratio"))?,
-                )
-                .map_err(stringify)?;
-            }
-            "--tstandby" => {
-                spec.t_standby = Kelvin(value.parse().map_err(|_| bad("kelvin"))?);
-            }
-            "--pactive" => {
-                spec.p_active = value.parse().map_err(|_| bad("probability"))?;
-            }
-            "--pstandby" => {
-                spec.p_standby = value.parse().map_err(|_| bad("probability"))?;
-            }
-            "--vth-mean" => {
-                vth_mean = value.parse().map_err(|_| bad("voltage"))?;
-            }
-            "--vth-sigma" => {
-                vth_sigma = value.parse().map_err(|_| bad("voltage"))?;
-            }
-            "--correlation" => {
-                spec.correlation = value.parse().map_err(|_| bad("correlation"))?;
-            }
-            "--rate-sigma" => {
-                spec.rate_sigma = value.parse().map_err(|_| bad("rate sigma"))?;
-            }
-            "--guardband" => {
-                spec.guardband = value.parse().map_err(|_| bad("guardband"))?;
-            }
-            "--workers" => {
-                opts.workers = value.parse().map_err(|_| bad("worker count"))?;
-                if opts.workers == 0 {
-                    return Err(CliError::Usage(
-                        "--workers must be at least 1 (omit the flag to use all cores)".into(),
-                    ));
-                }
-            }
-            "--chunk" => {
-                opts.chunk = value.parse().map_err(|_| bad("chunk size"))?;
-                if opts.chunk == 0 {
-                    return Err(CliError::Usage(
-                        "--chunk must be at least 1 (omit the flag for the default)".into(),
-                    ));
-                }
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(value));
-            }
+            "--times" => spec.times = args.list(|t| parse(t, "time").map(Seconds))?,
+            "--ras" => spec.ras = args.ras()?,
+            "--tstandby" => spec.t_standby = Kelvin(args.number("kelvin")?),
+            "--pactive" => spec.p_active = args.number("probability")?,
+            "--pstandby" => spec.p_standby = args.number("probability")?,
+            "--vth-mean" => vth_mean = args.number("voltage")?,
+            "--vth-sigma" => vth_sigma = args.number("voltage")?,
+            "--correlation" => spec.correlation = args.number("correlation")?,
+            "--rate-sigma" => spec.rate_sigma = args.number("rate sigma")?,
+            "--guardband" => spec.guardband = args.number("guardband")?,
+            "--workers" => opts.workers = args.count("worker count")?,
+            "--chunk" => opts.chunk = args.count("chunk size")?,
+            "--checkpoint" => opts.checkpoint = Some(PathBuf::from(args.value()?)),
             "--trace" => {
-                let capacity: usize = value.parse().map_err(|_| bad("trace capacity"))?;
+                let capacity: usize = args.number("trace capacity")?;
                 if capacity > 0 {
                     opts.trace = Some(Arc::new(relia::obs::Tracer::new(capacity)));
                 }
             }
-            other => return Err(CliError::Usage(format!("unknown fleet flag {other}"))),
+            other => return Err(unknown(other)),
         }
     }
     spec.dist = VthDistribution::new(Volts(vth_mean), Volts(vth_sigma)).map_err(stringify)?;
@@ -955,23 +791,22 @@ against exact evaluation (exit 1 if the relative error exceeds the
 documented bound).";
 
 /// `relia surface` — builds and probes response-surface artifacts.
-fn run_surface_command(args: &[String]) -> Result<(), CliError> {
-    match args.first().map(String::as_str) {
-        None | Some("help" | "-h" | "--help") => {
-            println!("{SURFACE_USAGE}");
-            Ok(())
-        }
-        Some("build") => run_surface_build(&args[1..]),
-        Some("probe") => run_surface_probe(&args[1..]),
+fn run_surface_command(mut args: Args) -> Result<(), CliError> {
+    match args.next() {
+        None => Err(CliError::Help(SURFACE_USAGE)),
+        Some("build") => run_surface_build(args),
+        Some("probe") => run_surface_probe(args),
         Some(other) => Err(CliError::Usage(format!(
             "unknown surface subcommand {other} (expected build or probe)"
         ))),
     }
 }
 
-/// Parses an axis flag value of the form `LO:HI:N`.
-fn parse_axis(value: &str, flag: &str, log: bool) -> Result<Vec<f64>, CliError> {
-    let bad = || CliError::Usage(format!("{flag} expects LO:HI:N, got {value}"));
+/// The current flag's value read as an axis `LO:HI:N`, spaced
+/// logarithmically or linearly.
+fn axis(args: &mut Args, log: bool) -> Result<Vec<f64>, CliError> {
+    let value = args.value()?;
+    let bad = || CliError::Usage(format!("{} expects LO:HI:N, got {value}", args.flag));
     let parts: Vec<&str> = value.split(':').collect();
     let [lo, hi, n] = parts.as_slice() else {
         return Err(bad());
@@ -989,56 +824,22 @@ fn parse_axis(value: &str, flag: &str, log: bool) -> Result<Vec<f64>, CliError> 
     })
 }
 
-fn run_surface_build(args: &[String]) -> Result<(), CliError> {
+fn run_surface_build(mut args: Args) -> Result<(), CliError> {
     let mut spec = relia::surface::BuildSpec::paper_defaults();
     let mut out = PathBuf::from("surface.rls");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if matches!(arg.as_str(), "help" | "-h" | "--help") {
-            println!("{SURFACE_USAGE}");
-            return Ok(());
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("flag {arg} needs a value")))?;
-        match arg.as_str() {
-            "--out" => out = PathBuf::from(value),
+    while let Some(flag) = args.next() {
+        match flag {
+            "--out" => out = PathBuf::from(args.value()?),
             "--tstandby" => {
-                spec.t_standby_k = parse_axis(value, "--tstandby", false)?
-                    .into_iter()
-                    .map(Kelvin)
-                    .collect()
+                spec.t_standby_k = axis(&mut args, false)?.into_iter().map(Kelvin).collect();
             }
-            "--ras" => spec.ras_fraction = parse_axis(value, "--ras", false)?,
-            "--times" => spec.lifetime_s = parse_axis(value, "--times", true)?,
+            "--ras" => spec.ras_fraction = axis(&mut args, false)?,
+            "--times" => spec.lifetime_s = axis(&mut args, true)?,
             "--pairs" => {
-                spec.pairs.clear();
-                for part in value.split(',') {
-                    let (pa, ps) = part.split_once(':').ok_or_else(|| {
-                        CliError::Usage(format!("--pairs expects PA:PS,..., got {part}"))
-                    })?;
-                    let bad = |p: &str| CliError::Usage(format!("bad probability {p}"));
-                    spec.pairs.push((
-                        pa.parse().map_err(|_| bad(pa))?,
-                        ps.parse().map_err(|_| bad(ps))?,
-                    ));
-                }
+                spec.pairs = args.list(|p| pair(p, "--pairs", "PA:PS,...", "probability"))?;
             }
-            "--workers" => {
-                spec.workers = value
-                    .parse()
-                    .map_err(|_| CliError::Usage(format!("bad worker count {value}")))?;
-                if spec.workers == 0 {
-                    return Err(CliError::Usage(
-                        "--workers must be at least 1 (omit the flag to use all cores)".into(),
-                    ));
-                }
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown surface build flag {other}"
-                )))
-            }
+            "--workers" => spec.workers = args.count("worker count")?,
+            other => return Err(unknown(other)),
         }
     }
     let model = relia::core::NbtiModel::ptm90().map_err(stringify)?;
@@ -1071,20 +872,11 @@ fn run_surface_build(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_surface_probe(args: &[String]) -> Result<(), CliError> {
-    if matches!(
-        args.first().map(String::as_str),
-        None | Some("help" | "-h" | "--help")
-    ) {
-        println!("{SURFACE_USAGE}");
-        return match args.first() {
-            None => Err(CliError::Usage(
-                "surface probe needs an artifact path".into(),
-            )),
-            Some(_) => Ok(()),
-        };
-    }
-    let path = PathBuf::from(&args[0]);
+fn run_surface_probe(mut args: Args) -> Result<(), CliError> {
+    let path = PathBuf::from(
+        args.next()
+            .ok_or_else(|| CliError::Usage("surface probe needs an artifact path".into()))?,
+    );
     let mut query = relia::surface::SurfaceQuery {
         t_active_k: Kelvin(jobs::SWEEP_TEMP_ACTIVE_K),
         t_standby_k: Kelvin(330.0),
@@ -1093,34 +885,15 @@ fn run_surface_probe(args: &[String]) -> Result<(), CliError> {
         p_active: 0.5,
         p_standby: 1.0,
     };
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| CliError::Usage(format!("flag {arg} needs a value")))?;
-        let bad = |what: &str| CliError::Usage(format!("bad {what} {value}"));
-        match arg.as_str() {
-            "--tactive" => query.t_active_k = Kelvin(value.parse().map_err(|_| bad("kelvin"))?),
-            "--tstandby" => query.t_standby_k = Kelvin(value.parse().map_err(|_| bad("kelvin"))?),
-            "--ras" => {
-                let (a, s) = value
-                    .split_once(':')
-                    .ok_or_else(|| CliError::Usage(format!("--ras expects A:S, got {value}")))?;
-                let a: f64 = a.parse().map_err(|_| bad("ratio"))?;
-                let s: f64 = s.parse().map_err(|_| bad("ratio"))?;
-                if !(a >= 0.0 && s >= 0.0 && a + s > 0.0) {
-                    return Err(bad("ratio"));
-                }
-                query.ras_fraction = a / (a + s);
-            }
-            "--time" => query.lifetime_s = value.parse().map_err(|_| bad("time"))?,
-            "--pactive" => query.p_active = value.parse().map_err(|_| bad("probability"))?,
-            "--pstandby" => query.p_standby = value.parse().map_err(|_| bad("probability"))?,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown surface probe flag {other}"
-                )))
-            }
+    while let Some(flag) = args.next() {
+        match flag {
+            "--tactive" => query.t_active_k = Kelvin(args.number("kelvin")?),
+            "--tstandby" => query.t_standby_k = Kelvin(args.number("kelvin")?),
+            "--ras" => query.ras_fraction = args.ras()?.active_fraction(),
+            "--time" => query.lifetime_s = args.number("time")?,
+            "--pactive" => query.p_active = args.number("probability")?,
+            "--pstandby" => query.p_standby = args.number("probability")?,
+            other => return Err(unknown(other)),
         }
     }
     let model = relia::core::NbtiModel::ptm90().map_err(stringify)?;
@@ -1165,31 +938,49 @@ fn run_surface_probe(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_sweep_command(args: &[String]) -> Result<(), CliError> {
-    let parsed = SweepArgs::parse(args).map_err(CliError::Usage)?;
+/// `relia sweep`: list-valued flags are comma-separated, add up when
+/// repeated and multiply into a cartesian grid.
+fn run_sweep_command(mut args: Args) -> Result<(), CliError> {
+    let (mut circuits, mut policies) = (Vec::new(), Vec::new());
+    let (mut ras, mut t_standby, mut years) = (Vec::new(), Vec::new(), Vec::new());
+    let mut options = jobs::SweepOptions::default();
+    while let Some(word) = args.next() {
+        match word {
+            "--ras" => ras.extend(args.list(|p| pair(p, "--ras", "A:S", "ratio"))?),
+            "--tstandby" => t_standby.extend(args.list(|p| parse(p, "kelvin").map(Kelvin))?),
+            "--years" => years.extend(args.list(|p| parse::<f64>(p, "years"))?),
+            "--standby" => {
+                policies.extend(args.list(|p| PolicySpec::parse(p).map_err(CliError::Usage))?);
+            }
+            "--jobs" => options.workers = args.count("job count")?,
+            "--checkpoint" => options.checkpoint = Some(PathBuf::from(args.value()?)),
+            "--retries" => options.retries = args.number("retry count")?,
+            "--job-timeout" => options.job_timeout = Some(args.duration("timeout")?),
+            circuit if !circuit.starts_with("--") => circuits.push(circuit.to_owned()),
+            other => return Err(unknown(other)),
+        }
+    }
+    // Defaults chosen so a bare `relia sweep` exercises a 40-job grid.
+    if circuits.is_empty() {
+        circuits.push("builtin:c17".to_owned());
+    }
+    if policies.is_empty() {
+        policies = vec![PolicySpec::Worst, PolicySpec::Best];
+    }
+    if ras.is_empty() {
+        ras = vec![(1.0, 1.0), (1.0, 3.0), (1.0, 5.0), (1.0, 7.0), (1.0, 9.0)];
+    }
+    if t_standby.is_empty() {
+        t_standby = [330.0, 350.0, 370.0, 400.0].map(Kelvin).to_vec();
+    }
+    if years.is_empty() {
+        years.push(Seconds(1.0e8).to_years());
+    }
     let spec = SweepSpec {
-        workload: Workload::CircuitAging {
-            circuits: parsed.circuits,
-            policies: parsed.standby,
-        },
-        ras: parsed.ras,
-        t_standby: parsed.tstandby.into_iter().map(Kelvin).collect(),
-        lifetimes: parsed
-            .years
-            .iter()
-            .map(|&y| Seconds::from_years(y))
-            .collect(),
-    };
-    // The spread covers the fault-injection field that only exists when
-    // relia-jobs is built with its `fault-inject` feature.
-    #[allow(clippy::needless_update)]
-    let options = jobs::SweepOptions {
-        workers: parsed.jobs,
-        checkpoint: parsed.checkpoint,
-        cache_shards: 0,
-        retries: parsed.retries,
-        job_timeout: parsed.job_timeout,
-        ..jobs::SweepOptions::default()
+        workload: Workload::CircuitAging { circuits, policies },
+        ras,
+        t_standby,
+        lifetimes: years.into_iter().map(Seconds::from_years).collect(),
     };
     let outcome = jobs::run_sweep(&spec, &options, load).map_err(|e| match e {
         // An empty grid means the invocation described no work — that is a
@@ -1274,85 +1065,34 @@ fn load(source: &str) -> Result<Circuit, String> {
     }
 }
 
-/// Parsed `--flag value` options.
-struct Options {
-    ras: (f64, f64),
-    tstandby: f64,
-    years: f64,
-    standby: String,
+/// The flags `aging`, `mlv` and `csv` share: the analysis config and the
+/// standby policy.
+fn read_options(mut args: Args) -> Result<(FlowConfig, PolicySpec), CliError> {
+    let mut ras = Ras::new(1.0, 9.0).map_err(stringify)?;
+    let (mut t_standby, mut years) = (Kelvin(330.0), Seconds(1.0e8).to_years());
+    let mut standby = PolicySpec::Worst;
+    while let Some(flag) = args.next() {
+        match flag {
+            "--ras" => ras = args.ras()?,
+            "--tstandby" => t_standby = Kelvin(args.number("kelvin")?),
+            "--years" => years = args.number("years")?,
+            "--standby" => standby = PolicySpec::parse(args.value()?).map_err(CliError::Usage)?,
+            other => return Err(unknown(other)),
+        }
+    }
+    let mut config = FlowConfig::with_schedule(ras, t_standby).map_err(stringify)?;
+    config.lifetime = Seconds::from_years(years);
+    Ok((config, standby))
 }
 
-impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = Options {
-            ras: (1.0, 9.0),
-            tstandby: 330.0,
-            years: Seconds(1.0e8).to_years(),
-            standby: "worst".to_owned(),
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("flag {flag} needs a value"))?;
-            match flag.as_str() {
-                "--ras" => {
-                    let (a, s) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("--ras expects A:S, got {value}"))?;
-                    opts.ras = (
-                        a.parse().map_err(|_| format!("bad ratio {a}"))?,
-                        s.parse().map_err(|_| format!("bad ratio {s}"))?,
-                    );
-                }
-                "--tstandby" => {
-                    opts.tstandby = value.parse().map_err(|_| format!("bad kelvin {value}"))?;
-                }
-                "--years" => {
-                    opts.years = value.parse().map_err(|_| format!("bad years {value}"))?;
-                }
-                "--standby" => {
-                    opts.standby = value.clone();
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-        }
-        Ok(opts)
-    }
-
-    fn config(&self) -> Result<FlowConfig, String> {
-        let mut config = FlowConfig::with_schedule(
-            Ras::new(self.ras.0, self.ras.1).map_err(stringify)?,
-            Kelvin(self.tstandby),
-        )
-        .map_err(stringify)?;
-        config.lifetime = Seconds::from_years(self.years);
-        Ok(config)
-    }
-
-    fn policy(&self, circuit: &Circuit) -> Result<StandbyPolicy, String> {
-        match self.standby.as_str() {
-            "worst" => Ok(StandbyPolicy::AllInternalZero),
-            "best" => Ok(StandbyPolicy::AllInternalOne),
-            "footer" => Ok(StandbyPolicy::PowerGatedFooter),
-            bits => {
-                let v: Vec<bool> = bits
-                    .chars()
-                    .map(|c| match c {
-                        '0' => Ok(false),
-                        '1' => Ok(true),
-                        other => Err(format!("bad standby bit {other}")),
-                    })
-                    .collect::<Result<_, _>>()?;
-                if v.len() != circuit.primary_inputs().len() {
-                    return Err(format!(
-                        "standby vector has {} bits, circuit has {} inputs",
-                        v.len(),
-                        circuit.primary_inputs().len()
-                    ));
-                }
-                Ok(StandbyPolicy::InputVector(v))
-            }
-        }
+/// `spec` as `circuit`'s standby policy, once a vector is known to fit it.
+fn standby_policy(spec: &PolicySpec, circuit: &Circuit) -> Result<StandbyPolicy, String> {
+    let inputs = circuit.primary_inputs().len();
+    match spec {
+        PolicySpec::Vector(v) if v.len() != inputs => Err(format!(
+            "standby vector has {} bits, circuit has {inputs} inputs",
+            v.len()
+        )),
+        spec => Ok(spec.to_policy()),
     }
 }

@@ -847,3 +847,53 @@ fn verilog_round_trip_through_cli() {
     assert!(ok, "{stdout}");
     assert!(stdout.contains("gates   : 6"));
 }
+
+/// Replays every `$ relia` line of `tests/fixtures/cli_usage.txt` and
+/// renders what the binary did in the fixture's own format, so the whole
+/// transcript compares as one string.
+#[test]
+fn usage_transcript_matches_the_fixture() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli_usage.txt");
+    let fixture = std::fs::read_to_string(path).unwrap();
+    let mut seen: Vec<(String, String)> = Vec::new();
+    let mut actual: String = fixture
+        .lines()
+        .take_while(|l| l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    for command in fixture.lines().filter(|l| l.starts_with("$ relia")) {
+        let args: Vec<&str> = command["$ relia".len()..]
+            .split_whitespace()
+            .map(|a| if a == "''" { "" } else { a })
+            .collect();
+        let (code, stdout, stderr) = relia_coded(&args);
+        let first = stderr.lines().next().unwrap_or("");
+        actual += &format!("{command}\n? {}\n", code.unwrap_or(-1));
+        actual += &format!("!{}{first}\n", if first.is_empty() { "" } else { " " });
+        match seen
+            .iter()
+            .find(|(out, _)| !stdout.is_empty() && *out == stdout)
+        {
+            Some((_, earlier)) => actual += &format!("= {}\n", &earlier[2..]),
+            None => {
+                for line in stdout.lines() {
+                    actual += &format!("|{}{line}\n", if line.is_empty() { "" } else { " " });
+                }
+                seen.push((stdout, command.to_owned()));
+            }
+        }
+    }
+    if actual != fixture {
+        let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_usage.txt");
+        std::fs::write(&out, &actual).unwrap();
+        let (want, got) = fixture
+            .split("\n$ ")
+            .zip(actual.split("\n$ "))
+            .find(|(want, got)| want != got)
+            .unwrap_or(("(end of fixture)", "(more cases)"));
+        panic!(
+            "transcript differs from {path}; full transcript in {}\nwant:\n$ {want}\ngot:\n$ {got}",
+            out.display()
+        );
+    }
+}
