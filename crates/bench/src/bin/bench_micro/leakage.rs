@@ -5,13 +5,20 @@
 //! thread, and `scoped_speedup` is their ratio: the work a circuit-scoped
 //! table skips, which does not depend on the core count. It is ~2, as c880
 //! needs NAND4's fifteen 4-deep entries and the library also NOR4's.
+//!
+//! The `nand4_` pair times NAND4's sixteen vectors on the calling thread,
+//! as one `cell_leakage` call each and as one `cell_leakage_many` call,
+//! which solves the fifteen blocking stacks [`LANES`] at a time.
+//! `lane_speedup` is their ratio, a ratio within one run that holds across
+//! machines.
 
 use std::hint::black_box;
 use std::thread;
 
 use relia_cells::{CellId, Vector};
 use relia_core::Kelvin;
-use relia_leakage::{cell_leakage, DeviceModels, LeakageTable};
+use relia_leakage::solver::LANES;
+use relia_leakage::{cell_leakage, cell_leakage_many, DeviceModels, LeakageTable};
 use relia_netlist::iscas;
 
 use crate::record::{Gate, Record, Value};
@@ -21,6 +28,7 @@ pub(crate) const SECTION: Section = Section {
     name: "leakage",
     gates: &[
         Gate::Floor("scoped_speedup", 1.5),
+        Gate::Floor("lane_speedup", 1.4),
         Gate::Drift("circuit_ms"),
     ],
     measure,
@@ -60,6 +68,17 @@ fn measure() -> Record {
     let library_serial_ns = serial_ns(&every_cell);
     let circuit_serial_ns = serial_ns(&used);
 
+    let nand4 = library.cell(library.find("NAND4").expect("NAND4 is in the catalog"));
+    let vectors: Vec<Vector> = Vector::all(4).collect();
+    let nand4_scalar_ns = ns_per_call(1, |_| {
+        for v in &vectors {
+            black_box(cell_leakage(nand4, &v.to_bools(), black_box(&models), temp));
+        }
+    });
+    let nand4_lanes_ns = ns_per_call(1, |_| {
+        black_box(cell_leakage_many(nand4, &vectors, black_box(&models), temp));
+    });
+
     let threads = thread::available_parallelism().map_or(1, |n| n.get());
     Record::new(&[
         ("threads", Value::Count(threads as u64)),
@@ -70,6 +89,13 @@ fn measure() -> Record {
         (
             "scoped_speedup",
             Value::Fixed(library_serial_ns / circuit_serial_ns),
+        ),
+        ("lanes", Value::Count(LANES as u64)),
+        ("nand4_scalar_ms", Value::Fixed(nand4_scalar_ns / 1e6)),
+        ("nand4_lanes_ms", Value::Fixed(nand4_lanes_ns / 1e6)),
+        (
+            "lane_speedup",
+            Value::Fixed(nand4_scalar_ns / nand4_lanes_ns),
         ),
     ])
 }

@@ -24,14 +24,29 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     let mut crc = !crc;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
     }
     !crc
 }
+
+/// The register after eight bitwise CRC-32 steps from each byte value, so
+/// [`crc32_extend`] takes one lookup per byte instead of eight shifts.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[byte] = crc;
+        byte += 1;
+    }
+    table
+};
 
 /// 64-bit FNV-1a of `bytes`.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -248,6 +263,33 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32_extend(crc32(b"1234"), b"56789"), 0xCBF4_3926);
+    }
+
+    /// The bitwise CRC-32 the table replaced: eight shift steps per byte.
+    fn crc32_extend_bitwise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !crc;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_loop() {
+        let mut rng = SplitMix64::new(0xC4C3_2000);
+        for len in (0..300).chain([4_096, 65_537]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let seed = rng.next_u64() as u32;
+            assert_eq!(
+                crc32_extend(seed, &bytes),
+                crc32_extend_bitwise(seed, &bytes),
+                "{len} bytes from {seed:#x}"
+            );
+        }
     }
 
     #[test]

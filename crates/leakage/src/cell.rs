@@ -1,10 +1,12 @@
-//! Per-cell, per-input-vector leakage.
+//! Per-cell, per-input-vector leakage: [`cell_leakage`] for one vector,
+//! [`cell_leakage_many`] for many vectors of one cell, whose stack solves
+//! it steps in lanes.
 
-use relia_cells::{Cell, MosType};
+use relia_cells::{Cell, MosType, Stage, Vector};
 use relia_core::units::Kelvin;
 
 use crate::models::DeviceModels;
-use crate::solver::{network_current, NetworkState};
+use crate::solver::{network_current, network_currents, NetworkState};
 
 /// Subthreshold and gate-leakage components of one evaluation, in amperes.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -111,6 +113,103 @@ pub fn cell_leakage(
         }
     }
     total
+}
+
+/// [`cell_leakage`] of `cell` under each of `vectors`, in order, every
+/// entry bit-equal to the scalar call.
+///
+/// Stage by stage, the vectors whose stage blocks through the same network
+/// (the NMOS pull-down for a high output, the PMOS pull-up for a low one)
+/// are solved together, up to
+/// [`LANES`](crate::solver::LANES) in lockstep: NAND4's fifteen blocking
+/// 4-deep stacks take two lane-parallel solves instead of fifteen scalar
+/// ones. A vector alone on its side takes the scalar solver.
+///
+/// # Panics
+///
+/// Panics when a vector has the wrong width.
+///
+/// ```
+/// use relia_cells::{Library, Vector};
+/// use relia_core::Kelvin;
+/// use relia_leakage::{cell_leakage, cell_leakage_many, DeviceModels};
+///
+/// let lib = Library::ptm90();
+/// let nand4 = lib.cell(lib.find("NAND4").expect("in catalog"));
+/// let m = DeviceModels::ptm90();
+/// let vectors: Vec<Vector> = Vector::all(4).collect();
+/// let many = cell_leakage_many(nand4, &vectors, &m, Kelvin(400.0));
+/// for (v, got) in vectors.iter().zip(&many) {
+///     assert_eq!(*got, cell_leakage(nand4, &v.to_bools(), &m, Kelvin(400.0)));
+/// }
+/// ```
+pub fn cell_leakage_many(
+    cell: &Cell,
+    vectors: &[Vector],
+    models: &DeviceModels,
+    temp: Kelvin,
+) -> Vec<LeakageBreakdown> {
+    for v in vectors {
+        assert_eq!(
+            v.width(),
+            cell.num_pins(),
+            "cell {}: bad input width",
+            cell.name()
+        );
+    }
+    let pins: Vec<Vec<bool>> = vectors.iter().map(Vector::to_bools).collect();
+    let width_scale = cell.drive_strength();
+    let mut totals = vec![LeakageBreakdown::default(); vectors.len()];
+    let mut stage_outs: Vec<Vec<bool>> = vec![Vec::with_capacity(cell.stages().len()); pins.len()];
+    for stage in cell.stages() {
+        let inputs: Vec<Vec<bool>> = pins
+            .iter()
+            .zip(&stage_outs)
+            .map(|(levels, outs)| stage.resolve_inputs(levels, outs))
+            .collect();
+        let high: Vec<bool> = inputs.iter().map(|inputs| stage.eval(inputs)).collect();
+        for (outs, &out) in stage_outs.iter_mut().zip(&high) {
+            outs.push(out);
+        }
+
+        // Subthreshold, as in `cell_leakage`: a high output blocks the
+        // NMOS pull-down, a low one the PMOS pull-up (mirrored frame).
+        let pull_down = stage.pull_down();
+        for (mos, network, out) in [
+            (MosType::Nmos, &pull_down, true),
+            (MosType::Pmos, stage.pull_up(), false),
+        ] {
+            let lanes: Vec<usize> = (0..pins.len()).filter(|&i| high[i] == out).collect();
+            let lane_inputs: Vec<&[bool]> = lanes.iter().map(|&i| &inputs[i][..]).collect();
+            let currents = network_currents(network, mos, &lane_inputs, models, temp, width_scale);
+            for (&i, current) in lanes.iter().zip(currents) {
+                totals[i].subthreshold += current;
+            }
+        }
+
+        for (total, inputs) in totals.iter_mut().zip(&inputs) {
+            add_gate_tunneling(&mut total.gate, stage, inputs, models, width_scale);
+        }
+    }
+    totals
+}
+
+/// Adds the gate tunneling of `stage`'s conducting devices to `gate`,
+/// device by device as `cell_leakage` adds them.
+fn add_gate_tunneling(
+    gate: &mut f64,
+    stage: &Stage,
+    inputs: &[bool],
+    models: &DeviceModels,
+    width_scale: f64,
+) {
+    for &pin in stage.pull_up().device_pins().iter() {
+        if MosType::Pmos.conducts(inputs[pin]) {
+            *gate += models.gate_leak(MosType::Pmos, MosType::Pmos.default_width() * width_scale);
+        } else {
+            *gate += models.gate_leak(MosType::Nmos, MosType::Nmos.default_width() * width_scale);
+        }
+    }
 }
 
 #[cfg(test)]

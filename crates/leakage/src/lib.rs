@@ -11,8 +11,10 @@
 //!   90 nm-class process.
 //! * [`solver`] — recursive series/parallel network current solver: OFF
 //!   devices leak with source-voltage suppression, ON devices conduct;
-//!   intermediate stack nodes are found by bisection on current continuity.
-//! * [`cell`] — per-cell, per-input-vector leakage (all stages).
+//!   intermediate stack nodes are found by bisection on current continuity,
+//!   for one input vector or for several in lockstep lanes.
+//! * [`cell`] — per-cell, per-input-vector leakage (all stages), one vector
+//!   at a time or many vectors of one cell together.
 //! * [`table`] — the leakage lookup table the paper's flow builds by
 //!   "simulating all the gates in the standard cell library under all
 //!   possible input patterns", for a whole library or for the cells one
@@ -42,7 +44,7 @@ pub mod models;
 pub mod solver;
 pub mod table;
 
-pub use cell::{cell_leakage, LeakageBreakdown};
+pub use cell::{cell_leakage, cell_leakage_many, LeakageBreakdown};
 pub use circuit::{circuit_leakage, expected_circuit_leakage};
 pub use models::DeviceModels;
 pub use table::LeakageTable;

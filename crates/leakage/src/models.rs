@@ -91,17 +91,7 @@ impl DeviceModels {
     /// The source sits at `v_lo`, so a raised `v_lo` gives the exponential
     /// stack-effect suppression `exp(−v_lo/(n·v_T))`.
     pub fn off_current(&self, mos: MosType, width: f64, v_hi: f64, v_lo: f64, temp: Kelvin) -> f64 {
-        debug_assert!(v_hi >= v_lo - 1e-12);
-        let vt = thermal_voltage(temp);
-        let vth = self.vth(mos, temp);
-        let vgs = -v_lo; // gate at 0, source at v_lo
-        let vds = (v_hi - v_lo).max(0.0);
-        // DIBL lowers the barrier in proportion to V_ds.
-        let vth_eff = vth - self.dibl * vds;
-        self.i0(mos, temp)
-            * width
-            * ((vgs - vth_eff) / (self.swing_n * vt)).exp()
-            * (1.0 - (-vds / vt).exp())
+        Transistor::new(self, mos, width, temp).off_current(v_hi, v_lo)
     }
 
     /// Current through an ON device modeled as a linear conductance.
@@ -121,6 +111,57 @@ impl DeviceModels {
 impl Default for DeviceModels {
     fn default() -> Self {
         DeviceModels::ptm90()
+    }
+}
+
+/// A device of one polarity and width at one temperature: every factor of
+/// [`DeviceModels::off_current`] and [`DeviceModels::on_current`] that does
+/// not depend on the terminal voltages. A solve that evaluates the same
+/// device many times computes these once; each current repeats the model's
+/// operations in the model's order, so it is bit-equal to the model's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transistor {
+    /// Thermal voltage `v_T`.
+    vt: f64,
+    /// Threshold magnitude at the temperature, before DIBL.
+    vth: f64,
+    dibl: f64,
+    /// `n·v_T`, the subthreshold exponent's scale.
+    swing_vt: f64,
+    /// Subthreshold scale current times width.
+    i0_width: f64,
+    /// ON conductance times width.
+    g_on_width: f64,
+}
+
+impl Transistor {
+    pub(crate) fn new(models: &DeviceModels, mos: MosType, width: f64, temp: Kelvin) -> Self {
+        let vt = thermal_voltage(temp);
+        Transistor {
+            vt,
+            vth: models.vth(mos, temp),
+            dibl: models.dibl,
+            swing_vt: models.swing_n * vt,
+            i0_width: models.i0(mos, temp) * width,
+            g_on_width: models.g_on * width,
+        }
+    }
+
+    /// [`DeviceModels::off_current`] of this device.
+    #[inline]
+    pub(crate) fn off_current(&self, v_hi: f64, v_lo: f64) -> f64 {
+        debug_assert!(v_hi >= v_lo - 1e-12);
+        let vgs = -v_lo; // gate at 0, source at v_lo
+        let vds = (v_hi - v_lo).max(0.0);
+        // DIBL lowers the barrier in proportion to V_ds.
+        let vth_eff = self.vth - self.dibl * vds;
+        self.i0_width * ((vgs - vth_eff) / self.swing_vt).exp() * (1.0 - (-vds / self.vt).exp())
+    }
+
+    /// [`DeviceModels::on_current`] of this device.
+    #[inline]
+    pub(crate) fn on_current(&self, v_hi: f64, v_lo: f64) -> f64 {
+        self.g_on_width * (v_hi - v_lo).max(0.0)
     }
 }
 

@@ -12,11 +12,23 @@
 //! * Series: the intermediate node voltage is found by bisection on current
 //!   continuity — both branch currents are monotone in the node voltage.
 //! * Parallel: currents add at equal terminal voltages.
+//!
+//! A blocking 4-deep stack nests three 40-step bisections, ~140k device
+//! evaluations, and each step waits on the comparison before it while each
+//! OFF device chains a divide into two `exp` calls: one solve is bound by
+//! latency, not throughput. Solves of the same network under different
+//! input vectors do not wait on each other, so [`network_currents`] steps
+//! up to [`LANES`] of them in lockstep, every lane repeating
+//! [`network_current`]'s operations in its order. [`network_current`] stays
+//! scalar: it is the reference the lanes are tested against, and the path
+//! for a lone vector.
+
+use std::array;
 
 use relia_cells::{MosType, Network};
 use relia_core::units::Kelvin;
 
-use crate::models::DeviceModels;
+use crate::models::{DeviceModels, Transistor};
 
 /// Per-evaluation context: polarity, device widths, ON/OFF states.
 #[derive(Debug, Clone)]
@@ -103,6 +115,124 @@ fn series_current(
             0.5 * (network_current(head, state, models, v_hi, v_mid)
                 + series_current(tail, state, models, v_mid, v_lo))
         }
+    }
+}
+
+/// Input vectors [`network_currents`] solves in lockstep. The lanes keep
+/// the divider and `exp` busy while each waits on its own previous step.
+/// On a 2-vCPU Xeon, NAND4's sixteen vectors on one thread ran 1.5, 1.7
+/// and 2.1 times faster than scalar at 4, 8 and 16 lanes. But a table
+/// gives each core a group, and at 16 lanes NAND4's two groups each step
+/// eight idle lanes: c880's table took ~18.5 ms on two cores against
+/// ~15.5 ms at 8. A group steps all its lanes, so a lone vector takes the
+/// scalar path.
+pub const LANES: usize = 8;
+
+/// [`network_current`] with `V_dd` across `net` under each of `inputs`
+/// (one stage-input vector per entry), bit-equal to one scalar call each.
+///
+/// Up to [`LANES`] vectors step together through the same bisections,
+/// with the device constants computed once. A group's idle lanes turn
+/// every device on, which costs no `exp`. A group of one is one scalar
+/// call.
+pub(crate) fn network_currents(
+    net: &Network,
+    mos: MosType,
+    inputs: &[&[bool]],
+    models: &DeviceModels,
+    temp: Kelvin,
+    width_scale: f64,
+) -> Vec<f64> {
+    let device = Transistor::new(models, mos, mos.default_width() * width_scale, temp);
+    let mut currents = Vec::with_capacity(inputs.len());
+    for group in inputs.chunks(LANES) {
+        if let [inputs] = group {
+            let state = NetworkState {
+                mos,
+                inputs,
+                temp,
+                width_scale,
+            };
+            currents.push(network_current(net, &state, models, models.vdd, 0.0));
+            continue;
+        }
+        // `conducts(true)` is the gate level that turns this polarity on.
+        let idle = vec![mos.conducts(true); group[0].len()];
+        let lanes = Lanes {
+            mos,
+            device,
+            inputs: array::from_fn(|l| group.get(l).copied().unwrap_or(&idle)),
+        };
+        let lane_currents = lanes.current(net, [models.vdd; LANES], [0.0; LANES]);
+        currents.extend_from_slice(&lane_currents[..group.len()]);
+    }
+    currents
+}
+
+/// One voltage per lane.
+type Volts = [f64; LANES];
+
+/// One network's solve for [`LANES`] input vectors at once: lane `l` is
+/// [`network_current`] under `inputs[l]`.
+struct Lanes<'a> {
+    mos: MosType,
+    device: Transistor,
+    inputs: [&'a [bool]; LANES],
+}
+
+impl Lanes<'_> {
+    /// [`network_current`], lane by lane (currents, one per lane).
+    fn current(&self, net: &Network, v_hi: Volts, v_lo: Volts) -> [f64; LANES] {
+        match net {
+            Network::Device(pin) => array::from_fn(|l| {
+                if self.mos.conducts(self.inputs[l][*pin]) {
+                    self.device.on_current(v_hi[l], v_lo[l])
+                } else {
+                    self.device.off_current(v_hi[l], v_lo[l])
+                }
+            }),
+            Network::Parallel(children) => {
+                // `Iterator::sum` folds the children in order from its own
+                // zero, so every lane does too.
+                let mut sum = [std::iter::empty::<f64>().sum(); LANES];
+                for child in children {
+                    let current = self.current(child, v_hi, v_lo);
+                    for (sum, current) in sum.iter_mut().zip(current) {
+                        *sum += current;
+                    }
+                }
+                sum
+            }
+            Network::Series(children) => self.series(children, v_hi, v_lo),
+        }
+    }
+
+    /// `series_current`, lane by lane: every lane bisects its own node
+    /// for the same 40 steps.
+    fn series(&self, children: &[Network], v_hi: Volts, v_lo: Volts) -> [f64; LANES] {
+        let [head, tail @ ..] = children else {
+            return [0.0; LANES];
+        };
+        if tail.is_empty() {
+            return self.current(head, v_hi, v_lo);
+        }
+        let midpoint =
+            |lo: &Volts, hi: &Volts| -> Volts { array::from_fn(|l| 0.5 * (lo[l] + hi[l])) };
+        let (mut lo, mut hi) = (v_lo, v_hi);
+        for _ in 0..40 {
+            let mid = midpoint(&lo, &hi);
+            let i_head = self.current(head, v_hi, mid);
+            let i_tail = self.series(tail, mid, v_lo);
+            // Where the head outruns the tail, the node sits below its
+            // solution.
+            let below: [bool; LANES] = array::from_fn(|l| i_head[l] > i_tail[l]);
+            lo = array::from_fn(|l| if below[l] { mid[l] } else { lo[l] });
+            hi = array::from_fn(|l| if below[l] { hi[l] } else { mid[l] });
+        }
+        let v_mid = midpoint(&lo, &hi);
+        let i_head = self.current(head, v_hi, v_mid);
+        let i_tail = self.series(tail, v_mid, v_lo);
+        array::from_fn(|l| 0.5 * (i_head[l] + i_tail[l]))
     }
 }
 

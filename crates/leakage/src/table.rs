@@ -4,10 +4,14 @@
 //!
 //! Characterization dominates preparing a circuit: a cell whose blocking
 //! network is an `n`-deep series stack bisects each internal node, so one
-//! NAND4 or NOR4 vector costs ~140k device evaluations. Every
-//! (cell, vector) entry is independent, so a table spreads them over the
-//! machine's cores, and [`LeakageTable::for_circuit`] characterizes only
-//! the cells a netlist instantiates.
+//! NAND4 or NOR4 vector costs ~140k device evaluations, each step waiting
+//! on the one before. Every (cell, vector) entry is independent. A table
+//! hands the machine's cores groups of up to [`LANES`] vectors of one cell,
+//! at least one group per core, and each group solves its blocking stacks
+//! in lockstep lanes ([`cell_leakage_many`]), so NAND4's fifteen 4-deep
+//! stacks take two lane-parallel solves, one per core on two cores.
+//! [`LeakageTable::for_circuit`] characterizes only the cells a netlist
+//! instantiates.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,8 +21,9 @@ use relia_cells::{CellId, Library, Vector};
 use relia_core::units::Kelvin;
 use relia_netlist::Circuit;
 
-use crate::cell::{cell_leakage, LeakageBreakdown};
+use crate::cell::{cell_leakage_many, LeakageBreakdown};
 use crate::models::DeviceModels;
+use crate::solver::LANES;
 
 /// A leakage lookup table for one library at one temperature.
 #[derive(Debug, Clone)]
@@ -78,10 +83,11 @@ impl LeakageTable {
     }
 
     /// Characterizes `cells` on up to `threads` threads, the calling
-    /// thread among them. Workers claim (cell, vector) items in order
-    /// from a shared cursor, and each value is one [`cell_leakage`] call
-    /// written to its own slot, so the table is bit-identical whatever
-    /// the thread count.
+    /// thread among them. Workers claim (cell, up to [`LANES`] vectors)
+    /// groups in order from a shared cursor, and each group is one
+    /// [`cell_leakage_many`] call whose entries are bit-equal to
+    /// [`cell_leakage`](crate::cell_leakage)'s, each written to its own
+    /// slot, so the table is bit-identical whatever the thread count.
     fn characterize(
         library: &Library,
         cells: &[CellId],
@@ -89,20 +95,40 @@ impl LeakageTable {
         temp: Kelvin,
         threads: usize,
     ) -> Self {
-        let items: Vec<(CellId, Vector)> = cells
+        // A cell gets at least one group per thread, so every core takes a
+        // share of NAND4's stacks, and its vectors are dealt round-robin:
+        // on two cores NAND4's groups split on pin 0, its stack's outermost
+        // device. Split in halves, vectors 0–7 would all hold pin 3, the
+        // innermost and most often evaluated device, off, and take twice as
+        // long as 8–15.
+        let groups: Vec<(CellId, Vec<Vector>)> = cells
             .iter()
-            .flat_map(|&id| Vector::all(library.cell(id).num_pins()).map(move |v| (id, v)))
+            .flat_map(|&id| {
+                let vectors: Vec<Vector> = Vector::all(library.cell(id).num_pins()).collect();
+                let count = vectors
+                    .len()
+                    .div_ceil(LANES)
+                    .max(threads)
+                    .min(vectors.len());
+                let deal = |g: usize| vectors.iter().skip(g).step_by(count).copied().collect();
+                (0..count).map(|g| (id, deal(g))).collect::<Vec<_>>()
+            })
             .collect();
-        let threads = threads.min(items.len()).max(1);
+        let threads = threads.min(groups.len()).max(1);
 
-        // The cursor only hands out item indices; the values travel back
+        // The cursor only hands out group indices; the values travel back
         // through `join`, which orders them, so `Relaxed` suffices.
         let cursor = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
-            while let Some(&(id, vector)) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                let value = cell_leakage(library.cell(id), &vector.to_bools(), models, temp);
-                done.push((id, vector, value));
+            while let Some((id, vectors)) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let values = cell_leakage_many(library.cell(*id), vectors, models, temp);
+                done.extend(
+                    vectors
+                        .iter()
+                        .zip(values)
+                        .map(|(&v, value)| (*id, v, value)),
+                );
             }
             done
         };
@@ -216,6 +242,7 @@ fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::cell_leakage;
     use relia_cells::Library;
     use relia_core::seal::Fnv1a;
     use relia_netlist::iscas;

@@ -11,11 +11,12 @@ cargo build --release --offline
 echo "==> cargo test (workspace)"
 cargo test -q --offline --workspace
 
-echo "==> cargo test --release (relia-core bit-identity oracles on optimized codegen)"
-# Debug builds do not vectorize the lane-parallel AC walk; the proptests
-# comparing it with the scalar recursion bit for bit must also hold on the
-# code the release binaries run.
-cargo test -q --offline --release -p relia-core
+echo "==> cargo test --release (relia-core and relia-leakage bit-identity oracles on optimized codegen)"
+# Debug builds do not vectorize the lane-parallel AC walk or the leakage
+# lanes; the proptests comparing them with their scalar references bit for
+# bit, and the pinned leakage-table fingerprints, must also hold on the code
+# the release binaries run.
+cargo test -q --offline --release -p relia-core -p relia-leakage
 
 echo "==> cargo test (fault injection)"
 cargo test -q --offline -p relia-jobs --features fault-inject

@@ -8,9 +8,11 @@
 //! Every subcommand reads its words through one [`Args`] reader, so a flag
 //! means the same thing wherever it appears. `help`, `-h` or `--help`
 //! anywhere prints the subcommand's usage and exits 0. An unknown flag, a
-//! missing or unparsable value, a zero count or a non-positive duration is
-//! a usage error (exit 2); a parsed value the model or engine refuses fails
-//! like any analysis (exit 1).
+//! word left over after a subcommand's last positional, a missing or
+//! unparsable value, a zero count or a non-positive duration is a usage
+//! error (exit 2, followed by the subcommand's usage page on stderr); a
+//! parsed value the model or engine refuses fails like any analysis
+//! (exit 1).
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -54,7 +56,7 @@ fn main() -> ExitCode {
         Err(CliError::Usage(msg)) => {
             eprintln!("relia: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage_page(args.first().map_or("", String::as_str)));
             ExitCode::from(2)
         }
         Err(CliError::Analysis(msg)) => {
@@ -75,7 +77,7 @@ const USAGE: &str = "usage:
                 [--years Y,...] [--standby P,...] [--jobs N]
                 [--checkpoint PATH] [--retries N]
                 [--job-timeout SECS]             parallel batch sweep
-  relia mlv     <netlist> [--ras A:S] [--tstandby K]
+  relia mlv     <netlist> [--ras A:S] [--tstandby K] [--years Y]
                                                  leakage/NBTI co-optimal vectors
   relia dot     <netlist>                        Graphviz export
   relia verilog <netlist>                        structural Verilog export
@@ -110,22 +112,33 @@ sweep notes:
   --job-timeout SECS cancels stragglers cooperatively (reported as
   TIMEOUT rows, re-run on resume).";
 
+/// The usage page of subcommand `cmd`: what `help` prints and what
+/// follows a usage error. `serve`, `fleet` and `surface` have their own.
+fn usage_page(cmd: &str) -> &'static str {
+    match cmd {
+        "serve" => SERVE_USAGE,
+        "fleet" => FLEET_USAGE,
+        "surface" => SURFACE_USAGE,
+        _ => USAGE,
+    }
+}
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let (cmd, rest) = args.split_first().ok_or_else(|| missing("command"))?;
-    let words = |usage| Args::new(rest, usage);
+    let words = || Args::new(rest, usage_page(cmd));
     match cmd.as_str() {
         "help" | "-h" | "--help" => Err(CliError::Help(USAGE)),
         "version" | "-V" | "--version" => {
             println!("relia {}", env!("CARGO_PKG_VERSION"));
             Ok(())
         }
-        "sweep" => run_sweep_command(words(USAGE)?),
-        "serve" => run_serve_command(words(SERVE_USAGE)?),
-        "fleet" => run_fleet_command(words(FLEET_USAGE)?),
-        "surface" => run_surface_command(words(SURFACE_USAGE)?),
-        "lint" => run_lint_command(words(USAGE)?),
+        "sweep" => run_sweep_command(words()?),
+        "serve" => run_serve_command(words()?),
+        "fleet" => run_fleet_command(words()?),
+        "surface" => run_surface_command(words()?),
+        "lint" => run_lint_command(words()?),
         "list" => {
-            words(USAGE)?;
+            words()?.end()?;
             for name in iscas::names() {
                 let c = iscas::circuit(name).expect("known name");
                 let (pi, po, gates, depth) = c.stats();
@@ -134,7 +147,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "info" => {
-            let circuit = words(USAGE)?.circuit()?;
+            let mut args = words()?;
+            let circuit = args.circuit()?;
+            args.end()?;
             let s = CircuitStats::of(&circuit);
             println!("circuit {}", circuit.name());
             println!("  inputs  : {}", s.inputs);
@@ -153,7 +168,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "timing" => {
-            let circuit = words(USAGE)?.circuit()?;
+            let mut args = words()?;
+            let circuit = args.circuit()?;
+            args.end()?;
             let report = TimingAnalysis::nominal(&circuit);
             println!("max delay: {:.1} ps", report.max_delay_ps());
             println!("critical path ({} gates):", report.critical_path().len());
@@ -169,9 +186,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "aging" => {
-            let mut args = words(USAGE)?;
+            let mut args = words()?;
             let circuit = args.circuit()?;
-            let (config, standby) = read_options(args)?;
+            let (config, standby) = read_options(args, true)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
             let policy = standby_policy(&standby, &circuit)?;
             let report = analysis.run(&policy).map_err(stringify)?;
@@ -197,9 +214,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "mlv" => {
-            let mut args = words(USAGE)?;
+            let mut args = words()?;
             let circuit = args.circuit()?;
-            let (config, _) = read_options(args)?;
+            // The search picks the standby vectors, so `--standby` would
+            // have nothing to set.
+            let (config, _) = read_options(args, false)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
             let set = search_mlv_set(&analysis, &MlvSearchConfig::default()).map_err(stringify)?;
             let co = co_optimize(&analysis, &set).map_err(stringify)?;
@@ -228,12 +247,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "paths" => {
-            let mut args = words(USAGE)?;
+            let mut args = words()?;
             let circuit = args.circuit()?;
             let k = match args.next() {
                 Some(k) => parse(k, "path count")?,
                 None => 5,
             };
+            args.end()?;
             let report = TimingAnalysis::nominal(&circuit);
             let top = relia::sta::k_critical_paths(&circuit, &report, k);
             for (i, path) in top.iter().enumerate() {
@@ -252,7 +272,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "lib" => {
             use relia::cells::Vector;
             use relia::leakage::{DeviceModels, LeakageTable};
-            words(USAGE)?;
+            words()?.end()?;
             let lib = Library::ptm90();
             let table = LeakageTable::build(&lib, &DeviceModels::ptm90(), Kelvin(400.0));
             println!(
@@ -285,19 +305,23 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "dot" => {
-            let circuit = words(USAGE)?.circuit()?;
+            let mut args = words()?;
+            let circuit = args.circuit()?;
+            args.end()?;
             print!("{}", dot::to_dot(&circuit, &dot::DotOptions::default()));
             Ok(())
         }
         "verilog" => {
-            let circuit = words(USAGE)?.circuit()?;
+            let mut args = words()?;
+            let circuit = args.circuit()?;
+            args.end()?;
             print!("{}", relia::netlist::verilog::write(&circuit));
             Ok(())
         }
         "csv" => {
-            let mut args = words(USAGE)?;
+            let mut args = words()?;
             let circuit = args.circuit()?;
-            let (config, standby) = read_options(args)?;
+            let (config, standby) = read_options(args, true)?;
             let analysis = AgingAnalysis::new(&config, &circuit).map_err(stringify)?;
             let report = analysis
                 .run(&standby_policy(&standby, &circuit)?)
@@ -306,7 +330,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         "liberty" => {
-            words(USAGE)?;
+            words()?.end()?;
             print!(
                 "{}",
                 relia::leakage::liberty::export(&Library::ptm90(), Kelvin(400.0))
@@ -359,6 +383,12 @@ impl<'a> Args<'a> {
     /// The circuit named by the next word (a netlist path or `builtin:NAME`).
     fn circuit(&mut self) -> Result<Circuit, CliError> {
         Ok(load(self.next().ok_or_else(|| missing("netlist"))?)?)
+    }
+
+    /// Ends a subcommand whose words are all read: a leftover one is a
+    /// usage error.
+    fn end(mut self) -> Result<(), CliError> {
+        self.next().map_or(Ok(()), |word| Err(unknown(word)))
     }
 
     /// The current flag's value, whatever it looks like.
@@ -1065,9 +1095,9 @@ fn load(source: &str) -> Result<Circuit, String> {
     }
 }
 
-/// The flags `aging`, `mlv` and `csv` share: the analysis config and the
-/// standby policy.
-fn read_options(mut args: Args) -> Result<(FlowConfig, PolicySpec), CliError> {
+/// The flags `aging`, `mlv` and `csv` share: the analysis config, and the
+/// standby policy where the subcommand `takes_standby`.
+fn read_options(mut args: Args, takes_standby: bool) -> Result<(FlowConfig, PolicySpec), CliError> {
     let mut ras = Ras::new(1.0, 9.0).map_err(stringify)?;
     let (mut t_standby, mut years) = (Kelvin(330.0), Seconds(1.0e8).to_years());
     let mut standby = PolicySpec::Worst;
@@ -1076,7 +1106,9 @@ fn read_options(mut args: Args) -> Result<(FlowConfig, PolicySpec), CliError> {
             "--ras" => ras = args.ras()?,
             "--tstandby" => t_standby = Kelvin(args.number("kelvin")?),
             "--years" => years = args.number("years")?,
-            "--standby" => standby = PolicySpec::parse(args.value()?).map_err(CliError::Usage)?,
+            "--standby" if takes_standby => {
+                standby = PolicySpec::parse(args.value()?).map_err(CliError::Usage)?
+            }
             other => return Err(unknown(other)),
         }
     }

@@ -171,6 +171,90 @@ fn usage_errors_exit_2_and_analysis_errors_exit_1() {
 }
 
 #[test]
+fn a_word_after_the_last_positional_is_a_usage_error() {
+    for args in [
+        &["info", "builtin:c17", "--bogus", "1"][..],
+        &["timing", "builtin:c17", "extra"],
+        &["paths", "builtin:c17", "3", "extra"],
+        &["dot", "builtin:c17", "--ras", "1:9"],
+        &["verilog", "builtin:c17", "extra"],
+        &["list", "--bogus"],
+        &["lib", "--bogus", "1"],
+        &["liberty", "--tstandby", "330"],
+    ] {
+        let (code, stdout, stderr) = relia_coded(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(
+            first.starts_with("relia: unknown flag")
+                || first.starts_with("relia: unexpected argument"),
+            "{args:?}: {first}"
+        );
+    }
+}
+
+#[test]
+fn a_usage_error_is_followed_by_its_subcommands_page() {
+    for (args, page, flag) in [
+        (
+            &["fleet", "--trace", "lots"][..],
+            "usage: relia fleet",
+            "--trace",
+        ),
+        (
+            &["serve", "--slow-ms", "-5"],
+            "usage: relia serve",
+            "--slow-ms",
+        ),
+        (
+            &["surface", "build", "--bogus"],
+            "usage: relia surface",
+            "--out",
+        ),
+        (
+            &["aging", "builtin:c17", "--bogus"],
+            "relia aging",
+            "--years",
+        ),
+        (&["frobnicate"], "relia aging", "--years"),
+    ] {
+        let (code, _, stderr) = relia_coded(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(page),
+            "{args:?} printed another page:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: page lacks {flag}:\n{stderr}"
+        );
+    }
+    // The fleet page replaces the general one, whose `relia timing` line
+    // it lacks.
+    let (_, _, stderr) = relia_coded(&["fleet", "--trace", "lots"]);
+    assert!(!stderr.contains("relia timing"), "{stderr}");
+}
+
+#[test]
+fn mlv_lists_years_which_moves_its_answer_and_refuses_standby() {
+    let (_, usage, _) = relia_coded(&["help"]);
+    let mlv = usage.lines().find(|l| l.contains("relia mlv")).unwrap();
+    assert!(mlv.contains("[--years Y]"), "{mlv}");
+    let (_, one, _) = relia_coded(&["mlv", "builtin:c17", "--years", "1"]);
+    let (_, ten, _) = relia_coded(&["mlv", "builtin:c17", "--years", "10"]);
+    assert!(one.contains("aging +2.367%"), "{one}");
+    assert!(ten.contains("aging +4.209%"), "{ten}");
+    let (code, stdout, stderr) = relia_coded(&["mlv", "builtin:c17", "--standby", "best"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with("relia: unknown flag --standby"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn sweep_exit_codes_are_pinned() {
     // Success → 0 (with the resilience flags accepted).
     let (code, _, stderr) = relia_coded(&[
