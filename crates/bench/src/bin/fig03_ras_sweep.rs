@@ -5,11 +5,11 @@
 //! vector holds the PMOS gate low (worst case). The cooler the standby and
 //! the larger its share, the smaller the shift.
 //!
-//! Driven by the `relia-jobs` sweep engine: the grid is a [`SweepSpec`],
-//! evaluated by the parallel worker pool with memoization. The engine's
-//! quantized-key evaluation reproduces the direct model calls to well below
-//! the 0.01 mV print resolution, so the output is byte-identical to the
-//! pre-engine version of this binary.
+//! Driven by the `relia-jobs` sweep engine: the grid is a
+//! [`SweepSpec`](relia_jobs::SweepSpec), evaluated by the parallel worker
+//! pool with memoization. The engine's quantized-key evaluation reproduces
+//! the direct model calls to well below the 0.01 mV print resolution, so
+//! the output is byte-identical to the pre-engine version of this binary.
 
 use relia_bench::{log_times, model_sweep_grid, rule};
 use relia_core::Kelvin;

@@ -6,8 +6,8 @@
 //! cites.
 //!
 //! Driven by the `relia-jobs` sweep engine (see `fig03_ras_sweep` for the
-//! equivalence argument): one 8 x 9 [`SweepSpec`] grid, evaluated in
-//! parallel with memoization.
+//! equivalence argument): one 8 x 9 [`SweepSpec`](relia_jobs::SweepSpec)
+//! grid, evaluated in parallel with memoization.
 
 use relia_bench::{log_times, model_sweep_grid, rule};
 use relia_core::Kelvin;

@@ -16,7 +16,7 @@
 use relia_core::{Kelvin, ModeSchedule, Ras, Seconds};
 use relia_flow::paper_schedule;
 use relia_jobs::{
-    builtin_resolver, run_sweep, JobResult, JobStatus, SweepOptions, SweepSpec, Workload,
+    builtin_resolver, run_sweep, JobOutcome, JobResult, SweepOptions, SweepSpec, Workload,
 };
 
 /// Log-spaced time points from `lo` to `hi` seconds (inclusive).
@@ -70,7 +70,7 @@ pub fn model_sweep_grid(ras: &[(f64, f64)], temps: &[Kelvin], times: &[Seconds])
         .statuses
         .into_iter()
         .map(|status| match status {
-            JobStatus::Completed(JobResult::Model { delta_vth }) => delta_vth,
+            JobOutcome::Completed(JobResult::Model { delta_vth }) => delta_vth,
             other => panic!("model sweep point did not complete: {other:?}"),
         })
         .collect()

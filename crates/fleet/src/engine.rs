@@ -437,11 +437,11 @@ pub fn run_fleet(spec: &FleetSpec, opts: &FleetOptions) -> Result<FleetOutcome, 
             let index = todo[slot];
             if fold_err.is_none() {
                 fold_err = fold_resumed(&mut total, &mut resumed, index)
-                    .and_then(|()| match outcome {
-                        JobOutcome::Completed(Some(acc)) => total.merge(&acc),
-                        JobOutcome::Completed(None) => Err(FleetError::Cancelled),
-                        other => Err(FleetError::Internal(format!(
-                            "chunk {index} did not complete: {other:?}"
+                    .and_then(|()| match outcome.into_result() {
+                        Ok(Some(acc)) => total.merge(&acc),
+                        Ok(None) => Err(FleetError::Cancelled),
+                        Err(reason) => Err(FleetError::Internal(format!(
+                            "chunk {index} did not complete: {reason}"
                         ))),
                     })
                     .err();

@@ -36,7 +36,8 @@ use relia_core::json::{self, Json};
 use relia_core::seal::{crc32, crc32_extend};
 
 use crate::engine::SweepError;
-use crate::spec::{JobResult, JobStatus};
+use crate::pool::JobOutcome;
+use crate::spec::JobResult;
 
 const HEADER_NAME: &str = "relia-sweep-checkpoint";
 const VERSION: u64 = 2;
@@ -91,8 +92,8 @@ impl From<io::Error> for CheckpointError {
 /// An existing checkpoint, opened to resume its sweep.
 #[derive(Debug)]
 pub struct Checkpoint {
-    /// Last-written status per job index, from every intact record.
-    pub statuses: BTreeMap<usize, JobStatus>,
+    /// Last-written outcome per job index, from every intact record.
+    pub statuses: BTreeMap<usize, JobOutcome<JobResult>>,
     /// Lines skipped as damaged; the healed file no longer holds them.
     pub skipped: usize,
     /// Appends to the checkpoint.
@@ -159,7 +160,7 @@ fn read_header(line: &str) -> Result<(u64, usize), CheckpointError> {
 }
 
 /// Validates one record line (CRC + parse). `None` when invalid.
-fn decode_record(line: &str) -> Option<(usize, JobStatus)> {
+fn decode_record(line: &str) -> Option<(usize, JobOutcome<JobResult>)> {
     let line = verify_crc(line)?;
     record_from(&json::parse(line.as_bytes()).ok()?)
 }
@@ -186,22 +187,26 @@ impl CheckpointWriter {
         Ok(CheckpointWriter { journal })
     }
 
-    /// Appends one job's status (with its CRC) as one line and flushes it,
-    /// so a kill loses at most the line being written — and the next
+    /// Appends one job's outcome (with its CRC) as one line and flushes
+    /// it, so a kill loses at most the line being written — and the next
     /// [`open`] detects that torn line instead of mis-parsing it.
     ///
     /// # Errors
     ///
     /// Returns I/O errors from the write.
-    pub fn record(&mut self, index: usize, status: &JobStatus) -> Result<(), CheckpointError> {
-        Ok(self.journal.append(seal(&record_body(index, status)))?)
+    pub fn record(
+        &mut self,
+        index: usize,
+        outcome: &JobOutcome<JobResult>,
+    ) -> Result<(), CheckpointError> {
+        Ok(self.journal.append(seal(&record_body(index, outcome)))?)
     }
 }
 
 /// Serializes one record as a flat JSON object (without the CRC field).
-fn record_body(index: usize, status: &JobStatus) -> String {
-    match status {
-        JobStatus::Completed(JobResult::Aging {
+fn record_body(index: usize, outcome: &JobOutcome<JobResult>) -> String {
+    match outcome {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth,
             degradation,
             nominal_delay_ps,
@@ -225,20 +230,20 @@ fn record_body(index: usize, status: &JobStatus) -> String {
                 fmt_f64(*active_leakage),
             )
         }
-        JobStatus::Completed(JobResult::Model { delta_vth }) => {
+        JobOutcome::Completed(JobResult::Model { delta_vth }) => {
             format!(
                 "{{\"index\":{index},\"kind\":\"model\",\"delta_vth\":{}}}",
                 fmt_f64(*delta_vth)
             )
         }
-        JobStatus::Failed { reason, attempts } => {
+        JobOutcome::Failed { reason, attempts } => {
             format!(
                 "{{\"index\":{index},\"kind\":\"failed\",\"reason\":\"{}\",\
                  \"attempts\":{attempts}}}",
                 json::escape(reason)
             )
         }
-        JobStatus::TimedOut { elapsed_ms } => {
+        JobOutcome::TimedOut { elapsed_ms } => {
             format!("{{\"index\":{index},\"kind\":\"timed_out\",\"elapsed_ms\":{elapsed_ms}}}")
         }
     }
@@ -304,11 +309,11 @@ fn uint<T: TryFrom<u64>>(obj: &Json, name: &str) -> Option<T> {
     T::try_from(n as u64).ok()
 }
 
-fn record_from(obj: &Json) -> Option<(usize, JobStatus)> {
+fn record_from(obj: &Json) -> Option<(usize, JobOutcome<JobResult>)> {
     let index = uint(obj, "index")?;
     let float = |name| num(obj.get(name)?);
-    let status = match obj.get("kind")?.as_str()? {
-        "aging" => JobStatus::Completed(JobResult::Aging {
+    let outcome = match obj.get("kind")?.as_str()? {
+        "aging" => JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth: float("worst_delta_vth")?,
             degradation: float("degradation")?,
             nominal_delay_ps: float("nominal_delay_ps")?,
@@ -319,19 +324,19 @@ fn record_from(obj: &Json) -> Option<(usize, JobStatus)> {
             },
             active_leakage: float("active_leakage")?,
         }),
-        "model" => JobStatus::Completed(JobResult::Model {
+        "model" => JobOutcome::Completed(JobResult::Model {
             delta_vth: float("delta_vth")?,
         }),
-        "failed" => JobStatus::Failed {
+        "failed" => JobOutcome::Failed {
             reason: obj.get("reason")?.as_str()?.to_owned(),
             attempts: uint(obj, "attempts")?,
         },
-        "timed_out" => JobStatus::TimedOut {
+        "timed_out" => JobOutcome::TimedOut {
             elapsed_ms: uint(obj, "elapsed_ms")?,
         },
         _ => return None,
     };
-    Some((index, status))
+    Some((index, outcome))
 }
 
 #[cfg(test)]
@@ -346,8 +351,8 @@ mod tests {
         p
     }
 
-    fn aging(v: f64) -> JobStatus {
-        JobStatus::Completed(JobResult::Aging {
+    fn aging(v: f64) -> JobOutcome<JobResult> {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth: v,
             degradation: 0.05 + v,
             nominal_delay_ps: 123.456,
@@ -360,7 +365,11 @@ mod tests {
     /// Opens `path` as a checkpoint of `(fingerprint, total)` and returns
     /// its statuses and skip count, after checking that opening it again
     /// skips nothing and leaves the (healed) file byte for byte.
-    fn reopen(path: &Path, fingerprint: u64, total: usize) -> (BTreeMap<usize, JobStatus>, usize) {
+    fn reopen(
+        path: &Path,
+        fingerprint: u64,
+        total: usize,
+    ) -> (BTreeMap<usize, JobOutcome<JobResult>>, usize) {
         let Checkpoint {
             statuses, skipped, ..
         } = open(path, fingerprint, total).unwrap().unwrap();
@@ -381,14 +390,14 @@ mod tests {
         let mut w = CheckpointWriter::create(&path, 0xdead_beef, 5).unwrap();
         let statuses = [
             aging(0.031_234_567_890_123),
-            JobStatus::Completed(JobResult::Model {
+            JobOutcome::Completed(JobResult::Model {
                 delta_vth: 1.0 / 3.0,
             }),
-            JobStatus::Failed {
+            JobOutcome::Failed {
                 reason: "panic: \"quoted\"\nand newline \t tab".into(),
                 attempts: 3,
             },
-            JobStatus::Completed(JobResult::Aging {
+            JobOutcome::Completed(JobResult::Aging {
                 worst_delta_vth: 0.0,
                 degradation: 0.0,
                 nominal_delay_ps: 100.0,
@@ -396,7 +405,7 @@ mod tests {
                 standby_leakage: None,
                 active_leakage: f64::MIN_POSITIVE,
             }),
-            JobStatus::TimedOut { elapsed_ms: 1234 },
+            JobOutcome::TimedOut { elapsed_ms: 1234 },
         ];
         for (i, s) in statuses.iter().enumerate() {
             w.record(i, s).unwrap();
@@ -485,7 +494,7 @@ mod tests {
         let mut w = CheckpointWriter::create(&path, 7, 3).unwrap();
         w.record(
             2,
-            &JobStatus::Failed {
+            &JobOutcome::Failed {
                 reason: "first".into(),
                 attempts: 1,
             },
@@ -574,7 +583,7 @@ mod tests {
         let mut w = CheckpointWriter::create(&path, 1, 1).unwrap();
         w.record(
             0,
-            &JobStatus::Completed(JobResult::Model {
+            &JobOutcome::Completed(JobResult::Model {
                 delta_vth: f64::INFINITY,
             }),
         )
@@ -583,7 +592,7 @@ mod tests {
         let (statuses, _) = reopen(&path, 1, 1);
         assert_eq!(
             statuses.get(&0),
-            Some(&JobStatus::Completed(JobResult::Model {
+            Some(&JobOutcome::Completed(JobResult::Model {
                 delta_vth: f64::INFINITY
             }))
         );

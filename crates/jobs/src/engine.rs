@@ -21,7 +21,7 @@
 //!   **permanent** failures (invalid parameters, analysis errors) fail
 //!   fast;
 //! * with [`SweepOptions::job_timeout`] set, a watchdog cancels straggling
-//!   jobs cooperatively — they surface as [`JobStatus::TimedOut`] and the
+//!   jobs cooperatively — they surface as [`JobOutcome::TimedOut`] and the
 //!   pool drains instead of hanging;
 //! * checkpoints are opened through [`checkpoint::open`], which refuses a
 //!   file of another spec before touching it, and resumes a file damaged
@@ -50,8 +50,8 @@ use relia_obs::{LatencyHist, Tracer};
 use crate::cache::ShardedCache;
 use crate::checkpoint::{self, CheckpointError, CheckpointWriter};
 use crate::metrics::{SweepMetrics, SweepTimings};
-use crate::pool::{self, JobFailure, PoolConfig, RetryPolicy};
-use crate::spec::{JobPoint, JobResult, JobStatus, JobTask, SweepSpec, Workload};
+use crate::pool::{self, JobFailure, JobOutcome, PoolConfig};
+use crate::spec::{JobPoint, JobResult, JobTask, SweepSpec, Workload};
 
 #[cfg(feature = "fault-inject")]
 use crate::fault::FaultPlan;
@@ -70,18 +70,9 @@ pub struct SweepOptions {
     /// Checkpoint file: created if absent, resumed from (keeping every
     /// intact record) if present.
     pub checkpoint: Option<PathBuf>,
-    /// Memo-cache shard count; 0 means [`crate::cache::DEFAULT_SHARDS`].
-    /// Ignored when [`SweepOptions::shared_cache`] is set.
-    pub cache_shards: usize,
-    /// A process-wide ΔV_th memo cache to evaluate through instead of a
-    /// run-private one. A long-lived host (e.g. `relia-serve`) passes its
-    /// cache here so batch sweeps and point queries share one memo table —
-    /// results are unchanged either way, because cached values are
-    /// canonical per [`StressKey`](relia_core::StressKey).
-    pub shared_cache: Option<Arc<ShardedCache>>,
     /// Extra attempts for transiently failing jobs (0 disables retrying).
     pub retries: u32,
-    /// Per-job soft deadline; stragglers become [`JobStatus::TimedOut`].
+    /// Per-job soft deadline; stragglers become [`JobOutcome::TimedOut`].
     pub job_timeout: Option<Duration>,
     /// When set, the run records spans — the pool's queue-wait/execute/
     /// retry spans plus `checkpoint_flush` — into this tracer. Latency
@@ -94,7 +85,7 @@ pub struct SweepOptions {
 }
 
 /// Why a sweep could not run (job-level failures do *not* land here — they
-/// become [`JobStatus::Failed`] entries so one bad point cannot sink a
+/// become [`JobOutcome::Failed`] entries so one bad point cannot sink a
 /// batch).
 #[derive(Debug)]
 pub enum SweepError {
@@ -170,14 +161,14 @@ impl From<CheckpointError> for SweepError {
     }
 }
 
-/// Everything a finished sweep hands back: the enumerated grid, one status
-/// per point (index-aligned with the grid), and the run's metrics.
+/// Everything a finished sweep hands back: the enumerated grid, one
+/// outcome per point (index-aligned with the grid), and the run's metrics.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// The enumerated grid, in canonical order.
     pub points: Vec<JobPoint>,
     /// `statuses[i]` is the fate of `points[i]`.
-    pub statuses: Vec<JobStatus>,
+    pub statuses: Vec<JobOutcome<JobResult>>,
     /// Operational summary.
     pub metrics: SweepMetrics,
 }
@@ -199,7 +190,7 @@ pub fn builtin_resolver(name: &str) -> Result<Circuit, String> {
 /// Returns [`SweepError`] for an empty grid, unresolvable circuits, failed
 /// preparation, or checkpoint problems. Per-job analysis errors, panics,
 /// and timeouts are *not* errors at this level; they surface as
-/// [`JobStatus::Failed`] / [`JobStatus::TimedOut`] entries in the outcome.
+/// [`JobOutcome::Failed`] / [`JobOutcome::TimedOut`] entries in the outcome.
 pub fn run_sweep<R>(
     spec: &SweepSpec,
     options: &SweepOptions,
@@ -241,7 +232,7 @@ where
     let prepare_secs = t_prepare.elapsed().as_secs_f64();
 
     // --- Checkpoint phase: resume previous results, open the writer. ---
-    let mut statuses: Vec<Option<JobStatus>> = vec![None; points.len()];
+    let mut statuses: Vec<Option<JobOutcome<JobResult>>> = vec![None; points.len()];
     let mut resumed_jobs = 0usize;
     let mut salvaged_dropped = 0usize;
     let mut writer: Option<CheckpointWriter> = None;
@@ -252,7 +243,7 @@ where
                 for (index, status) in ckpt.statuses {
                     // Only completed jobs are final; failed and timed-out
                     // ones re-run.
-                    if index < points.len() && matches!(status, JobStatus::Completed(_)) {
+                    if index < points.len() && matches!(status, JobOutcome::Completed(_)) {
                         statuses[index] = Some(status);
                         resumed_jobs += 1;
                     }
@@ -272,17 +263,10 @@ where
     } else {
         options.workers
     };
-    let cache: Arc<ShardedCache> = match &options.shared_cache {
-        Some(shared) => Arc::clone(shared),
-        None => Arc::new(ShardedCache::new(if options.cache_shards == 0 {
-            crate::cache::DEFAULT_SHARDS
-        } else {
-            options.cache_shards
-        })),
-    };
+    let cache = ShardedCache::default();
     let pool_config = PoolConfig {
         workers,
-        retry: RetryPolicy::retries(options.retries),
+        retries: options.retries,
         job_timeout: options.job_timeout,
         trace: options.trace.clone(),
     };
@@ -315,10 +299,9 @@ where
         |k, outcome| {
             if let Some(w) = writer.as_mut() {
                 if checkpoint_error.is_none() {
-                    let status = JobStatus::from_outcome(outcome.clone());
                     let flush_span = options.trace.as_deref().map(|t| t.span("checkpoint_flush"));
                     let t_flush = Instant::now();
-                    let flushed = w.record(pending[k], &status);
+                    let flushed = w.record(pending[k], outcome);
                     checkpoint_hist.record(t_flush.elapsed());
                     drop(flush_span);
                     if let Err(e) = flushed {
@@ -333,10 +316,10 @@ where
         return Err(SweepError::Checkpoint(e));
     }
     for (k, outcome) in run.outcomes.into_iter().enumerate() {
-        statuses[pending[k]] = Some(JobStatus::from_outcome(outcome));
+        statuses[pending[k]] = Some(outcome);
     }
 
-    let statuses: Vec<JobStatus> = statuses
+    let statuses: Vec<JobOutcome<JobResult>> = statuses
         .into_iter()
         // Every index is either resumed from the checkpoint or executed.
         // relia-lint: allow(unwrap-in-lib)
@@ -344,11 +327,11 @@ where
         .collect();
     let failed_jobs = statuses
         .iter()
-        .filter(|s| matches!(s, JobStatus::Failed { .. }))
+        .filter(|s| matches!(s, JobOutcome::Failed { .. }))
         .count();
     let timed_out_jobs = statuses
         .iter()
-        .filter(|s| matches!(s, JobStatus::TimedOut { .. }))
+        .filter(|s| matches!(s, JobOutcome::TimedOut { .. }))
         .count();
     let metrics = SweepMetrics {
         total_jobs: points.len(),

@@ -76,8 +76,8 @@ pub use engine::{
 pub use fault::{Fault, FaultPlan};
 pub use metrics::{MetricsSnapshot, SweepMetrics, SweepTimings};
 pub use pool::{
-    default_workers, run_folded, run_ordered, run_pool, Attempt, JobFailure, JobOutcome,
-    PoolConfig, PoolRun, RetryPolicy, SubmitError, TaskPool,
+    default_workers, run_folded, run_ordered, run_pool, JobFailure, JobOutcome, PoolConfig,
+    PoolRun, SubmitError, TaskPool,
 };
 pub use relia_core::CancelToken;
-pub use spec::{JobPoint, JobResult, JobStatus, JobTask, PolicySpec, SweepSpec, Workload};
+pub use spec::{JobPoint, JobResult, JobTask, PolicySpec, SweepSpec, Workload};

@@ -116,9 +116,9 @@ pub struct SweepMetrics {
     pub executed_jobs: usize,
     /// Jobs skipped because a checkpoint already held their results.
     pub resumed_jobs: usize,
-    /// Jobs that ended in [`JobStatus::Failed`](crate::JobStatus::Failed).
+    /// Jobs that ended in [`JobOutcome::Failed`](crate::JobOutcome::Failed).
     pub failed_jobs: usize,
-    /// Jobs that ended in [`JobStatus::TimedOut`](crate::JobStatus::TimedOut).
+    /// Jobs that ended in [`JobOutcome::TimedOut`](crate::JobOutcome::TimedOut).
     pub timed_out_jobs: usize,
     /// Retry attempts across all jobs (a job that succeeded on its second
     /// attempt contributes 1).
@@ -143,9 +143,9 @@ pub struct SweepMetrics {
 impl SweepMetrics {
     /// Typed snapshot of every field, cache counters included.
     ///
-    /// The `Display` rendering below and any external exposition (e.g.
-    /// `relia-serve`'s `/metrics`) must both derive from this method, so a
-    /// field added here is never silently missing from one of them.
+    /// The `Display` rendering below does not derive from this method: it
+    /// reads the fields itself, so a field added to the struct must be
+    /// added to both.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: vec![

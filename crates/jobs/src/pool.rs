@@ -24,8 +24,9 @@
 //! * an `Err(`[`JobFailure`]`)` return carries its own
 //!   transient/permanent classification — permanent failures (invalid
 //!   parameters, structural errors) fail fast without burning retries;
-//! * transient failures are retried up to [`RetryPolicy::max_retries`]
-//!   times with bounded exponential backoff;
+//! * transient failures are retried up to [`PoolConfig::retries`] times,
+//!   waiting 10 ms before the first retry and twice as long before each
+//!   later one, never more than 2 s;
 //! * when [`PoolConfig::job_timeout`] is set, a watchdog thread cancels the
 //!   attempt's [`CancelToken`] once the soft deadline passes. Cancellation
 //!   is cooperative: the job polls the token (see
@@ -42,15 +43,6 @@ use std::time::{Duration, Instant};
 
 use relia_core::CancelToken;
 use relia_obs::Tracer;
-
-/// One failed attempt at a job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attempt {
-    /// What went wrong (panic message or the job's own diagnostic).
-    pub reason: String,
-    /// Whether the failure was classified as retryable.
-    pub transient: bool,
-}
 
 /// A job's own failure report, carrying the transient/permanent
 /// classification that drives the retry loop.
@@ -82,25 +74,25 @@ impl JobFailure {
     }
 }
 
-/// The fate of one job.
+/// The fate of one job: completed with its value, failed with a reason
+/// (panic or the job's own diagnostic), or cancelled by the watchdog.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome<T> {
     /// The job ran to completion.
     Completed(T),
-    /// Every permitted attempt failed; `attempts` is the full history in
-    /// order (the last entry is the terminal failure).
+    /// Every permitted attempt failed; the run carried on without it.
     Failed {
-        /// One record per attempt, oldest first.
-        attempts: Vec<Attempt>,
+        /// Terminal failure reason (panic message or the job's own
+        /// diagnostic).
+        reason: String,
+        /// Total attempts made (1 when no retry happened).
+        attempts: u32,
     },
     /// The watchdog deadline expired and the job honored its cancellation
-    /// token. Earlier failed attempts (if the timeout hit during a retry)
-    /// are preserved in `attempts`.
+    /// token. Timeouts are not retried.
     TimedOut {
         /// Wall-clock milliseconds the final attempt ran before stopping.
         elapsed_ms: u64,
-        /// Failed attempts that preceded the timeout, oldest first.
-        attempts: Vec<Attempt>,
     },
 }
 
@@ -113,58 +105,19 @@ impl<T> JobOutcome<T> {
         }
     }
 
-    /// The terminal failure reason, if the job did not complete.
-    pub fn failure_reason(&self) -> Option<&str> {
+    /// The completed value, or why the job did not complete: the terminal
+    /// failure's reason, or `"watchdog deadline expired"`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reason for a [`JobOutcome::Failed`] or
+    /// [`JobOutcome::TimedOut`] job.
+    pub fn into_result(self) -> Result<T, String> {
         match self {
-            JobOutcome::Completed(_) => None,
-            JobOutcome::Failed { attempts } => attempts.last().map(|a| a.reason.as_str()),
-            JobOutcome::TimedOut { .. } => Some("watchdog deadline expired"),
+            JobOutcome::Completed(v) => Ok(v),
+            JobOutcome::Failed { reason, .. } => Err(reason),
+            JobOutcome::TimedOut { .. } => Err("watchdog deadline expired".to_owned()),
         }
-    }
-}
-
-/// Retry knobs: how many times a transient failure may re-run and how the
-/// backoff between attempts grows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Duration,
-    /// Upper bound on any single backoff (the exponential curve is clamped
-    /// here).
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with `max_retries` extra attempts and the default backoff
-    /// curve.
-    pub fn retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Backoff before retry number `retry` (1-based): `base · 2^(retry−1)`,
-    /// clamped to `max_backoff`.
-    pub fn backoff(&self, retry: u32) -> Duration {
-        let factor = 1u32
-            .checked_shl(retry.saturating_sub(1))
-            .unwrap_or(u32::MAX);
-        self.base_backoff
-            .checked_mul(factor)
-            .map_or(self.max_backoff, |d| d.min(self.max_backoff))
     }
 }
 
@@ -173,8 +126,8 @@ impl RetryPolicy {
 pub struct PoolConfig {
     /// Worker threads; 0 means [`default_workers`].
     pub workers: usize,
-    /// Retry policy for transient failures.
-    pub retry: RetryPolicy,
+    /// Extra attempts for a transiently failing job (0 disables retrying).
+    pub retries: u32,
     /// Per-job soft deadline. `None` disables the watchdog.
     pub job_timeout: Option<Duration>,
     /// When set, the pool records `job_queue_wait` (claim delay from pool
@@ -194,7 +147,7 @@ impl PoolConfig {
 }
 
 /// What a pool run hands back: outcomes in job order plus run-wide retry
-/// accounting (completed jobs do not carry their attempt history, so the
+/// accounting (completed jobs do not carry their attempt count, so the
 /// pool counts retries centrally).
 #[derive(Debug)]
 pub struct PoolRun<T> {
@@ -243,7 +196,7 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// limit, so the caller can shed load while the system is still healthy.
 ///
 /// Every task runs under [`catch_unwind`]: a panicking task is counted
-/// ([`TaskPool::panics`]) and its worker keeps serving.
+/// ([`TaskPool::panic_counter`]) and its worker keeps serving.
 ///
 /// [`TaskPool::drain`] is the graceful shutdown: the queue closes (new
 /// submissions fail with [`SubmitError::Draining`]), queued and in-flight
@@ -252,8 +205,6 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 pub struct TaskPool {
     tx: Option<mpsc::SyncSender<Task>>,
     handles: Vec<thread::JoinHandle<()>>,
-    submitted: Arc<AtomicU64>,
-    completed: Arc<AtomicU64>,
     panicked: Arc<AtomicU64>,
 }
 
@@ -263,12 +214,10 @@ impl TaskPool {
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         let (tx, rx) = mpsc::sync_channel::<Task>(queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
-        let completed = Arc::new(AtomicU64::new(0));
         let panicked = Arc::new(AtomicU64::new(0));
         let handles = (0..workers.max(1))
             .map(|_| {
                 let rx = Arc::clone(&rx);
-                let completed = Arc::clone(&completed);
                 let panicked = Arc::clone(&panicked);
                 thread::spawn(move || loop {
                     let task = {
@@ -287,7 +236,6 @@ impl TaskPool {
                             if catch_unwind(AssertUnwindSafe(task)).is_err() {
                                 panicked.fetch_add(1, Ordering::Relaxed);
                             }
-                            completed.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(_) => return, // queue closed: drain complete
                     }
@@ -297,15 +245,8 @@ impl TaskPool {
         TaskPool {
             tx: Some(tx),
             handles,
-            submitted: Arc::new(AtomicU64::new(0)),
-            completed,
             panicked,
         }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
     }
 
     /// Submits a task without blocking.
@@ -318,41 +259,18 @@ impl TaskPool {
         let Some(tx) = self.tx.as_ref() else {
             return Err(SubmitError::Draining);
         };
-        match tx.try_send(Box::new(task)) {
-            Ok(()) => {
-                self.submitted.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(mpsc::TrySendError::Full(_)) => Err(SubmitError::QueueFull),
-            Err(mpsc::TrySendError::Disconnected(_)) => Err(SubmitError::Draining),
-        }
+        tx.try_send(Box::new(task)).map_err(|e| match e {
+            mpsc::TrySendError::Full(_) => SubmitError::QueueFull,
+            mpsc::TrySendError::Disconnected(_) => SubmitError::Draining,
+        })
     }
 
-    /// Tasks accepted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Tasks finished (including panicked ones).
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Tasks that panicked (their workers survived).
-    pub fn panics(&self) -> u64 {
-        self.panicked.load(Ordering::Relaxed)
-    }
-
-    /// A shared handle to the panic counter that outlives
-    /// [`TaskPool::drain`] (which consumes the pool) — a server can drain
-    /// and *then* decide whether the run was clean.
+    /// A shared handle to the count of tasks that panicked (their workers
+    /// survived). It outlives [`TaskPool::drain`] (which consumes the
+    /// pool), so a server can drain and *then* decide whether the run was
+    /// clean.
     pub fn panic_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.panicked)
-    }
-
-    /// Tasks accepted but not yet finished (queued + in flight).
-    pub fn in_flight(&self) -> u64 {
-        self.submitted().saturating_sub(self.completed())
     }
 
     /// Graceful shutdown: closes the queue, lets queued and in-flight
@@ -379,6 +297,23 @@ impl Drop for TaskPool {
 
 /// How often the watchdog scans the running-job slots.
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
+
+/// Backoff before the first retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Upper bound on any single retry backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
+
+/// Backoff before retry number `retry` (1-based):
+/// `BASE_BACKOFF · 2^(retry−1)`, clamped to [`MAX_BACKOFF`].
+fn backoff(retry: u32) -> Duration {
+    let factor = 1u32
+        .checked_shl(retry.saturating_sub(1))
+        .unwrap_or(u32::MAX);
+    BASE_BACKOFF
+        .checked_mul(factor)
+        .map_or(MAX_BACKOFF, |d| d.min(MAX_BACKOFF))
+}
 
 /// How many jobs per worker [`run_folded`] may start ahead of the lowest
 /// unconsumed index: enough that a worker finishing early rarely waits on
@@ -654,8 +589,9 @@ fn run_one<J, T, F>(
 where
     F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure>,
 {
-    let mut attempts: Vec<Attempt> = Vec::new();
+    let mut attempts = 0u32;
     loop {
+        attempts += 1;
         let token = CancelToken::new();
         let started = Instant::now();
         if let Some(timeout) = config.job_timeout {
@@ -684,25 +620,19 @@ where
             // The watchdog fired during this attempt; whatever error the
             // job surfaced on its way out, the operative fact is the
             // deadline. Timeouts are not retried.
-            return JobOutcome::TimedOut {
-                elapsed_ms,
-                attempts,
-            };
+            return JobOutcome::TimedOut { elapsed_ms };
         }
-        let transient = failure.transient;
-        attempts.push(Attempt {
-            reason: failure.reason,
-            transient,
-        });
-        let retry_no = attempts.len() as u32; // retries taken so far + 1
-        if transient && retry_no <= config.retry.max_retries {
+        if failure.transient && attempts <= config.retries {
             retries.fetch_add(1, Ordering::Relaxed);
             let backoff_span = config.trace.as_deref().map(|t| t.span("job_retry_backoff"));
-            thread::sleep(config.retry.backoff(retry_no));
+            thread::sleep(backoff(attempts));
             drop(backoff_span);
             continue;
         }
-        return JobOutcome::Failed { attempts };
+        return JobOutcome::Failed {
+            reason: failure.reason,
+            attempts,
+        };
     }
 }
 
@@ -750,10 +680,9 @@ mod tests {
         for (i, outcome) in out.iter().enumerate() {
             if i == 7 {
                 match outcome {
-                    JobOutcome::Failed { attempts } => {
-                        assert_eq!(attempts.len(), 1);
-                        assert!(attempts[0].reason.contains("exploded"));
-                        assert!(attempts[0].transient, "panics classify as transient");
+                    JobOutcome::Failed { reason, attempts } => {
+                        assert_eq!(*attempts, 1);
+                        assert!(reason.contains("exploded"), "{reason}");
                     }
                     other => panic!("job 7 should fail, got {other:?}"),
                 }
@@ -761,6 +690,28 @@ mod tests {
                 assert_eq!(outcome.completed(), Some(&i));
             }
         }
+        // A panic classifies as transient: with a retry budget it re-runs.
+        let config = PoolConfig {
+            workers: 4,
+            retries: 1,
+            ..PoolConfig::default()
+        };
+        let run = run_pool(
+            &jobs,
+            &config,
+            |_, &j, _| -> Result<usize, JobFailure> {
+                if j == 7 {
+                    panic!("job {j} exploded");
+                }
+                Ok(j)
+            },
+            |_, _| {},
+        );
+        assert!(matches!(
+            run.outcomes[7],
+            JobOutcome::Failed { attempts: 2, .. }
+        ));
+        assert_eq!(run.retries, 1, "the panic was retried once");
     }
 
     #[test]
@@ -984,13 +935,8 @@ mod tests {
         let calls = AtomicU32::new(0);
         let config = PoolConfig {
             workers: 2,
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(4),
-            },
-            job_timeout: None,
-            trace: None,
+            retries: 2,
+            ..PoolConfig::default()
         };
         let run = run_pool(
             &[0usize],
@@ -1014,9 +960,8 @@ mod tests {
         let calls = AtomicU32::new(0);
         let config = PoolConfig {
             workers: 1,
-            retry: RetryPolicy::retries(5),
-            job_timeout: None,
-            trace: None,
+            retries: 5,
+            ..PoolConfig::default()
         };
         let run = run_pool(
             &[0usize],
@@ -1029,26 +974,21 @@ mod tests {
         );
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry burned");
         assert_eq!(run.retries, 0);
-        match &run.outcomes[0] {
-            JobOutcome::Failed { attempts } => {
-                assert_eq!(attempts.len(), 1);
-                assert!(!attempts[0].transient);
+        assert_eq!(
+            run.outcomes[0],
+            JobOutcome::Failed {
+                reason: "bad parameter".into(),
+                attempts: 1,
             }
-            other => panic!("expected Failed, got {other:?}"),
-        }
+        );
     }
 
     #[test]
-    fn retry_budget_exhaustion_preserves_the_history() {
+    fn retry_budget_exhaustion_counts_every_attempt() {
         let config = PoolConfig {
             workers: 1,
-            retry: RetryPolicy {
-                max_retries: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            },
-            job_timeout: None,
-            trace: None,
+            retries: 3,
+            ..PoolConfig::default()
         };
         let run = run_pool(
             &[0usize],
@@ -1056,13 +996,13 @@ mod tests {
             |_, _, _| -> Result<(), JobFailure> { Err(JobFailure::transient("still flaky")) },
             |_, _| {},
         );
-        match &run.outcomes[0] {
-            JobOutcome::Failed { attempts } => {
-                assert_eq!(attempts.len(), 4, "1 initial + 3 retries");
-                assert!(attempts.iter().all(|a| a.transient));
+        assert_eq!(
+            run.outcomes[0],
+            JobOutcome::Failed {
+                reason: "still flaky".into(),
+                attempts: 4, // 1 initial + 3 retries
             }
-            other => panic!("expected Failed, got {other:?}"),
-        }
+        );
         assert_eq!(run.retries, 3);
     }
 
@@ -1071,9 +1011,8 @@ mod tests {
         let jobs: Vec<usize> = (0..8).collect();
         let config = PoolConfig {
             workers: 4,
-            retry: RetryPolicy::default(),
             job_timeout: Some(Duration::from_millis(20)),
-            trace: None,
+            ..PoolConfig::default()
         };
         let started = Instant::now();
         let run = run_pool(
@@ -1099,7 +1038,7 @@ mod tests {
         for (i, outcome) in run.outcomes.iter().enumerate() {
             if i == 3 {
                 match outcome {
-                    JobOutcome::TimedOut { elapsed_ms, .. } => {
+                    JobOutcome::TimedOut { elapsed_ms } => {
                         assert!(*elapsed_ms >= 15, "ran at least near the deadline");
                     }
                     other => panic!("expected TimedOut, got {other:?}"),
@@ -1112,15 +1051,49 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_that_outlives_its_deadline_times_out_and_counts_the_retry() {
+        let calls = AtomicU32::new(0);
+        let config = PoolConfig {
+            workers: 1,
+            retries: 2,
+            job_timeout: Some(Duration::from_millis(20)),
+            trace: None,
+        };
+        let run = run_pool(
+            &[0usize],
+            &config,
+            |_, _, token: &CancelToken| -> Result<(), JobFailure> {
+                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    return Err(JobFailure::transient("flaky once"));
+                }
+                // The retry hangs cooperatively until the watchdog fires.
+                while !token.is_cancelled() {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                Err(JobFailure::transient("cancelled"))
+            },
+            |_, _| {},
+        );
+        match run.outcomes[0] {
+            JobOutcome::TimedOut { elapsed_ms } => {
+                assert!(elapsed_ms >= 15, "the retry ran near its own deadline");
+            }
+            ref other => panic!("expected TimedOut, got {other:?}"),
+        }
+        assert_eq!(run.retries, 1, "the retry before the timeout counts");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            2,
+            "the timeout is not retried"
+        );
+    }
+
+    #[test]
     fn pool_records_queue_execute_and_backoff_spans() {
         let tracer = Arc::new(Tracer::new(64));
         let config = PoolConfig {
             workers: 2,
-            retry: RetryPolicy {
-                max_retries: 1,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(1),
-            },
+            retries: 1,
             job_timeout: None,
             trace: Some(Arc::clone(&tracer)),
         };
@@ -1147,16 +1120,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_clamps() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(65),
-        };
-        assert_eq!(p.backoff(1), Duration::from_millis(10));
-        assert_eq!(p.backoff(2), Duration::from_millis(20));
-        assert_eq!(p.backoff(3), Duration::from_millis(40));
-        assert_eq!(p.backoff(4), Duration::from_millis(65), "clamped");
-        assert_eq!(p.backoff(63), Duration::from_millis(65), "shift saturates");
+        assert_eq!(backoff(1), Duration::from_millis(10));
+        assert_eq!(backoff(2), Duration::from_millis(20));
+        assert_eq!(backoff(3), Duration::from_millis(40));
+        assert_eq!(backoff(8), Duration::from_millis(1280));
+        assert_eq!(backoff(9), Duration::from_secs(2), "clamped");
+        assert_eq!(backoff(63), Duration::from_secs(2), "shift saturates");
     }
 
     #[test]
@@ -1241,7 +1210,6 @@ mod tests {
     #[test]
     fn drained_pool_rejects_and_drop_is_clean() {
         let pool = TaskPool::new(1, 4);
-        assert_eq!(pool.workers(), 1);
         pool.try_submit(|| {}).unwrap();
         pool.drain();
         let pool = TaskPool::new(1, 4);
@@ -1251,37 +1219,42 @@ mod tests {
     #[test]
     fn task_pool_counters_add_up() {
         let pool = TaskPool::new(2, 32);
-        for _ in 0..10 {
-            while pool.try_submit(|| {}) == Err(SubmitError::QueueFull) {
-                thread::yield_now();
+        let panics = pool.panic_counter();
+        let ran = Arc::new(AtomicU64::new(0));
+        for i in 0..10 {
+            loop {
+                let ran = Arc::clone(&ran);
+                let submitted = pool.try_submit(move || {
+                    if i % 3 == 0 {
+                        panic!("task {i} exploded");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+                match submitted {
+                    Ok(()) => break,
+                    Err(SubmitError::QueueFull) => thread::yield_now(),
+                    Err(e) => panic!("unexpected {e}"),
+                }
             }
         }
-        while pool.completed() < 10 {
-            thread::yield_now();
-        }
-        assert_eq!(pool.submitted(), 10);
-        assert_eq!(pool.completed(), 10);
-        assert_eq!(pool.panics(), 0);
-        assert_eq!(pool.in_flight(), 0);
         pool.drain();
+        assert_eq!(panics.load(Ordering::Relaxed), 4, "tasks 0, 3, 6 and 9");
+        assert_eq!(ran.load(Ordering::Relaxed), 6, "every other task ran");
     }
 
     #[test]
-    fn failure_reason_reports_the_terminal_attempt() {
+    fn into_result_reports_the_failure_reason() {
         let failed: JobOutcome<()> = JobOutcome::Failed {
-            attempts: vec![
-                Attempt {
-                    reason: "first".into(),
-                    transient: true,
-                },
-                Attempt {
-                    reason: "second".into(),
-                    transient: false,
-                },
-            ],
+            reason: "second".into(),
+            attempts: 2,
         };
-        assert_eq!(failed.failure_reason(), Some("second"));
+        assert_eq!(failed.into_result(), Err("second".to_owned()));
+        let timed_out: JobOutcome<()> = JobOutcome::TimedOut { elapsed_ms: 5 };
+        assert_eq!(
+            timed_out.into_result(),
+            Err("watchdog deadline expired".to_owned())
+        );
         let done: JobOutcome<u8> = JobOutcome::Completed(1);
-        assert_eq!(done.failure_reason(), None);
+        assert_eq!(done.into_result(), Ok(1));
     }
 }

@@ -8,7 +8,6 @@
 //! of the same spec; that invariant is what checkpoint/resume and the
 //! determinism guarantees build on.
 
-use crate::pool::JobOutcome;
 use relia_core::seal::fnv1a;
 use relia_core::units::{Kelvin, Seconds};
 use relia_flow::StandbyPolicy;
@@ -158,50 +157,6 @@ pub enum JobResult {
         /// Threshold-voltage shift in volts.
         delta_vth: f64,
     },
-}
-
-/// Terminal state of one job: completed with numbers, failed with a
-/// reason (panic or analysis error), or cancelled by the watchdog.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobStatus {
-    /// The job produced a result.
-    Completed(JobResult),
-    /// Every permitted attempt failed; the sweep carried on without it.
-    Failed {
-        /// Terminal failure reason (panic message or analysis error).
-        reason: String,
-        /// Total attempts made (1 when no retry happened).
-        attempts: u32,
-    },
-    /// The job overran its soft deadline and was cancelled cooperatively.
-    TimedOut {
-        /// Wall-clock milliseconds the final attempt ran.
-        elapsed_ms: u64,
-    },
-}
-
-impl JobStatus {
-    /// The result, if completed.
-    pub fn result(&self) -> Option<&JobResult> {
-        match self {
-            JobStatus::Completed(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn from_outcome(outcome: JobOutcome<JobResult>) -> Self {
-        match outcome {
-            JobOutcome::Completed(result) => JobStatus::Completed(result),
-            JobOutcome::Failed { attempts } => JobStatus::Failed {
-                reason: attempts
-                    .last()
-                    .map(|a| a.reason.clone())
-                    .unwrap_or_else(|| "unknown failure".to_owned()),
-                attempts: attempts.len() as u32,
-            },
-            JobOutcome::TimedOut { elapsed_ms, .. } => JobStatus::TimedOut { elapsed_ms },
-        }
-    }
 }
 
 impl SweepSpec {

@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used)]
 use std::path::{Path, PathBuf};
 
-use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobResult, JobStatus};
+use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobOutcome, JobResult};
 
 fn fixture() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sweep_checkpoint_v2.jsonl")
@@ -22,10 +22,10 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-/// The statuses the fixture was written from, in index order.
-fn statuses() -> Vec<JobStatus> {
+/// The outcomes the fixture was written from, in index order.
+fn statuses() -> Vec<JobOutcome<JobResult>> {
     vec![
-        JobStatus::Completed(JobResult::Aging {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth: 0.031_234_567_890_123,
             degradation: 0.052_631_578_947_368_42,
             nominal_delay_ps: 716.5,
@@ -33,7 +33,7 @@ fn statuses() -> Vec<JobStatus> {
             standby_leakage: Some(4.650_000_000_000_001e-5),
             active_leakage: 2.5e-6,
         }),
-        JobStatus::Completed(JobResult::Aging {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth: f64::NAN,
             degradation: f64::INFINITY,
             nominal_delay_ps: 100.0,
@@ -41,7 +41,7 @@ fn statuses() -> Vec<JobStatus> {
             standby_leakage: None,
             active_leakage: f64::MIN_POSITIVE,
         }),
-        JobStatus::Completed(JobResult::Aging {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth: -0.0,
             degradation: 5e-324,
             nominal_delay_ps: f64::MAX,
@@ -49,25 +49,25 @@ fn statuses() -> Vec<JobStatus> {
             standby_leakage: Some(f64::NEG_INFINITY),
             active_leakage: 0.0,
         }),
-        JobStatus::Completed(JobResult::Model {
+        JobOutcome::Completed(JobResult::Model {
             delta_vth: 1.0 / 3.0,
         }),
-        JobStatus::Completed(JobResult::Model {
+        JobOutcome::Completed(JobResult::Model {
             delta_vth: f64::NAN,
         }),
-        JobStatus::Failed {
+        JobOutcome::Failed {
             reason: "panic: \"quoted\" back\\slash\ttab \u{1} \u{e9} \u{1F600}".into(),
             attempts: 3,
         },
-        JobStatus::TimedOut { elapsed_ms: 1234 },
+        JobOutcome::TimedOut { elapsed_ms: 1234 },
     ]
 }
 
 /// `status` with every float as its bit pattern, so NaN equals itself and
 /// `-0.0` differs from `0.0`.
-fn bits(status: &JobStatus) -> (String, Vec<Option<u64>>) {
+fn bits(status: &JobOutcome<JobResult>) -> (String, Vec<Option<u64>>) {
     match status {
-        JobStatus::Completed(JobResult::Aging {
+        JobOutcome::Completed(JobResult::Aging {
             worst_delta_vth,
             degradation,
             nominal_delay_ps,
@@ -85,14 +85,14 @@ fn bits(status: &JobStatus) -> (String, Vec<Option<u64>>) {
                 Some(active_leakage.to_bits()),
             ],
         ),
-        JobStatus::Completed(JobResult::Model { delta_vth }) => {
+        JobOutcome::Completed(JobResult::Model { delta_vth }) => {
             ("model".into(), vec![Some(delta_vth.to_bits())])
         }
-        JobStatus::Failed { reason, attempts } => (
+        JobOutcome::Failed { reason, attempts } => (
             format!("failed: {reason}"),
             vec![Some(u64::from(*attempts))],
         ),
-        JobStatus::TimedOut { elapsed_ms } => ("timed_out".into(), vec![Some(*elapsed_ms)]),
+        JobOutcome::TimedOut { elapsed_ms } => ("timed_out".into(), vec![Some(*elapsed_ms)]),
     }
 }
 

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobResult, JobStatus};
+use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobOutcome, JobResult};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -32,7 +32,7 @@ fn tmp(name: &str) -> PathBuf {
 fn write_checkpoint(path: &Path, values: &[f64]) -> Vec<(usize, usize)> {
     let mut w = CheckpointWriter::create(path, 0xfeed, values.len()).unwrap();
     for (i, &v) in values.iter().enumerate() {
-        w.record(i, &JobStatus::Completed(JobResult::Model { delta_vth: v }))
+        w.record(i, &JobOutcome::Completed(JobResult::Model { delta_vth: v }))
             .unwrap();
     }
     drop(w);
@@ -64,7 +64,7 @@ fn assert_kept(path: &Path, values: &[f64], kept: &[usize], skipped: usize) {
     for &i in kept {
         assert_eq!(
             statuses.get(&i),
-            Some(&JobStatus::Completed(JobResult::Model {
+            Some(&JobOutcome::Completed(JobResult::Model {
                 delta_vth: values[i]
             })),
             "record {i}"

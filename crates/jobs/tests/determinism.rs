@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 
 use relia_core::units::{Kelvin, Seconds};
 use relia_jobs::{
-    builtin_resolver, open_checkpoint, run_sweep, CheckpointWriter, JobStatus, PolicySpec,
+    builtin_resolver, open_checkpoint, run_sweep, CheckpointWriter, JobOutcome, PolicySpec,
     SweepError, SweepOptions, SweepSpec, Workload,
 };
 
@@ -54,7 +54,7 @@ fn one_worker_and_many_workers_agree_exactly() {
         let solo = run_sweep(&spec, &options(1), builtin_resolver).unwrap();
         for workers in [2, 8] {
             let parallel = run_sweep(&spec, &options(workers), builtin_resolver).unwrap();
-            // PartialEq on JobStatus compares the f64 payloads exactly:
+            // PartialEq on JobOutcome compares the f64 payloads exactly:
             // the results must be byte-identical, not merely close.
             assert_eq!(solo.statuses, parallel.statuses, "workers={workers}");
             assert_eq!(solo.points, parallel.points);
@@ -273,12 +273,16 @@ fn a_degenerate_point_fails_alone() {
     let failed = out
         .statuses
         .iter()
-        .filter(|s| matches!(s, JobStatus::Failed { .. }))
+        .filter(|s| matches!(s, JobOutcome::Failed { .. }))
         .count();
     // One bad ras × 2 temps × 2 lifetimes × 3 policies.
     assert_eq!(failed, 12);
     assert_eq!(out.metrics.failed_jobs, 12);
-    let completed = out.statuses.iter().filter(|s| s.result().is_some()).count();
+    let completed = out
+        .statuses
+        .iter()
+        .filter(|s| s.completed().is_some())
+        .count();
     assert_eq!(completed, spec.len() - 12);
 }
 

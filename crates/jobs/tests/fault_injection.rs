@@ -3,7 +3,7 @@
 //! Each test injects one class of deterministic fault and proves the
 //! corresponding recovery path end to end through [`run_sweep`]:
 //!
-//! 1. an injected cooperative hang becomes [`JobStatus::TimedOut`] without
+//! 1. an injected cooperative hang becomes [`JobOutcome::TimedOut`] without
 //!    stalling the pool;
 //! 2. an injected transient panic succeeds after retry, and the recovered
 //!    sweep is byte-identical to a fault-free run;
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use relia_core::units::{Kelvin, Seconds};
 use relia_jobs::fault::{self, Fault, FaultPlan};
 use relia_jobs::{
-    builtin_resolver, open_checkpoint, run_sweep, JobStatus, SweepOptions, SweepSpec, Workload,
+    builtin_resolver, open_checkpoint, run_sweep, JobOutcome, SweepOptions, SweepSpec, Workload,
 };
 
 /// A fast all-model grid (18 points, each a single cached evaluation).
@@ -74,13 +74,13 @@ fn an_injected_hang_times_out_without_stalling_the_pool() {
     for (i, status) in out.statuses.iter().enumerate() {
         if i == hung {
             match status {
-                JobStatus::TimedOut { elapsed_ms } => {
+                JobOutcome::TimedOut { elapsed_ms } => {
                     assert!(*elapsed_ms >= 100, "ran to the vicinity of the deadline");
                 }
                 other => panic!("job {hung} should time out, got {other:?}"),
             }
         } else {
-            assert!(status.result().is_some(), "job {i} must be unaffected");
+            assert!(status.completed().is_some(), "job {i} must be unaffected");
         }
     }
     assert_eq!(out.metrics.timed_out_jobs, 1);
@@ -122,7 +122,7 @@ fn an_exhausted_retry_budget_reports_the_panic_with_its_attempt_count() {
     };
     let out = run_sweep(&spec, &opts, builtin_resolver).unwrap();
     match &out.statuses[flaky] {
-        JobStatus::Failed { reason, attempts } => {
+        JobOutcome::Failed { reason, attempts } => {
             assert!(reason.contains("panic"), "reason: {reason}");
             assert_eq!(*attempts, 2, "1 initial + 1 retry");
         }
@@ -180,7 +180,7 @@ fn a_corrupted_checkpoint_resumes_from_the_salvaged_prefix() {
         let completed = ckpt
             .statuses
             .values()
-            .filter(|s| matches!(s, JobStatus::Completed(_)))
+            .filter(|s| matches!(s, JobOutcome::Completed(_)))
             .count();
         assert_eq!(completed, spec.len());
         std::fs::remove_file(p).ok();
@@ -201,7 +201,7 @@ fn an_injected_nan_is_a_structured_error_and_never_enters_the_cache() {
     };
     let out = run_sweep(&spec, &opts, builtin_resolver).unwrap();
     match &out.statuses[poisoned] {
-        JobStatus::Failed { reason, attempts } => {
+        JobOutcome::Failed { reason, attempts } => {
             assert!(
                 reason.contains("non-finite"),
                 "structured NonFinite diagnostic, got: {reason}"

@@ -17,7 +17,7 @@
 //! evaluations, and each step waits on the comparison before it while each
 //! OFF device chains a divide into two `exp` calls: one solve is bound by
 //! latency, not throughput. Solves of the same network under different
-//! input vectors do not wait on each other, so [`network_currents`] steps
+//! input vectors do not wait on each other, so `network_currents` steps
 //! up to [`LANES`] of them in lockstep, every lane repeating
 //! [`network_current`]'s operations in its order. [`network_current`] stays
 //! scalar: it is the reference the lanes are tested against, and the path
@@ -118,7 +118,7 @@ fn series_current(
     }
 }
 
-/// Input vectors [`network_currents`] solves in lockstep. The lanes keep
+/// Input vectors `network_currents` solves in lockstep. The lanes keep
 /// the divider and `exp` busy while each waits on its own previous step.
 /// On a 2-vCPU Xeon, NAND4's sixteen vectors on one thread ran 1.5, 1.7
 /// and 2.1 times faster than scalar at 4, 8 and 16 lanes. But a table

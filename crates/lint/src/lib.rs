@@ -167,8 +167,8 @@ pub fn lint_source(file: &str, source: &str, opts: &FileOpts) -> Vec<Diagnostic>
 }
 
 /// Lints every workspace source file under `root` on `jobs` worker
-/// threads (`<= 1` runs serially), returning the sorted diagnostics. The
-/// output is identical for every worker count.
+/// threads (at least one), returning the sorted diagnostics. The output is
+/// identical for every worker count.
 ///
 /// # Errors
 ///
@@ -183,23 +183,12 @@ pub fn lint_workspace(root: &Path, jobs: usize) -> Result<Vec<Diagnostic>, Strin
     };
 
     // `run_ordered` returns outcomes in job (= discovery) order for any
-    // worker count, which keeps `--jobs N` output byte-identical to a
-    // serial run.
-    let results: Vec<Result<FileAnalysis, String>> = if jobs <= 1 {
-        files.iter().map(analyze_one).collect()
-    } else {
-        relia_jobs::pool::run_ordered(&files, jobs, |_, f| analyze_one(f))
-            .into_iter()
-            .map(|o| match o {
-                relia_jobs::pool::JobOutcome::Completed(r) => r,
-                _ => Err("lint worker failed".to_owned()),
-            })
-            .collect()
-    };
-
+    // worker count, which keeps `--jobs N` output byte-identical to
+    // `--jobs 1`.
+    let outcomes = relia_jobs::run_ordered(&files, jobs, |_, f| analyze_one(f));
     let mut analyses = Vec::with_capacity(files.len());
-    for (f, r) in files.iter().zip(results) {
-        analyses.push((f.rel_path.clone(), r?));
+    for (f, outcome) in files.iter().zip(outcomes) {
+        analyses.push((f.rel_path.clone(), outcome.into_result()??));
     }
     Ok(finish(analyses))
 }

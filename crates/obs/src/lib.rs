@@ -11,7 +11,7 @@
 //! * [`clock`] — a [`Clock`] trait over monotonic nanoseconds, with a
 //!   production [`MonotonicClock`] and a deterministic [`TestClock`], so
 //!   golden tests never read real time.
-//! * [`span`] — lightweight spans: a [`Tracer`] hands out RAII
+//! * [`mod@span`] — lightweight spans: a [`Tracer`] hands out RAII
 //!   [`SpanGuard`]s that record `(name, parent, start, duration)` into a
 //!   fixed-capacity ring buffer on drop. Recording is *total*: a writer
 //!   overwrites the oldest slot and **never blocks** — under slot

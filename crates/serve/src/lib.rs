@@ -13,11 +13,11 @@
 //!   ([`relia_core::json`]) are hand-rolled subsets, hardened with byte caps
 //!   on every input dimension and fuzzed with proptest; the whole crate is
 //!   `TcpListener` + threads.
-//! * **Shared memoization.** Queries evaluate through the same sharded
-//!   ΔV_th cache ([`relia_jobs::ShardedCache`]) the sweep engine uses, and
-//!   the server's cache can be handed to batch sweeps
-//!   ([`relia_jobs::SweepOptions::shared_cache`]) — one memo table per
-//!   process, identical values either way.
+//! * **Shared memoization.** `/v1/degrade` and `/v1/sweep` evaluate
+//!   through one server-wide sharded ΔV_th cache
+//!   ([`relia_jobs::ShardedCache`], the type the sweep engine uses);
+//!   `relia sweep` owns a private one. Values are identical either way,
+//!   because every cached value is canonical per quantized stress key.
 //! * **Single-flight coalescing.** Concurrent identical queries on a cold
 //!   key share one model evaluation ([`coalesce`]).
 //! * **Backpressure, not backlog.** Connections run on a bounded

@@ -14,7 +14,7 @@
 //! Two clocks bound request arrival. The socket read timeout catches a
 //! peer that goes silent mid-request (`408`). It is not enough on its
 //! own: the timeout resets on every byte, so a slowloris peer dribbling
-//! one byte per interval would hold a worker forever. [`BudgetReader`]
+//! one byte per interval would hold a worker forever. `BudgetReader`
 //! closes that hole — a single wall-clock budget per message, started at
 //! its first byte, turns the slow dribble into the same `408`. A
 //! [`Deadline`] created when the request is fully parsed then bounds

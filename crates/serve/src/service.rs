@@ -155,8 +155,8 @@ impl SurfaceTier {
 /// Everything the handlers share: evaluator, memo cache, single-flight
 /// gate, prepared circuits, counters, and limits.
 pub struct ServeState {
-    /// The process-wide ΔV_th memo table (also handed to batch sweeps via
-    /// [`relia_jobs::SweepOptions::shared_cache`]).
+    /// The server-wide ΔV_th memo table that `/v1/degrade` and `/v1/sweep`
+    /// share (`relia sweep` owns a private one).
     pub cache: Arc<ShardedCache>,
     /// Service counters.
     pub metrics: ServeMetrics,

@@ -8,7 +8,7 @@ use relia_core::ac::LANES;
 use relia_core::{
     Kelvin, ModeSchedule, ModelError, NbtiModel, PmosStress, Ras, Seconds, StressColumn,
 };
-use relia_jobs::{default_workers, run_ordered, JobOutcome, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
+use relia_jobs::{default_workers, run_ordered, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
 use crate::grid::{interpolate, SurfaceGrid};
@@ -241,18 +241,6 @@ fn midpoints(axis: &[f64], log: bool) -> Vec<f64> {
         .collect()
 }
 
-fn unwrap_outcome<T>(outcome: JobOutcome<Result<T, SurfaceError>>) -> Result<T, SurfaceError> {
-    match outcome {
-        JobOutcome::Completed(inner) => inner,
-        other => Err(SurfaceError::Build(
-            other
-                .failure_reason()
-                .unwrap_or("grid job failed")
-                .to_owned(),
-        )),
-    }
-}
-
 /// Builds the full artifact: parallel grid fill, then the midpoint
 /// error sweep whose measured sup-error is embedded in the header.
 ///
@@ -292,7 +280,7 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
         .map(|_| Vec::with_capacity(grid.len()))
         .collect();
     for (cols, outcome) in jobs.iter().zip(outcomes) {
-        let exact = unwrap_outcome(outcome)?;
+        let exact = outcome.into_result().map_err(SurfaceError::Build)??;
         for (col, row) in cols.iter().zip(exact.chunks(grid.lifetime_s().len())) {
             values[col.pair].extend_from_slice(row);
         }
@@ -330,7 +318,7 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
     });
     let mut sup_error = 0.0f64;
     for outcome in sweeps {
-        sup_error = sup_error.max(unwrap_outcome(outcome)?);
+        sup_error = sup_error.max(outcome.into_result().map_err(SurfaceError::Build)??);
     }
     let error_samples = (sweep_cols.len() * mid_lt.len()) as u64;
 

@@ -30,6 +30,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo clippy --offline -p relia-jobs --all-targets --features fault-inject -- -D warnings
 cargo clippy --offline -p relia-serve --all-targets --features fault-inject -- -D warnings
 
+echo "==> cargo doc -D warnings (no broken, ambiguous or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> relia lint (unit, reliability & concurrency invariants)"
 # Workspace-wide, machine-readable, parallel; any non-suppressed finding
 # fails the gate. JSON keeps the failure output one-line-per-finding.

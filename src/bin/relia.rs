@@ -25,7 +25,7 @@ use relia::cells::Library;
 use relia::core::{Kelvin, Ras, Seconds};
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia::ivc::{co_optimize, search_mlv_set, MlvSearchConfig};
-use relia::jobs::{self, JobResult, JobStatus, JobTask, PolicySpec, SweepSpec, Workload};
+use relia::jobs::{self, JobOutcome, JobResult, JobTask, PolicySpec, SweepSpec, Workload};
 use relia::netlist::stats::CircuitStats;
 use relia::netlist::{bench, dot, iscas, Circuit};
 use relia::sta::TimingAnalysis;
@@ -1040,7 +1040,7 @@ fn run_sweep_command(mut args: Args) -> Result<(), CliError> {
             point.lifetime.to_years()
         );
         match status {
-            JobStatus::Completed(JobResult::Aging {
+            JobOutcome::Completed(JobResult::Aging {
                 worst_delta_vth,
                 degradation,
                 nominal_delay_ps,
@@ -1060,17 +1060,17 @@ fn run_sweep_command(mut args: Args) -> Result<(), CliError> {
                     leak
                 );
             }
-            JobStatus::Completed(JobResult::Model { delta_vth }) => {
+            JobOutcome::Completed(JobResult::Model { delta_vth }) => {
                 println!("{prefix} {:>7.2}mV", delta_vth * 1e3);
             }
-            JobStatus::Failed { reason, attempts } => {
+            JobOutcome::Failed { reason, attempts } => {
                 if *attempts > 1 {
                     println!("{prefix} FAILED after {attempts} attempts: {reason}");
                 } else {
                     println!("{prefix} FAILED: {reason}");
                 }
             }
-            JobStatus::TimedOut { elapsed_ms } => {
+            JobOutcome::TimedOut { elapsed_ms } => {
                 println!("{prefix} TIMEOUT after {:.1}s", *elapsed_ms as f64 / 1e3);
             }
         }
