@@ -45,7 +45,7 @@ fn main() {
         print!("{:>12.3e} {:>11.2}m", t.0, dv * 1e3);
         for analysis in &analyses {
             let shifts = analysis
-                .gate_delta_vth_at(&StandbyPolicy::AllInternalZero, t)
+                .gate_delta_vth(&StandbyPolicy::AllInternalZero, t)
                 .expect("valid policy");
             let nominal = relia_sta::TimingAnalysis::nominal(&circuit);
             let aged = relia_sta::TimingAnalysis::degraded(

@@ -59,7 +59,7 @@ fn main() {
         print!("{:>12.3e}", t.0);
         for analysis in &ungated {
             let dv = analysis
-                .gate_delta_vth_at(&StandbyPolicy::AllInternalZero, t)
+                .gate_delta_vth(&StandbyPolicy::AllInternalZero, t)
                 .expect("valid policy");
             let aged =
                 relia_sta::TimingAnalysis::degraded(&circuit, &dv, analysis.config().nbti.params())
@@ -80,7 +80,7 @@ fn main() {
     let t10 = Seconds(1.0e8);
     let hot = &ungated[2];
     let dv = hot
-        .gate_delta_vth_at(&StandbyPolicy::AllInternalZero, t10)
+        .gate_delta_vth(&StandbyPolicy::AllInternalZero, t10)
         .expect("valid policy");
     let hot_deg = relia_sta::TimingAnalysis::degraded(&circuit, &dv, hot.config().nbti.params())
         .expect("valid shifts")

@@ -1,7 +1,11 @@
-//! The fig03/fig04 binaries now run through the `relia-jobs` sweep engine;
-//! these tests pin their stdout byte-for-byte to the golden outputs captured
-//! from the pre-engine, direct-model versions. Any drift in the engine's
-//! quantized-key evaluation shows up here first.
+//! Pins results binaries' stdout byte for byte to their `results/*.txt`
+//! goldens: every binary whose committed file still matches and whose
+//! debug build runs in milliseconds (12 of the 24).
+//!
+//! The fig03/fig04 binaries run through the `relia-jobs` sweep engine, and
+//! their goldens were captured from the pre-engine, direct-model versions,
+//! so any drift in the engine's quantized-key evaluation shows up here
+//! first.
 
 #![allow(clippy::unwrap_used)]
 use std::path::PathBuf;
@@ -43,5 +47,77 @@ fn fig12_matches_the_golden_output_exactly() {
     assert_eq!(
         stdout_of(env!("CARGO_BIN_EXE_fig12_variation")),
         golden("fig12_variation.txt")
+    );
+}
+
+#[test]
+fn ablation_dual_vth_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_ablation_dual_vth")),
+        golden("ablation_dual_vth.txt")
+    );
+}
+
+#[test]
+fn ablation_thermal_trace_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_ablation_thermal_trace")),
+        golden("ablation_thermal_trace.txt")
+    );
+}
+
+#[test]
+fn ablation_worst_case_temp_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_ablation_worst_case_temp")),
+        golden("ablation_worst_case_temp.txt")
+    );
+}
+
+#[test]
+fn fig01_dc_vs_ac_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_fig01_dc_vs_ac")),
+        golden("fig01_dc_vs_ac.txt")
+    );
+}
+
+#[test]
+fn fig01b_sawtooth_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_fig01b_sawtooth")),
+        golden("fig01b_sawtooth.txt")
+    );
+}
+
+#[test]
+fn fig08_st_vth_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_fig08_st_vth")),
+        golden("fig08_st_vth.txt")
+    );
+}
+
+#[test]
+fn fig09_st_sizing_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_fig09_st_sizing")),
+        golden("fig09_st_sizing.txt")
+    );
+}
+
+#[test]
+fn table1_vth_ras_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_table1_vth_ras")),
+        golden("table1_vth_ras.txt")
+    );
+}
+
+#[test]
+fn table2_gate_vectors_matches_the_golden_output_exactly() {
+    assert_eq!(
+        stdout_of(env!("CARGO_BIN_EXE_table2_gate_vectors")),
+        golden("table2_gate_vectors.txt")
     );
 }

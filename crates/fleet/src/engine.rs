@@ -21,7 +21,7 @@ use relia_core::seal::SplitMix64;
 use relia_core::{
     CancelToken, HoistedStress, NbtiModel, Seconds, VariationKernel, Volts, VthDistribution,
 };
-use relia_jobs::{default_workers, run_folded, JobOutcome, MetricsSnapshot};
+use relia_jobs::{default_workers, run_folded, JobOutcome};
 use relia_obs::{fmt_ns, HistSnapshot, LatencyHist, Tracer};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,25 +122,6 @@ pub struct FleetMetrics {
     /// Per-chunk evaluation latency (executed chunks only; resumed chunks
     /// cost no sampling time).
     pub chunk_seconds: HistSnapshot,
-}
-
-impl FleetMetrics {
-    /// The counters, gauges, and histograms of this run with stable
-    /// names, mergeable with other [`MetricsSnapshot`]s.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![
-                ("fleet_chunks_total", self.total_chunks),
-                ("fleet_chunks_executed", self.executed_chunks),
-                ("fleet_chunks_resumed", self.resumed_chunks),
-                ("fleet_checkpoint_lines_skipped", self.salvaged_skips),
-                ("fleet_workers", self.workers),
-                ("fleet_samples", self.samples),
-            ],
-            gauges: vec![("fleet_execute_secs", self.execute_secs)],
-            histograms: vec![("fleet_chunk_seconds", self.chunk_seconds.clone())],
-        }
-    }
 }
 
 impl fmt::Display for FleetMetrics {
@@ -603,11 +584,6 @@ mod tests {
         assert_eq!(count("fleet_chunk"), 6, "ceil(700/128) chunks");
         assert_eq!(count("fleet_merge"), 1);
         assert_eq!(out.metrics.chunk_seconds.count, 6);
-        assert!(out
-            .metrics
-            .snapshot()
-            .histogram("fleet_chunk_seconds")
-            .is_some());
         let text = out.metrics.to_string();
         assert!(text.contains("chunk latency: p50 "), "{text}");
     }

@@ -1,15 +1,15 @@
 //! The aging analysis proper: per-PMOS stress → ΔV_th → degraded timing +
 //! leakage.
 
-use relia_core::{CancelToken, PmosStress, Seconds, StressColumn};
+use std::fmt;
+
+use relia_core::{CancelToken, PmosStress, Seconds};
 use relia_leakage::{circuit_leakage, expected_circuit_leakage, LeakageTable};
 use relia_netlist::Circuit;
 use relia_sim::{logic, prob, SignalProbs};
 use relia_sta::{TimingAnalysis, TimingReport};
 
-use crate::cache::DeltaVthCache;
-#[cfg(doc)]
-use crate::cache::NoCache;
+use crate::cache::{DeltaVthCache, NoCache};
 use crate::config::{FlowConfig, SpEstimator};
 use crate::error::FlowError;
 use crate::policy::StandbyPolicy;
@@ -41,11 +41,16 @@ pub struct AnalysisPrep {
 /// A prepared analysis over one circuit: signal probabilities and leakage
 /// tables are computed once and reused across standby policies (the
 /// expensive, policy-independent half of the flow).
-#[derive(Debug, Clone)]
+///
+/// Every ΔV_th goes through one memo table, [`NoCache`] unless
+/// [`AgingAnalysis::with_cache`] sets another.
+#[derive(Clone)]
 pub struct AgingAnalysis<'a> {
     config: &'a FlowConfig,
     circuit: &'a Circuit,
     prep: AnalysisPrep,
+    cache: &'a (dyn DeltaVthCache + Sync),
+    cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> AgingAnalysis<'a> {
@@ -116,6 +121,8 @@ impl<'a> AgingAnalysis<'a> {
             config,
             circuit,
             prep,
+            cache: &NoCache,
+            cancel: None,
         }
     }
 
@@ -131,172 +138,109 @@ impl<'a> AgingAnalysis<'a> {
         &self.prep.table
     }
 
-    /// Per-gate worst-case PMOS ΔV_th (volts) after the configured lifetime
-    /// under `policy`.
+    /// Sets the memo table every ΔV_th evaluation consults and the
+    /// cooperative [`CancelToken`] the per-gate loop polls before every
+    /// chunk of 32 gates. Once a watchdog sets the token,
+    /// [`AgingAnalysis::gate_delta_vth`] and [`AgingAnalysis::run`] abandon
+    /// the remaining gates and return [`FlowError::Cancelled`]; partial
+    /// results are discarded.
     ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] for a malformed standby vector.
-    pub fn gate_delta_vth(&self, policy: &StandbyPolicy) -> Result<Vec<f64>, FlowError> {
-        self.gate_delta_vth_at(policy, self.config.lifetime)
-    }
-
-    /// Per-gate worst-case PMOS ΔV_th after an explicit operating time
-    /// (used by time sweeps and the variation study).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] for a malformed standby vector.
-    pub fn gate_delta_vth_at(
-        &self,
-        policy: &StandbyPolicy,
-        lifetime: Seconds,
-    ) -> Result<Vec<f64>, FlowError> {
-        let flags = self.standby_stress_flags(policy)?;
-        self.worst_per_gate(
-            &CancelToken::new(),
-            flagged_stresses(&flags),
-            self.exact_shifts(lifetime),
-        )
-    }
-
-    /// Like [`AgingAnalysis::gate_delta_vth_at`], but consulting a
-    /// [`DeltaVthCache`] so repeated stress points are evaluated once.
-    ///
-    /// Model evaluations go through [`relia_core::StressKey`]: each
-    /// (schedule, stress, lifetime) point is quantized and evaluated at the
-    /// key's canonical point, so results are a pure function of the key and
-    /// identical whether the cache is shared across threads, private, or
-    /// [`NoCache`]. The quantization perturbs ΔV_th by parts in 1e10
-    /// relative to the direct [`AgingAnalysis::gate_delta_vth_at`] path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] for a malformed standby vector, and the
-    /// model's error for a lifetime the key lattice cannot hold
-    /// ([`relia_core::StressKey::lifetime_ms`]).
-    pub fn gate_delta_vth_at_cached<C: DeltaVthCache>(
-        &self,
-        policy: &StandbyPolicy,
-        lifetime: Seconds,
-        cache: &C,
-    ) -> Result<Vec<f64>, FlowError> {
-        self.gate_delta_vth_at_cached_cancellable(policy, lifetime, cache, &CancelToken::new())
-    }
-
-    /// Like [`AgingAnalysis::gate_delta_vth_at_cached`], but polling a
-    /// cooperative [`CancelToken`] before every chunk of 32 gates: when a
-    /// watchdog sets the token, the loop abandons the remaining gates and
-    /// returns [`FlowError::Cancelled`] instead of running to completion.
-    /// Partial results are discarded, so cancellation can never leak a
-    /// truncated ΔV_th vector into a report.
-    ///
-    /// Each chunk's keys go to the cache in one
-    /// [`DeltaVthCache::delta_vth_many`] call, which leaves the table as a
-    /// per-key loop would. On an error, the rest of that chunk's keys
-    /// have been looked up too.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] once `cancel` is set, or the usual
-    /// [`FlowError`]s for malformed standby vectors.
-    pub fn gate_delta_vth_at_cached_cancellable<C: DeltaVthCache>(
-        &self,
-        policy: &StandbyPolicy,
-        lifetime: Seconds,
-        cache: &C,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f64>, FlowError> {
-        let flags = self.standby_stress_flags(policy)?;
-        let mut keys = Vec::new();
-        self.worst_per_gate(cancel, flagged_stresses(&flags), |stresses, shifts| {
-            keys.clear();
-            let quantized = stresses.iter().try_for_each(|stress| {
-                keys.push(self.config.stress_key(stress, lifetime)?);
-                Ok::<(), FlowError>(())
-            });
-            for (shift, dv) in shifts
-                .iter_mut()
-                .zip(cache.delta_vth_many(&keys, &self.config.nbti))
-            {
-                *shift = dv?;
-            }
-            quantized
-        })
-    }
-
-    /// Per-gate worst-case PMOS ΔV_th when each PMOS has a *fractional*
-    /// standby stress probability (e.g. an alternating-IVC rotation that
-    /// parks the circuit on different vectors over time).
-    /// `standby_probs[g][p]` is the probability that PMOS `p` of gate `g`
-    /// is stressed during standby.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::GateVectorWidth`] for a malformed probability
-    /// array, or model errors for probabilities outside `[0, 1]`.
-    pub fn gate_delta_vth_with_standby_probs(
-        &self,
-        standby_probs: &[Vec<f64>],
-    ) -> Result<Vec<f64>, FlowError> {
-        if standby_probs.len() != self.circuit.gates().len() {
-            return Err(FlowError::GateVectorWidth {
-                expected: self.circuit.gates().len(),
-                got: standby_probs.len(),
-            });
+    /// The table changes no value: an evaluation is a pure function of its
+    /// [`relia_core::StressKey`], so a shared table, a private one and the
+    /// default [`NoCache`] give the same bits.
+    pub fn with_cache(
+        self,
+        cache: &'a (dyn DeltaVthCache + Sync),
+        cancel: &'a CancelToken,
+    ) -> Self {
+        AgingAnalysis {
+            cache,
+            cancel: Some(cancel),
+            ..self
         }
-        let stresses = |gate: usize, active: &[f64], out: &mut Vec<PmosStress>| {
-            let standby = &standby_probs[gate];
-            if standby.len() != active.len() {
-                return Err(FlowError::GateVectorWidth {
-                    expected: active.len(),
-                    got: standby.len(),
-                });
-            }
-            for (&p_active, &p_standby) in active.iter().zip(standby) {
-                out.push(PmosStress::new(p_active, p_standby)?);
-            }
-            Ok(())
-        };
-        self.worst_per_gate(
-            &CancelToken::new(),
-            stresses,
-            self.exact_shifts(self.config.lifetime),
-        )
     }
 
-    /// The per-gate loop behind every ΔV_th entry point: each gate's
-    /// worst PMOS shift. Per chunk of [`GATE_CHUNK`] gates, `stresses`
-    /// pushes gate `g`'s PMOS stress vectors (or fails), one `shifts` call
-    /// turns the chunk's stresses into ΔV_th values, and each gate keeps
-    /// its largest. `cancel` is polled before every chunk.
+    /// Per-gate worst-case PMOS ΔV_th (volts) after `lifetime` under
+    /// `policy`.
     ///
-    /// The error returned is the one a per-PMOS loop meets first: a
-    /// `shifts` error among the stresses gathered ahead of a `stresses`
-    /// error outranks it.
+    /// Each PMOS's (schedule, stress, lifetime) point is quantized to a
+    /// [`relia_core::StressKey`] and evaluated at the key's canonical
+    /// point, so a value is a pure function of its key. Against one
+    /// [`relia_core::NbtiModel::delta_vth`] call at the unquantized point
+    /// it differs by at most `1e-5·|ΔV_th| + 1e-12 V`, which
+    /// `tests/oracle.rs` asserts. Each chunk of 32 gates' keys goes to the
+    /// cache in one [`DeltaVthCache::delta_vth_many`] call, which leaves
+    /// the table as a per-key loop would; on an error, the rest of that
+    /// chunk's keys have been looked up too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError`] for a malformed policy, the model's error for
+    /// a lifetime the key lattice cannot hold
+    /// ([`relia_core::StressKey::lifetime_ms`]), and
+    /// [`FlowError::Cancelled`] once the token given to
+    /// [`AgingAnalysis::with_cache`] is set.
+    pub fn gate_delta_vth(
+        &self,
+        policy: &StandbyPolicy,
+        lifetime: Seconds,
+    ) -> Result<Vec<f64>, FlowError> {
+        self.worst_per_gate(policy, lifetime, self.cache)
+    }
+
+    /// [`AgingAnalysis::gate_delta_vth`] through `cache` instead of the
+    /// table set by [`AgingAnalysis::with_cache`].
+    ///
+    /// # Errors
+    ///
+    /// As [`AgingAnalysis::gate_delta_vth`].
+    pub fn gate_delta_vth_at_cached(
+        &self,
+        policy: &StandbyPolicy,
+        lifetime: Seconds,
+        cache: &dyn DeltaVthCache,
+    ) -> Result<Vec<f64>, FlowError> {
+        self.worst_per_gate(policy, lifetime, cache)
+    }
+
+    /// The per-gate loop behind both entry points: each gate's worst PMOS
+    /// shift. Per chunk of [`GATE_CHUNK`] gates it quantizes every PMOS
+    /// stress to a key, evaluates the keys in one `cache` call and keeps
+    /// each gate's largest value. The cancel token is polled before every
+    /// chunk.
+    ///
+    /// The error returned is the one a per-PMOS loop meets first: an
+    /// evaluation error among the keys gathered ahead of a stress or
+    /// lifetime error outranks it.
     fn worst_per_gate(
         &self,
-        cancel: &CancelToken,
-        mut stresses: impl FnMut(usize, &[f64], &mut Vec<PmosStress>) -> Result<(), FlowError>,
-        mut shifts: impl FnMut(&[PmosStress], &mut [f64]) -> Result<(), FlowError>,
+        policy: &StandbyPolicy,
+        lifetime: Seconds,
+        cache: &dyn DeltaVthCache,
     ) -> Result<Vec<f64>, FlowError> {
+        let standby = self.standby_stress(policy)?;
+        let mut standby = standby.iter();
         let gates = &self.prep.active_stress;
         let mut out = Vec::with_capacity(gates.len());
-        let (mut gathered, mut values) = (Vec::new(), Vec::new());
-        for (chunk, first) in gates.chunks(GATE_CHUNK).zip((0..).step_by(GATE_CHUNK)) {
-            if cancel.is_cancelled() {
+        let (mut keys, mut shifts) = (Vec::new(), Vec::new());
+        for chunk in gates.chunks(GATE_CHUNK) {
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(FlowError::Cancelled);
             }
-            gathered.clear();
-            let complete = chunk
-                .iter()
-                .enumerate()
-                .try_for_each(|(i, active)| stresses(first + i, active, &mut gathered));
-            values.clear();
-            values.resize(gathered.len(), 0.0);
-            shifts(&gathered, &mut values)?;
-            complete?;
-            let mut rest = values.as_slice();
+            keys.clear();
+            let quantized = chunk.iter().flatten().zip(standby.by_ref()).try_for_each(
+                |(&p_active, &p_standby)| {
+                    let stress = PmosStress::new(p_active, p_standby)?;
+                    keys.push(self.config.stress_key(&stress, lifetime)?);
+                    Ok::<(), FlowError>(())
+                },
+            );
+            shifts.clear();
+            for dv in cache.delta_vth_many(&keys, &self.config.nbti) {
+                shifts.push(dv?);
+            }
+            quantized?;
+            let mut rest = shifts.as_slice();
             for active in chunk {
                 let (gate, tail) = rest.split_at(active.len());
                 out.push(gate.iter().fold(0.0f64, |worst, &dv| worst.max(dv)));
@@ -304,35 +248,6 @@ impl<'a> AgingAnalysis<'a> {
             }
         }
         Ok(out)
-    }
-
-    /// Exact ΔV_th of PMOS stress vectors after `lifetime`, bit-equal to
-    /// one [`relia_core::NbtiModel::delta_vth`] call each: every stress is
-    /// a one-lifetime column of one
-    /// [`relia_core::NbtiModel::delta_vth_columns`] call.
-    fn exact_shifts(
-        &self,
-        lifetime: Seconds,
-    ) -> impl FnMut(&[PmosStress], &mut [f64]) -> Result<(), FlowError> + '_ {
-        let (mut columns, mut lifetimes) = (Vec::new(), Vec::new());
-        move |stresses, shifts| {
-            columns.clear();
-            columns.extend(stresses.iter().map(|&stress| StressColumn {
-                schedule: self.config.schedule,
-                stress,
-                len: 1,
-            }));
-            lifetimes.clear();
-            lifetimes.resize(stresses.len(), lifetime);
-            for status in self
-                .config
-                .nbti
-                .delta_vth_columns(&columns, &lifetimes, shifts)
-            {
-                status?;
-            }
-            Ok(())
-        }
     }
 
     /// Standby stress flags (one `bool` per PMOS, grouped per gate) for the
@@ -343,74 +258,112 @@ impl<'a> AgingAnalysis<'a> {
     ///
     /// Returns [`FlowError`] for a malformed vector.
     pub fn standby_stress_of_vector(&self, vector: &[bool]) -> Result<Vec<Vec<bool>>, FlowError> {
-        self.standby_stress_flags(&StandbyPolicy::InputVector(vector.to_vec()))
+        let n = self.circuit.primary_inputs().len();
+        if vector.len() != n {
+            return Err(FlowError::StandbyVectorWidth {
+                expected: n,
+                got: vector.len(),
+            });
+        }
+        let values = logic::simulate(self.circuit, vector)?;
+        let lib = self.circuit.library();
+        Ok(self
+            .circuit
+            .gates()
+            .iter()
+            .map(|gate| {
+                let pins: Vec<bool> = gate.inputs().iter().map(|&net| values.of(net)).collect();
+                lib.cell(gate.cell()).stressed_pmos(&pins)
+            })
+            .collect())
     }
 
-    /// Runs the full analysis under `policy`.
+    /// Each PMOS's standby stress probability under `policy`, gate after
+    /// gate in [`Circuit::gates`] order.
+    fn standby_stress(&self, policy: &StandbyPolicy) -> Result<Vec<f64>, FlowError> {
+        let pmos = self.prep.active_stress.iter().map(Vec::len).sum();
+        let flags = match policy {
+            StandbyPolicy::InputVector(vector) => self.standby_stress_of_vector(vector)?,
+            StandbyPolicy::ControlPoints { vector, forced } => {
+                let mut flags = self.standby_stress_of_vector(vector)?;
+                let gates = flags.len();
+                for gid in forced {
+                    // A control point drives the gate's inputs high during
+                    // standby: no PMOS in the gate is negatively biased.
+                    flags
+                        .get_mut(gid.index())
+                        .ok_or(FlowError::GateVectorWidth {
+                            expected: gates,
+                            got: gid.index() + 1,
+                        })?
+                        .fill(false);
+                }
+                flags
+            }
+            // The idealized bounds force every PMOS gate terminal,
+            // regardless of logical consistency — exactly the paper's
+            // "this assumption is only used to calculate the maximum
+            // possible degradation" caveat.
+            StandbyPolicy::AllInternalZero => return Ok(vec![1.0; pmos]),
+            StandbyPolicy::AllInternalOne | StandbyPolicy::PowerGatedFooter => {
+                return Ok(vec![0.0; pmos])
+            }
+            StandbyPolicy::Rotation(vectors) => {
+                if vectors.is_empty() {
+                    return Err(FlowError::InvalidParameter {
+                        name: "rotation vector count",
+                        value: 0.0,
+                    });
+                }
+                // Each vector holds the circuit for an equal share of
+                // standby, so a PMOS is stressed for the share of vectors
+                // that stress it.
+                let mut share = vec![0.0; pmos];
+                for vector in vectors {
+                    let flags = self.standby_stress_of_vector(vector)?;
+                    for (share, &stressed) in share.iter_mut().zip(flags.iter().flatten()) {
+                        if stressed {
+                            *share += 1.0;
+                        }
+                    }
+                }
+                let n = vectors.len() as f64;
+                return Ok(share.into_iter().map(|k| k / n).collect());
+            }
+        };
+        Ok(flags
+            .iter()
+            .flatten()
+            .map(|&stressed| if stressed { 1.0 } else { 0.0 })
+            .collect())
+    }
+
+    /// Runs the full analysis under `policy` at the configured lifetime:
+    /// per-gate ΔV_th ([`AgingAnalysis::gate_delta_vth`]), nominal and
+    /// degraded timing, and leakage.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError`] for malformed vectors or model failures.
+    /// Returns [`FlowError`] for malformed policies or model failures, and
+    /// [`FlowError::Cancelled`] once the token given to
+    /// [`AgingAnalysis::with_cache`] is set.
     pub fn run(&self, policy: &StandbyPolicy) -> Result<AgingReport, FlowError> {
-        let gate_delta_vth = self.gate_delta_vth(policy)?;
-        self.finish_report(policy, gate_delta_vth)
-    }
-
-    /// Runs the full analysis under `policy` with memoized model
-    /// evaluations (see [`AgingAnalysis::gate_delta_vth_at_cached`]).
-    /// `run_with_cache(policy, &NoCache)` is numerically identical to a
-    /// cached run with any other conforming cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] for malformed vectors or model failures.
-    pub fn run_with_cache<C: DeltaVthCache>(
-        &self,
-        policy: &StandbyPolicy,
-        cache: &C,
-    ) -> Result<AgingReport, FlowError> {
-        self.run_with_cache_cancellable(policy, cache, &CancelToken::new())
-    }
-
-    /// Runs the full cached analysis under a cooperative [`CancelToken`]:
-    /// the ΔV_th loop — the expensive half of the flow — polls the token
-    /// before every chunk of gates, so a sweep watchdog can turn a
-    /// straggling job into [`FlowError::Cancelled`] instead of a
-    /// pool-stalling hang.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Cancelled`] once `cancel` is set, or the usual
-    /// [`FlowError`]s for malformed vectors and model failures.
-    pub fn run_with_cache_cancellable<C: DeltaVthCache>(
-        &self,
-        policy: &StandbyPolicy,
-        cache: &C,
-        cancel: &CancelToken,
-    ) -> Result<AgingReport, FlowError> {
-        let gate_delta_vth =
-            self.gate_delta_vth_at_cached_cancellable(policy, self.config.lifetime, cache, cancel)?;
-        self.finish_report(policy, gate_delta_vth)
-    }
-
-    /// Timing + leakage from a per-gate ΔV_th vector (shared tail of the
-    /// cached and uncached run paths).
-    fn finish_report(
-        &self,
-        policy: &StandbyPolicy,
-        gate_delta_vth: Vec<f64>,
-    ) -> Result<AgingReport, FlowError> {
+        let gate_delta_vth = self.gate_delta_vth(policy, self.config.lifetime)?;
         let nominal = TimingAnalysis::nominal(self.circuit);
         let degraded =
             TimingAnalysis::degraded(self.circuit, &gate_delta_vth, self.config.nbti.params())?;
         let standby_leakage = match policy {
-            StandbyPolicy::InputVector(v) => {
-                Some(circuit_leakage(self.circuit, v, &self.prep.table)?)
-            }
             // Control points perturb the leakage of the forced gates only;
             // report the base vector's leakage as the (close) estimate.
-            StandbyPolicy::ControlPoints { vector, .. } => {
-                Some(circuit_leakage(self.circuit, vector, &self.prep.table)?)
+            StandbyPolicy::InputVector(vector) | StandbyPolicy::ControlPoints { vector, .. } => {
+                Some(self.standby_leakage(vector)?)
+            }
+            // The mean over the rotation's equal shares, summed in order.
+            StandbyPolicy::Rotation(vectors) => {
+                let total = vectors.iter().try_fold(0.0, |total, vector| {
+                    Ok::<f64, FlowError>(total + self.standby_leakage(vector)?)
+                })?;
+                Some(total / vectors.len() as f64)
             }
             _ => None,
         };
@@ -423,73 +376,6 @@ impl<'a> AgingAnalysis<'a> {
             standby_leakage,
             active_leakage,
         })
-    }
-
-    /// Standby stress flags per gate per PMOS under `policy`.
-    fn standby_stress_flags(&self, policy: &StandbyPolicy) -> Result<Vec<Vec<bool>>, FlowError> {
-        let lib = self.circuit.library();
-        match policy {
-            StandbyPolicy::InputVector(v) => {
-                let n = self.circuit.primary_inputs().len();
-                if v.len() != n {
-                    return Err(FlowError::StandbyVectorWidth {
-                        expected: n,
-                        got: v.len(),
-                    });
-                }
-                let values = logic::simulate(self.circuit, v)?;
-                Ok(self
-                    .circuit
-                    .gates()
-                    .iter()
-                    .map(|gate| {
-                        let pins: Vec<bool> =
-                            gate.inputs().iter().map(|&net| values.of(net)).collect();
-                        lib.cell(gate.cell()).stressed_pmos(&pins)
-                    })
-                    .collect())
-            }
-            StandbyPolicy::ControlPoints { vector, forced } => {
-                let mut flags =
-                    self.standby_stress_flags(&StandbyPolicy::InputVector(vector.clone()))?;
-                for gid in forced {
-                    if gid.index() >= flags.len() {
-                        return Err(FlowError::GateVectorWidth {
-                            expected: flags.len(),
-                            got: gid.index() + 1,
-                        });
-                    }
-                    // A control point drives the gate's inputs high during
-                    // standby: no PMOS in the gate is negatively biased.
-                    for f in &mut flags[gid.index()] {
-                        *f = false;
-                    }
-                }
-                Ok(flags)
-            }
-            // The idealized bounds force every PMOS gate terminal,
-            // regardless of logical consistency — exactly the paper's
-            // "this assumption is only used to calculate the maximum
-            // possible degradation" caveat.
-            StandbyPolicy::AllInternalZero => Ok(self
-                .circuit
-                .gates()
-                .iter()
-                .map(|gate| vec![true; lib.cell(gate.cell()).pmos_count()])
-                .collect()),
-            StandbyPolicy::AllInternalOne => Ok(self
-                .circuit
-                .gates()
-                .iter()
-                .map(|gate| vec![false; lib.cell(gate.cell()).pmos_count()])
-                .collect()),
-            StandbyPolicy::PowerGatedFooter => Ok(self
-                .circuit
-                .gates()
-                .iter()
-                .map(|gate| vec![false; lib.cell(gate.cell()).pmos_count()])
-                .collect()),
-        }
     }
 
     /// Standby leakage for an explicit input vector (convenience used by
@@ -513,17 +399,14 @@ impl<'a> AgingAnalysis<'a> {
     }
 }
 
-/// Gate `g`'s PMOS stress vectors with standby stress set by `flags`:
-/// a flagged PMOS is stressed for all of standby, the others not at all.
-fn flagged_stresses(
-    flags: &[Vec<bool>],
-) -> impl Fn(usize, &[f64], &mut Vec<PmosStress>) -> Result<(), FlowError> + '_ {
-    move |gate, active, out| {
-        for (pmos, &p_active) in active.iter().enumerate() {
-            let p_standby = if flags[gate][pmos] { 1.0 } else { 0.0 };
-            out.push(PmosStress::new(p_active, p_standby)?);
-        }
-        Ok(())
+impl fmt::Debug for AgingAnalysis<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AgingAnalysis")
+            .field("config", self.config)
+            .field("circuit", self.circuit)
+            .field("prep", &self.prep)
+            .field("cancel", &self.cancel)
+            .finish_non_exhaustive()
     }
 }
 
@@ -536,8 +419,8 @@ pub struct AgingReport {
     pub degraded: TimingReport,
     /// Worst PMOS threshold shift of each gate, in volts.
     pub gate_delta_vth: Vec<f64>,
-    /// Standby leakage in amperes (only for realizable input-vector
-    /// policies).
+    /// Standby leakage in amperes (only for the policies that park the
+    /// circuit on input vectors: a rotation reports its mean).
     pub standby_leakage: Option<f64>,
     /// Expected active-mode leakage in amperes.
     pub active_leakage: f64,
@@ -637,30 +520,52 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let err = a
-            .run_with_cache_cancellable(
-                &StandbyPolicy::AllInternalZero,
-                &crate::cache::NoCache,
-                &token,
-            )
+            .clone()
+            .with_cache(&NoCache, &token)
+            .run(&StandbyPolicy::AllInternalZero)
             .unwrap_err();
         assert!(matches!(err, FlowError::Cancelled));
         // An uncancelled token changes nothing.
+        let fresh = CancelToken::new();
         let ok = a
-            .run_with_cache_cancellable(
-                &StandbyPolicy::AllInternalZero,
-                &crate::cache::NoCache,
-                &CancelToken::new(),
-            )
+            .clone()
+            .with_cache(&NoCache, &fresh)
+            .run(&StandbyPolicy::AllInternalZero)
             .unwrap();
-        let plain = a.run(&StandbyPolicy::AllInternalZero).unwrap();
-        assert!((ok.degradation_fraction() - plain.degradation_fraction()).abs() < 1e-12);
+        assert_eq!(ok, a.run(&StandbyPolicy::AllInternalZero).unwrap());
+    }
+
+    #[test]
+    fn a_rotation_repeating_one_vector_is_that_vector() {
+        let (config, circuit) = setup();
+        let a = AgingAnalysis::new(&config, &circuit).unwrap();
+        let v = vec![true, false, false, true, false];
+        let fixed = a.run(&StandbyPolicy::InputVector(v.clone())).unwrap();
+        for n in 1..=3 {
+            let rotation = StandbyPolicy::Rotation(vec![v.clone(); n]);
+            assert_eq!(a.run(&rotation).unwrap(), fixed, "{n} copies");
+        }
+        let err = a.run(&StandbyPolicy::Rotation(vec![])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameter rotation vector count = 0"
+        );
+        assert!(matches!(
+            a.run(&StandbyPolicy::Rotation(vec![v, vec![true; 3]])),
+            Err(FlowError::StandbyVectorWidth {
+                expected: 5,
+                got: 3
+            })
+        ));
     }
 
     #[test]
     fn delta_vth_is_per_gate_and_bounded() {
         let (config, circuit) = setup();
         let a = AgingAnalysis::new(&config, &circuit).unwrap();
-        let dv = a.gate_delta_vth(&StandbyPolicy::AllInternalZero).unwrap();
+        let dv = a
+            .gate_delta_vth(&StandbyPolicy::AllInternalZero, config.lifetime)
+            .unwrap();
         assert_eq!(dv.len(), circuit.gates().len());
         for v in dv {
             assert!((0.0..0.1).contains(&v));

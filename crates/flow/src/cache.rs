@@ -40,8 +40,10 @@ pub trait DeltaVthCache {
 
 /// The trivial cache: always evaluates.
 ///
-/// Used by the uncached analysis entry points so cached and uncached code
-/// paths share one implementation.
+/// The table an [`crate::AgingAnalysis`] consults unless
+/// [`crate::AgingAnalysis::with_cache`] sets a shared one; either way
+/// every ΔV_th goes through [`StressKey::evaluate`] and gives the same
+/// bits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoCache;
 
@@ -56,20 +58,6 @@ impl DeltaVthCache for NoCache {
         model: &NbtiModel,
     ) -> Vec<Result<f64, ModelError>> {
         StressKey::evaluate_many(keys, model)
-    }
-}
-
-impl<C: DeltaVthCache + ?Sized> DeltaVthCache for &C {
-    fn delta_vth(&self, key: StressKey, model: &NbtiModel) -> Result<f64, ModelError> {
-        (**self).delta_vth(key, model)
-    }
-
-    fn delta_vth_many(
-        &self,
-        keys: &[StressKey],
-        model: &NbtiModel,
-    ) -> Vec<Result<f64, ModelError>> {
-        (**self).delta_vth_many(keys, model)
     }
 }
 

@@ -114,7 +114,7 @@ pub fn assign_dual_vth(
 
     // Aging before/after: base shifts from the policy, scaled per gate by
     // the eq. 23 overdrive/field factor of its threshold.
-    let base_shifts = analysis.gate_delta_vth(policy)?;
+    let base_shifts = analysis.gate_delta_vth(policy, analysis.config().lifetime)?;
     let od_low = params.vdd.0 - vth_low;
     let od_high = params.vdd.0 - vth_high;
     let high_scale = (od_high / od_low).sqrt() * ((od_high - od_low) / params.field_scale.0).exp();

@@ -9,7 +9,8 @@
 //! 1. propagates active-mode signal probabilities (exact independence model
 //!    or Monte Carlo);
 //! 2. resolves standby internal states from a [`StandbyPolicy`] (an input
-//!    vector, an idealized internal-node assignment, or power gating);
+//!    vector or a rotation of them, an idealized internal-node assignment,
+//!    or power gating);
 //! 3. computes the temperature-aware per-PMOS threshold shift over the
 //!    lifetime and reduces it to a per-gate worst shift;
 //! 4. runs static timing with nominal and degraded delays;

@@ -73,7 +73,7 @@ pub fn lifetime_to_budget(
     let params = analysis.config().nbti.params();
     let nominal = TimingAnalysis::nominal(circuit).max_delay_ps();
     let degradation_at = |t: Seconds| -> Result<f64, FlowError> {
-        let shifts = analysis.gate_delta_vth_at(policy, t)?;
+        let shifts = analysis.gate_delta_vth(policy, t)?;
         let aged = TimingAnalysis::degraded(circuit, &shifts, params)?;
         Ok(aged.max_delay_ps() / nominal - 1.0)
     };
@@ -118,7 +118,7 @@ mod tests {
                 // just after, above.
                 let before = {
                     let s = analysis
-                        .gate_delta_vth_at(&policy, Seconds(t.0 * 0.8))
+                        .gate_delta_vth(&policy, Seconds(t.0 * 0.8))
                         .unwrap();
                     let aged =
                         TimingAnalysis::degraded(&circuit, &s, analysis.config().nbti.params())

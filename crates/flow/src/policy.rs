@@ -32,6 +32,12 @@ pub enum StandbyPolicy {
     /// rail collapses, internal nodes float up toward V_dd, and no PMOS is
     /// negatively biased during standby.
     PowerGatedFooter,
+    /// Alternating input vector control (Abella et al., the paper's
+    /// ref.\[23\]): each standby period parks the circuit on the next of
+    /// these vectors in turn, so each gets an equal share of standby. A
+    /// PMOS stressed by k of the n vectors has standby stress probability
+    /// k/n, and the standby leakage is the mean over the vectors.
+    Rotation(Vec<Vec<bool>>),
 }
 
 impl StandbyPolicy {
@@ -43,6 +49,7 @@ impl StandbyPolicy {
             StandbyPolicy::InputVector(_)
                 | StandbyPolicy::ControlPoints { .. }
                 | StandbyPolicy::PowerGatedFooter
+                | StandbyPolicy::Rotation(_)
         )
     }
 }
@@ -60,6 +67,7 @@ mod tests {
         }
         .is_realizable());
         assert!(StandbyPolicy::PowerGatedFooter.is_realizable());
+        assert!(StandbyPolicy::Rotation(vec![vec![true]]).is_realizable());
         assert!(!StandbyPolicy::AllInternalZero.is_realizable());
         assert!(!StandbyPolicy::AllInternalOne.is_realizable());
     }

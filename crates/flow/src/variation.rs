@@ -76,7 +76,7 @@ impl VariationStudy {
         // threshold; per-sample shifts are the base scaled by eq. 23.
         let base_shifts: Vec<Vec<f64>> = times
             .iter()
-            .map(|&t| analysis.gate_delta_vth_at(policy, t))
+            .map(|&t| analysis.gate_delta_vth(policy, t))
             .collect::<Result<_, _>>()?;
         let nominal_delays = relia_sta::nominal_gate_delays(circuit);
 

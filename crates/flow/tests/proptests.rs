@@ -42,8 +42,8 @@ proptest! {
         let analysis = shared_analysis();
         let v: Vec<bool> = (0..5).map(|i| bits >> i & 1 == 1).collect();
         let policy = StandbyPolicy::InputVector(v);
-        let early = analysis.gate_delta_vth_at(&policy, Seconds(t)).expect("valid");
-        let late = analysis.gate_delta_vth_at(&policy, Seconds(2.0 * t)).expect("valid");
+        let early = analysis.gate_delta_vth(&policy, Seconds(t)).expect("valid");
+        let late = analysis.gate_delta_vth(&policy, Seconds(2.0 * t)).expect("valid");
         for (e, l) in early.iter().zip(&late) {
             prop_assert!(l >= e);
         }

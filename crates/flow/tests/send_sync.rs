@@ -8,6 +8,8 @@
 //! in a downstream crate.
 
 #![allow(clippy::unwrap_used)]
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use relia_flow::{
     AgingAnalysis, AgingReport, AnalysisPrep, DeltaVthCache, FlowConfig, NoCache, StandbyPolicy,
 };
@@ -25,49 +27,6 @@ fn sweep_types_are_send_and_sync() {
     assert_send_sync::<relia_core::StressKey>();
     assert_send_sync::<relia_core::NbtiModel>();
     assert_send_sync::<relia_netlist::Circuit>();
-}
-
-#[test]
-fn cached_run_matches_uncached_run_closely() {
-    let circuit = relia_netlist::iscas::c17();
-    let config = FlowConfig::paper_defaults().unwrap();
-    let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
-    for policy in [
-        StandbyPolicy::AllInternalZero,
-        StandbyPolicy::AllInternalOne,
-        StandbyPolicy::InputVector(vec![true, false, true, false, true]),
-    ] {
-        let direct = analysis.run(&policy).unwrap();
-        let cached = analysis.run_with_cache(&policy, &NoCache).unwrap();
-        for (a, b) in direct
-            .gate_delta_vth
-            .iter()
-            .zip(cached.gate_delta_vth.iter())
-        {
-            // The cached path evaluates at the quantized canonical point;
-            // the perturbation is parts in 1e10.
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1e-12), "{a} vs {b}");
-        }
-        assert_eq!(direct.standby_leakage, cached.standby_leakage);
-        assert_eq!(direct.active_leakage, cached.active_leakage);
-    }
-}
-
-#[test]
-fn cached_and_uncached_paths_refuse_the_same_lifetimes() {
-    let circuit = relia_netlist::iscas::c17();
-    let config = FlowConfig::paper_defaults().unwrap();
-    let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
-    let policy = StandbyPolicy::AllInternalZero;
-    for t in [-1.0, f64::NAN, f64::INFINITY] {
-        let t = relia_core::Seconds(t);
-        let direct = analysis.gate_delta_vth_at(&policy, t).unwrap_err();
-        let cached = analysis
-            .gate_delta_vth_at_cached(&policy, t, &NoCache)
-            .unwrap_err();
-        assert_eq!(cached.to_string(), direct.to_string(), "{t:?}");
-        assert!(direct.to_string().contains("total_time"), "{direct}");
-    }
 }
 
 #[test]
@@ -94,8 +53,7 @@ fn prep_reuse_matches_fresh_analysis() {
 
 #[test]
 fn cache_trait_is_object_safe_through_references() {
-    // `&C` forwarding lets a shared cache be passed by reference through
-    // the generic entry points.
+    // `AgingAnalysis::with_cache` takes the shared table as a trait object.
     let model = relia_core::NbtiModel::ptm90().unwrap();
     let config = FlowConfig::paper_defaults().unwrap();
     let key = config
@@ -116,7 +74,7 @@ fn cache_trait_is_object_safe_through_references() {
 /// counts the batches.
 struct CancelOnBatch<'a> {
     token: &'a relia_core::CancelToken,
-    batches: std::cell::Cell<usize>,
+    batches: AtomicUsize,
 }
 
 impl DeltaVthCache for CancelOnBatch<'_> {
@@ -133,7 +91,7 @@ impl DeltaVthCache for CancelOnBatch<'_> {
         keys: &[relia_core::StressKey],
         model: &relia_core::NbtiModel,
     ) -> Vec<Result<f64, relia_core::ModelError>> {
-        self.batches.set(self.batches.get() + 1);
+        self.batches.fetch_add(1, Ordering::Relaxed);
         self.token.cancel();
         relia_core::StressKey::evaluate_many(keys, model)
     }
@@ -148,16 +106,18 @@ fn cancellation_is_polled_between_gate_chunks() {
     let token = relia_core::CancelToken::new();
     let cache = CancelOnBatch {
         token: &token,
-        batches: std::cell::Cell::new(0),
+        batches: AtomicUsize::new(0),
     };
-    let got =
-        analysis.gate_delta_vth_at_cached_cancellable(&policy, config.lifetime, &cache, &token);
+    let got = analysis
+        .clone()
+        .with_cache(&cache, &token)
+        .gate_delta_vth(&policy, config.lifetime);
     assert!(
         matches!(got, Err(relia_flow::FlowError::Cancelled)),
         "{got:?}"
     );
     assert_eq!(
-        cache.batches.get(),
+        cache.batches.load(Ordering::Relaxed),
         1,
         "the loop stops after its first batch"
     );
@@ -165,15 +125,18 @@ fn cancellation_is_polled_between_gate_chunks() {
     let fresh = relia_core::CancelToken::new();
     let all = CancelOnBatch {
         token: &relia_core::CancelToken::new(),
-        batches: std::cell::Cell::new(0),
+        batches: AtomicUsize::new(0),
     };
     let served = analysis
-        .gate_delta_vth_at_cached_cancellable(&policy, config.lifetime, &all, &fresh)
+        .clone()
+        .with_cache(&all, &fresh)
+        .gate_delta_vth(&policy, config.lifetime)
         .unwrap();
-    let direct = analysis
-        .gate_delta_vth_at_cached(&policy, config.lifetime, &NoCache)
-        .unwrap();
+    let direct = analysis.gate_delta_vth(&policy, config.lifetime).unwrap();
     assert_eq!(served, direct);
     assert_eq!(served.len(), circuit.gates().len());
-    assert!(all.batches.get() > 1, "c432 spans several chunks");
+    assert!(
+        all.batches.load(Ordering::Relaxed) > 1,
+        "c432 spans several chunks"
+    );
 }

@@ -49,7 +49,7 @@ pub fn greedy_control_points(
             vector: vector.to_vec(),
             forced: forced.clone(),
         };
-        let shifts = analysis.gate_delta_vth(&policy)?;
+        let shifts = analysis.gate_delta_vth(&policy, analysis.config().lifetime)?;
         let aged = TimingAnalysis::degraded(circuit, &shifts, params)?;
         steps.push(ControlPointStep {
             forced: forced.clone(),

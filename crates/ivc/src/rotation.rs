@@ -9,8 +9,7 @@
 //! (`t^(1/4)` with recovery in between), the worst device ages less than
 //! under any fixed member of the rotation.
 
-use relia_flow::{AgingAnalysis, FlowError};
-use relia_sta::TimingAnalysis;
+use relia_flow::{AgingAnalysis, FlowError, StandbyPolicy};
 
 /// Evaluation of a rotation schedule.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,9 +24,10 @@ pub struct RotationEvaluation {
     pub mean_leakage: f64,
 }
 
-/// Evaluates an equal-share rotation among `vectors`: each standby period
-/// parks the circuit on the next vector in turn, so each PMOS's standby
-/// stress probability is its stress frequency across the set.
+/// Evaluates an equal-share rotation among `vectors`
+/// ([`StandbyPolicy::Rotation`]): each standby period parks the circuit on
+/// the next vector in turn, so each PMOS's standby stress probability is
+/// its stress frequency across the set.
 ///
 /// # Errors
 ///
@@ -36,44 +36,12 @@ pub fn evaluate_rotation(
     analysis: &AgingAnalysis<'_>,
     vectors: &[Vec<bool>],
 ) -> Result<RotationEvaluation, FlowError> {
-    if vectors.is_empty() {
-        return Err(FlowError::GateVectorWidth {
-            expected: 1,
-            got: 0,
-        });
-    }
-    let circuit = analysis.circuit();
-    // Per-gate, per-PMOS stress frequency across the rotation.
-    let mut freq: Vec<Vec<f64>> = Vec::new();
-    let mut mean_leakage = 0.0;
-    for (k, v) in vectors.iter().enumerate() {
-        let flags = analysis.standby_stress_of_vector(v)?;
-        if k == 0 {
-            freq = flags.iter().map(|gate| vec![0.0; gate.len()]).collect();
-        }
-        for (gf, gv) in freq.iter_mut().zip(flags) {
-            for (pf, pv) in gf.iter_mut().zip(gv) {
-                if pv {
-                    *pf += 1.0;
-                }
-            }
-        }
-        mean_leakage += analysis.standby_leakage(v)?;
-    }
-    let n = vectors.len() as f64;
-    for gate in &mut freq {
-        for p in gate.iter_mut() {
-            *p /= n;
-        }
-    }
-    mean_leakage /= n;
-
-    let shifts = analysis.gate_delta_vth_with_standby_probs(&freq)?;
-    let nominal = TimingAnalysis::nominal(circuit);
-    let degraded = TimingAnalysis::degraded(circuit, &shifts, analysis.config().nbti.params())?;
+    let report = analysis.run(&StandbyPolicy::Rotation(vectors.to_vec()))?;
+    // relia-lint: allow(unwrap-in-lib)
+    let mean_leakage = report.standby_leakage.expect("rotations report leakage");
     Ok(RotationEvaluation {
         vectors: vectors.to_vec(),
-        degradation: degraded.max_delay_ps() / nominal.max_delay_ps() - 1.0,
+        degradation: report.degraded.max_delay_ps() / report.nominal.max_delay_ps() - 1.0,
         mean_leakage,
     })
 }
@@ -82,7 +50,7 @@ pub fn evaluate_rotation(
 mod tests {
     use super::*;
     use crate::mlv::{search_mlv_set, MlvSearchConfig};
-    use relia_flow::{FlowConfig, StandbyPolicy};
+    use relia_flow::FlowConfig;
     use relia_netlist::iscas;
 
     #[test]
@@ -148,6 +116,7 @@ mod tests {
         let circuit = iscas::c17();
         let config = FlowConfig::paper_defaults().unwrap();
         let analysis = AgingAnalysis::new(&config, &circuit).unwrap();
-        assert!(evaluate_rotation(&analysis, &[]).is_err());
+        let err = evaluate_rotation(&analysis, &[]).unwrap_err();
+        assert!(err.to_string().contains("rotation vector count"), "{err}");
     }
 }

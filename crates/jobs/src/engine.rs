@@ -388,9 +388,9 @@ fn execute_point(
             let mut config = FlowConfig::with_schedule(ras, point.t_standby)
                 .map_err(|e| JobFailure::permanent(e.to_string()))?;
             config.lifetime = point.lifetime;
-            let analysis = AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone());
-            let report = analysis
-                .run_with_cache_cancellable(&policy.to_policy(), cache, token)
+            let report = AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone())
+                .with_cache(cache, token)
+                .run(&policy.to_policy())
                 .map_err(classify_flow)?;
             Ok(JobResult::Aging {
                 worst_delta_vth: report.worst_delta_vth(),

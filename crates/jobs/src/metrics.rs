@@ -1,6 +1,5 @@
 //! Summary statistics of one sweep run, and the typed snapshot API that
-//! every renderer (the CLI sweep summary, `relia-serve`'s Prometheus
-//! `/metrics` endpoint) draws from.
+//! `relia-serve`'s Prometheus `/metrics` endpoint draws from.
 
 use std::fmt;
 
@@ -11,10 +10,10 @@ use crate::cache::CacheStats;
 /// A typed, named snapshot of counters and gauges.
 ///
 /// This is the **one source of truth** for exposing operational numbers:
-/// anything that renders metrics — the sweep summary, a Prometheus
-/// exposition, a JSON status endpoint — iterates these typed pairs instead
-/// of `Debug`-formatting internal structs, so names stay stable and no
-/// renderer can drift from the counters themselves.
+/// anything that renders metrics — a Prometheus exposition, a JSON status
+/// endpoint — iterates these typed pairs instead of `Debug`-formatting
+/// internal structs, so names stay stable and no renderer can drift from
+/// the counters themselves.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotonic counters as `(name, value)`, in declaration order.
@@ -91,20 +90,6 @@ pub struct SweepTimings {
     pub checkpoint: HistSnapshot,
 }
 
-impl SweepTimings {
-    /// The histogram section these timings contribute to a snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![],
-            gauges: vec![],
-            histograms: vec![
-                ("sweep_job_seconds", self.job.clone()),
-                ("sweep_checkpoint_seconds", self.checkpoint.clone()),
-            ],
-        }
-    }
-}
-
 /// What a sweep did, for the operator: job counts, resilience accounting
 /// (retries, timeouts, salvaged checkpoint damage), cache effectiveness,
 /// and wall-clock split between the prepare and execute phases.
@@ -138,35 +123,6 @@ pub struct SweepMetrics {
     pub execute_secs: f64,
     /// Per-job and per-checkpoint-flush latency distributions.
     pub timings: SweepTimings,
-}
-
-impl SweepMetrics {
-    /// Typed snapshot of every field, cache counters included.
-    ///
-    /// The `Display` rendering below does not derive from this method: it
-    /// reads the fields itself, so a field added to the struct must be
-    /// added to both.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![
-                ("sweep_total_jobs", self.total_jobs as u64),
-                ("sweep_executed_jobs", self.executed_jobs as u64),
-                ("sweep_resumed_jobs", self.resumed_jobs as u64),
-                ("sweep_failed_jobs", self.failed_jobs as u64),
-                ("sweep_timed_out_jobs", self.timed_out_jobs as u64),
-                ("sweep_retried_jobs", self.retried_jobs),
-                ("sweep_salvaged_dropped", self.salvaged_dropped as u64),
-                ("sweep_workers", self.workers as u64),
-            ],
-            gauges: vec![
-                ("sweep_prepare_seconds", self.prepare_secs),
-                ("sweep_execute_seconds", self.execute_secs),
-            ],
-            histograms: vec![],
-        }
-        .merged(self.timings.snapshot())
-        .merged(self.cache.snapshot())
-    }
 }
 
 impl fmt::Display for SweepMetrics {
@@ -271,55 +227,6 @@ mod tests {
     fn resilience_line_is_omitted_when_quiet() {
         let m = SweepMetrics::default();
         assert!(!m.to_string().contains("resilience"));
-    }
-
-    #[test]
-    fn snapshot_exposes_every_field_with_stable_names() {
-        let m = SweepMetrics {
-            total_jobs: 40,
-            executed_jobs: 30,
-            resumed_jobs: 10,
-            failed_jobs: 2,
-            timed_out_jobs: 1,
-            retried_jobs: 3,
-            salvaged_dropped: 4,
-            workers: 8,
-            cache: CacheStats {
-                hits: 75,
-                misses: 25,
-                entries: 25,
-                evictions: 6,
-            },
-            prepare_secs: 0.25,
-            execute_secs: 1.5,
-            timings: SweepTimings::default(),
-        };
-        let s = m.snapshot();
-        assert_eq!(s.counter("sweep_total_jobs"), Some(40));
-        assert_eq!(s.counter("sweep_executed_jobs"), Some(30));
-        assert_eq!(s.counter("sweep_resumed_jobs"), Some(10));
-        assert_eq!(s.counter("sweep_failed_jobs"), Some(2));
-        assert_eq!(s.counter("sweep_timed_out_jobs"), Some(1));
-        assert_eq!(s.counter("sweep_retried_jobs"), Some(3));
-        assert_eq!(s.counter("sweep_salvaged_dropped"), Some(4));
-        assert_eq!(s.counter("sweep_workers"), Some(8));
-        assert_eq!(s.counter("cache_hits"), Some(75));
-        assert_eq!(s.counter("cache_misses"), Some(25));
-        assert_eq!(s.counter("cache_entries"), Some(25));
-        assert_eq!(s.counter("cache_evictions"), Some(6));
-        assert_eq!(s.gauge("sweep_prepare_seconds"), Some(0.25));
-        assert_eq!(s.gauge("sweep_execute_seconds"), Some(1.5));
-        assert_eq!(s.gauge("cache_hit_rate"), Some(0.75));
-        assert_eq!(s.counter("no_such_series"), None);
-        assert_eq!(s.gauge("no_such_series"), None);
-        // Guard against a field added to SweepMetrics but not the
-        // snapshot: counters cover all 8 integer fields + 4 cache series.
-        assert_eq!(s.counters.len(), 12);
-        assert_eq!(s.gauges.len(), 3);
-        assert_eq!(s.histograms.len(), 2);
-        assert!(s.histogram("sweep_job_seconds").is_some());
-        assert!(s.histogram("sweep_checkpoint_seconds").is_some());
-        assert!(s.histogram("no_such_series").is_none());
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //!   later one, never more than 2 s;
 //! * when [`PoolConfig::job_timeout`] is set, a watchdog thread cancels the
 //!   attempt's [`CancelToken`] once the soft deadline passes. Cancellation
-//!   is cooperative: the job polls the token (see
-//!   `AgingAnalysis::run_with_cache_cancellable`) and returns early; the
-//!   pool reports the job as [`JobOutcome::TimedOut`] and drains instead of
-//!   hanging.
+//!   is cooperative: the job polls the token (a circuit job hands it to
+//!   `AgingAnalysis::with_cache`) and returns early; the pool reports the
+//!   job as [`JobOutcome::TimedOut`] and drains instead of hanging.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -5,9 +5,11 @@
 use std::path::{Path, PathBuf};
 
 use relia_core::units::{Kelvin, Seconds};
+use relia_core::Ras;
+use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia_jobs::{
-    builtin_resolver, open_checkpoint, run_sweep, CheckpointWriter, JobOutcome, PolicySpec,
-    SweepError, SweepOptions, SweepSpec, Workload,
+    builtin_resolver, open_checkpoint, run_sweep, CheckpointWriter, JobOutcome, JobResult,
+    PolicySpec, SweepError, SweepOptions, SweepSpec, Workload,
 };
 
 fn aging_spec() -> SweepSpec {
@@ -261,6 +263,48 @@ fn a_last_record_without_its_newline_does_not_swallow_the_next_append() {
     assert_eq!(again.metrics.executed_jobs, 0);
     assert_eq!(again.statuses, first.statuses);
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_sweep_point_is_the_plain_analysis_bit_for_bit() {
+    // RAS 1:5 (166.67 s active, off the 1 ms lattice) at 347.1234 K (off
+    // the 1 mK lattice): the sweep's memo keys and a default
+    // `AgingAnalysis::run` quantize the same points, so they agree exactly.
+    let (ras, t_standby, lifetime) = ((1.0, 5.0), Kelvin(347.1234), Seconds(1.0e8));
+    let spec = SweepSpec {
+        workload: Workload::CircuitAging {
+            circuits: vec!["c432".into()],
+            policies: vec![PolicySpec::Worst],
+        },
+        ras: vec![ras],
+        t_standby: vec![t_standby],
+        lifetimes: vec![lifetime],
+    };
+    let out = run_sweep(&spec, &options(1), builtin_resolver).unwrap();
+    let Some(JobResult::Aging {
+        worst_delta_vth,
+        degradation,
+        ..
+    }) = out.statuses[0].completed()
+    else {
+        panic!("{:?}", out.statuses[0]);
+    };
+
+    let circuit = builtin_resolver("c432").unwrap();
+    let mut config = FlowConfig::with_schedule(Ras::new(ras.0, ras.1).unwrap(), t_standby).unwrap();
+    config.lifetime = lifetime;
+    let report = AgingAnalysis::new(&config, &circuit)
+        .unwrap()
+        .run(&StandbyPolicy::AllInternalZero)
+        .unwrap();
+    assert_eq!(
+        worst_delta_vth.to_bits(),
+        report.worst_delta_vth().to_bits()
+    );
+    assert_eq!(
+        degradation.to_bits(),
+        report.degradation_fraction().to_bits()
+    );
 }
 
 #[test]

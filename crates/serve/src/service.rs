@@ -933,9 +933,9 @@ fn run_aging_point(
     let mut config = FlowConfig::with_schedule(ras, spec.t_standby[t])
         .map_err(|e| Response::error(400, &e.to_string()))?;
     config.lifetime = spec.lifetimes[l];
-    let analysis = AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone());
-    analysis
-        .run_with_cache_cancellable(&policy.to_policy(), state.cache.as_ref(), deadline.token())
+    AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone())
+        .with_cache(state.cache.as_ref(), deadline.token())
+        .run(&policy.to_policy())
         .map_err(|e| match e {
             FlowError::Cancelled => Response::error(504, "request deadline exceeded"),
             other => Response::error(500, &other.to_string()),
@@ -1553,11 +1553,7 @@ mod tests {
                 let mut config = FlowConfig::with_schedule(ras, point.t_standby).unwrap();
                 config.lifetime = point.lifetime;
                 let report = AgingAnalysis::from_prep(&config, &circuit, prep.clone())
-                    .run_with_cache_cancellable(
-                        &policy.to_policy(),
-                        &NoCache,
-                        &relia_core::CancelToken::new(),
-                    )
+                    .run(&policy.to_policy())
                     .unwrap();
                 format!(
                     "{{{},\"circuit\":\"{name}\",\"policy\":\"{}\",\"worst_delta_vth_v\":{},\

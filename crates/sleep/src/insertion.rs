@@ -81,7 +81,7 @@ impl StInsertion {
         let mut out = Vec::with_capacity(times.len());
         for &t in times {
             // Internal (logic) aging at time t.
-            let dv = analysis.gate_delta_vth_at(&policy, t)?;
+            let dv = analysis.gate_delta_vth(&policy, t)?;
             let degraded = relia_sta::TimingAnalysis::degraded(analysis.circuit(), &dv, params)?;
             // Virtual-rail penalty at time t.
             let v_st = if self.kind.header_ages() {
