@@ -5,6 +5,8 @@
 //! et al.'s control-point insertion pays per point. This curve shows the
 //! realized fraction of the potential versus the control-point budget.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::pct;
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia_ivc::greedy_control_points;

@@ -5,6 +5,8 @@
 //! (via the overdrive/oxide-field dependence, eq. 23) — the dual-V_th knob.
 //! This sweep shows the double win and its delay price.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{mv, schedule};
 use relia_cells::MosType;
 use relia_core::{Kelvin, NbtiModel, PmosStress, Seconds, Volts};

@@ -2,6 +2,8 @@
 //! per unit of delay budget (the design-time technique the paper's
 //! Section 4.1 resemblance argument motivates).
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::pct;
 use relia_flow::{assign_dual_vth, AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia_netlist::iscas;

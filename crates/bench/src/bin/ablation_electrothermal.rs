@@ -7,6 +7,8 @@
 //! point) and ages slower (the NBTI temperature dependence). This ties the
 //! three substrates together: leakage → thermal equilibrium → NBTI.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::pct;
 use relia_core::{Kelvin, Ras};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

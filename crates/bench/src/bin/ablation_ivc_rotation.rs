@@ -8,6 +8,8 @@
 //!    high-k caveat — standby-state choices matter *more*, so the
 //!    vector-to-vector spread grows.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{pct, schedule};
 use relia_core::{Kelvin, NbtiModel, PmosStress, Seconds};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

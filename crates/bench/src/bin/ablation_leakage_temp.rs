@@ -5,6 +5,8 @@
 //! the exponential temperature dependence the IVC technique rides on, and
 //! how the stacking effect that MLVs exploit *weakens* as the die heats.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::ua;
 use relia_cells::{Library, MosType};
 use relia_core::Kelvin;

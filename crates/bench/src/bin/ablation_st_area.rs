@@ -7,6 +7,8 @@
 //! recovers area on slack-rich gates instead. The NBTI margin (Fig. 9)
 //! applies on top of either.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::schedule;
 use relia_core::{Kelvin, NbtiModel, Seconds};
 use relia_netlist::iscas;

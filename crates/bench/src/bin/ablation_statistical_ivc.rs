@@ -6,6 +6,8 @@
 //! checks whether the nominally-best vector stays best in the mean and at
 //! the +3σ corner.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_core::Seconds;
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy, VariationConfig, VariationStudy};
 use relia_ivc::{search_mlv_set, MlvSearchConfig};

@@ -7,6 +7,8 @@
 //! *entire trace* through the generalized equivalent-stress transform, and
 //! compare against the two-temperature abstraction.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{mv, schedule};
 use relia_core::{Kelvin, NbtiModel, PmosStress, Seconds, StressInterval};
 use relia_thermal::{RcThermalModel, TaskSet};

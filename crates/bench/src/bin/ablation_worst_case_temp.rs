@@ -6,6 +6,8 @@
 //! guardband those models over-charge relative to the temperature-aware
 //! model, as a function of the standby temperature and the standby share.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{mv, pct, schedule};
 use relia_core::{DelayDegradation, Kelvin, NbtiModel, PmosStress, Seconds};
 

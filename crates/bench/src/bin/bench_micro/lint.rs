@@ -32,7 +32,6 @@ pub(crate) const SECTION: Section = Section {
 /// Exercise every rule family: library-kind with handler and job context.
 const OPTS: FileOpts = FileOpts {
     kind: FileKind::Library,
-    crate_root: false,
     handler: true,
     job: true,
 };

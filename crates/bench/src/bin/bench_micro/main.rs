@@ -1,4 +1,3 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! `bench_micro` — the workspace's micro-benchmarks. Each section times a
 //! few isolated paths and keeps its own committed record,
 //! `BENCH_<section>.json` at the workspace root.
@@ -16,6 +15,8 @@
 //! ceilings hold for the measured and the committed value alike.
 //! `--check` measures every section, reports every failed gate and then
 //! exits 1. Any other argument exits 2 before anything is measured.
+
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 
 mod ac;
 mod cache;

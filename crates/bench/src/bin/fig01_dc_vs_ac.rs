@@ -4,6 +4,8 @@
 //! threshold follows the `t^(1/4)` law; under 50%-duty AC stress the
 //! periodic recovery keeps the long-term shift at ~76% of the DC value.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{log_times, mv};
 use relia_core::{AcStress, Kelvin, NbtiModel, Seconds};
 

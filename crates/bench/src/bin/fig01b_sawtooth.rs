@@ -5,6 +5,8 @@
 //! producing the classic sawtooth whose upper envelope the multi-cycle
 //! recursion tracks.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_core::rd::{dc_stress, recovery_fraction};
 
 fn main() {

@@ -4,6 +4,8 @@
 //! air-cooled RC model the die temperature swings across roughly
 //! 45–110 °C and converges within milliseconds of each task switch.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_thermal::{RcThermalModel, TaskSet};
 
 fn main() {

@@ -11,6 +11,8 @@
 //! the direct model calls to well below the 0.01 mV print resolution, so
 //! the output is byte-identical to the pre-engine version of this binary.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{log_times, model_sweep_grid, rule};
 use relia_core::Kelvin;
 

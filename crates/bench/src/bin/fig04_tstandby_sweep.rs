@@ -9,6 +9,8 @@
 //! equivalence argument): one 8 x 9 [`SweepSpec`](relia_jobs::SweepSpec)
 //! grid, evaluated in parallel with memoization.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{log_times, model_sweep_grid, rule};
 use relia_core::Kelvin;
 

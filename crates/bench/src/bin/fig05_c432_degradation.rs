@@ -6,6 +6,8 @@
 //! `α·ΔV_th/(V_dd − V_th)`), and the standby temperature opens a visible
 //! delay gap.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{log_times, pct};
 use relia_core::{Kelvin, NbtiModel, PmosStress, Ras};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

@@ -6,6 +6,8 @@
 //! grows with the active share and with a lower initial threshold
 //! (eq. 23's overdrive dependence). Paper range: ~6.7 mV to ~30.3 mV.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::schedule;
 use relia_core::{Kelvin, NbtiModel, Seconds};
 use relia_sleep::StSizing;

@@ -6,6 +6,8 @@
 //! range: ~1.13% to ~3.94%; the margin grows as technology scaling pushes
 //! ST thresholds down.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::schedule;
 use relia_core::{Kelvin, NbtiModel, Seconds};
 use relia_sleep::StSizing;

@@ -7,6 +7,8 @@
 //! small-β design ends up *faster at 10 years* than the un-gated hot
 //! circuit, the paper's headline ST result.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{log_times, pct};
 use relia_core::{Kelvin, Ras, Seconds};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

@@ -6,6 +6,8 @@
 //! the spread). The paper's marker: the −3σ delay after three years exceeds
 //! the +3σ delay at time zero.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_core::Seconds;
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy, VariationConfig, VariationStudy};
 use relia_netlist::iscas;

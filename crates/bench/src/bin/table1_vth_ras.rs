@@ -10,6 +10,8 @@
 //!   insensitive to RAS;
 //! * the 400 K-vs-330 K gap at RAS = 1:9 is ~9 mV.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::schedule;
 use relia_core::{Kelvin, NbtiModel, PmosStress, Seconds};
 

@@ -10,6 +10,8 @@
 //! for INV (and the NAND/AND family) the minimum-leakage vector '0' is the
 //! *worst* NBTI vector.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{na, pct, schedule};
 use relia_cells::{Library, Vector};
 use relia_core::{DelayDegradation, Kelvin, NbtiModel, PmosStress, Seconds};

@@ -9,6 +9,8 @@
 //! the circuit delay at this cool standby temperature — IVC alone is a weak
 //! NBTI mitigation knob.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{pct, table_suite, ua};
 use relia_core::{Kelvin, Ras};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

@@ -7,6 +7,8 @@
 //! from ~4% at 330 K to ~7.4% at 400 K, so the INC potential grows from
 //! ~18% to ~55%.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use relia_bench::{pct, table_suite};
 use relia_core::{Kelvin, Ras};
 use relia_flow::{AgingAnalysis, FlowConfig};

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
@@ -35,10 +34,9 @@ pub fn log_times(lo: f64, hi: f64, points: usize) -> Vec<Seconds> {
 ///
 /// Panics on invalid ratio/temperature (the harness passes constants).
 pub fn schedule(ras_active: f64, ras_standby: f64, temp_standby: Kelvin) -> ModeSchedule {
-    // Documented panics: the figure harness passes known-good constants.
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "the harness passes valid constants")]
     let ras = Ras::new(ras_active, ras_standby).expect("harness constants are valid");
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "the harness passes valid constants")]
     paper_schedule(ras, temp_standby).expect("harness constants are valid")
 }
 
@@ -63,8 +61,8 @@ pub fn model_sweep_grid(ras: &[(f64, f64)], temps: &[Kelvin], times: &[Seconds])
         t_standby: temps.to_vec(),
         lifetimes: times.to_vec(),
     };
+    #[expect(clippy::expect_used, reason = "the harness passes valid constants")]
     let outcome = run_sweep(&spec, &SweepOptions::default(), builtin_resolver)
-        // relia-lint: allow(unwrap-in-lib)
         .expect("harness constants are valid");
     outcome
         .statuses
@@ -103,9 +101,8 @@ pub fn ua(x: f64) -> String {
 }
 
 /// Prints a separator line sized to `width`.
+#[expect(clippy::print_stdout, reason = "figure binaries own stdout by design")]
 pub fn rule(width: usize) {
-    // The harness's table separator: figure binaries own stdout by design.
-    // relia-lint: allow(print-in-lib)
     println!("{}", "-".repeat(width));
 }
 

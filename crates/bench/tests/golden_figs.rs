@@ -7,7 +7,7 @@
 //! so any drift in the engine's quantized-key evaluation shows up here
 //! first.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use std::path::PathBuf;
 use std::process::Command;
 

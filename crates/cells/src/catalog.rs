@@ -23,13 +23,14 @@ fn pins(n: usize) -> Vec<Source> {
 }
 
 fn single_stage(name: &str, pull_up: Network, n: usize, t: CellTiming) -> Cell {
+    #[expect(clippy::expect_used, reason = "catalog cells are structurally valid")]
     Cell::new(name, n, vec![Stage::new(pull_up, pins(n))], t)
-        // relia-lint: allow(unwrap-in-lib)
         .expect("catalog cells are structurally valid")
 }
 
 /// NAND-like cell followed by an output inverter.
 fn with_inverter(name: &str, pull_up: Network, n: usize, t: CellTiming) -> Cell {
+    #[expect(clippy::expect_used, reason = "catalog cells are structurally valid")]
     Cell::new(
         name,
         n,
@@ -39,7 +40,6 @@ fn with_inverter(name: &str, pull_up: Network, n: usize, t: CellTiming) -> Cell 
         ],
         t,
     )
-    // relia-lint: allow(unwrap-in-lib)
     .expect("catalog cells are structurally valid")
 }
 
@@ -127,6 +127,7 @@ pub fn builtin_cells() -> Vec<Cell> {
     // XOR2 as the classic four-NAND tree:
     //   s0 = NAND(A, B); s1 = NAND(A, s0); s2 = NAND(B, s0);
     //   out = NAND(s1, s2).
+    #[expect(clippy::expect_used, reason = "catalog cells are structurally valid")]
     cells.push(
         Cell::new(
             "XOR2",
@@ -151,11 +152,11 @@ pub fn builtin_cells() -> Vec<Cell> {
             ],
             timing(28.0, 6.0, 1.8),
         )
-        // relia-lint: allow(unwrap-in-lib)
         .expect("catalog cells are structurally valid"),
     );
 
     // XNOR2 = XOR2 + output inverter.
+    #[expect(clippy::expect_used, reason = "catalog cells are structurally valid")]
     cells.push(
         Cell::new(
             "XNOR2",
@@ -181,7 +182,6 @@ pub fn builtin_cells() -> Vec<Cell> {
             ],
             timing(30.0, 6.0, 1.8),
         )
-        // relia-lint: allow(unwrap-in-lib)
         .expect("catalog cells are structurally valid"),
     );
 

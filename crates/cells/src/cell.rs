@@ -176,11 +176,10 @@ impl Cell {
     ///
     /// Panics when `pins` has the wrong width.
     pub fn eval(&self, pins: &[bool]) -> bool {
+        #[expect(clippy::expect_used, reason = "Cell::new rejects stage-less cells")]
         *self
             .eval_stages(pins)
             .last()
-            // Cell::new rejects stage-less cells, so this cannot fire.
-            // relia-lint: allow(unwrap-in-lib)
             .expect("cells have at least one stage")
     }
 

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-cells
 //!
 //! A 90 nm-class standard-cell library substrate for aging and leakage

@@ -1,6 +1,5 @@
 //! Property-based tests for cell-library invariants.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_cells::{Library, MosType, Network, Vector};
 

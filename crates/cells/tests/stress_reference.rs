@@ -9,7 +9,6 @@
 //! its gate is low and either terminal sits in the V_dd component. The two
 //! implementations must agree on every network and vector.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_cells::{Library, MosType, Network, Vector};
 

@@ -135,8 +135,7 @@ impl ModeSchedule {
     /// assumption of prior work): the whole period is spent at
     /// `temp_active`.
     pub fn always_active(period: Seconds, temp_active: Kelvin) -> Result<Self, ModelError> {
-        // Ras::new(1, 0) cannot fail.
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "Ras::new(1, 0) cannot fail")]
         let ras = Ras::new(1.0, 0.0).expect("constant ratio is valid");
         ModeSchedule::new(ras, period, temp_active, temp_active)
     }

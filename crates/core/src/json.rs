@@ -362,7 +362,7 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                // relia-lint: allow(unwrap-in-lib)
+                #[expect(clippy::expect_used, reason = "writing to a String cannot fail")]
                 write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),

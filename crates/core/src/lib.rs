@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-core
 //!
 //! Temperature-aware Negative Bias Temperature Instability (NBTI) modeling,

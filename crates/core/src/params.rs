@@ -91,8 +91,7 @@ impl NbtiParams {
 
 impl Default for NbtiParams {
     fn default() -> Self {
-        // ptm90() cannot fail; unwrap is safe on the built-in constants.
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "ptm90() cannot fail")]
         Self::ptm90().expect("built-in calibration is valid")
     }
 }

@@ -5,7 +5,6 @@
 //! their inputs from them: code points from every class the escaper
 //! treats differently, and arbitrary finite bit patterns.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_core::json::{escape, fmt_f64, parse};
 

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-fleet
 //!
 //! A vectorized Monte Carlo engine for fleet-scale statistical NBTI aging:

@@ -1,6 +1,8 @@
 //! Satellite guarantee: a fleet summary is a pure function of
 //! `(spec, seed, chunk size)` — the worker count must not perturb a bit.
 
+#![allow(clippy::expect_used)]
+
 use proptest::prelude::*;
 use relia_fleet::{run_fleet, FleetOptions, FleetSpec, FleetSummary};
 

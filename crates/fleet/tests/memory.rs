@@ -4,6 +4,9 @@
 //! alive. The counting allocator sees every allocation in the process, so
 //! this binary holds exactly one test.
 
+#![allow(clippy::expect_used)]
+#![expect(unsafe_code, reason = "counting allocator")]
+
 use relia_fleet::{run_fleet, FleetOptions, FleetSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,6 +1,8 @@
 //! Checkpoint/resume and cancellation behaviour of the fleet engine, end
 //! to end through `run_fleet`.
 
+#![allow(clippy::expect_used)]
+
 use relia_core::CancelToken;
 use relia_fleet::{run_fleet, FleetError, FleetOptions, FleetSpec};
 use std::fs;

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-flow
 //!
 //! The NBTI/leakage analysis and optimization platform — the paper's Fig. 6

@@ -1,6 +1,6 @@
 //! Property-based tests for the analysis platform.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use proptest::prelude::*;
 use relia_core::{Kelvin, Ras, Seconds};
 use relia_flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

@@ -7,7 +7,6 @@
 //! by an `Rc` sneaking into a field) must fail compilation here rather than
 //! in a downstream crate.
 
-#![allow(clippy::unwrap_used)]
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use relia_flow::{

@@ -32,8 +32,7 @@ pub fn exhaustive_mlv(analysis: &AgingAnalysis<'_>) -> Result<(Vec<bool>, f64), 
             best = Some((v, leakage));
         }
     }
-    // The 0..2^n loop runs at least once (bits = 0), so `best` is set.
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "bits = 0 always sets `best`")]
     Ok(best.expect("n >= 0 always yields at least one vector"))
 }
 

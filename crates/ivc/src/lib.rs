@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-ivc
 //!
 //! Input vector control (IVC) and internal node control (INC) for

@@ -37,7 +37,7 @@ pub fn evaluate_rotation(
     vectors: &[Vec<bool>],
 ) -> Result<RotationEvaluation, FlowError> {
     let report = analysis.run(&StandbyPolicy::Rotation(vectors.to_vec()))?;
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "rotations report leakage")]
     let mean_leakage = report.standby_leakage.expect("rotations report leakage");
     Ok(RotationEvaluation {
         vectors: vectors.to_vec(),

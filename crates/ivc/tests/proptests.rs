@@ -1,6 +1,6 @@
 //! Property-based tests for the IVC search.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use proptest::prelude::*;
 use relia_flow::{AgingAnalysis, FlowConfig};
 use relia_ivc::{evaluate_rotation, search_mlv_set, MlvSearchConfig};

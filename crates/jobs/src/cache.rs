@@ -350,11 +350,8 @@ impl ShardedCache {
     }
 
     fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
-        self.shards[shard]
-            .lock()
-            // Poisoned-lock recovery is meaningless for a memo table.
-            // relia-lint: allow(unwrap-in-lib)
-            .expect("cache shard poisoned")
+        #[expect(clippy::expect_used, reason = "lock recovery is moot for a memo table")]
+        self.shards[shard].lock().expect("cache shard poisoned")
     }
 
     /// Read-only lookup: the memoized ΔV_th for `key`, if present.

@@ -208,7 +208,7 @@ where
 
     // --- Prepare phase: one circuit + AnalysisPrep per distinct name. ---
     let mut prepared: HashMap<String, Arc<(Circuit, AnalysisPrep)>> = HashMap::new();
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "paper defaults are valid")]
     let base_config = FlowConfig::paper_defaults().expect("paper defaults are valid");
     if let Workload::CircuitAging { circuits, .. } = &spec.workload {
         for name in circuits {
@@ -227,7 +227,7 @@ where
             prepared.insert(name.clone(), Arc::new((circuit, prep)));
         }
     }
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "built-in calibration is valid")]
     let model = NbtiModel::ptm90().expect("built-in calibration is valid");
     let prepare_secs = t_prepare.elapsed().as_secs_f64();
 
@@ -319,10 +319,9 @@ where
         statuses[pending[k]] = Some(outcome);
     }
 
+    #[expect(clippy::expect_used, reason = "every index is resumed or executed")]
     let statuses: Vec<JobOutcome<JobResult>> = statuses
         .into_iter()
-        // Every index is either resumed from the checkpoint or executed.
-        // relia-lint: allow(unwrap-in-lib)
         .map(|s| s.expect("every index resolved or executed"))
         .collect();
     let failed_jobs = statuses

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-jobs
 //!
 //! The parallel batch sweep engine: evaluates a cartesian grid of

@@ -6,7 +6,6 @@
 //! today's writer must reproduce it byte for byte, so files written by
 //! earlier builds keep resuming.
 
-#![allow(clippy::unwrap_used)]
 use std::path::{Path, PathBuf};
 
 use relia_jobs::{open_checkpoint, Checkpoint, CheckpointWriter, JobOutcome, JobResult};

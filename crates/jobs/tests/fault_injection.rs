@@ -13,7 +13,6 @@
 //! 4. an injected NaN surfaces as a structured failure and never enters
 //!    the memo cache.
 
-#![allow(clippy::unwrap_used)]
 #![cfg(feature = "fault-inject")]
 
 use std::path::PathBuf;

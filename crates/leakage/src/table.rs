@@ -225,11 +225,10 @@ impl LeakageTable {
     /// is not the cell's pin count.
     pub fn min_vector(&self, cell: CellId, width: usize) -> (Vector, f64) {
         let row = self.row(cell, width);
+        #[expect(clippy::expect_used, reason = "Vector::all is never empty")]
         Vector::all(width)
             .map(|v| (v, row[v.bits() as usize].total()))
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            // Vector::all yields at least the all-zero vector.
-            // relia-lint: allow(unwrap-in-lib)
             .expect("at least one vector")
     }
 }

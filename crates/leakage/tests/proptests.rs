@@ -1,6 +1,5 @@
 //! Property-based tests for leakage invariants.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_cells::{Library, MosType, Network, Vector};
 use relia_core::Kelvin;

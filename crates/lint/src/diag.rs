@@ -15,7 +15,7 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Stable rule identifier (`unit-leak`, `unwrap-in-lib`, …).
+    /// Stable rule identifier (`unit-leak`, `float-eq`, …).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -149,10 +149,7 @@ mod tests {
     fn sarif_form_names_driver_rules_and_locations() {
         let expected = concat!(
             r#"{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","version":"2.1.0","runs":[{"tool":{"driver":{"name":"relia-lint","rules":[{"id":"unit-leak","shortDescription":{"text":"unit-named pub field/param typed bare f64"}},"#,
-            r#"{"id":"unwrap-in-lib","shortDescription":{"text":".unwrap()/.expect( in library code"}},"#,
             r#"{"id":"float-eq","shortDescription":{"text":"==/!= against a non-zero float literal"}},"#,
-            r#"{"id":"print-in-lib","shortDescription":{"text":"println!/eprintln! in library code"}},"#,
-            r#"{"id":"missing-forbid-unsafe","shortDescription":{"text":"crate root lacks #![forbid(unsafe_code)]"}},"#,
             r#"{"id":"celsius-kelvin","shortDescription":{"text":"celsius-looking literal wrapped in Kelvin(...)"}},"#,
             r#"{"id":"blocking-in-handler","shortDescription":{"text":"blocking call in request-handler code"}},"#,
             r#"{"id":"guard-across-blocking","shortDescription":{"text":"live lock guard spans a blocking call"}},"#,

@@ -36,7 +36,7 @@
 use crate::diag::Diagnostic;
 use crate::graph::LockEdge;
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::rules::{FileKind, FileOpts, RULE_IDS};
+use crate::rules::{FileKind, FileOpts};
 use crate::scope::{test_mod_spans, ScopeAnalysis};
 
 /// Channel/socket method names that block with unbounded latency.
@@ -164,7 +164,7 @@ fn check_guard_across_blocking(
                 file: file.to_owned(),
                 line: toks[site].line,
                 col: toks[site].col,
-                rule: RULE_IDS[7],
+                rule: "guard-across-blocking",
                 message: format!(
                     "guard `{}` on lock `{}` (acquired line {}) is still live across `{op}` — \
                      every other acquirer now waits on this call; narrow the guard's scope or \
@@ -218,7 +218,7 @@ fn check_unpolled_loops(
             file: file.to_owned(),
             line: toks[eval].line,
             col: toks[eval].col,
-            rule: RULE_IDS[9],
+            rule: "unpolled-loop",
             message: format!(
                 "loop (line {}) evaluates `{}` without polling a `CancelToken`/`Deadline` — \
                  the watchdog cannot cancel what never polls; check `is_cancelled`/`fire_if_due` \
@@ -327,7 +327,7 @@ fn check_counter_leaks(
                     file: file.to_owned(),
                     line: t.line,
                     col: t.col,
-                    rule: RULE_IDS[10],
+                    rule: "counter-leak",
                     message: format!(
                         "gauge `{}` incremented at line {} has no decrement or drop-guard \
                          handoff before this `return` — the metrics ledger can never balance \
@@ -349,7 +349,6 @@ mod tests {
     fn lib() -> FileOpts {
         FileOpts {
             kind: FileKind::Library,
-            crate_root: false,
             handler: false,
             job: false,
         }

@@ -17,7 +17,6 @@
 //! pressure shrinks guard spans until it cannot hide.
 
 use crate::diag::Diagnostic;
-use crate::rules::RULE_IDS;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One nested acquisition: the guard for `first` was live when `second`
@@ -95,7 +94,7 @@ pub fn check(files: &[(String, FileSummary)]) -> Vec<Diagnostic> {
                 file: file.clone(),
                 line: e.second_line,
                 col: 1,
-                rule: RULE_IDS[8],
+                rule: "lock-order-inversion",
                 message: format!(
                     "lock `{}` acquired while `{}` is held (held since line {}), but the \
                      opposite order is taken at {} — pick one nesting order workspace-wide \

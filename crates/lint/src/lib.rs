@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-lint
 //!
 //! An offline, std-only static analyzer for the relia workspace's
@@ -8,18 +7,13 @@
 //! seconds vs. wall seconds, duty cycles vs. RAS ratios — and the serving
 //! tier layered on top adds the concurrency hazards (held guards, lock
 //! ordering, unpollable loops, leaking gauges) that corrupt results
-//! *operationally* instead. These rules turn both classes into build
-//! failures:
+//! *operationally* instead. These rules, which no compiler lint can
+//! express, turn both classes into build failures:
 //!
 //! * **R1 `unit-leak`** — unit-named `pub fn` parameters or struct fields
 //!   (`temp*`, `t_active`, `t_standby`, `*_k`, `duration`, `period`,
 //!   `lifetime`) typed as bare `f64` instead of `Kelvin`/`Seconds`.
-//! * **R2 `unwrap-in-lib`** — `.unwrap()`/`.expect(` in library code
-//!   (binaries, benches and `#[cfg(test)]` modules exempt).
 //! * **R3 `float-eq`** — `==`/`!=` against a non-zero float literal.
-//! * **R4 `print-in-lib`** — `println!`/`eprintln!` in library crates.
-//! * **R5 `missing-forbid-unsafe`** — crate root without
-//!   `#![forbid(unsafe_code)]`.
 //! * **R6 `celsius-kelvin`** — a literal in (0, 150] wrapped directly in
 //!   `Kelvin(...)`: 85 K is cryogenic, 85 °C is a die temperature.
 //! * **R7 `blocking-in-handler`** — `thread::sleep` or unbounded
@@ -42,12 +36,19 @@
 //! standalone on the line above it. A pragma that suppresses nothing is
 //! itself an error (`stale-allow`), so allows cannot outlive their reason.
 //!
+//! Panics and prints in library code, and `unsafe` anywhere, are the
+//! compiler's to catch: the workspace `Cargo.toml` sets clippy's
+//! `unwrap_used`, `expect_used`, `print_stdout` and `print_stderr` and
+//! rustc's `unsafe_code`, and a justified site carries
+//! `#[expect(clippy::expect_used, reason = "...")]`. The aliases R2, R4 and
+//! R5 named this crate's copies of those lints and are not reused.
+//!
 //! ## Pipeline
 //!
 //! ```text
-//! lexer → scope tracker → per-file rules (R1–R8, R10, R11) ┐
-//!                       → lock edges + deferred pragmas ───┴→ finish():
-//!                                 workspace lock graph (R9) + pragma audit
+//! lexer → scope tracker → per-file rules (R1, R3, R6–R8, R10, R11) ┐
+//!                       → lock edges + deferred pragmas ───────────┴→ finish():
+//!                                         workspace lock graph (R9) + pragma audit
 //! ```
 //!
 //! Per-file analysis ([`analyze_source`]) is pure in the file's content
@@ -71,7 +72,7 @@ pub mod walker;
 use std::path::Path;
 
 pub use diag::Diagnostic;
-pub use rules::{FileKind, FileOpts, RULES, RULE_IDS};
+pub use rules::{FileKind, FileOpts, RULES};
 
 /// Everything one file contributes: its own findings plus its inputs to
 /// the workspace-level rules.
@@ -199,14 +200,13 @@ mod tests {
 
     const LIB: FileOpts = FileOpts {
         kind: FileKind::Library,
-        crate_root: false,
         handler: false,
         job: false,
     };
 
     #[test]
     fn lint_source_ties_rules_to_pragmas() {
-        let src = "pub fn f() {\n    x.unwrap(); // relia-lint: allow(unwrap-in-lib)\n    y.unwrap();\n}\n";
+        let src = "fn f() {\n    Kelvin(85.0); // relia-lint: allow(R6)\n    Kelvin(85.0);\n}\n";
         let diags = lint_source("f.rs", src, &LIB);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 3);
@@ -255,6 +255,41 @@ mod tests {
                 .map(Diagnostic::render_text)
                 .collect::<Vec<_>>()
                 .join("\n")
+        );
+    }
+
+    /// True when `manifest` has a `[lints]` table saying `workspace = true`.
+    fn inherits_workspace_lints(manifest: &str) -> bool {
+        let mut in_lints = false;
+        manifest.lines().map(str::trim).any(|line| {
+            if line.starts_with('[') {
+                in_lints = line == "[lints]";
+            }
+            in_lints && line.replace(' ', "") == "workspace=true"
+        })
+    }
+
+    #[test]
+    fn every_workspace_member_inherits_the_workspace_lints() {
+        // Clippy's panic and print lints and rustc's `unsafe_code` reach a
+        // package only through `[lints] workspace = true`.
+        let root = walker::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+            .expect("workspace root");
+        let mut manifests = vec![root.join("Cargo.toml")];
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
+            let manifest = entry.expect("crates/ lists").path().join("Cargo.toml");
+            if manifest.is_file() {
+                manifests.push(manifest);
+            }
+        }
+        assert!(manifests.len() > 1, "no member manifests under crates/");
+        let missing: Vec<_> = manifests
+            .iter()
+            .filter(|m| !inherits_workspace_lints(&std::fs::read_to_string(m).expect("reads")))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "no `[lints] workspace = true` in {missing:?}"
         );
     }
 

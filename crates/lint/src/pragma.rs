@@ -205,21 +205,29 @@ mod tests {
 
     #[test]
     fn parses_single_and_multi_rule_pragmas() {
-        let lexed = lex("// relia-lint: allow(float-eq)\n// relia-lint: allow(R2, unit-leak)\n");
+        let lexed = lex("// relia-lint: allow(float-eq)\n// relia-lint: allow(R6, unit-leak)\n");
         let (pragmas, diags) = parse("f.rs", &lexed);
         assert!(diags.is_empty());
         assert_eq!(pragmas.len(), 2);
         assert_eq!(pragmas[0].rules, vec!["float-eq"]);
-        assert_eq!(pragmas[1].rules, vec!["unwrap-in-lib", "unit-leak"]);
+        assert_eq!(pragmas[1].rules, vec!["celsius-kelvin", "unit-leak"]);
     }
 
     #[test]
     fn rejects_malformed_and_unknown() {
-        let lexed = lex("// relia-lint: allow float-eq\n// relia-lint: allow(no-such-rule)\n");
-        let (pragmas, diags) = parse("f.rs", &lexed);
-        assert!(pragmas.is_empty());
-        assert_eq!(diags.len(), 2);
-        assert!(diags.iter().all(|d| d.rule == "bad-pragma"));
+        // Retired rules (now compiler lints) are unknown too, so a leftover
+        // pragma cannot pass silently.
+        for pragma in [
+            "allow float-eq",
+            "allow(no-such-rule)",
+            "allow(unwrap-in-lib)",
+            "allow(R2)",
+        ] {
+            let (pragmas, diags) = parse("f.rs", &lex(&format!("// relia-lint: {pragma}\n")));
+            assert!(pragmas.is_empty(), "{pragma}");
+            assert_eq!(diags.len(), 1, "{pragma}");
+            assert_eq!(diags[0].rule, "bad-pragma");
+        }
     }
 
     #[test]
@@ -281,7 +289,7 @@ mod tests {
 
     #[test]
     fn unused_pragma_is_reported() {
-        let lexed = lex("// relia-lint: allow(unwrap-in-lib)\n");
+        let lexed = lex("// relia-lint: allow(float-eq)\n");
         let (mut pragmas, _) = parse("f.rs", &lexed);
         let kept = apply("f.rs", &mut pragmas, Vec::new());
         assert_eq!(kept.len(), 1);

@@ -3,10 +3,7 @@
 //! | id | rule | scope |
 //! |----|------|-------|
 //! | R1 `unit-leak` | unit-named `pub fn` param / struct field typed bare `f64` | everywhere |
-//! | R2 `unwrap-in-lib` | `.unwrap()` / `.expect(` | library code (bins, `#[cfg(test)]` exempt) |
 //! | R3 `float-eq` | `==` / `!=` against a non-zero float literal | non-test code |
-//! | R4 `print-in-lib` | `println!` / `eprintln!` | library code (bins, `#[cfg(test)]` exempt) |
-//! | R5 `missing-forbid-unsafe` | crate root lacks `#![forbid(unsafe_code)]` | `lib.rs` files |
 //! | R6 `celsius-kelvin` | literal in (0, 150] wrapped directly in `Kelvin(...)` | everywhere |
 //! | R7 `blocking-in-handler` | `thread::sleep` / `.read_to_end(` | handler library code (`#[cfg(test)]` exempt) |
 //! | R8 `guard-across-blocking` | live lock guard spans a blocking call | library code ([`crate::flow`]) |
@@ -45,8 +42,6 @@ pub enum FileKind {
 pub struct FileOpts {
     /// Library or binary.
     pub kind: FileKind,
-    /// True for a crate root (`lib.rs`), where R5 applies.
-    pub crate_root: bool,
     /// True for request-handler library code (the serve crate), where R7
     /// applies.
     pub handler: bool,
@@ -59,81 +54,64 @@ pub struct FileOpts {
 /// and the SARIF writer need. Adding a rule is one row here plus its checker.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Canonical id (`unit-leak`, …). The `R<n>` alias is positional.
+    /// Short alias (`R1`, …), fixed for the rule's life.
+    pub alias: &'static str,
+    /// Canonical id (`unit-leak`, …).
     pub id: &'static str,
     /// One-line summary, used as the SARIF rule description.
     pub summary: &'static str,
 }
 
-/// The rule registry, in rule order (`RULES[n - 1]` is `R<n>`).
-pub const RULES: [RuleInfo; 11] = [
+/// The rule registry, in alias order. R2, R4 and R5 are compiler lints
+/// now (see the crate docs); their numbers are never reused.
+pub const RULES: [RuleInfo; 8] = [
     RuleInfo {
+        alias: "R1",
         id: "unit-leak",
         summary: "unit-named pub field/param typed bare f64",
     },
     RuleInfo {
-        id: "unwrap-in-lib",
-        summary: ".unwrap()/.expect( in library code",
-    },
-    RuleInfo {
+        alias: "R3",
         id: "float-eq",
         summary: "==/!= against a non-zero float literal",
     },
     RuleInfo {
-        id: "print-in-lib",
-        summary: "println!/eprintln! in library code",
-    },
-    RuleInfo {
-        id: "missing-forbid-unsafe",
-        summary: "crate root lacks #![forbid(unsafe_code)]",
-    },
-    RuleInfo {
+        alias: "R6",
         id: "celsius-kelvin",
         summary: "celsius-looking literal wrapped in Kelvin(...)",
     },
     RuleInfo {
+        alias: "R7",
         id: "blocking-in-handler",
         summary: "blocking call in request-handler code",
     },
     RuleInfo {
+        alias: "R8",
         id: "guard-across-blocking",
         summary: "live lock guard spans a blocking call",
     },
     RuleInfo {
+        alias: "R9",
         id: "lock-order-inversion",
         summary: "locks acquired in opposite nesting order across the workspace",
     },
     RuleInfo {
+        alias: "R10",
         id: "unpolled-loop",
         summary: "model-evaluating loop never polls cancellation",
     },
     RuleInfo {
+        alias: "R11",
         id: "counter-leak",
         summary: "gauge incremented but an early return skips the decrement",
     },
 ];
 
-/// Canonical rule ids, in rule order — derived from [`RULES`].
-pub const RULE_IDS: [&str; RULES.len()] = {
-    let mut ids = [""; RULES.len()];
-    let mut i = 0;
-    while i < RULES.len() {
-        ids[i] = RULES[i].id;
-        i += 1;
-    }
-    ids
-};
-
-/// Resolves a rule name or `R<n>` alias to the canonical id.
+/// Resolves a rule id or `R<n>` alias (either case) to the canonical id.
 pub fn rule_by_name(name: &str) -> Option<&'static str> {
-    let alias = name
-        .strip_prefix('R')
-        .or_else(|| name.strip_prefix('r'))
-        .and_then(|n| n.parse::<usize>().ok())
-        .and_then(|n| n.checked_sub(1))
-        .and_then(|i| RULES.get(i));
-    alias
-        .or_else(|| RULES.iter().find(|r| r.id == name))
+    RULES
+        .iter()
+        .find(|r| r.id == name || r.alias.eq_ignore_ascii_case(name))
         .map(|r| r.id)
 }
 
@@ -169,35 +147,13 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
     for (tok, context) in raw_unit_leaks(toks) {
         push(
             tok,
-            RULE_IDS[0],
+            "unit-leak",
             format!(
                 "{context} `{}` is a bare `f64` — use `Kelvin`/`Seconds` from relia-core so \
                  kelvin/celsius and stress/wall seconds cannot be confused",
                 tok.text
             ),
         );
-    }
-
-    // --- R2: unwrap/expect in library code. ---
-    if opts.kind == FileKind::Library {
-        for w in toks.windows(2) {
-            if w[0].kind == TokKind::Punct
-                && w[0].text == "."
-                && w[1].kind == TokKind::Ident
-                && (w[1].text == "unwrap" || w[1].text == "expect")
-                && !in_test(w[1].line)
-            {
-                push(
-                    &w[1],
-                    RULE_IDS[1],
-                    format!(
-                        "`.{}(...)` in library code — return a typed error, or justify the \
-                         invariant with `// relia-lint: allow(unwrap-in-lib)`",
-                        w[1].text
-                    ),
-                );
-            }
-        }
     }
 
     // --- R3: float equality. ---
@@ -216,7 +172,7 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
         {
             push(
                 t,
-                RULE_IDS[2],
+                "float-eq",
                 format!(
                     "float `{}` against a non-zero literal — compare with a tolerance \
                      (rounding makes exact equality fragile)",
@@ -224,38 +180,6 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
                 ),
             );
         }
-    }
-
-    // --- R4: println!/eprintln! in library code. ---
-    if opts.kind == FileKind::Library {
-        for w in toks.windows(2) {
-            if w[0].kind == TokKind::Ident
-                && (w[0].text == "println" || w[0].text == "eprintln")
-                && w[1].text == "!"
-                && !in_test(w[0].line)
-            {
-                push(
-                    &w[0],
-                    RULE_IDS[3],
-                    format!(
-                        "`{}!` in library code — return data or thread a sink; only binaries \
-                         own stdout/stderr",
-                        w[0].text
-                    ),
-                );
-            }
-        }
-    }
-
-    // --- R5: crate root must forbid unsafe code. ---
-    if opts.crate_root && !has_forbid_unsafe(toks) {
-        out.push(Diagnostic {
-            file: file.to_owned(),
-            line: 1,
-            col: 1,
-            rule: RULE_IDS[4],
-            message: "crate root lacks `#![forbid(unsafe_code)]`".to_owned(),
-        });
     }
 
     // --- R6: celsius-looking literal inside Kelvin(...). ---
@@ -273,7 +197,7 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
                                 file: file.to_owned(),
                                 line: lit.line,
                                 col: lit.col,
-                                rule: RULE_IDS[5],
+                                rule: "celsius-kelvin",
                                 message: format!(
                                     "`Kelvin({})` is {v} K — cryogenic; this looks like a \
                                      celsius value, use `Kelvin::from_celsius({})`",
@@ -301,7 +225,7 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
                     file: file.to_owned(),
                     line: w[2].line,
                     col: w[2].col,
-                    rule: RULE_IDS[6],
+                    rule: "blocking-in-handler",
                     message: "`thread::sleep` in handler code pins a worker-pool slot and \
                               ignores the request deadline — wait on `Condvar::wait_timeout` \
                               or check `Deadline::fire_if_due` instead"
@@ -320,7 +244,7 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
                     file: file.to_owned(),
                     line: w[1].line,
                     col: w[1].col,
-                    rule: RULE_IDS[6],
+                    rule: "blocking-in-handler",
                     message: "`.read_to_end(...)` in handler code reads without a byte bound \
                               — an oversized or never-ending body wedges the worker; read \
                               incrementally against `Limits::max_body`"
@@ -331,21 +255,6 @@ pub fn check(file: &str, lexed: &Lexed, opts: &FileOpts) -> Vec<Diagnostic> {
     }
 
     out
-}
-
-/// True when the token stream opens with (or anywhere contains) the inner
-/// attribute `#![forbid(unsafe_code)]`.
-fn has_forbid_unsafe(toks: &[Token]) -> bool {
-    toks.windows(8).any(|w| {
-        w[0].text == "#"
-            && w[1].text == "!"
-            && w[2].text == "["
-            && w[3].text == "forbid"
-            && w[4].text == "("
-            && w[5].text == "unsafe_code"
-            && w[6].text == ")"
-            && w[7].text == "]"
-    })
 }
 
 /// Finds R1 sites: unit-named `ident : f64` (or `Vec<f64>`) in struct bodies
@@ -510,7 +419,6 @@ mod tests {
     fn lib() -> FileOpts {
         FileOpts {
             kind: FileKind::Library,
-            crate_root: false,
             handler: false,
             job: false,
         }
@@ -530,10 +438,15 @@ mod tests {
     #[test]
     fn rule_aliases_resolve() {
         assert_eq!(rule_by_name("R1"), Some("unit-leak"));
-        assert_eq!(rule_by_name("unwrap-in-lib"), Some("unwrap-in-lib"));
+        assert_eq!(rule_by_name("float-eq"), Some("float-eq"));
+        assert_eq!(rule_by_name("R6"), Some("celsius-kelvin"));
         assert_eq!(rule_by_name("R7"), Some("blocking-in-handler"));
         assert_eq!(rule_by_name("R9"), Some("lock-order-inversion"));
         assert_eq!(rule_by_name("r11"), Some("counter-leak"));
+        // Retired numbers and ids stay unknown, never reassigned.
+        for retired in ["R2", "R4", "R5", "unwrap-in-lib", "print-in-lib"] {
+            assert_eq!(rule_by_name(retired), None, "{retired}");
+        }
         assert_eq!(rule_by_name("R12"), None);
         assert_eq!(rule_by_name("R0"), None);
         assert_eq!(rule_by_name("bogus"), None);
@@ -567,60 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn r2_flags_library_unwrap_but_not_tests_or_bins() {
-        let src = "pub fn f() { x.unwrap(); y.expect(\"m\"); }\n\
-                   #[cfg(test)]\nmod tests { fn t() { z.unwrap(); } }\n";
-        let d = check_src(src, lib());
-        assert_eq!(d.iter().filter(|d| d.rule == "unwrap-in-lib").count(), 2);
-        let bin = check_src(
-            src,
-            FileOpts {
-                kind: FileKind::Binary,
-                crate_root: false,
-                handler: false,
-                job: false,
-            },
-        );
-        assert!(bin.iter().all(|d| d.rule != "unwrap-in-lib"));
-    }
-
-    #[test]
     fn r3_flags_nonzero_float_eq_only() {
         let src = "fn f() { if x == 1.5 {} if x != 2e3 {} if x == 0.0 {} if n == 3 {} }\n";
         let d = check_src(src, lib());
         assert_eq!(d.iter().filter(|d| d.rule == "float-eq").count(), 2);
-    }
-
-    #[test]
-    fn r4_flags_println_in_lib_only() {
-        let src = "pub fn f() { println!(\"x\"); eprintln!(\"y\"); }\n";
-        assert_eq!(check_src(src, lib()).len(), 2);
-        let bin = check_src(
-            src,
-            FileOpts {
-                kind: FileKind::Binary,
-                crate_root: false,
-                handler: false,
-                job: false,
-            },
-        );
-        assert!(bin.is_empty());
-    }
-
-    #[test]
-    fn r5_checks_crate_roots() {
-        let root = FileOpts {
-            kind: FileKind::Library,
-            crate_root: true,
-            handler: false,
-            job: false,
-        };
-        let missing = check_src("pub fn f() {}\n", root);
-        assert_eq!(missing.len(), 1);
-        assert_eq!(missing[0].rule, "missing-forbid-unsafe");
-        let present = check_src("#![forbid(unsafe_code)]\npub fn f() {}\n", root);
-        assert!(present.is_empty());
-        assert!(check_src("pub fn f() {}\n", lib()).is_empty());
     }
 
     #[test]
@@ -672,10 +535,10 @@ mod tests {
 
     #[test]
     fn test_mod_exemption_covers_nested_braces() {
-        let src = "#[cfg(test)]\nmod tests {\n fn a() { if x { y.unwrap(); } }\n}\n\
-                   pub fn real() { z.unwrap(); }\n";
+        let src = "#[cfg(test)]\nmod tests {\n fn a() { if x { y == 1.5; } }\n}\n\
+                   pub fn real() { z == 2.5; }\n";
         let d = check_src(src, lib());
-        assert_eq!(d.iter().filter(|d| d.rule == "unwrap-in-lib").count(), 1);
+        assert_eq!(d.iter().filter(|d| d.rule == "float-eq").count(), 1);
         assert_eq!(d[0].line, 5);
     }
 }

@@ -1,6 +1,6 @@
 //! Scope tracking: the flow-aware layer between the lexer and the rules.
 //!
-//! The token-stream rules (R1–R7) ask "does this pattern occur?"; the
+//! The token-stream rules (R1, R3, R6, R7) ask "does this pattern occur?"; the
 //! concurrency rules (R8–R11) ask "does it occur *while* something else is
 //! live?". This module answers the second kind of question without a real
 //! parser: a brace/paren-aware pass over the lexed token stream recovers

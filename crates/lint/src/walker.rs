@@ -2,9 +2,8 @@
 //!
 //! The walk covers the root crate's `src/` and every `crates/*/src` — the
 //! same set the workspace compiles as library/binary code. `tests/`,
-//! `benches/` and `examples/` trees are intentionally out of scope: the
-//! rules that need an exemption there (unwrap, prints) already grant it,
-//! and fixture files must never be linted as product code.
+//! `benches/` and `examples/` trees are intentionally out of scope:
+//! fixture files must never be linted as product code.
 
 use std::fs;
 use std::io;
@@ -83,14 +82,12 @@ fn collect(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> io::Result<()>
 /// Classifies a file by its workspace-relative path.
 pub fn classify(rel_path: &str) -> FileOpts {
     let is_bin = rel_path.split('/').any(|c| c == "bin") || rel_path.ends_with("/main.rs");
-    let crate_root = rel_path.ends_with("src/lib.rs");
     FileOpts {
         kind: if is_bin {
             FileKind::Binary
         } else {
             FileKind::Library
         },
-        crate_root,
         // Request handlers run on a bounded worker pool with per-request
         // deadlines; R7 bans blocking primitives there.
         handler: rel_path.starts_with("crates/serve/src/"),
@@ -124,7 +121,6 @@ mod tests {
     fn classification_by_path() {
         let lib = classify("crates/core/src/units.rs");
         assert_eq!(lib.kind, FileKind::Library);
-        assert!(!lib.crate_root);
         assert!(!lib.handler);
 
         let serve = classify("crates/serve/src/service.rs");
@@ -139,12 +135,8 @@ mod tests {
         let fleet = classify("crates/fleet/src/engine.rs");
         assert!(fleet.job);
 
-        let root = classify("crates/core/src/lib.rs");
-        assert!(root.crate_root);
-
         let bin = classify("crates/bench/src/bin/fig03_ras_sweep.rs");
         assert_eq!(bin.kind, FileKind::Binary);
-        assert!(!bin.crate_root);
 
         let cli = classify("src/bin/relia.rs");
         assert_eq!(cli.kind, FileKind::Binary);

@@ -1,5 +1,5 @@
 // relia-lint: allow(not-a-rule)
-// relia-lint: allow unwrap-in-lib
+// relia-lint: allow float-eq
 pub fn f() -> u32 {
     7
 }

@@ -1,4 +1,4 @@
-// relia-lint: allow(unwrap-in-lib)
+// relia-lint: allow(float-eq)
 pub fn fixed() -> u32 {
     7
 }

@@ -4,41 +4,22 @@
 //! (idiomatic code that must not trip the rule). Fixtures live under
 //! `tests/fixtures/` and are linted in memory — they are never compiled.
 
-#![allow(clippy::unwrap_used)]
-
 use relia_lint::{lint_source, lint_sources, Diagnostic, FileKind, FileOpts};
 
 const LIB: FileOpts = FileOpts {
     kind: FileKind::Library,
-    crate_root: false,
-    handler: false,
-    job: false,
-};
-
-const BIN: FileOpts = FileOpts {
-    kind: FileKind::Binary,
-    crate_root: false,
-    handler: false,
-    job: false,
-};
-
-const ROOT: FileOpts = FileOpts {
-    kind: FileKind::Library,
-    crate_root: true,
     handler: false,
     job: false,
 };
 
 const HANDLER: FileOpts = FileOpts {
     kind: FileKind::Library,
-    crate_root: false,
     handler: true,
     job: false,
 };
 
 const JOB: FileOpts = FileOpts {
     kind: FileKind::Library,
-    crate_root: false,
     handler: false,
     job: true,
 };
@@ -81,31 +62,6 @@ fn r1_clean_is_clean() {
 }
 
 #[test]
-fn r2_positive_flags_lib_but_not_tests_or_bins() {
-    let src = include_str!("fixtures/r2_positive.rs");
-    let d = lint(src, LIB);
-    assert_eq!(
-        shape(&d),
-        vec![("unwrap-in-lib", 2), ("unwrap-in-lib", 3)],
-        "{d:?}"
-    );
-    let bin = lint(src, BIN);
-    assert!(bin.is_empty(), "binaries own their panics: {bin:?}");
-}
-
-#[test]
-fn r2_suppressed_is_clean() {
-    let d = lint(include_str!("fixtures/r2_suppressed.rs"), LIB);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn r2_clean_is_clean() {
-    let d = lint(include_str!("fixtures/r2_clean.rs"), LIB);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
 fn r3_positive_flags_nonzero_float_comparisons() {
     let d = lint(include_str!("fixtures/r3_positive.rs"), LIB);
     assert_eq!(shape(&d), vec![("float-eq", 2), ("float-eq", 5)], "{d:?}");
@@ -120,55 +76,6 @@ fn r3_suppressed_is_clean() {
 #[test]
 fn r3_clean_is_clean() {
     let d = lint(include_str!("fixtures/r3_clean.rs"), LIB);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn r4_positive_flags_lib_prints_but_not_bins() {
-    let src = include_str!("fixtures/r4_positive.rs");
-    let d = lint(src, LIB);
-    assert_eq!(
-        shape(&d),
-        vec![("print-in-lib", 2), ("print-in-lib", 3)],
-        "{d:?}"
-    );
-    let bin = lint(src, BIN);
-    assert!(bin.is_empty(), "binaries own stdout: {bin:?}");
-}
-
-#[test]
-fn r4_suppressed_is_clean() {
-    let d = lint(include_str!("fixtures/r4_suppressed.rs"), LIB);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn r4_clean_is_clean() {
-    let d = lint(include_str!("fixtures/r4_clean.rs"), LIB);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn r5_positive_flags_crate_root_only() {
-    let src = include_str!("fixtures/r5_positive.rs");
-    let d = lint(src, ROOT);
-    assert_eq!(shape(&d), vec![("missing-forbid-unsafe", 1)], "{d:?}");
-    let non_root = lint(src, LIB);
-    assert!(
-        non_root.is_empty(),
-        "R5 only applies to lib.rs: {non_root:?}"
-    );
-}
-
-#[test]
-fn r5_suppressed_is_clean() {
-    let d = lint(include_str!("fixtures/r5_suppressed.rs"), ROOT);
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn r5_clean_is_clean() {
-    let d = lint(include_str!("fixtures/r5_clean.rs"), ROOT);
     assert!(d.is_empty(), "{d:?}");
 }
 

@@ -7,15 +7,12 @@
 //! even on unbalanced garbage. Deterministic unit tests in `src/scope.rs`
 //! pin the exact semantics; these tests pin totality.
 
-#![allow(clippy::unwrap_used)]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 use relia_lint::{analyze_source, lexer, scope, FileKind, FileOpts};
 
 const LIB: FileOpts = FileOpts {
     kind: FileKind::Library,
-    crate_root: false,
     handler: true,
     job: true,
 };
@@ -77,7 +74,7 @@ proptest! {
                 Just("m.conn_dequeued();"),
                 Just("delta_vth(t);"),
                 Just("thread::sleep(d);"),
-                Just("// relia-lint: allow(unwrap-in-lib)"),
+                Just("// relia-lint: allow(float-eq)"),
                 Just("#[cfg(test)]"),
                 Just("mod t {"),
                 Just("match x {"),

@@ -116,7 +116,7 @@ pub const SPECS: [BenchmarkSpec; 10] = [
 /// assert_eq!(c.stats(), (5, 2, 6, 3));
 /// ```
 pub fn c17() -> Circuit {
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "c17 is valid by construction")]
     try_c17().expect("c17 is valid by construction")
 }
 
@@ -164,7 +164,7 @@ const CELL_MIX: [(&str, u32); 12] = [
 
 /// Generates the synthetic stand-in for `spec` (deterministic per name).
 pub fn synthesize(spec: &BenchmarkSpec) -> Circuit {
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "generated circuits are valid")]
     try_synthesize(spec).expect("generated circuits are valid by construction")
 }
 
@@ -213,8 +213,7 @@ pub fn try_synthesize(spec: &BenchmarkSpec) -> Result<Circuit, NetlistError> {
             let mut inputs = Vec::with_capacity(arity);
             // The first gate of each level anchors the depth: its first
             // input comes from the previous level.
-            // The primary-input level is pushed before this loop runs.
-            // relia-lint: allow(unwrap-in-lib)
+            #[expect(clippy::expect_used, reason = "level 0 is pushed before this loop")]
             let prev = levels.last().expect("level 0 exists");
             let first = if k == 0 || rng.chance(0.7) {
                 tournament_pick(&mut rng, prev, &use_count)

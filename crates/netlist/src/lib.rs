@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-netlist
 //!
 //! Gate-level netlist substrate: a validated combinational DAG over cells

@@ -453,7 +453,7 @@ impl Parser {
         named: Vec<(String, String)>,
     ) -> Result<(String, Vec<String>, String), NetlistError> {
         let err = |message: String| NetlistError::ParseError { line, message };
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "the caller checked the library")]
         let cell = self.library.find(kind).expect("caller checked the library");
         let n = self.library.cell(cell).num_pins();
         let (out, ins) = if !named.is_empty() {

@@ -1,6 +1,5 @@
 //! Property-based tests for netlist invariants.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_cells::Library;
 use relia_netlist::{bench, iscas, CircuitBuilder, NetDriver};

@@ -16,7 +16,6 @@
 //!    missing by overwrite (newer id in the slot) or by the counted
 //!    drop path — never silently.
 
-#![allow(clippy::unwrap_used)]
 use std::sync::Arc;
 
 use proptest::prelude::*;

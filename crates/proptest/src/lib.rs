@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The public registry is unreachable from this build environment, so the

@@ -25,6 +25,8 @@
 //! With `--addr`, faults are thrown at an external server instead; the
 //! ledger/drain invariants (which need exclusive traffic) are skipped.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;

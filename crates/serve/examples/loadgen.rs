@@ -23,6 +23,8 @@
 //! answer is either a surface hit or an exact fallback, and
 //! `clamps <= misses <= fallbacks`.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;

@@ -20,6 +20,8 @@
 //!
 //! Exit code 0 only if every shape check passes.
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::process::ExitCode;

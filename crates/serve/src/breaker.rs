@@ -175,7 +175,7 @@ impl CircuitBreaker {
         if self.tag.load(Ordering::Acquire) == TAG_CLOSED {
             return Admission::Normal;
         }
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         let mut slow = self.slow.lock().expect("breaker state poisoned");
         match self.tag.load(Ordering::Acquire) {
             TAG_CLOSED => Admission::Normal, // raced a probe close
@@ -210,7 +210,7 @@ impl CircuitBreaker {
             self.failures.store(0, Ordering::Relaxed);
             return;
         }
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         let mut slow = self.slow.lock().expect("breaker state poisoned");
         if self.tag.load(Ordering::Acquire) != TAG_CLOSED {
             slow.probe_in_flight = false;
@@ -228,7 +228,7 @@ impl CircuitBreaker {
             TAG_CLOSED => {
                 let run = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
                 if run >= self.threshold {
-                    // relia-lint: allow(unwrap-in-lib)
+                    #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
                     let mut slow = self.slow.lock().expect("breaker state poisoned");
                     if self.tag.load(Ordering::Acquire) == TAG_CLOSED {
                         slow.opened_at = Some(now);
@@ -239,7 +239,7 @@ impl CircuitBreaker {
                 }
             }
             TAG_HALF_OPEN => {
-                // relia-lint: allow(unwrap-in-lib)
+                #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
                 let mut slow = self.slow.lock().expect("breaker state poisoned");
                 if self.tag.load(Ordering::Acquire) == TAG_HALF_OPEN {
                     slow.opened_at = Some(now);
@@ -488,7 +488,7 @@ impl HealthMachine {
     /// Installs a transition logger (the CLI prints transitions to
     /// stderr; the library itself never prints).
     pub fn set_logger(&self, logger: HealthLogger) {
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         let mut inner = self.inner.lock().expect("health state poisoned");
         inner.logger = Some(logger);
     }
@@ -504,7 +504,7 @@ impl HealthMachine {
         } else {
             HealthState::Healthy
         };
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         let mut inner = self.inner.lock().expect("health state poisoned");
         if inner.current == HealthState::Draining {
             return HealthState::Draining; // absorbing
@@ -527,7 +527,7 @@ impl HealthMachine {
 
     /// The state as of the last observation.
     pub fn current(&self) -> HealthState {
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         self.inner.lock().expect("health state poisoned").current
     }
 

@@ -78,7 +78,7 @@ impl<K: Eq + Hash, V> Drop for LeaderGuard<'_, K, V> {
 /// A poisoned lock here means a *joiner* panicked while holding it, which
 /// no code path does; recovery would only hide the bug.
 fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "no joiner panics holding the lock")]
     m.lock().expect("single-flight lock poisoned")
 }
 
@@ -125,11 +125,12 @@ where
                 loop {
                     match &*state {
                         SlotState::Pending => {
-                            state = existing
+                            #[expect(clippy::expect_used, reason = "no joiner panics holding it")]
+                            let woken = existing
                                 .ready
                                 .wait(state)
-                                // relia-lint: allow(unwrap-in-lib)
                                 .expect("single-flight slot lock poisoned");
+                            state = woken;
                         }
                         SlotState::Done(v) => return v.clone(),
                         // The leader died without a value; compute for

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-serve
 //!
 //! A std-only, offline HTTP/1.1 JSON service answering NBTI degradation

@@ -117,7 +117,7 @@ impl ServeObs {
                 fmt_ns(dur_ns as f64),
                 self.slow_ns / 1_000_000
             );
-            // relia-lint: allow(unwrap-in-lib)
+            #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
             let sink = self.sink.lock().expect("slow-log sink poisoned");
             sink(&line);
         }

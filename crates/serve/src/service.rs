@@ -311,7 +311,7 @@ impl ServeState {
     }
 
     fn prep_for(&self, name: &str) -> Result<Arc<(Circuit, AnalysisPrep)>, Response> {
-        // relia-lint: allow(unwrap-in-lib)
+        #[expect(clippy::expect_used, reason = "a poisoned lock is a bug to surface")]
         let mut preps = self.preps.lock().expect("prep table poisoned");
         if let Some(found) = preps.get(name) {
             return Ok(Arc::clone(found));

@@ -7,6 +7,7 @@
 //! exactly one test.
 
 #![allow(clippy::unwrap_used)]
+#![expect(unsafe_code, reason = "counting allocator")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

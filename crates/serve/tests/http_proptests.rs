@@ -8,8 +8,6 @@
 //! garbage); the deterministic unit tests in `src/http.rs` pin the exact
 //! cases.
 
-#![allow(clippy::unwrap_used)]
-
 use std::io::Cursor;
 
 use proptest::collection::vec;

@@ -126,10 +126,9 @@ fn eval_ternary(cell: &relia_cells::Cell, inputs: &[Trit]) -> Trit {
         .map(|(i, _)| i)
         .collect();
     if unknown.is_empty() {
+        #[expect(clippy::expect_used, reason = "the unknown-index set is empty")]
         let bools: Vec<bool> = inputs
             .iter()
-            // The unknown-index set is empty, so every trit is definite.
-            // relia-lint: allow(unwrap-in-lib)
             .map(|t| t.to_bool().expect("definite"))
             .collect();
         return Trit::from_bool(cell.eval(&bools));
@@ -150,8 +149,7 @@ fn eval_ternary(cell: &relia_cells::Cell, inputs: &[Trit]) -> Trit {
             Some(_) => {}
         }
     }
-    // Vector::all yields at least one completion, so `seen` is set.
-    // relia-lint: allow(unwrap-in-lib)
+    #[expect(clippy::expect_used, reason = "Vector::all is never empty")]
     Trit::from_bool(seen.expect("at least one completion"))
 }
 

@@ -1,6 +1,5 @@
 //! Property-based tests for simulation invariants.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_netlist::iscas;
 use relia_sim::{logic, monte_carlo, prob};

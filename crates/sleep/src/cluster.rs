@@ -60,9 +60,9 @@ pub fn bbsti_blocks(
                 gate_current(circuit, report, g);
         }
         let peak = level_current.values().cloned().fold(0.0, f64::max);
+        #[expect(clippy::expect_used, reason = "a nonempty block's peak is positive")]
         let st_size = sizing
             .min_size(peak)
-            // relia-lint: allow(unwrap-in-lib)
             .expect("peak current of a nonempty block is positive");
         blocks.push(Block {
             gates: chunk.to_vec(),
@@ -87,7 +87,7 @@ pub fn fgsti_sizes(circuit: &Circuit, report: &TimingReport, sizing: &StSizing) 
             let delay = report.gate_delays()[g.index()].max(1e-9);
             let slack = slacks[circuit.gate(g).output().index()].max(0.0);
             let relax = (1.0 + slack / delay).min(3.0);
-            // relia-lint: allow(unwrap-in-lib)
+            #[expect(clippy::expect_used, reason = "gate current is positive")]
             let base = sizing.min_size(i_on).expect("gate current is positive");
             base / relax
         })

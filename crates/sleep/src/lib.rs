@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-sleep
 //!
 //! Sleep-transistor insertion for standby leakage reduction, with

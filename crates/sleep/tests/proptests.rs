@@ -1,6 +1,5 @@
 //! Property-based tests for sleep-transistor sizing.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_core::{Kelvin, ModeSchedule, NbtiModel, Ras, Seconds};
 use relia_sleep::StSizing;

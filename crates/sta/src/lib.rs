@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-sta
 //!
 //! Static timing analysis over a [`relia_netlist::Circuit`], with support

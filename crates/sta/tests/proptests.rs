@@ -1,6 +1,5 @@
 //! Property-based tests for timing-analysis invariants.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_netlist::iscas;
 use relia_sta::TimingAnalysis;

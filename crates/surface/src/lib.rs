@@ -25,7 +25,6 @@
 //! exact evaluation for them.
 
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod artifact;
 pub mod builder;

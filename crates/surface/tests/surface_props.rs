@@ -3,6 +3,8 @@
 //! points, the artifact round-trips byte-identically through disk, and
 //! corrupt or truncated files are rejected.
 
+#![allow(clippy::expect_used)]
+
 use std::sync::OnceLock;
 
 use proptest::prelude::*;

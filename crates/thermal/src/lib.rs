@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia-thermal
 //!
 //! Lumped-RC thermal model with a typical air-cooling calibration, plus a

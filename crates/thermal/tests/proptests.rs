@@ -1,6 +1,5 @@
 //! Property-based tests for the thermal model.
 
-#![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 use relia_core::units::Kelvin;
 use relia_thermal::{PowerPhase, RcThermalModel, TaskSet};

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example calibrate_model`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::core::calib::{fit_dc_measurements, Measurement};
 use relia::core::{Kelvin, NbtiModel, NbtiParams, Seconds};
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example custom_netlist`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::cells::Library;
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia::netlist::bench;

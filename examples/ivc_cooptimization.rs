@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example ivc_cooptimization`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::core::{Kelvin, Ras};
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia::ivc::{co_optimize, internal_node_potential, search_mlv_set, MlvSearchConfig};

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example mission_profile`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::core::Seconds;
 use relia::flow::{lifetime_to_budget, AgingAnalysis, FlowConfig, LifetimeBudget, StandbyPolicy};
 use relia::ivc::{greedy_control_points, search_mlv_set, MlvSearchConfig};

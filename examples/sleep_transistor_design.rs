@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example sleep_transistor_design`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::core::Seconds;
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia::netlist::iscas;

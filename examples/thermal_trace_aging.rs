@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example thermal_trace_aging`
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 use relia::core::{Kelvin, NbtiModel, Seconds, StressInterval};
 use relia::thermal::{RcThermalModel, TaskSet};
 

@@ -26,6 +26,11 @@ echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
+# Besides clippy's defaults, these lanes carry the workspace lints of the
+# root Cargo.toml: no `unwrap`/`expect` and no stdout/stderr printing in
+# library code (test code is exempt through clippy.toml; binaries and
+# examples opt out at their crate root), and every `#[expect]` must still
+# fire. rustc's `unsafe_code = "deny"` already fails the build above.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo clippy --offline -p relia-jobs --all-targets --features fault-inject -- -D warnings
 cargo clippy --offline -p relia-serve --all-targets --features fault-inject -- -D warnings

@@ -14,6 +14,8 @@
 //! parsed value the model or engine refuses fails like any analysis
 //! (exit 1).
 
+#![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
+
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -474,6 +476,7 @@ fn run_lint_command(mut args: Args) -> Result<(), CliError> {
     let mut root: Option<PathBuf> = None;
     let mut format = "text";
     let mut jobs = 1;
+    let mut list_rules = false;
     while let Some(flag) = args.next() {
         match flag {
             "--root" => root = Some(PathBuf::from(args.value()?)),
@@ -486,14 +489,15 @@ fn run_lint_command(mut args: Args) -> Result<(), CliError> {
                 }
             }
             "--jobs" => jobs = args.count("job count")?,
-            "--list-rules" => {
-                for (i, r) in RULES.iter().enumerate() {
-                    println!("R{} {} — {}", i + 1, r.id, r.summary);
-                }
-                return Ok(());
-            }
+            "--list-rules" => list_rules = true,
             other => return Err(unknown(other)),
         }
+    }
+    if list_rules {
+        for r in RULES {
+            println!("{} {} — {}", r.alias, r.id, r.summary);
+        }
+        return Ok(());
     }
     let root = match root {
         Some(r) => r,

@@ -1,5 +1,4 @@
 #![forbid(unsafe_code)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
 //! # relia — facade crate
 //!
 //! Re-exports the full relia toolkit: temperature-aware NBTI modeling and

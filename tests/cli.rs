@@ -1,6 +1,6 @@
 //! Integration tests for the `relia` command-line front end.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use std::process::Command;
 
 fn relia(args: &[&str]) -> (bool, String, String) {
@@ -815,8 +815,8 @@ fn lint_sarif_output_validates_against_the_minimal_schema() {
         .iter()
         .filter_map(|r| r.get("id").and_then(Json::as_str))
         .collect();
-    for id in relia::lint::RULE_IDS {
-        assert!(ids.contains(&id), "driver.rules missing {id}");
+    for rule in relia::lint::RULES {
+        assert!(ids.contains(&rule.id), "driver.rules missing {}", rule.id);
     }
     // The burned-down workspace reports zero results.
     let results = runs[0].get("results").and_then(Json::as_arr);
@@ -827,24 +827,22 @@ fn lint_sarif_output_validates_against_the_minimal_schema() {
 fn lint_list_rules_prints_r1_to_r11_in_order() {
     let (code, stdout, stderr) = relia_coded(&["lint", "--list-rules"]);
     assert_eq!(code, Some(0), "{stderr}");
-    let ids = [
-        "unit-leak",
-        "unwrap-in-lib",
-        "float-eq",
-        "print-in-lib",
-        "missing-forbid-unsafe",
-        "celsius-kelvin",
-        "blocking-in-handler",
-        "guard-across-blocking",
-        "lock-order-inversion",
-        "unpolled-loop",
-        "counter-leak",
+    // R2, R4 and R5 are compiler lints now; the other numbers stay put.
+    let rules = [
+        ("R1", "unit-leak"),
+        ("R3", "float-eq"),
+        ("R6", "celsius-kelvin"),
+        ("R7", "blocking-in-handler"),
+        ("R8", "guard-across-blocking"),
+        ("R9", "lock-order-inversion"),
+        ("R10", "unpolled-loop"),
+        ("R11", "counter-leak"),
     ];
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), ids.len(), "{stdout}");
-    for (i, (line, id)) in lines.iter().zip(ids).enumerate() {
-        let prefix = format!("R{} {id} — ", i + 1);
-        assert!(line.starts_with(&prefix), "line {i}: {line:?}");
+    assert_eq!(lines.len(), rules.len(), "{stdout}");
+    for (line, (alias, id)) in lines.iter().zip(rules) {
+        let prefix = format!("{alias} {id} — ");
+        assert!(line.starts_with(&prefix), "{line:?}");
     }
 }
 
@@ -872,14 +870,14 @@ fn lint_seeded_violation_exits_1_and_lands_in_sarif_results() {
     std::fs::create_dir_all(dir.join("src")).expect("temp workspace");
     std::fs::write(
         dir.join("src/util.rs"),
-        "pub fn pick(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n",
+        "pub fn hot() -> Kelvin {\n    Kelvin(85.0)\n}\n",
     )
     .expect("seed violation");
     let root = dir.to_str().expect("utf-8 path");
 
     let (code, stdout, stderr) = relia_coded(&["lint", "--root", root]);
     assert_eq!(code, Some(1), "{stderr}");
-    assert!(stdout.contains("unwrap-in-lib"), "{stdout}");
+    assert!(stdout.contains("celsius-kelvin"), "{stdout}");
     assert!(stderr.contains("lint violation"), "{stderr}");
 
     let (code, sarif, _) = relia_coded(&["lint", "--root", root, "--format", "sarif"]);
@@ -892,7 +890,7 @@ fn lint_seeded_violation_exits_1_and_lands_in_sarif_results() {
     assert_eq!(results.len(), 1, "{sarif}");
     assert_eq!(
         results[0].get("ruleId").and_then(Json::as_str),
-        Some("unwrap-in-lib")
+        Some("celsius-kelvin")
     );
     let region = results[0]
         .get("locations")

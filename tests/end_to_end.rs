@@ -1,7 +1,7 @@
 //! End-to-end integration tests across the full crate stack: netlist →
 //! simulation → NBTI model → STA → leakage → IVC/ST techniques.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use relia::core::{Kelvin, Ras, Seconds};
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy};
 use relia::ivc::{

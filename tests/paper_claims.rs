@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's quantitative claims (shape, not
 //! absolute numbers — see EXPERIMENTS.md for the side-by-side).
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::expect_used)]
 use relia::core::{Kelvin, ModeSchedule, NbtiModel, PmosStress, Ras, Seconds};
 use relia::flow::{AgingAnalysis, FlowConfig, StandbyPolicy, VariationConfig, VariationStudy};
 use relia::netlist::iscas;
