@@ -3,9 +3,10 @@
 //! `BENCH_<section>.json` at the workspace root.
 //!
 //! ```text
-//! bench_micro            measure every section and print
-//! bench_micro --write    re-measure and rewrite every record
-//! bench_micro --check    re-measure and gate against the committed records
+//! bench_micro                    measure every section and print
+//! bench_micro --write            re-measure and rewrite every record
+//! bench_micro --write <section>  re-measure and rewrite BENCH_<section>.json only
+//! bench_micro --check            re-measure and gate against the committed records
 //! ```
 //!
 //! Every time is the median of [`REPS`] repetitions. Each section
@@ -14,7 +15,8 @@
 //! noise passes, a regression of the timed path does not). Floors and
 //! ceilings hold for the measured and the committed value alike.
 //! `--check` measures every section, reports every failed gate and then
-//! exits 1. Any other argument exits 2 before anything is measured.
+//! exits 1. Any other argument, an unknown section among them, exits 2
+//! before anything is measured.
 
 #![allow(clippy::expect_used, clippy::print_stdout, clippy::print_stderr)]
 
@@ -61,15 +63,21 @@ const SECTIONS: [Section; 9] = [
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Print,
-    Write,
+    /// Rewrite the record of the named section, or of every section.
+    Write(Option<&'static str>),
     Check,
 }
 
-/// Exactly one of: no argument, `--write`, `--check`.
+/// Exactly one of: no argument, `--write` with or without the name of a
+/// section, `--check`.
 fn parse_mode(args: &[&str]) -> Option<Mode> {
     match args {
         [] => Some(Mode::Print),
-        ["--write"] => Some(Mode::Write),
+        ["--write"] => Some(Mode::Write(None)),
+        ["--write", name] => SECTIONS
+            .iter()
+            .find(|section| section.name == *name)
+            .map(|section| Mode::Write(Some(section.name))),
         ["--check"] => Some(Mode::Check),
         _ => None,
     }
@@ -101,14 +109,23 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
     let Some(mode) = parse_mode(&args) else {
-        eprintln!("bench_micro: expected no argument, --write or --check; got {args:?}");
-        eprintln!("usage: bench_micro [--write | --check]");
+        let names: Vec<&str> = SECTIONS.iter().map(|section| section.name).collect();
+        eprintln!("bench_micro: expected no argument, --write [SECTION] or --check; got {args:?}");
+        eprintln!("usage: bench_micro [--write [SECTION] | --check]");
+        eprintln!("sections: {}", names.join(", "));
         return ExitCode::from(2);
+    };
+    let only = match mode {
+        Mode::Write(only) => only,
+        Mode::Print | Mode::Check => None,
     };
 
     println!("bench_micro: every time is the median of {REPS} reps");
     let mut failed = Vec::new();
-    for section in &SECTIONS {
+    for section in SECTIONS
+        .iter()
+        .filter(|section| only.is_none_or(|name| section.name == name))
+    {
         let fresh = (section.measure)();
         for (key, value) in fresh.entries() {
             println!("{:<8} {key:<26} {value}", section.name);
@@ -116,7 +133,7 @@ fn main() -> ExitCode {
         let path = record_path(section.name);
         match mode {
             Mode::Print => {}
-            Mode::Write => match std::fs::write(&path, fresh.render()) {
+            Mode::Write(_) => match std::fs::write(&path, fresh.render()) {
                 Ok(()) => println!("wrote {}", path.display()),
                 Err(e) => failed.push(format!("cannot write {}: {e}", path.display())),
             },
@@ -154,13 +171,24 @@ mod tests {
     #[test]
     fn flags_are_exactly_one_of_none_write_or_check() {
         assert_eq!(parse_mode(&[]), Some(Mode::Print));
-        assert_eq!(parse_mode(&["--write"]), Some(Mode::Write));
+        assert_eq!(parse_mode(&["--write"]), Some(Mode::Write(None)));
         assert_eq!(parse_mode(&["--check"]), Some(Mode::Check));
+        for section in &SECTIONS {
+            assert_eq!(
+                parse_mode(&["--write", section.name]),
+                Some(Mode::Write(Some(section.name)))
+            );
+        }
         for bad in [
             &["--bogus"][..],
             &["--check", "--write"],
             &["--check", "junk"],
             &["--write", "--write"],
+            &["--write", "junk"],
+            &["--write", "Lint"],
+            &["--write", "lint", "ac"],
+            &["--check", "lint"],
+            &["lint"],
             &["check"],
         ] {
             assert_eq!(parse_mode(bad), None, "{bad:?}");

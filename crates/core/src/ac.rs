@@ -307,8 +307,11 @@ impl Lanes {
             k[lane] = 4.0 * (1.0 + self.beta[lane]);
             s[lane] = s1(c[lane]);
         }
-        // Ascending `n`, so the walk only moves forward.
-        self.entries.sort_unstable_by_key(|&(n, ..)| n);
+        // Ascending read step, so the walk only moves forward. Every entry
+        // at or past the exact prefix reads the same step, so those (most
+        // of a lifetime column) need no order among themselves.
+        self.entries
+            .sort_unstable_by_key(|&(n, ..)| n.min(EXACT_PREFIX));
         let mut at = 1;
         for &(n, lane, i) in &self.entries {
             let stop = n.min(EXACT_PREFIX);

@@ -181,6 +181,26 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// A value block of `len` finite `f64`s, decoded in one pass over one
+    /// slice. It fails as reading value by value would: at the first
+    /// non-finite value, or where the input ends inside a value.
+    fn value_block(&mut self, len: usize) -> Result<Vec<f64>, SurfaceError> {
+        let have = self.bytes.len() - self.pos;
+        let whole = len.min(have / 8);
+        let (words, _) = self.take(8 * whole)?.as_chunks::<8>();
+        let block: Vec<f64> = words.iter().map(|&w| f64::from_le_bytes(w)).collect();
+        if !block.iter().all(|v| v.is_finite()) {
+            return Err(SurfaceError::Invalid("non-finite grid value".to_owned()));
+        }
+        if whole < len {
+            return Err(SurfaceError::Truncated {
+                needed: 8,
+                have: have - 8 * whole,
+            });
+        }
+        Ok(block)
+    }
+
     fn axis(&mut self, cap: u32) -> Result<Vec<f64>, SurfaceError> {
         let count = self.u32()?;
         if count == 0 || count > cap {
@@ -203,7 +223,12 @@ impl Artifact {
     /// Serializes the artifact: magic, header, axes, pairs, value blocks,
     /// trailing CRC-32 of all preceding bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 8 * self.pairs.len() * self.grid.len());
+        let g = &self.grid;
+        let axes = g.t_active_k().len() + g.t_standby_k().len() + g.ras_fraction().len();
+        let words = axes + g.lifetime_s().len() + 2 * self.pairs.len() + self.pairs.len() * g.len();
+        // Magic, version, four header words, four axis lengths, the pair
+        // count and the CRC, then every `f64`: one allocation, no regrowth.
+        let mut out = Vec::with_capacity(MAGIC.len() + 4 + 4 * 8 + 4 * 4 + 4 + 4 + 8 * words);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         put_f64(&mut out, self.period_s);
@@ -220,8 +245,11 @@ impl Artifact {
             put_f64(&mut out, ps);
         }
         for block in &self.values {
-            for &v in block {
-                put_f64(&mut out, v);
+            let start = out.len();
+            out.resize(start + 8 * block.len(), 0);
+            let (words, _) = out[start..].as_chunks_mut::<8>();
+            for (word, v) in words.iter_mut().zip(block) {
+                *word = v.to_le_bytes();
             }
         }
         let crc = crc32(&out);
@@ -297,15 +325,7 @@ impl Artifact {
         }
         let mut values = Vec::with_capacity(pairs.len());
         for _ in 0..pairs.len() {
-            let mut block = Vec::with_capacity(grid.len());
-            for _ in 0..grid.len() {
-                let v = c.f64()?;
-                if !v.is_finite() {
-                    return Err(SurfaceError::Invalid("non-finite grid value".to_owned()));
-                }
-                block.push(v);
-            }
-            values.push(block);
+            values.push(c.value_block(grid.len())?);
         }
         if c.pos != content_len {
             return Err(SurfaceError::Invalid(format!(
@@ -430,6 +450,52 @@ mod tests {
             Artifact::from_bytes(&bytes),
             Err(SurfaceError::UnsupportedVersion(99))
         ));
+    }
+
+    /// `content` (an encoding without its trailing CRC) sealed again, so
+    /// the decoder gets past the CRC to its structural checks.
+    fn resealed(content: &[u8]) -> Vec<u8> {
+        let mut bytes = content.to_vec();
+        bytes.extend_from_slice(&crc32(content).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn value_blocks_fail_where_a_value_by_value_read_does() {
+        let a = artifact();
+        let bytes = a.to_bytes();
+        let content = &bytes[..bytes.len() - 4];
+        let block_at = content.len() - 8 * a.grid.len();
+        // Cut inside the block: the read fails at the first partial value.
+        for cut in [block_at, block_at + 3, block_at + 8, content.len() - 1] {
+            match Artifact::from_bytes(&resealed(&content[..cut])) {
+                Err(SurfaceError::Truncated { needed: 8, have }) => {
+                    assert_eq!(have, (cut - block_at) % 8, "cut at {cut}");
+                }
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+        // A non-finite value is reported if it lies before the cut.
+        let mut nan = content.to_vec();
+        nan[block_at + 8..block_at + 16].copy_from_slice(&f64::NAN.to_le_bytes());
+        for (cut, invalid) in [
+            (nan.len(), true),
+            (block_at + 20, true),
+            (block_at + 12, false),
+        ] {
+            let got = Artifact::from_bytes(&resealed(&nan[..cut]));
+            if invalid {
+                assert!(
+                    matches!(&got, Err(SurfaceError::Invalid(why)) if why == "non-finite grid value"),
+                    "cut at {cut}: {got:?}"
+                );
+            } else {
+                assert!(
+                    matches!(got, Err(SurfaceError::Truncated { needed: 8, have: 4 })),
+                    "cut at {cut}: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use relia_core::{
 use relia_jobs::{default_workers, run_ordered, SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
-use crate::grid::{interpolate, SurfaceGrid};
+use crate::grid::{blend, bracket, Bracket, SurfaceGrid};
 use crate::surface::{model_fingerprint, rel_error, SurfaceQuery};
 
 /// What to build: the four axes, the stress-probability pairs, the
@@ -153,29 +153,57 @@ fn operating_point(
     Ok((schedule, stress))
 }
 
-/// One column: every lifetime at a fixed `(pair, T_a, T_s, ras)`.
+/// Exact ΔV_th at `points`, each a `(T_a, T_s, ras, pair)` operating
+/// point owning the next `len` entries of `lifetimes`, each bit-equal to
+/// one [`evaluate_exact`] call. Every point builds one equivalent cycle,
+/// and the points' AC recursions share one lane-parallel walk
+/// ([`NbtiModel::delta_vth_columns`]).
+pub(crate) fn exact_points(
+    model: &NbtiModel,
+    period_s: f64,
+    points: impl IntoIterator<Item = (Kelvin, Kelvin, f64, (f64, f64))>,
+    len: usize,
+    lifetimes: &[Seconds],
+) -> Result<Vec<f64>, SurfaceError> {
+    let columns = points
+        .into_iter()
+        .map(|(t_active_k, t_standby_k, ras_fraction, pair)| {
+            let (schedule, stress) =
+                operating_point(period_s, t_active_k, t_standby_k, ras_fraction, pair)?;
+            Ok(StressColumn {
+                schedule,
+                stress,
+                len,
+            })
+        })
+        .collect::<Result<Vec<_>, SurfaceError>>()?;
+    let mut values = vec![0.0; lifetimes.len()];
+    for status in model.delta_vth_columns(&columns, lifetimes, &mut values) {
+        status.map_err(build_error)?;
+    }
+    Ok(values)
+}
+
+/// One column: every lifetime at a fixed pair and position `at` on the
+/// `(T_a, T_s, ras)` axes.
 struct Column {
     pair: usize,
-    t_active_k: Kelvin,
-    t_standby_k: Kelvin,
-    ras_fraction: f64,
+    at: [usize; 3],
 }
 
 impl Column {
-    /// Every `(pair, T_a, T_s, ras)` combination, pair-major and RAS
-    /// fastest — for grid axes, the order of [`SurfaceGrid::index`].
-    fn all(pairs: usize, t_active_k: &[f64], t_standby_k: &[f64], ras: &[f64]) -> Vec<Column> {
-        let mut columns =
-            Vec::with_capacity(pairs * t_active_k.len() * t_standby_k.len() * ras.len());
+    /// Every column over `pairs` pairs and axes of `lens` points,
+    /// pair-major and RAS fastest — for grid axes, the order of
+    /// [`SurfaceGrid::index`].
+    fn all(pairs: usize, [n_ta, n_ts, n_rf]: [usize; 3]) -> Vec<Column> {
+        let mut columns = Vec::with_capacity(pairs * n_ta * n_ts * n_rf);
         for pair in 0..pairs {
-            for &ta in t_active_k {
-                for &ts in t_standby_k {
-                    for &rf in ras {
+            for i_ta in 0..n_ta {
+                for i_ts in 0..n_ts {
+                    for i_rf in 0..n_rf {
                         columns.push(Column {
                             pair,
-                            t_active_k: Kelvin(ta),
-                            t_standby_k: Kelvin(ts),
-                            ras_fraction: rf,
+                            at: [i_ta, i_ts, i_rf],
                         });
                     }
                 }
@@ -185,43 +213,25 @@ impl Column {
     }
 }
 
-/// Exact values of `columns` at every lifetime of `lifetimes_s`, laid out
-/// column after column, each bit-equal to one [`evaluate_exact`] call.
-/// Every column builds one equivalent cycle, and the columns' AC
-/// recursions share one lane-parallel walk
-/// ([`NbtiModel::delta_vth_columns`]).
+/// Exact values of `columns`, their positions read on the `(T_a, T_s,
+/// ras)` axes given, at every lifetime of `lifetimes_s`, laid out column
+/// after column ([`exact_points`]).
 fn exact_columns(
     model: &NbtiModel,
     spec: &BuildSpec,
+    [ta, ts, rf]: [&[f64]; 3],
     columns: &[Column],
     lifetimes_s: &[f64],
 ) -> Result<Vec<f64>, SurfaceError> {
-    let stress_columns = columns
-        .iter()
-        .map(|col| {
-            let (schedule, stress) = operating_point(
-                spec.period_s,
-                col.t_active_k,
-                col.t_standby_k,
-                col.ras_fraction,
-                spec.pairs[col.pair],
-            )?;
-            Ok(StressColumn {
-                schedule,
-                stress,
-                len: lifetimes_s.len(),
-            })
-        })
-        .collect::<Result<Vec<_>, SurfaceError>>()?;
-    let lifetimes: Vec<Seconds> = stress_columns
+    let points = columns.iter().map(|col| {
+        let [a, s, r] = col.at;
+        (Kelvin(ta[a]), Kelvin(ts[s]), rf[r], spec.pairs[col.pair])
+    });
+    let lifetimes: Vec<Seconds> = columns
         .iter()
         .flat_map(|_| lifetimes_s.iter().map(|&t| Seconds(t)))
         .collect();
-    let mut values = vec![0.0; lifetimes.len()];
-    for status in model.delta_vth_columns(&stress_columns, &lifetimes, &mut values) {
-        status.map_err(build_error)?;
-    }
-    Ok(values)
+    exact_points(model, spec.period_s, points, lifetimes_s.len(), &lifetimes)
 }
 
 /// Cell midpoints along one axis (`log` → geometric midpoints); a
@@ -239,6 +249,37 @@ fn midpoints(axis: &[f64], log: bool) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// The error sweep's samples: the cell midpoints of each grid axis, in
+/// axis order, and each midpoint's [`Bracket`] on its axis. A sample is
+/// one midpoint per axis, so a midpoint value recurs across thousands of
+/// samples but is bracketed once, here.
+struct Midpoints {
+    values: [Vec<f64>; 4],
+    brackets: [Vec<Bracket>; 4],
+}
+
+impl Midpoints {
+    fn new(grid: &SurfaceGrid) -> Midpoints {
+        let axes = [
+            (grid.t_active_k(), false),
+            (grid.t_standby_k(), false),
+            (grid.ras_fraction(), false),
+            (grid.lifetime_s(), true),
+        ];
+        let values = axes.map(|(axis, log)| midpoints(axis, log));
+        let brackets = std::array::from_fn(|i| {
+            let (axis, log) = axes[i];
+            values[i].iter().map(|&x| bracket(axis, x, log)).collect()
+        });
+        Midpoints { values, brackets }
+    }
+
+    /// The brackets of the sample at midpoint `at[i]` of each axis `i`.
+    fn brackets(&self, at: [usize; 4]) -> [Bracket; 4] {
+        std::array::from_fn(|i| self.brackets[i][at[i]])
+    }
 }
 
 /// Builds the full artifact: parallel grid fill, then the midpoint
@@ -266,15 +307,11 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
     // columns, one AC recursion per column and LANES per loop. Columns
     // come in flat-index order, so each pair's value block is its columns'
     // lifetime rows laid end to end.
-    let columns = Column::all(
-        spec.pairs.len(),
-        grid.t_active_k(),
-        grid.t_standby_k(),
-        grid.ras_fraction(),
-    );
+    let axes = [grid.t_active_k(), grid.t_standby_k(), grid.ras_fraction()];
+    let columns = Column::all(spec.pairs.len(), axes.map(<[f64]>::len));
     let jobs: Vec<&[Column]> = columns.chunks(LANES).collect();
     let outcomes = run_ordered(&jobs, workers, |_, cols| {
-        exact_columns(model, spec, cols, grid.lifetime_s())
+        exact_columns(model, spec, axes, cols, grid.lifetime_s())
     });
     let mut values: Vec<Vec<f64>> = (0..spec.pairs.len())
         .map(|_| Vec::with_capacity(grid.len()))
@@ -289,28 +326,20 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
     // Phase 2: measure the sup of the relative interpolation error at
     // every cell midpoint — where multilinear interpolation of a smooth
     // function peaks — so the header carries evidence, not hope. Jobs of
-    // LANES midpoint columns again, one AC recursion per column.
-    let mid_lt = midpoints(grid.lifetime_s(), true);
-    let sweep_cols = Column::all(
-        spec.pairs.len(),
-        &midpoints(grid.t_active_k(), false),
-        &midpoints(grid.t_standby_k(), false),
-        &midpoints(grid.ras_fraction(), false),
-    );
+    // LANES midpoint columns again, one AC recursion per column, and each
+    // sample blended from its cached brackets.
+    let mid = Midpoints::new(&grid);
+    let [mid_ta, mid_ts, mid_rf, mid_lt] = &mid.values;
+    let mid_axes = [mid_ta.as_slice(), mid_ts, mid_rf];
+    let sweep_cols = Column::all(spec.pairs.len(), mid_axes.map(<[f64]>::len));
     let sweep_jobs: Vec<&[Column]> = sweep_cols.chunks(LANES).collect();
     let sweeps = run_ordered(&sweep_jobs, workers, |_, cols| {
-        let exact = exact_columns(model, spec, cols, &mid_lt)?;
+        let exact = exact_columns(model, spec, mid_axes, cols, mid_lt)?;
         let mut worst = 0.0f64;
         for (col, row) in cols.iter().zip(exact.chunks(mid_lt.len())) {
-            for (&t, &exact) in mid_lt.iter().zip(row) {
-                let (approx, _) = interpolate(
-                    &grid,
-                    &values[col.pair],
-                    col.t_active_k.0,
-                    col.t_standby_k.0,
-                    col.ras_fraction,
-                    t,
-                );
+            let [a, s, r] = col.at;
+            for (l, &exact) in row.iter().enumerate() {
+                let approx = blend(&grid, &values[col.pair], &mid.brackets([a, s, r, l]));
                 worst = worst.max(rel_error(approx, exact));
             }
         }
@@ -336,6 +365,7 @@ pub fn build(model: &NbtiModel, spec: &BuildSpec) -> Result<Artifact, SurfaceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::interpolate;
 
     /// A small but representative spec: dense enough to hold the error
     /// bound, small enough for test time.
@@ -433,6 +463,35 @@ mod tests {
                 built.to_bytes() == reference,
                 "build at {workers} worker(s) differs from the per-point reference"
             );
+        }
+    }
+
+    #[test]
+    fn cached_brackets_blend_bit_for_bit_as_interpolate_does() {
+        for t_active_k in [vec![400.0], vec![380.0, 400.0]] {
+            let grid = SurfaceGrid::new(
+                t_active_k,
+                vec![320.0, 350.0, 400.0],
+                vec![0.1, 0.4, 0.9],
+                log_spaced(1e6, 1e9, 5),
+            )
+            .unwrap();
+            let values: Vec<f64> = (0..grid.len()).map(|i| (i as f64).sin() + 2.0).collect();
+            let mid = Midpoints::new(&grid);
+            let [ta, ts, rf, lt] = &mid.values;
+            for (a, &x_ta) in ta.iter().enumerate() {
+                for (s, &x_ts) in ts.iter().enumerate() {
+                    for (r, &x_rf) in rf.iter().enumerate() {
+                        for (l, &x_lt) in lt.iter().enumerate() {
+                            let (want, clamped) =
+                                interpolate(&grid, &values, x_ta, x_ts, x_rf, x_lt);
+                            assert!(!clamped);
+                            let got = blend(&grid, &values, &mid.brackets([a, s, r, l]));
+                            assert_eq!(got.to_bits(), want.to_bits(), "sample {:?}", [a, s, r, l]);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -173,32 +173,48 @@ pub fn interpolate(
     ras_fraction: f64,
     lifetime_s: f64,
 ) -> (f64, bool) {
-    let ba = bracket(&grid.t_active_k, t_active_k, false);
-    let bs = bracket(&grid.t_standby_k, t_standby_k, false);
-    let br = bracket(&grid.ras_fraction, ras_fraction, false);
-    let bt = bracket(&grid.lifetime_s, lifetime_s, true);
-    let clamped = ba.clamped || bs.clamped || br.clamped || bt.clamped;
+    let brackets = [
+        bracket(&grid.t_active_k, t_active_k, false),
+        bracket(&grid.t_standby_k, t_standby_k, false),
+        bracket(&grid.ras_fraction, ras_fraction, false),
+        bracket(&grid.lifetime_s, lifetime_s, true),
+    ];
+    let clamped = brackets.iter().any(|b| b.clamped);
+    (blend(grid, values, &brackets), clamped)
+}
 
-    // `hi` stays in range on single-point axes; its weight is then zero.
-    let step = |b: Bracket, len: usize, bit: usize| -> (usize, f64) {
-        if bit == 0 {
-            (b.lo, 1.0 - b.frac)
-        } else {
-            ((b.lo + 1).min(len - 1), b.frac)
-        }
-    };
+/// The multilinear blend of [`interpolate`] from the point's brackets on
+/// the four axes, in axis order. A caller that meets the same axis value
+/// many times (the builder's error sweep) brackets it once and blends
+/// from the cached bracket, bit-equal to [`interpolate`].
+pub(crate) fn blend(grid: &SurfaceGrid, values: &[f64], brackets: &[Bracket; 4]) -> f64 {
+    let lens = [
+        grid.t_active_k.len(),
+        grid.t_standby_k.len(),
+        grid.ras_fraction.len(),
+        grid.lifetime_s.len(),
+    ];
+    // Each axis's lower and upper corner as (index, weight). `hi` stays in
+    // range on single-point axes; its weight is then zero.
+    let [ta, ts, rf, lt] = std::array::from_fn(|axis| {
+        let b = brackets[axis];
+        [
+            (b.lo, 1.0 - b.frac),
+            ((b.lo + 1).min(lens[axis] - 1), b.frac),
+        ]
+    });
     let mut acc = 0.0;
     for corner in 0..16usize {
-        let (ia, wa) = step(ba, grid.t_active_k.len(), corner & 1);
-        let (is, ws) = step(bs, grid.t_standby_k.len(), (corner >> 1) & 1);
-        let (ir, wr) = step(br, grid.ras_fraction.len(), (corner >> 2) & 1);
-        let (it, wt) = step(bt, grid.lifetime_s.len(), (corner >> 3) & 1);
+        let (ia, wa) = ta[corner & 1];
+        let (is, ws) = ts[(corner >> 1) & 1];
+        let (ir, wr) = rf[(corner >> 2) & 1];
+        let (it, wt) = lt[(corner >> 3) & 1];
         let w = wa * ws * wr * wt;
         if w > 0.0 {
             acc += w * values[grid.index(ia, is, ir, it)];
         }
     }
-    (acc, clamped)
+    acc
 }
 
 #[cfg(test)]

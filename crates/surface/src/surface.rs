@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use relia_core::seal::Fnv1a;
-use relia_core::{Kelvin, NbtiModel};
+use relia_core::{Kelvin, NbtiModel, Seconds};
 use relia_jobs::{SWEEP_PERIOD_S, SWEEP_TEMP_ACTIVE_K};
 
 use crate::artifact::{Artifact, SurfaceError};
@@ -198,27 +198,21 @@ const ANCHORS: [(f64, f64, f64, f64, f64); 4] = [
 /// FNV-1a fingerprint of the model: the bit patterns of its ΔV_th at the
 /// fixed anchor points plus its nominal overdrive. Any calibration change
 /// that alters served values changes the fingerprint; artifact and server
-/// agree on the model or the artifact is refused.
+/// agree on the model or the artifact is refused. The anchors' AC
+/// recursions share one lane-parallel walk, each value bit-equal to one
+/// [`evaluate_exact`](crate::evaluate_exact) call.
 ///
 /// # Errors
 ///
 /// [`SurfaceError::Build`] if an anchor evaluation fails (it cannot for a
 /// validated model).
 pub fn model_fingerprint(model: &NbtiModel) -> Result<u64, SurfaceError> {
+    let points =
+        ANCHORS.map(|(ts, rf, _, pa, ps)| (Kelvin(SWEEP_TEMP_ACTIVE_K), Kelvin(ts), rf, (pa, ps)));
+    let lifetimes = ANCHORS.map(|(_, _, t, ..)| Seconds(t));
+    let bases = crate::builder::exact_points(model, SWEEP_PERIOD_S, points, 1, &lifetimes)?;
     let mut hash = Fnv1a::default();
-    for &(ts, rf, t, pa, ps) in &ANCHORS {
-        let base = crate::builder::evaluate_exact(
-            model,
-            SWEEP_PERIOD_S,
-            &SurfaceQuery {
-                t_active_k: Kelvin(SWEEP_TEMP_ACTIVE_K),
-                t_standby_k: Kelvin(ts),
-                ras_fraction: rf,
-                lifetime_s: t,
-                p_active: pa,
-                p_standby: ps,
-            },
-        )?;
+    for base in bases {
         hash.f64(base);
     }
     hash.f64(model.params().overdrive());

@@ -13,9 +13,9 @@ cargo test -q --offline --workspace
 
 echo "==> cargo test --release (relia-core and relia-leakage bit-identity oracles on optimized codegen)"
 # Debug builds do not vectorize the lane-parallel AC walk or the leakage
-# lanes; the proptests comparing them with their scalar references bit for
-# bit, and the pinned leakage-table fingerprints, must also hold on the code
-# the release binaries run.
+# lanes; the proptests comparing them (and the slicing-by-8 CRC-32) with
+# their scalar references bit for bit, and the pinned leakage-table
+# fingerprints, must also hold on the code the release binaries run.
 cargo test -q --offline --release -p relia-core -p relia-leakage
 
 echo "==> cargo test (fault injection)"
@@ -31,9 +31,11 @@ echo "==> cargo clippy -D warnings"
 # library code (test code is exempt through clippy.toml; binaries and
 # examples opt out at their crate root), and every `#[expect]` must still
 # fire. rustc's `unsafe_code = "deny"` already fails the build above.
-cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo clippy --offline -p relia-jobs --all-targets --features fault-inject -- -D warnings
-cargo clippy --offline -p relia-serve --all-targets --features fault-inject -- -D warnings
+# `--keep-going` lets one run list every failing target: without it cargo
+# stops scheduling at the first package whose lints fail.
+cargo clippy --offline --keep-going --workspace --all-targets -- -D warnings
+cargo clippy --offline --keep-going -p relia-jobs --all-targets --features fault-inject -- -D warnings
+cargo clippy --offline --keep-going -p relia-serve --all-targets --features fault-inject -- -D warnings
 
 echo "==> cargo doc -D warnings (no broken, ambiguous or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
