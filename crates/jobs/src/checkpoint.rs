@@ -10,7 +10,7 @@
 //! {"header":"relia-sweep-checkpoint","version":2,"fingerprint":"9a3c…","total":40,"crc":"1b2c3d4e"}
 //! {"index":7,"kind":"aging","worst_delta_vth":0.0312,…,"crc":"5e6f7a8b"}
 //! {"index":3,"kind":"model","delta_vth":0.0287,"crc":"9c0d1e2f"}
-//! {"index":5,"kind":"failed","reason":"panic: …","attempts":3,"crc":"30415263"}
+//! {"index":5,"kind":"failed","reason":"panic: …","crc":"30415263"}
 //! ```
 //!
 //! Floats are serialized with Rust's shortest-round-trip `Display` and
@@ -236,10 +236,9 @@ fn record_body(index: usize, outcome: &JobOutcome<JobResult>) -> String {
                 fmt_f64(*delta_vth)
             )
         }
-        JobOutcome::Failed { reason, attempts } => {
+        JobOutcome::Failed { reason } => {
             format!(
-                "{{\"index\":{index},\"kind\":\"failed\",\"reason\":\"{}\",\
-                 \"attempts\":{attempts}}}",
+                "{{\"index\":{index},\"kind\":\"failed\",\"reason\":\"{}\"}}",
                 json::escape(reason)
             )
         }
@@ -327,9 +326,10 @@ fn record_from(obj: &Json) -> Option<(usize, JobOutcome<JobResult>)> {
         "model" => JobOutcome::Completed(JobResult::Model {
             delta_vth: float("delta_vth")?,
         }),
+        // Files from earlier builds also carry an `"attempts"` count,
+        // which is ignored.
         "failed" => JobOutcome::Failed {
             reason: obj.get("reason")?.as_str()?.to_owned(),
-            attempts: uint(obj, "attempts")?,
         },
         "timed_out" => JobOutcome::TimedOut {
             elapsed_ms: uint(obj, "elapsed_ms")?,
@@ -395,7 +395,6 @@ mod tests {
             }),
             JobOutcome::Failed {
                 reason: "panic: \"quoted\"\nand newline \t tab".into(),
-                attempts: 3,
             },
             JobOutcome::Completed(JobResult::Aging {
                 worst_delta_vth: 0.0,
@@ -496,7 +495,6 @@ mod tests {
             2,
             &JobOutcome::Failed {
                 reason: "first".into(),
-                attempts: 1,
             },
         )
         .unwrap();
@@ -546,7 +544,8 @@ mod tests {
         let path = tmp("badints");
         for bad in [
             r#"{"index":-1,"kind":"model","delta_vth":0.5}"#,
-            r#"{"index":2.9,"kind":"failed","reason":"x","attempts":-4}"#,
+            r#"{"index":2.9,"kind":"failed","reason":"x"}"#,
+            r#"{"index":2,"kind":"timed_out","elapsed_ms":-4}"#,
         ] {
             let mut w = CheckpointWriter::create(&path, 7, 3).unwrap();
             w.record(0, &aging(0.01)).unwrap();

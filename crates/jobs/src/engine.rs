@@ -16,10 +16,9 @@
 //!
 //! Resilience contract, layered on top:
 //!
-//! * jobs that fail **transiently** (panics, cancelled hangs) retry up to
-//!   [`SweepOptions::retries`] times with bounded exponential backoff;
-//!   **permanent** failures (invalid parameters, analysis errors) fail
-//!   fast;
+//! * every job runs once: a model error, an invalid parameter or a panic
+//!   makes it [`JobOutcome::Failed`] with its reason. A grid point is a
+//!   pure function of its inputs, so a second run would fail the same way;
 //! * with [`SweepOptions::job_timeout`] set, a watchdog cancels straggling
 //!   jobs cooperatively — they surface as [`JobOutcome::TimedOut`] and the
 //!   pool drains instead of hanging;
@@ -40,9 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use relia_core::{CancelToken, NbtiModel, Ras};
-use relia_flow::{
-    paper_stress_key, AgingAnalysis, AnalysisPrep, DeltaVthCache, FlowConfig, FlowError,
-};
+use relia_flow::{paper_stress_key, AgingAnalysis, AnalysisPrep, DeltaVthCache, FlowConfig};
 use relia_netlist::Circuit;
 
 use relia_obs::{LatencyHist, Tracer};
@@ -50,11 +47,8 @@ use relia_obs::{LatencyHist, Tracer};
 use crate::cache::ShardedCache;
 use crate::checkpoint::{self, CheckpointError, CheckpointWriter};
 use crate::metrics::{SweepMetrics, SweepTimings};
-use crate::pool::{self, JobFailure, JobOutcome, PoolConfig};
+use crate::pool::{self, JobOutcome, PoolConfig};
 use crate::spec::{JobPoint, JobResult, JobTask, SweepSpec, Workload};
-
-#[cfg(feature = "fault-inject")]
-use crate::fault::FaultPlan;
 
 /// The paper's baseline period and active temperature, shared by every
 /// sweep point (defined once in relia-flow).
@@ -70,18 +64,13 @@ pub struct SweepOptions {
     /// Checkpoint file: created if absent, resumed from (keeping every
     /// intact record) if present.
     pub checkpoint: Option<PathBuf>,
-    /// Extra attempts for transiently failing jobs (0 disables retrying).
-    pub retries: u32,
     /// Per-job soft deadline; stragglers become [`JobOutcome::TimedOut`].
     pub job_timeout: Option<Duration>,
-    /// When set, the run records spans — the pool's queue-wait/execute/
-    /// retry spans plus `checkpoint_flush` — into this tracer. Latency
+    /// When set, the run records spans — the pool's queue-wait and
+    /// execute spans plus `checkpoint_flush` — into this tracer. Latency
     /// histograms ([`SweepTimings`]) are always collected; spans are
     /// opt-in.
     pub trace: Option<Arc<Tracer>>,
-    /// Deterministic fault schedule for resilience tests.
-    #[cfg(feature = "fault-inject")]
-    pub faults: Option<Arc<FaultPlan>>,
 }
 
 /// Why a sweep could not run (job-level failures do *not* land here — they
@@ -266,7 +255,6 @@ where
     let cache = ShardedCache::default();
     let pool_config = PoolConfig {
         workers,
-        retries: options.retries,
         job_timeout: options.job_timeout,
         trace: options.trace.clone(),
     };
@@ -274,25 +262,12 @@ where
     let checkpoint_hist = LatencyHist::new();
     let t_execute = Instant::now();
     let mut checkpoint_error: Option<CheckpointError> = None;
-    let run = pool::run_pool(
+    let outcomes = pool::run_pool(
         &pending,
         &pool_config,
         |_, &index, token| {
             let t_job = Instant::now();
-            let result = (|| {
-                #[cfg(feature = "fault-inject")]
-                if let Some(plan) = &options.faults {
-                    plan.before_execute(index, token)?;
-                }
-                let result = execute_point(&points[index], &prepared, &model, &cache, token)?;
-                #[cfg(feature = "fault-inject")]
-                if let Some(plan) = &options.faults {
-                    if plan.poisons(index) {
-                        return poison_point(&points[index], &cache);
-                    }
-                }
-                Ok(result)
-            })();
+            let result = execute_point(&points[index], &prepared, &model, &cache, token);
             job_hist.record(t_job.elapsed());
             result
         },
@@ -315,7 +290,7 @@ where
     if let Some(e) = checkpoint_error {
         return Err(SweepError::Checkpoint(e));
     }
-    for (k, outcome) in run.outcomes.into_iter().enumerate() {
+    for (k, outcome) in outcomes.into_iter().enumerate() {
         statuses[pending[k]] = Some(outcome);
     }
 
@@ -338,7 +313,6 @@ where
         resumed_jobs,
         failed_jobs,
         timed_out_jobs,
-        retried_jobs: run.retries,
         salvaged_dropped,
         workers,
         cache: cache.stats(),
@@ -356,41 +330,28 @@ where
     })
 }
 
-/// Maps a flow-layer error to its retry classification: cancellation is
-/// transient by construction (the watchdog interrupted otherwise-valid
-/// work); everything else the flow reports is deterministic — the same
-/// inputs will fail the same way, so retrying would only burn time.
-fn classify_flow(e: FlowError) -> JobFailure {
-    match e {
-        FlowError::Cancelled => JobFailure::transient(e.to_string()),
-        other => JobFailure::permanent(other.to_string()),
-    }
-}
-
-/// Evaluates one grid point. Analysis errors become `Err(JobFailure)` with
-/// a transient/permanent classification; the pool catches panics
-/// separately.
+/// Evaluates one grid point. An analysis error becomes its reason; the
+/// pool catches panics separately.
 fn execute_point(
     point: &JobPoint,
     prepared: &HashMap<String, Arc<(Circuit, AnalysisPrep)>>,
     model: &NbtiModel,
     cache: &ShardedCache,
     token: &CancelToken,
-) -> Result<JobResult, JobFailure> {
-    let ras =
-        Ras::new(point.ras.0, point.ras.1).map_err(|e| JobFailure::permanent(e.to_string()))?;
+) -> Result<JobResult, String> {
+    let ras = Ras::new(point.ras.0, point.ras.1).map_err(|e| e.to_string())?;
     match &point.task {
         JobTask::Aging { circuit, policy } => {
-            let pair = prepared.get(circuit).ok_or_else(|| {
-                JobFailure::permanent(format!("circuit {circuit:?} was not prepared"))
-            })?;
-            let mut config = FlowConfig::with_schedule(ras, point.t_standby)
-                .map_err(|e| JobFailure::permanent(e.to_string()))?;
+            let pair = prepared
+                .get(circuit)
+                .ok_or_else(|| format!("circuit {circuit:?} was not prepared"))?;
+            let mut config =
+                FlowConfig::with_schedule(ras, point.t_standby).map_err(|e| e.to_string())?;
             config.lifetime = point.lifetime;
             let report = AgingAnalysis::from_prep(&config, &pair.0, pair.1.clone())
                 .with_cache(cache, token)
                 .run(&policy.to_policy())
-                .map_err(classify_flow)?;
+                .map_err(|e| e.to_string())?;
             Ok(JobResult::Aging {
                 worst_delta_vth: report.worst_delta_vth(),
                 degradation: report.degradation_fraction(),
@@ -405,27 +366,9 @@ fn execute_point(
             p_standby,
         } => {
             let key = paper_stress_key(ras, point.t_standby, *p_active, *p_standby, point.lifetime)
-                .map_err(|e| JobFailure::permanent(e.to_string()))?;
-            let delta_vth = cache
-                .delta_vth(key, model)
-                .map_err(|e| JobFailure::permanent(e.to_string()))?;
+                .map_err(|e| e.to_string())?;
+            let delta_vth = cache.delta_vth(key, model).map_err(|e| e.to_string())?;
             Ok(JobResult::Model { delta_vth })
         }
     }
-}
-
-/// Pushes an injected `NaN` for this point through the real cache-admission
-/// guardrail. The guardrail rejects it ([`ShardedCache::insert_checked`]),
-/// so the fault surfaces as the same structured, permanent failure a
-/// genuine non-finite model output would — and the memo table stays clean.
-#[cfg(feature = "fault-inject")]
-fn poison_point(point: &JobPoint, cache: &ShardedCache) -> Result<JobResult, JobFailure> {
-    let ras =
-        Ras::new(point.ras.0, point.ras.1).map_err(|e| JobFailure::permanent(e.to_string()))?;
-    let key = paper_stress_key(ras, point.t_standby, 0.5, 1.0, point.lifetime)
-        .map_err(|e| JobFailure::permanent(e.to_string()))?;
-    cache
-        .insert_checked(key, f64::NAN)
-        .map(|_| unreachable!("NaN cannot pass the admission guardrail"))
-        .map_err(|e| JobFailure::permanent(e.to_string()))
 }

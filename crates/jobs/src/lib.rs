@@ -5,15 +5,14 @@
 //! (circuit × standby policy × RAS/T_standby schedule × lifetime) points
 //! across a worker pool, with degradation memoization, crash-safe JSONL
 //! checkpoint/resume, and a resilience layer (per-job fault isolation,
-//! bounded retry, watchdog deadlines, checkpoint salvage).
+//! watchdog deadlines, checkpoint salvage).
 //!
 //! Layers, bottom-up:
 //!
 //! * [`pool`] — a std-only ordered worker pool: jobs are claimed from an
-//!   atomic counter, run under `catch_unwind` (a panic fails one job, not
-//!   the batch), retried with bounded exponential backoff when transient,
-//!   cancelled cooperatively by a watchdog when past their deadline, and
-//!   collected back **in job order**.
+//!   atomic counter, run once under `catch_unwind` (a panic fails one job,
+//!   not the batch), cancelled cooperatively by a watchdog when past their
+//!   deadline, and collected back **in job order**.
 //! * [`cache`] — a sharded [`ShardedCache`] memoizing ΔV_th per quantized
 //!   [`relia_core::StressKey`]; admission rejects non-finite values, and
 //!   hit/miss counters feed the metrics.
@@ -27,16 +26,13 @@
 //! * [`engine`] — [`run_sweep`]: prepare (per-circuit
 //!   [`relia_flow::AnalysisPrep`]) → open/resume → execute → summarize.
 //! * [`metrics`] — [`SweepMetrics`], the operator-facing run summary.
-//! * `fault` (feature `fault-inject` only) — deterministic fault schedules
-//!   and checkpoint-corruption helpers for the resilience test suite; the
-//!   module and its engine hooks do not exist in normal builds.
 //!
 //! ## Determinism
 //!
 //! `run_sweep` returns identical results for any worker count and any
 //! kill/resume pattern: enumeration is a pure function of the spec, cached
 //! evaluations are canonical per key, and checkpointed floats round-trip
-//! exactly. See `tests/determinism.rs` and `tests/fault_injection.rs`.
+//! exactly. See `tests/determinism.rs` and `tests/resilience.rs`.
 //!
 //! ```
 //! use relia_core::units::{Kelvin, Seconds};
@@ -59,8 +55,6 @@
 pub mod cache;
 pub mod checkpoint;
 pub mod engine;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 pub mod metrics;
 pub mod pool;
 pub mod spec;
@@ -71,12 +65,10 @@ pub use engine::{
     builtin_resolver, run_sweep, SweepError, SweepOptions, SweepOutcome, SWEEP_PERIOD_S,
     SWEEP_TEMP_ACTIVE_K,
 };
-#[cfg(feature = "fault-inject")]
-pub use fault::{Fault, FaultPlan};
 pub use metrics::{MetricsSnapshot, SweepMetrics, SweepTimings};
 pub use pool::{
-    default_workers, run_folded, run_ordered, run_pool, JobFailure, JobOutcome, PoolConfig,
-    PoolRun, SubmitError, TaskPool,
+    default_workers, run_folded, run_ordered, run_pool, JobOutcome, PoolConfig, SubmitError,
+    TaskPool,
 };
 pub use relia_core::CancelToken;
 pub use spec::{JobPoint, JobResult, JobTask, PolicySpec, SweepSpec, Workload};

@@ -83,15 +83,14 @@ impl CacheStats {
 /// frozen into the outcome's metrics.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepTimings {
-    /// Wall time of each executed job (one sample per attempt that
-    /// completed, successfully or not).
+    /// Wall time of each executed job, successful or not.
     pub job: HistSnapshot,
     /// Wall time of each checkpoint record flush.
     pub checkpoint: HistSnapshot,
 }
 
 /// What a sweep did, for the operator: job counts, resilience accounting
-/// (retries, timeouts, salvaged checkpoint damage), cache effectiveness,
+/// (timeouts, salvaged checkpoint damage), cache effectiveness,
 /// and wall-clock split between the prepare and execute phases.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepMetrics {
@@ -105,9 +104,6 @@ pub struct SweepMetrics {
     pub failed_jobs: usize,
     /// Jobs that ended in [`JobOutcome::TimedOut`](crate::JobOutcome::TimedOut).
     pub timed_out_jobs: usize,
-    /// Retry attempts across all jobs (a job that succeeded on its second
-    /// attempt contributes 1).
-    pub retried_jobs: u64,
     /// Checkpoint lines skipped as damaged when the run opened its
     /// checkpoint (the jobs they recorded re-run).
     pub salvaged_dropped: usize,
@@ -137,11 +133,11 @@ impl fmt::Display for SweepMetrics {
             self.timed_out_jobs,
             self.workers
         )?;
-        if self.retried_jobs > 0 || self.salvaged_dropped > 0 {
+        if self.salvaged_dropped > 0 {
             writeln!(
                 f,
-                "resilience: {} retries, {} corrupt checkpoint records salvaged away",
-                self.retried_jobs, self.salvaged_dropped
+                "resilience: {} corrupt checkpoint records salvaged away",
+                self.salvaged_dropped
             )?;
         }
         writeln!(
@@ -194,7 +190,6 @@ mod tests {
             resumed_jobs: 10,
             failed_jobs: 2,
             timed_out_jobs: 1,
-            retried_jobs: 3,
             salvaged_dropped: 4,
             workers: 8,
             cache: CacheStats {
@@ -214,7 +209,6 @@ mod tests {
             "10 resumed",
             "2 failed",
             "1 timed out",
-            "3 retries",
             "4 corrupt checkpoint records",
             "8 workers",
             "75.0% hit rate",

@@ -1,8 +1,8 @@
-//! A std-only ordered worker pool with per-job fault isolation, bounded
-//! retry, and watchdog deadlines.
+//! A std-only ordered worker pool with per-job fault isolation and
+//! watchdog deadlines.
 //!
 //! Workers claim jobs from a shared atomic counter (work stealing without
-//! queues), run each attempt under [`std::panic::catch_unwind`], and report
+//! queues), run each one under [`std::panic::catch_unwind`], and report
 //! `(index, outcome)` pairs over a channel. The collector delivers results
 //! **in job index order**, so the output order is a function of the job
 //! list alone — never of thread scheduling — and a failing job poisons
@@ -17,21 +17,14 @@
 //! until `i < consumed + 2 · workers`, so a run over any number of jobs
 //! keeps at most that many outcomes alive.
 //!
-//! Failure handling, per attempt:
-//!
-//! * a **panic** is caught and classified *transient* (environmental —
-//!   worth retrying);
-//! * an `Err(`[`JobFailure`]`)` return carries its own
-//!   transient/permanent classification — permanent failures (invalid
-//!   parameters, structural errors) fail fast without burning retries;
-//! * transient failures are retried up to [`PoolConfig::retries`] times,
-//!   waiting 10 ms before the first retry and twice as long before each
-//!   later one, never more than 2 s;
-//! * when [`PoolConfig::job_timeout`] is set, a watchdog thread cancels the
-//!   attempt's [`CancelToken`] once the soft deadline passes. Cancellation
-//!   is cooperative: the job polls the token (a circuit job hands it to
-//!   `AgingAnalysis::with_cache`) and returns early; the pool reports the
-//!   job as [`JobOutcome::TimedOut`] and drains instead of hanging.
+//! Every job runs once. A panic, or an `Err(reason)` the job returns,
+//! makes it [`JobOutcome::Failed`] with that reason. There is no retry:
+//! the sweep, fleet and surface jobs are pure functions of their inputs,
+//! so a second run would fail the same way. When [`PoolConfig::job_timeout`] is set, a watchdog thread cancels the
+//! job's [`CancelToken`] once the soft deadline passes. Cancellation is
+//! cooperative: the job polls the token (a circuit job hands it to
+//! `AgingAnalysis::with_cache`) and returns early; the pool reports the
+//! job as [`JobOutcome::TimedOut`] and drains instead of hanging.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,54 +36,22 @@ use std::time::{Duration, Instant};
 use relia_core::CancelToken;
 use relia_obs::Tracer;
 
-/// A job's own failure report, carrying the transient/permanent
-/// classification that drives the retry loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure {
-    /// Human-readable diagnostic.
-    pub reason: String,
-    /// True when a retry could plausibly succeed (environmental hiccup);
-    /// false for deterministic failures (invalid parameters) that would
-    /// only fail again.
-    pub transient: bool,
-}
-
-impl JobFailure {
-    /// A retryable failure.
-    pub fn transient(reason: impl Into<String>) -> Self {
-        JobFailure {
-            reason: reason.into(),
-            transient: true,
-        }
-    }
-
-    /// A fail-fast failure: no retry will be attempted.
-    pub fn permanent(reason: impl Into<String>) -> Self {
-        JobFailure {
-            reason: reason.into(),
-            transient: false,
-        }
-    }
-}
-
 /// The fate of one job: completed with its value, failed with a reason
 /// (panic or the job's own diagnostic), or cancelled by the watchdog.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobOutcome<T> {
     /// The job ran to completion.
     Completed(T),
-    /// Every permitted attempt failed; the run carried on without it.
+    /// The job panicked or returned an error; the run carried on without
+    /// it.
     Failed {
-        /// Terminal failure reason (panic message or the job's own
-        /// diagnostic).
+        /// The panic message or the job's own diagnostic.
         reason: String,
-        /// Total attempts made (1 when no retry happened).
-        attempts: u32,
     },
     /// The watchdog deadline expired and the job honored its cancellation
-    /// token. Timeouts are not retried.
+    /// token.
     TimedOut {
-        /// Wall-clock milliseconds the final attempt ran before stopping.
+        /// Wall-clock milliseconds the job ran before stopping.
         elapsed_ms: u64,
     },
 }
@@ -104,7 +65,7 @@ impl<T> JobOutcome<T> {
         }
     }
 
-    /// The completed value, or why the job did not complete: the terminal
+    /// The completed value, or why the job did not complete: the
     /// failure's reason, or `"watchdog deadline expired"`.
     ///
     /// # Errors
@@ -114,7 +75,7 @@ impl<T> JobOutcome<T> {
     pub fn into_result(self) -> Result<T, String> {
         match self {
             JobOutcome::Completed(v) => Ok(v),
-            JobOutcome::Failed { reason, .. } => Err(reason),
+            JobOutcome::Failed { reason } => Err(reason),
             JobOutcome::TimedOut { .. } => Err("watchdog deadline expired".to_owned()),
         }
     }
@@ -123,37 +84,25 @@ impl<T> JobOutcome<T> {
 /// Full configuration of one pool run.
 #[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
-    /// Worker threads; 0 means [`default_workers`].
+    /// Worker threads, clamped to `1..=jobs.len()`: 0 runs one worker. A
+    /// caller that wants the machine's parallelism passes
+    /// [`default_workers`].
     pub workers: usize,
-    /// Extra attempts for a transiently failing job (0 disables retrying).
-    pub retries: u32,
     /// Per-job soft deadline. `None` disables the watchdog.
     pub job_timeout: Option<Duration>,
     /// When set, the pool records `job_queue_wait` (claim delay from pool
-    /// start), `job_execute` (per attempt), and `job_retry_backoff` spans
-    /// into this tracer.
+    /// start) and `job_execute` (per job) spans into this tracer.
     pub trace: Option<Arc<Tracer>>,
 }
 
 impl PoolConfig {
-    /// A config running `workers` threads with no retries and no watchdog.
+    /// A config running `workers` threads with no watchdog and no spans.
     pub fn with_workers(workers: usize) -> Self {
         PoolConfig {
             workers,
             ..PoolConfig::default()
         }
     }
-}
-
-/// What a pool run hands back: outcomes in job order plus run-wide retry
-/// accounting (completed jobs do not carry their attempt count, so the
-/// pool counts retries centrally).
-#[derive(Debug)]
-pub struct PoolRun<T> {
-    /// `outcomes[i]` is the fate of `jobs[i]`.
-    pub outcomes: Vec<JobOutcome<T>>,
-    /// Total retry attempts across all jobs (successful or not).
-    pub retries: u64,
 }
 
 /// The number of workers to use when the caller does not care: the
@@ -297,31 +246,14 @@ impl Drop for TaskPool {
 /// How often the watchdog scans the running-job slots.
 const WATCHDOG_TICK: Duration = Duration::from_millis(2);
 
-/// Backoff before the first retry.
-const BASE_BACKOFF: Duration = Duration::from_millis(10);
-
-/// Upper bound on any single retry backoff.
-const MAX_BACKOFF: Duration = Duration::from_secs(2);
-
-/// Backoff before retry number `retry` (1-based):
-/// `BASE_BACKOFF · 2^(retry−1)`, clamped to [`MAX_BACKOFF`].
-fn backoff(retry: u32) -> Duration {
-    let factor = 1u32
-        .checked_shl(retry.saturating_sub(1))
-        .unwrap_or(u32::MAX);
-    BASE_BACKOFF
-        .checked_mul(factor)
-        .map_or(MAX_BACKOFF, |d| d.min(MAX_BACKOFF))
-}
-
 /// How many jobs per worker [`run_folded`] may start ahead of the lowest
 /// unconsumed index: enough that a worker finishing early rarely waits on
 /// a slow neighbour, few enough that the buffer stays a handful of
 /// outcomes at any job count.
 const WINDOW_PER_WORKER: usize = 2;
 
-/// Runs every job and returns the outcomes **in job order** (no retries,
-/// no watchdog). `workers` is clamped to `1..=jobs.len()`; `run` receives
+/// Runs every job and returns the outcomes **in job order** (no
+/// watchdog). `workers` is clamped to `1..=jobs.len()`; `run` receives
 /// the job's index and a reference to the job. See [`run_pool`] for the
 /// full-featured variant.
 pub fn run_ordered<J, T, F>(jobs: &[J], workers: usize, run: F) -> Vec<JobOutcome<T>>
@@ -336,7 +268,6 @@ where
         |i, j, _| Ok(run(i, j)),
         |_, _| {},
     )
-    .outcomes
 }
 
 /// Runs every job and folds the outcomes into the caller's state **in job
@@ -369,35 +300,40 @@ where
     );
 }
 
-/// Runs every job under the full resilience machinery — retry with bounded
-/// exponential backoff, panic isolation, and cooperative watchdog
-/// deadlines — returning outcomes **in job order**.
+/// Runs every job with panic isolation and cooperative watchdog
+/// deadlines, returning the outcomes **in job order**.
 ///
-/// `run` receives the job's index, the job, and the attempt's
-/// [`CancelToken`]; long-running jobs should poll the token so the
-/// watchdog can turn a straggler into [`JobOutcome::TimedOut`] instead of
-/// a pool-stalling hang. `observe` is invoked from the collector thread in
-/// completion order. Claiming is not windowed: a job in retry backoff or
-/// waiting on its deadline never holds the other workers back.
-pub fn run_pool<J, T, F, O>(jobs: &[J], config: &PoolConfig, run: F, observe: O) -> PoolRun<T>
+/// `run` receives the job's index, the job, and its [`CancelToken`];
+/// long-running jobs should poll the token so the watchdog can turn a
+/// straggler into [`JobOutcome::TimedOut`] instead of a pool-stalling
+/// hang. An `Err(reason)` makes the job [`JobOutcome::Failed`]. `observe`
+/// is invoked from the collector thread in completion order. Claiming is
+/// not windowed: a job waiting on its deadline never holds the other
+/// workers back.
+pub fn run_pool<J, T, F, O>(
+    jobs: &[J],
+    config: &PoolConfig,
+    run: F,
+    observe: O,
+) -> Vec<JobOutcome<T>>
 where
     J: Sync,
     T: Send,
-    F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure> + Sync,
+    F: Fn(usize, &J, &CancelToken) -> Result<T, String> + Sync,
     O: FnMut(usize, &JobOutcome<T>),
 {
     let mut outcomes = Vec::with_capacity(jobs.len());
-    let retries = run_in_order(jobs, config, false, run, observe, |_, outcome| {
+    run_in_order(jobs, config, false, run, observe, |_, outcome| {
         outcomes.push(outcome)
     });
-    PoolRun { outcomes, retries }
+    outcomes
 }
 
 /// The one collector behind every finite pool run: spawns the workers (and
-/// the watchdog when a deadline is set), hands each outcome to `observe` as
-/// it arrives and to `consume` in job order, and returns the retry count.
-/// With `windowed`, workers stay within [`WINDOW_PER_WORKER`] jobs per
-/// worker of the consumed prefix.
+/// the watchdog when a deadline is set) and hands each outcome to `observe`
+/// as it arrives and to `consume` in job order. With `windowed`, workers
+/// stay within [`WINDOW_PER_WORKER`] jobs per worker of the consumed
+/// prefix.
 fn run_in_order<J, T, F, O, C>(
     jobs: &[J],
     config: &PoolConfig,
@@ -405,23 +341,21 @@ fn run_in_order<J, T, F, O, C>(
     run: F,
     mut observe: O,
     mut consume: C,
-) -> u64
-where
+) where
     J: Sync,
     T: Send,
-    F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure> + Sync,
+    F: Fn(usize, &J, &CancelToken) -> Result<T, String> + Sync,
     O: FnMut(usize, &JobOutcome<T>),
     C: FnMut(usize, JobOutcome<T>),
 {
     if jobs.is_empty() {
-        return 0;
+        return;
     }
     let workers = config.workers.max(1).min(jobs.len());
     let pool_start_ns = config.trace.as_ref().map(|t| t.now_ns());
     let next = AtomicUsize::new(0);
-    let retries = AtomicU64::new(0);
     let cursor = Cursor::new(windowed.then_some(WINDOW_PER_WORKER * workers));
-    // One slot per worker: the token and deadline of the attempt it is
+    // One slot per worker: the token and deadline of the job it is
     // currently running, scanned by the watchdog.
     let slots: Vec<Mutex<Option<(CancelToken, Instant)>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
@@ -454,7 +388,6 @@ where
         for slot in &slots {
             let tx = tx.clone();
             let next = &next;
-            let retries = &retries;
             let cursor = &cursor;
             let run = &run;
             scope.spawn(move || loop {
@@ -467,7 +400,7 @@ where
                     // behind earlier work before a worker reached it.
                     tracer.record("job_queue_wait", 0, t0, tracer.now_ns().saturating_sub(t0));
                 }
-                let outcome = run_one(i, &jobs[i], config, slot, run, retries);
+                let outcome = run_one(i, &jobs[i], config, slot, run);
                 if tx.send((i, outcome)).is_err() {
                     break; // collector gone; nothing left to report to
                 }
@@ -502,7 +435,6 @@ where
             "every claimed job reports exactly once"
         );
     });
-    retries.load(Ordering::Relaxed)
 }
 
 /// The consumed prefix of a pool run, shared with its workers.
@@ -576,63 +508,45 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// The per-job attempt loop: run, classify, retry or report.
+/// Runs one job under its deadline and reports its outcome.
 fn run_one<J, T, F>(
     index: usize,
     job: &J,
     config: &PoolConfig,
     slot: &Mutex<Option<(CancelToken, Instant)>>,
     run: &F,
-    retries: &AtomicU64,
 ) -> JobOutcome<T>
 where
-    F: Fn(usize, &J, &CancelToken) -> Result<T, JobFailure>,
+    F: Fn(usize, &J, &CancelToken) -> Result<T, String>,
 {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let token = CancelToken::new();
-        let started = Instant::now();
-        if let Some(timeout) = config.job_timeout {
-            if let Ok(mut guard) = slot.lock() {
-                *guard = Some((token.clone(), started + timeout));
-            }
-        }
-        let attempt_span = config.trace.as_deref().map(|t| t.span("job_execute"));
-        let result = catch_unwind(AssertUnwindSafe(|| run(index, job, &token)));
-        drop(attempt_span);
+    let token = CancelToken::new();
+    let started = Instant::now();
+    if let Some(timeout) = config.job_timeout {
         if let Ok(mut guard) = slot.lock() {
-            *guard = None;
+            *guard = Some((token.clone(), started + timeout));
         }
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-
-        let failure = match result {
-            // A value that lands after cancellation is still a valid value:
-            // the deadline is soft, and the work is already done.
-            Ok(Ok(value)) => return JobOutcome::Completed(value),
-            Ok(Err(failure)) => failure,
-            Err(payload) => {
-                JobFailure::transient(format!("panic: {}", panic_reason(payload.as_ref())))
-            }
-        };
-        if token.is_cancelled() {
-            // The watchdog fired during this attempt; whatever error the
-            // job surfaced on its way out, the operative fact is the
-            // deadline. Timeouts are not retried.
-            return JobOutcome::TimedOut { elapsed_ms };
-        }
-        if failure.transient && attempts <= config.retries {
-            retries.fetch_add(1, Ordering::Relaxed);
-            let backoff_span = config.trace.as_deref().map(|t| t.span("job_retry_backoff"));
-            thread::sleep(backoff(attempts));
-            drop(backoff_span);
-            continue;
-        }
-        return JobOutcome::Failed {
-            reason: failure.reason,
-            attempts,
-        };
     }
+    let execute_span = config.trace.as_deref().map(|t| t.span("job_execute"));
+    let result = catch_unwind(AssertUnwindSafe(|| run(index, job, &token)));
+    drop(execute_span);
+    if let Ok(mut guard) = slot.lock() {
+        *guard = None;
+    }
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+
+    let reason = match result {
+        // A value that lands after cancellation is still a valid value:
+        // the deadline is soft, and the work is already done.
+        Ok(Ok(value)) => return JobOutcome::Completed(value),
+        Ok(Err(reason)) => reason,
+        Err(payload) => format!("panic: {}", panic_reason(payload.as_ref())),
+    };
+    if token.is_cancelled() {
+        // The watchdog fired during the job; whatever error it surfaced
+        // on its way out, the operative fact is the deadline.
+        return JobOutcome::TimedOut { elapsed_ms };
+    }
+    JobOutcome::Failed { reason }
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -679,8 +593,7 @@ mod tests {
         for (i, outcome) in out.iter().enumerate() {
             if i == 7 {
                 match outcome {
-                    JobOutcome::Failed { reason, attempts } => {
-                        assert_eq!(*attempts, 1);
+                    JobOutcome::Failed { reason } => {
                         assert!(reason.contains("exploded"), "{reason}");
                     }
                     other => panic!("job 7 should fail, got {other:?}"),
@@ -689,28 +602,6 @@ mod tests {
                 assert_eq!(outcome.completed(), Some(&i));
             }
         }
-        // A panic classifies as transient: with a retry budget it re-runs.
-        let config = PoolConfig {
-            workers: 4,
-            retries: 1,
-            ..PoolConfig::default()
-        };
-        let run = run_pool(
-            &jobs,
-            &config,
-            |_, &j, _| -> Result<usize, JobFailure> {
-                if j == 7 {
-                    panic!("job {j} exploded");
-                }
-                Ok(j)
-            },
-            |_, _| {},
-        );
-        assert!(matches!(
-            run.outcomes[7],
-            JobOutcome::Failed { attempts: 2, .. }
-        ));
-        assert_eq!(run.retries, 1, "the panic was retried once");
     }
 
     #[test]
@@ -930,79 +821,24 @@ mod tests {
     }
 
     #[test]
-    fn transient_failure_succeeds_after_retry() {
-        let calls = AtomicU32::new(0);
-        let config = PoolConfig {
-            workers: 2,
-            retries: 2,
-            ..PoolConfig::default()
-        };
-        let run = run_pool(
-            &[0usize],
-            &config,
-            |_, _, _| {
-                if calls.fetch_add(1, Ordering::Relaxed) < 2 {
-                    Err(JobFailure::transient("flaky"))
-                } else {
-                    Ok(42)
-                }
-            },
-            |_, _| {},
-        );
-        assert_eq!(run.outcomes[0].completed(), Some(&42));
-        assert_eq!(run.retries, 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
     fn permanent_failure_fails_fast() {
         let calls = AtomicU32::new(0);
-        let config = PoolConfig {
-            workers: 1,
-            retries: 5,
-            ..PoolConfig::default()
-        };
-        let run = run_pool(
+        let outcomes = run_pool(
             &[0usize],
-            &config,
-            |_, _, _| -> Result<(), JobFailure> {
+            &PoolConfig::with_workers(1),
+            |_, _, _| -> Result<(), String> {
                 calls.fetch_add(1, Ordering::Relaxed);
-                Err(JobFailure::permanent("bad parameter"))
+                Err("bad parameter".into())
             },
             |_, _| {},
         );
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry burned");
-        assert_eq!(run.retries, 0);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "the job runs once");
         assert_eq!(
-            run.outcomes[0],
-            JobOutcome::Failed {
-                reason: "bad parameter".into(),
-                attempts: 1,
-            }
+            outcomes,
+            [JobOutcome::Failed {
+                reason: "bad parameter".into()
+            }]
         );
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_counts_every_attempt() {
-        let config = PoolConfig {
-            workers: 1,
-            retries: 3,
-            ..PoolConfig::default()
-        };
-        let run = run_pool(
-            &[0usize],
-            &config,
-            |_, _, _| -> Result<(), JobFailure> { Err(JobFailure::transient("still flaky")) },
-            |_, _| {},
-        );
-        assert_eq!(
-            run.outcomes[0],
-            JobOutcome::Failed {
-                reason: "still flaky".into(),
-                attempts: 4, // 1 initial + 3 retries
-            }
-        );
-        assert_eq!(run.retries, 3);
     }
 
     #[test]
@@ -1014,7 +850,7 @@ mod tests {
             ..PoolConfig::default()
         };
         let started = Instant::now();
-        let run = run_pool(
+        let outcomes = run_pool(
             &jobs,
             &config,
             |_, &j, token: &CancelToken| {
@@ -1024,7 +860,7 @@ mod tests {
                     while !token.is_cancelled() {
                         thread::sleep(Duration::from_millis(1));
                     }
-                    return Err(JobFailure::transient("cancelled"));
+                    return Err("cancelled".to_owned());
                 }
                 Ok(j)
             },
@@ -1034,7 +870,7 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "pool must drain promptly"
         );
-        for (i, outcome) in run.outcomes.iter().enumerate() {
+        for (i, outcome) in outcomes.iter().enumerate() {
             if i == 3 {
                 match outcome {
                     JobOutcome::TimedOut { elapsed_ms } => {
@@ -1046,85 +882,21 @@ mod tests {
                 assert_eq!(outcome.completed(), Some(&i), "job {i} unaffected");
             }
         }
-        assert_eq!(run.retries, 0, "timeouts are not retried");
     }
 
     #[test]
-    fn a_retry_that_outlives_its_deadline_times_out_and_counts_the_retry() {
-        let calls = AtomicU32::new(0);
-        let config = PoolConfig {
-            workers: 1,
-            retries: 2,
-            job_timeout: Some(Duration::from_millis(20)),
-            trace: None,
-        };
-        let run = run_pool(
-            &[0usize],
-            &config,
-            |_, _, token: &CancelToken| -> Result<(), JobFailure> {
-                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                    return Err(JobFailure::transient("flaky once"));
-                }
-                // The retry hangs cooperatively until the watchdog fires.
-                while !token.is_cancelled() {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(JobFailure::transient("cancelled"))
-            },
-            |_, _| {},
-        );
-        match run.outcomes[0] {
-            JobOutcome::TimedOut { elapsed_ms } => {
-                assert!(elapsed_ms >= 15, "the retry ran near its own deadline");
-            }
-            ref other => panic!("expected TimedOut, got {other:?}"),
-        }
-        assert_eq!(run.retries, 1, "the retry before the timeout counts");
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2,
-            "the timeout is not retried"
-        );
-    }
-
-    #[test]
-    fn pool_records_queue_execute_and_backoff_spans() {
+    fn pool_records_queue_wait_and_execute_spans() {
         let tracer = Arc::new(Tracer::new(64));
         let config = PoolConfig {
             workers: 2,
-            retries: 1,
             job_timeout: None,
             trace: Some(Arc::clone(&tracer)),
         };
-        let calls = AtomicU32::new(0);
-        let run = run_pool(
-            &[0usize, 1],
-            &config,
-            |_, _, _| {
-                if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                    Err(JobFailure::transient("flaky once"))
-                } else {
-                    Ok(())
-                }
-            },
-            |_, _| {},
-        );
-        assert_eq!(run.retries, 1);
+        run_pool(&[0usize, 1], &config, |_, _, _| Ok(()), |_, _| {});
         let spans = tracer.recent();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("job_queue_wait"), 2, "one claim per job");
-        assert_eq!(count("job_execute"), 3, "two jobs + one retry attempt");
-        assert_eq!(count("job_retry_backoff"), 1);
-    }
-
-    #[test]
-    fn backoff_grows_and_clamps() {
-        assert_eq!(backoff(1), Duration::from_millis(10));
-        assert_eq!(backoff(2), Duration::from_millis(20));
-        assert_eq!(backoff(3), Duration::from_millis(40));
-        assert_eq!(backoff(8), Duration::from_millis(1280));
-        assert_eq!(backoff(9), Duration::from_secs(2), "clamped");
-        assert_eq!(backoff(63), Duration::from_secs(2), "shift saturates");
+        assert_eq!(count("job_execute"), 2, "one execution per job");
     }
 
     #[test]
@@ -1245,7 +1017,6 @@ mod tests {
     fn into_result_reports_the_failure_reason() {
         let failed: JobOutcome<()> = JobOutcome::Failed {
             reason: "second".into(),
-            attempts: 2,
         };
         assert_eq!(failed.into_result(), Err("second".to_owned()));
         let timed_out: JobOutcome<()> = JobOutcome::TimedOut { elapsed_ms: 5 };

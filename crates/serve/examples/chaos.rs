@@ -1,4 +1,4 @@
-//! Chaos harness for `relia-serve` (requires feature `fault-inject`).
+//! Chaos harness for `relia-serve`.
 //!
 //! Boots a server, then drives it through a seeded mix of socket-level
 //! faults — slow dribbles, partial writes, mid-message disconnects,
@@ -17,8 +17,8 @@
 //! is replayed exactly by rerunning with the same seed.
 //!
 //! ```text
-//! cargo run -p relia-serve --features fault-inject --example chaos
-//! cargo run -p relia-serve --features fault-inject --example chaos -- \
+//! cargo run -p relia-serve --example chaos
+//! cargo run -p relia-serve --example chaos -- \
 //!     --seed 1234 --conns 64 --addr 127.0.0.1:4599
 //! ```
 //!

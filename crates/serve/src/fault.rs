@@ -1,12 +1,9 @@
-//! Deterministic socket-level fault injection (feature `fault-inject`
-//! only — the module does not exist in normal builds).
-//!
-//! The batch engine's fault plan (`relia_jobs::fault`) breaks *jobs*;
-//! this module breaks *connections*. A [`ChaosPlan`] maps connection
-//! indices to [`ConnFault`]s drawn from the workspace's seeded
-//! [`SplitMix64`] streams, so one seed fully determines the fault
-//! sequence of a chaos run — rerunning with the same seed replays the
-//! exact same abuse.
+//! Deterministic socket-level fault injection, the workspace's one fault
+//! vocabulary: it breaks *connections* for the `chaos` example. A
+//! [`ChaosPlan`] maps connection indices to [`ConnFault`]s drawn from the
+//! workspace's seeded [`SplitMix64`] streams, so one seed fully determines
+//! the fault sequence of a chaos run — rerunning with the same seed
+//! replays the exact same abuse.
 //!
 //! [`FaultStream`] wraps a *client-side* stream and misbehaves on the
 //! peer's behalf:

@@ -31,12 +31,11 @@
 //!   answers (miss → fast `503 + Retry-After` with bounded jitter); the
 //!   `Healthy → Degraded → Draining` machine behind `/healthz` makes it
 //!   all observable ([`breaker`]).
-//! * **Chaos-tested.** With feature `fault-inject`, the `fault` module
-//!   provides a
-//!   seeded socket-level fault injector (slow dribbles, short writes,
-//!   mid-body disconnects, truncation, stalled keep-alives) and the
-//!   `chaos` example drives a live server through reproducible fault
-//!   mixes, asserting the invariants hold.
+//! * **Chaos-tested.** The [`fault`] module is a seeded socket-level
+//!   fault injector (slow dribbles, short writes, mid-body disconnects,
+//!   truncation, stalled keep-alives), and the `chaos` example drives a
+//!   live server through reproducible fault mixes, asserting the
+//!   invariants hold.
 //! * **Byte parity.** Responses render floats with the shortest
 //!   round-trip convention, so a served value is byte-identical to one
 //!   computed by a direct library call — the `loadgen` example asserts
@@ -57,7 +56,6 @@
 
 pub mod breaker;
 pub mod coalesce;
-#[cfg(feature = "fault-inject")]
 pub mod fault;
 pub mod http;
 pub mod metrics;
@@ -70,7 +68,6 @@ pub use breaker::{
     HealthTransition, OverloadConfig, OverloadControl,
 };
 pub use coalesce::SingleFlight;
-#[cfg(feature = "fault-inject")]
 pub use fault::{ChaosPlan, ConnFault, FaultStream, Severable};
 pub use http::{
     read_request, write_chunk, write_chunked_end, write_chunked_head, write_response, Limits,

@@ -12,8 +12,6 @@
 //!   probabilities and switching activity, the statistical route the paper's
 //!   flow uses ("the signal probability for each edge is derived
 //!   statistically by simulating a large number of input vectors").
-//! * [`ternary`] — three-valued (0/1/X) simulation for floating or
-//!   partially-driven standby states.
 //!
 //! ```
 //! use relia_netlist::iscas;
@@ -30,9 +28,7 @@ pub mod error;
 pub mod logic;
 pub mod monte_carlo;
 pub mod prob;
-pub mod ternary;
 
 pub use error::SimError;
 pub use logic::NetValues;
 pub use prob::SignalProbs;
-pub use ternary::{simulate_ternary, TernaryValues, Trit};

@@ -18,15 +18,11 @@ echo "==> cargo test --release (relia-core and relia-leakage bit-identity oracle
 # fingerprints, must also hold on the code the release binaries run.
 cargo test -q --offline --release -p relia-core -p relia-leakage
 
-echo "==> cargo test (fault injection)"
-cargo test -q --offline -p relia-jobs --features fault-inject
-cargo test -q --offline -p relia-serve --features fault-inject
-
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
 echo "==> cargo clippy -D warnings"
-# Besides clippy's defaults, these lanes carry the workspace lints of the
+# Besides clippy's defaults, this lane carries the workspace lints of the
 # root Cargo.toml: no `unwrap`/`expect` and no stdout/stderr printing in
 # library code (test code is exempt through clippy.toml; binaries and
 # examples opt out at their crate root), and every `#[expect]` must still
@@ -34,8 +30,6 @@ echo "==> cargo clippy -D warnings"
 # `--keep-going` lets one run list every failing target: without it cargo
 # stops scheduling at the first package whose lints fail.
 cargo clippy --offline --keep-going --workspace --all-targets -- -D warnings
-cargo clippy --offline --keep-going -p relia-jobs --all-targets --features fault-inject -- -D warnings
-cargo clippy --offline --keep-going -p relia-serve --all-targets --features fault-inject -- -D warnings
 
 echo "==> cargo doc -D warnings (no broken, ambiguous or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
@@ -94,8 +88,8 @@ echo "==> relia serve (chaos: seeded socket faults, overload, drain)"
 # faults (slow dribbles, short writes, mid-body disconnects, truncation,
 # stalled keep-alives). The example asserts the metrics ledger balances,
 # no worker dies, and graceful drain completes — exit 0 or the gate fails.
-cargo run -q --offline --release -p relia-serve --features fault-inject \
-    --example chaos -- --seed 7 --conns 48 --threads 4
+cargo run -q --offline --release -p relia-serve --example chaos -- \
+    --seed 7 --conns 48 --threads 4
 
 echo "==> relia fleet (10k smoke, percentile sanity, resume)"
 # One 10k-sample run through the release CLI, a sanity pass over the

@@ -77,8 +77,8 @@ const USAGE: &str = "usage:
                                                  one aging analysis
   relia sweep   [netlist ...] [--ras A:S,...] [--tstandby K,...]
                 [--years Y,...] [--standby P,...] [--jobs N]
-                [--checkpoint PATH] [--retries N]
-                [--job-timeout SECS]             parallel batch sweep
+                [--checkpoint PATH] [--job-timeout SECS]
+                                                 parallel batch sweep
   relia mlv     <netlist> [--ras A:S] [--tstandby K] [--years Y]
                                                  leakage/NBTI co-optimal vectors
   relia dot     <netlist>                        Graphviz export
@@ -109,10 +109,8 @@ sweep notes:
   (circuits x standby policies x ras x tstandby x years); defaults give a
   40-job grid on builtin:c17. omit --jobs to use all cores (an explicit
   --jobs 0 is a usage error). --checkpoint resumes completed jobs from
-  PATH if it exists, salvaging a corrupt tail. --retries N re-runs
-  transiently failed jobs (panics) up to N times with exponential backoff;
-  --job-timeout SECS cancels stragglers cooperatively (reported as
-  TIMEOUT rows, re-run on resume).";
+  PATH if it exists, salvaging a corrupt tail. --job-timeout SECS cancels
+  stragglers cooperatively (reported as TIMEOUT rows, re-run on resume).";
 
 /// The usage page of subcommand `cmd`: what `help` prints and what
 /// follows a usage error. `serve`, `fleet` and `surface` have their own.
@@ -988,7 +986,6 @@ fn run_sweep_command(mut args: Args) -> Result<(), CliError> {
             }
             "--jobs" => options.workers = args.count("job count")?,
             "--checkpoint" => options.checkpoint = Some(PathBuf::from(args.value()?)),
-            "--retries" => options.retries = args.number("retry count")?,
             "--job-timeout" => options.job_timeout = Some(args.duration("timeout")?),
             circuit if !circuit.starts_with("--") => circuits.push(circuit.to_owned()),
             other => return Err(unknown(other)),
@@ -1067,13 +1064,7 @@ fn run_sweep_command(mut args: Args) -> Result<(), CliError> {
             JobOutcome::Completed(JobResult::Model { delta_vth }) => {
                 println!("{prefix} {:>7.2}mV", delta_vth * 1e3);
             }
-            JobOutcome::Failed { reason, attempts } => {
-                if *attempts > 1 {
-                    println!("{prefix} FAILED after {attempts} attempts: {reason}");
-                } else {
-                    println!("{prefix} FAILED: {reason}");
-                }
-            }
+            JobOutcome::Failed { reason } => println!("{prefix} FAILED: {reason}"),
             JobOutcome::TimedOut { elapsed_ms } => {
                 println!("{prefix} TIMEOUT after {:.1}s", *elapsed_ms as f64 / 1e3);
             }

@@ -256,7 +256,7 @@ fn mlv_lists_years_which_moves_its_answer_and_refuses_standby() {
 
 #[test]
 fn sweep_exit_codes_are_pinned() {
-    // Success → 0 (with the resilience flags accepted).
+    // Success → 0 (with the watchdog flag accepted).
     let (code, _, stderr) = relia_coded(&[
         "sweep",
         "builtin:c17",
@@ -266,8 +266,6 @@ fn sweep_exit_codes_are_pinned() {
         "330",
         "--standby",
         "worst",
-        "--retries",
-        "1",
         "--job-timeout",
         "30",
     ]);
