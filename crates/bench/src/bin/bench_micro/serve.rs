@@ -7,7 +7,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use relia_core::{CancelToken, Deadline, Kelvin};
-use relia_serve::{handle, DegradeQuery, Endpoint, OverloadConfig, Request, ServeState};
+use relia_serve::{handle, DegradeQuery, Request, ServeState};
 
 use crate::record::{Gate, Record, Value};
 use crate::{ns_per_call, Section};
@@ -37,16 +37,12 @@ fn deadline() -> Deadline {
     Deadline::new(CancelToken::new(), Instant::now() + Duration::from_secs(60))
 }
 
-/// A server whose degrade breaker is open, with the cooldown parked far
-/// out so no half-open probe can close it mid-measurement.
-fn tripped_state() -> ServeState {
+/// A server with a zero brownout high-water mark, so one queued
+/// connection browns it out.
+fn browned_state() -> ServeState {
     ServeState::new(Duration::from_secs(60))
         .expect("builtin calibration is valid")
-        .with_overload(OverloadConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(3600),
-            ..OverloadConfig::default()
-        })
+        .with_brownout_high_water(0)
 }
 
 fn measure() -> Record {
@@ -67,22 +63,18 @@ fn measure() -> Record {
         })
     };
 
-    // Breaker fast-path shed: open breaker, cold key → 503.
-    let shedding = tripped_state();
-    shedding
-        .overload
-        .settle(Endpoint::Degrade, 500, Instant::now());
+    // Brownout shed: past the mark, cold key → 503.
+    let shedding = browned_state();
+    shedding.overload.conn_enqueued();
     let shed_ns = dispatch(&shedding, 503);
 
-    // Brownout cache hit: open breaker, memoized key → full 200.
-    let browned = tripped_state();
+    // Brownout cache hit: past the mark, memoized key → full 200.
+    let browned = browned_state();
     let (warm, _) = handle(&browned, &request, &deadline());
     assert_eq!(warm.status, 200, "warms the memo cache");
-    browned
-        .overload
-        .settle(Endpoint::Degrade, 500, Instant::now());
+    browned.overload.conn_enqueued();
     assert!(
-        !browned.overload.admit(Endpoint::Degrade, Instant::now()),
+        browned.overload.queue_congested(),
         "the gate is cache-hit-only"
     );
     let cache_hit_ns = dispatch(&browned, 200);

@@ -32,10 +32,10 @@
 
 use crate::batch::StressColumn;
 use crate::equivalent::{ModeSchedule, PmosStress, Ras};
-use crate::error::ModelError;
+use crate::error::{check_temp, ModelError};
 use crate::model::{check_total_time, NbtiModel};
 use crate::seal::Fnv1a;
-use crate::units::{Seconds, Volts};
+use crate::units::{Kelvin, Seconds, Volts};
 
 /// Probability quantum: 1e-9 (keys store `round(p * 1e9)`).
 const PROB_SCALE: f64 = 1.0e9;
@@ -110,19 +110,22 @@ impl StressKey {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidParameter`] for a lifetime the lattice
-    /// cannot hold (see [`StressKey::lifetime_ms`]).
+    /// Returns [`ModelError::InvalidParameter`] for a temperature or a
+    /// lifetime the lattice cannot hold (see [`StressKey::temp_mk`] and
+    /// [`StressKey::lifetime_ms`]).
     pub fn quantize(
         schedule: &ModeSchedule,
         stress: &PmosStress,
         lifetime: Seconds,
     ) -> Result<Self, ModelError> {
+        let temp_active_mk = StressKey::temp_mk("temp_active", schedule.temp_active())?;
+        let temp_standby_mk = StressKey::temp_mk("temp_standby", schedule.temp_standby())?;
         let lifetime_ms = StressKey::lifetime_ms(lifetime)?;
         Ok(StressKey {
             p_active: (stress.active_stress_prob() * PROB_SCALE).round() as u32,
             p_standby: (stress.standby_stress_prob() * PROB_SCALE).round() as u32,
-            temp_active_mk: (schedule.temp_active().0 * TEMP_SCALE).round() as u32,
-            temp_standby_mk: (schedule.temp_standby().0 * TEMP_SCALE).round() as u32,
+            temp_active_mk,
+            temp_standby_mk,
             t_active_ms: (schedule.t_active().0 * TIME_SCALE).round() as u64,
             t_standby_ms: (schedule.t_standby().0 * TIME_SCALE).round() as u64,
             lifetime_ms,
@@ -148,6 +151,28 @@ impl StressKey {
                 name: "total_time",
                 value: lifetime.0,
                 expected: "seconds below 2^64 ms (the 1 ms key lattice)",
+            })
+        }
+    }
+
+    /// The lattice coordinate of temperature `temp`, named `name` in
+    /// errors: whole millikelvin. The lattice holds the temperatures that
+    /// round to 1 through `u32::MAX` mK, 0.0005 K up to about 4.29e6 K.
+    ///
+    /// # Errors
+    ///
+    /// The model's own [`ModelError::InvalidTemperature`] for a
+    /// non-positive or non-finite temperature, and
+    /// [`ModelError::InvalidParameter`] for a positive one off the lattice.
+    pub fn temp_mk(name: &'static str, temp: Kelvin) -> Result<u32, ModelError> {
+        let mk = (check_temp(name, temp)?.0 * TEMP_SCALE).round();
+        if (1.0..=f64::from(u32::MAX)).contains(&mk) {
+            Ok(mk as u32)
+        } else {
+            Err(ModelError::InvalidParameter {
+                name,
+                value: temp.0,
+                expected: "kelvin from 0.0005 to 4294967.295 (the 1 mK key lattice)",
             })
         }
     }
@@ -272,8 +297,8 @@ impl StressKey {
         let schedule = ModeSchedule::new(
             Ras::new(t_active, t_standby)?,
             Seconds(t_active + t_standby),
-            crate::units::Kelvin(self.temp_active_mk as f64 / TEMP_SCALE),
-            crate::units::Kelvin(self.temp_standby_mk as f64 / TEMP_SCALE),
+            Kelvin(self.temp_active_mk as f64 / TEMP_SCALE),
+            Kelvin(self.temp_standby_mk as f64 / TEMP_SCALE),
         )?;
         let stress = PmosStress::new(
             (self.p_active as f64 / PROB_SCALE).min(1.0),
@@ -301,7 +326,6 @@ impl StressKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::Kelvin;
 
     fn schedule() -> ModeSchedule {
         ModeSchedule::new(
@@ -447,6 +471,46 @@ mod tests {
         for t in [1.85e16, 1e17] {
             let err = StressKey::lifetime_ms(Seconds(t)).unwrap_err();
             assert!(err.to_string().contains("total_time"), "{err}");
+        }
+    }
+
+    #[test]
+    fn temperatures_outside_the_lattice_are_refused() {
+        let standby = |t| {
+            let ras = Ras::new(1.0, 9.0)?;
+            let schedule = ModeSchedule::new(ras, Seconds(1000.0), Kelvin(400.0), Kelvin(t))?;
+            StressKey::quantize(&schedule, &PmosStress::worst_case(), Seconds(1.0e8))
+        };
+        // The lattice's two ends: 0.0005 K rounds to 1 mK, and
+        // 4,294,967.295 K is u32::MAX mK.
+        for t in [0.0005, 4_294_967.295] {
+            assert!(standby(t).is_ok(), "{t}");
+        }
+        // Positive temperatures the model accepts but no u32 of
+        // millikelvin holds: refused rather than keyed to 0 mK or
+        // saturated onto one key.
+        for t in [0.0004, 4_294_967.296, 1e7, 1e300] {
+            let err = standby(t).unwrap_err().to_string();
+            assert!(
+                err.starts_with("invalid parameter temp_standby"),
+                "{t}: {err}"
+            );
+        }
+        let active = StressKey::temp_mk("temp_active", Kelvin(1e7)).unwrap_err();
+        assert!(active
+            .to_string()
+            .starts_with("invalid parameter temp_active"));
+        assert_eq!(
+            StressKey::temp_mk("temp_active", Kelvin(400.0)),
+            Ok(400_000)
+        );
+        // Temperatures the model refuses keep the model's own error.
+        for t in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = StressKey::temp_mk("temp_standby", Kelvin(t)).unwrap_err();
+            assert!(
+                matches!(err, ModelError::InvalidTemperature { .. }),
+                "{t}: {err}"
+            );
         }
     }
 

@@ -26,11 +26,10 @@
 //!   per-message arrival budget map stalled or dribbling peers to `408`;
 //!   a per-request [`relia_core::Deadline`] maps overlong evaluation to
 //!   `504`, cancelling aging analyses cooperatively.
-//! * **Overload control.** Per-endpoint circuit breakers open on
-//!   consecutive evaluation failures; brownout mode serves cache-hit-only
-//!   answers (miss → fast `503 + Retry-After` with bounded jitter); the
-//!   `Healthy → Degraded → Draining` machine behind `/healthz` makes it
-//!   all observable ([`breaker`]).
+//! * **Overload control.** Past an in-flight high-water mark, brownout
+//!   mode serves cache-hit-only answers (miss → fast `503 + Retry-After`
+//!   with bounded jitter); the `Healthy → Degraded → Draining` machine
+//!   behind `/healthz` reports it ([`overload`]).
 //! * **Chaos-tested.** The [`fault`] module is a seeded socket-level
 //!   fault injector (slow dribbles, short writes, mid-body disconnects,
 //!   truncation, stalled keep-alives), and the `chaos` example drives a
@@ -54,19 +53,15 @@
 //! server.run().unwrap();
 //! ```
 
-pub mod breaker;
 pub mod coalesce;
 pub mod fault;
 pub mod http;
 pub mod metrics;
 pub mod obs;
+pub mod overload;
 pub mod server;
 pub mod service;
 
-pub use breaker::{
-    Admission, BreakerState, CircuitBreaker, Endpoint, HealthMachine, HealthState,
-    HealthTransition, OverloadConfig, OverloadControl,
-};
 pub use coalesce::SingleFlight;
 pub use fault::{ChaosPlan, ConnFault, FaultStream, Severable};
 pub use http::{
@@ -75,6 +70,9 @@ pub use http::{
 };
 pub use metrics::{render_prometheus, ServeMetrics};
 pub use obs::{ServeObs, SlowSink, DEFAULT_TRACE_CAPACITY};
+pub use overload::{
+    HealthMachine, HealthState, HealthTransition, OverloadControl, DEFAULT_BROWNOUT_HIGH_WATER,
+};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use service::{
     degrade_body, handle, parse_degrade, parse_sweep, route, Action, CachedEval, DegradeQuery,

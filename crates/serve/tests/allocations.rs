@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use relia_core::{CancelToken, Deadline, Kelvin, NbtiModel};
 use relia_jobs::SWEEP_PERIOD_S;
-use relia_serve::{handle, DegradeQuery, OverloadConfig, Request, ServeState};
+use relia_serve::{handle, DegradeQuery, Request, ServeState};
 use relia_surface::{BuildSpec, Surface};
 
 /// `alloc` and `realloc` calls so far.
@@ -124,10 +124,7 @@ fn answers_without_evaluation_allocate_no_more_than_before() {
 
     // Every connection counts into the in-flight gauge; past a zero
     // high-water mark a cold degrade is shed.
-    let browned = state().with_overload(OverloadConfig {
-        brownout_high_water: 0,
-        ..OverloadConfig::default()
-    });
+    let browned = state().with_brownout_high_water(0);
     browned.overload.conn_enqueued();
     let shed = allocations(&browned, &request, 503);
 

@@ -1,37 +1,33 @@
-//! Overload-control integration: the circuit breaker, brownout mode, and
-//! the health state machine, driven through the real `handle` router with
-//! an evaluator whose failures the test controls.
+//! Overload-control integration: brownout mode and the health state
+//! machine, driven through the real `handle` router with an evaluator the
+//! test controls.
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use relia_core::{CancelToken, Deadline, Kelvin, StressKey};
 use relia_jobs::ShardedCache;
 use relia_serve::{
-    handle, BreakerState, DegradeQuery, Endpoint, HealthState, ModelEval, OverloadConfig, Request,
-    Response, ServeState,
+    handle, DegradeQuery, HealthState, ModelEval, Request, Response, ServeState,
+    DEFAULT_BROWNOUT_HIGH_WATER,
 };
 
-/// An evaluator that fails while `broken` is set and heals on demand.
-struct FlakyEval {
-    broken: AtomicBool,
+/// A counting evaluator that answers 0.0145 V for every key but one, which
+/// it refuses every time, as a deterministic model refusal would.
+struct CountingEval {
+    refused: Option<StressKey>,
     calls: AtomicUsize,
 }
 
-impl FlakyEval {
-    fn new(broken: bool) -> Self {
-        FlakyEval {
-            broken: AtomicBool::new(broken),
+impl CountingEval {
+    fn new(refused: Option<StressKey>) -> Self {
+        CountingEval {
+            refused,
             calls: AtomicUsize::new(0),
         }
-    }
-
-    fn heal(&self) {
-        self.broken.store(false, Ordering::SeqCst);
     }
 
     fn calls(&self) -> usize {
@@ -39,11 +35,11 @@ impl FlakyEval {
     }
 }
 
-impl ModelEval for FlakyEval {
-    fn delta_vth(&self, _key: StressKey) -> Result<f64, String> {
+impl ModelEval for CountingEval {
+    fn delta_vth(&self, key: StressKey) -> Result<f64, String> {
         self.calls.fetch_add(1, Ordering::SeqCst);
-        if self.broken.load(Ordering::SeqCst) {
-            Err("injected evaluator failure".to_owned())
+        if self.refused == Some(key) {
+            Err("refused operating point".to_owned())
         } else {
             Ok(0.0145)
         }
@@ -85,191 +81,97 @@ fn send(state: &ServeState, request: &Request) -> Response {
     handle(state, request, &deadline).0
 }
 
-fn flaky_state(eval: &Arc<FlakyEval>, config: OverloadConfig) -> ServeState {
+fn counting_state(eval: &Arc<CountingEval>, high_water: u64) -> ServeState {
     ServeState::with_eval(
         Arc::new(ShardedCache::default()),
         Arc::clone(eval) as Arc<dyn ModelEval>,
         Duration::from_secs(30),
     )
     .unwrap()
-    .with_overload(config)
+    .with_brownout_high_water(high_water)
 }
 
 #[test]
-fn consecutive_failures_open_the_breaker_and_shed_cold_work() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(3600),
-            ..OverloadConfig::default()
-        },
-    );
+fn one_clients_refused_key_sheds_no_one_else() {
+    let refused = query(330.0).stress_key().unwrap();
+    let eval = Arc::new(CountingEval::new(Some(refused)));
+    let state = counting_state(&eval, DEFAULT_BROWNOUT_HIGH_WATER);
 
-    // Three failures burn the budget; each is answered 500.
-    for i in 0..3 {
-        let response = send(&state, &degrade_request(330.0 + f64::from(i)));
-        assert_eq!(response.status, 500, "failure {i}");
+    // The same refusal, evaluated and answered every time.
+    for i in 1..=6 {
+        assert_eq!(send(&state, &degrade_request(330.0)).status, 500, "{i}");
+        assert_eq!(eval.calls(), i);
     }
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Open
-    );
-
-    // Open breaker, cold key, cooldown far away: fast 503 + Retry-After,
-    // with no evaluator call.
-    let calls_before = eval.calls();
-    let response = send(&state, &degrade_request(400.0));
-    assert_eq!(response.status, 503);
-    let retry_after = response.retry_after.expect("shed advertises Retry-After");
-    assert!((1..=3).contains(&retry_after), "default jitter is 1..=3");
-    assert_eq!(eval.calls(), calls_before, "shed without evaluating");
-
-    let snapshot = state.snapshot();
-    assert_eq!(snapshot.counter("serve_breaker_opens"), Some(1));
-    assert_eq!(snapshot.counter("serve_brownout_sheds"), Some(1));
-    assert_eq!(
-        snapshot.gauge("serve_breaker_state_degrade"),
-        Some(2.0),
-        "open encodes as gauge 2"
-    );
-    assert_eq!(snapshot.gauge("serve_breaker_state_sweep"), Some(0.0));
+    // Another client's cold key still evaluates, and health stays green.
+    assert_eq!(send(&state, &degrade_request(360.0)).status, 200);
+    assert_eq!(eval.calls(), 7);
+    let health = send(&state, &get("/healthz"));
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body, b"{\"status\":\"ok\"}");
+    assert_eq!(state.snapshot().counter("serve_brownout_sheds"), Some(0));
 }
 
 #[test]
-fn open_breaker_still_serves_memoized_answers() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(3600),
-            ..OverloadConfig::default()
-        },
-    );
-    // Warm the memo cache directly (the evaluator itself is broken).
-    let warm = query(330.0);
-    let key = warm.stress_key().unwrap();
-    state.cache.insert_checked(key, 0.0145).unwrap();
-
-    assert_eq!(send(&state, &degrade_request(360.0)).status, 500);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Open
-    );
-
-    // The warmed key gets a full 200 through the brownout gate...
-    let calls_before = eval.calls();
-    let hit = send(&state, &degrade_request(330.0));
-    assert_eq!(hit.status, 200);
-    assert!(String::from_utf8(hit.body.clone())
-        .unwrap()
-        .contains("\"delta_vth_v\":0.0145"));
-    assert_eq!(eval.calls(), calls_before, "served from the cache");
-    // ...while a cold key is shed.
-    assert_eq!(send(&state, &degrade_request(390.0)).status, 503);
-}
-
-#[test]
-fn half_open_probe_recovers_a_healed_service() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(50),
-            ..OverloadConfig::default()
-        },
-    );
-    assert_eq!(send(&state, &degrade_request(330.0)).status, 500);
-    assert_eq!(send(&state, &degrade_request(331.0)).status, 500);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Open
-    );
-
-    eval.heal();
-    thread::sleep(Duration::from_millis(80));
-
-    // First post-cooldown request is the probe; its success closes the
-    // breaker and normal service resumes.
-    assert_eq!(send(&state, &degrade_request(332.0)).status, 200);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Closed
-    );
-    assert_eq!(send(&state, &degrade_request(333.0)).status, 200);
-}
-
-#[test]
-fn a_failed_probe_reopens_the_breaker() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(50),
-            ..OverloadConfig::default()
-        },
-    );
-    assert_eq!(send(&state, &degrade_request(330.0)).status, 500);
-    thread::sleep(Duration::from_millis(80));
-    // Still broken: the probe fails, the breaker reopens, the next
-    // request (inside the restarted cooldown) is shed without evaluating.
-    assert_eq!(send(&state, &degrade_request(331.0)).status, 500);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Open
-    );
-    let calls_before = eval.calls();
-    assert_eq!(send(&state, &degrade_request(332.0)).status, 503);
-    assert_eq!(eval.calls(), calls_before);
-    assert_eq!(state.snapshot().counter("serve_breaker_opens"), Some(2));
-}
-
-#[test]
-fn queue_congestion_engages_brownout_with_closed_breakers() {
-    let eval = Arc::new(FlakyEval::new(false));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            brownout_high_water: 0,
-            ..OverloadConfig::default()
-        },
-    );
+fn brownout_serves_memoized_answers_and_sheds_cold_work() {
+    let eval = Arc::new(CountingEval::new(None));
+    let state = counting_state(&eval, 0);
+    // Warm the memo cache directly.
     let warm = query(330.0);
     state
         .cache
         .insert_checked(warm.stress_key().unwrap(), 0.0145)
         .unwrap();
 
-    // Past the (zero) high-water mark: cache hits answer, cold work sheds.
+    // Past the (zero) high-water mark: the warmed key gets a full 200
+    // through the brownout gate, served from the cache...
     state.overload.conn_enqueued();
-    assert_eq!(send(&state, &degrade_request(330.0)).status, 200);
-    assert_eq!(send(&state, &degrade_request(360.0)).status, 503);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Closed,
-        "brownout here is queue pressure, not breaker state"
-    );
+    let hit = send(&state, &degrade_request(330.0));
+    assert_eq!(hit.status, 200);
+    assert!(String::from_utf8(hit.body.clone())
+        .unwrap()
+        .contains("\"delta_vth_v\":0.0145"));
+    assert_eq!(eval.calls(), 0, "served from the cache");
+    // ...while a cold key is shed fast with a jittered Retry-After, and
+    // without an evaluator call.
+    let shed = send(&state, &degrade_request(360.0));
+    assert_eq!(shed.status, 503);
+    let retry_after = shed.retry_after.expect("shed advertises Retry-After");
+    assert!((1..=3).contains(&retry_after), "default jitter is 1..=3");
+    assert_eq!(eval.calls(), 0, "shed without evaluating");
+    assert_eq!(state.snapshot().counter("serve_brownout_sheds"), Some(1));
+}
 
-    // Back under the mark: cold work evaluates again.
-    state.overload.conn_dequeued();
+#[test]
+fn queue_congestion_engages_and_releases_brownout() {
+    let eval = Arc::new(CountingEval::new(None));
+    let state = counting_state(&eval, 0);
+    let warm = query(330.0);
+    state
+        .cache
+        .insert_checked(warm.stress_key().unwrap(), 0.0145)
+        .unwrap();
+
+    // At the (zero) high-water mark cold work evaluates...
+    assert!(!state.overload.queue_congested());
     assert_eq!(send(&state, &degrade_request(360.0)).status, 200);
+    assert_eq!(eval.calls(), 1);
+    // ...one connection past it, cache hits answer and cold work sheds...
+    state.overload.conn_enqueued();
+    assert!(state.overload.queue_congested());
+    assert_eq!(send(&state, &degrade_request(330.0)).status, 200);
+    assert_eq!(send(&state, &degrade_request(390.0)).status, 503);
+    assert_eq!(eval.calls(), 1);
+    // ...and back under the mark, cold work evaluates again.
+    state.overload.conn_dequeued();
+    assert!(!state.overload.queue_congested());
+    assert_eq!(send(&state, &degrade_request(390.0)).status, 200);
+    assert_eq!(eval.calls(), 2);
 }
 
 #[test]
 fn healthz_reports_degraded_with_retry_after_and_recovers() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(3600),
-            ..OverloadConfig::default()
-        },
-    );
+    let eval = Arc::new(CountingEval::new(None));
+    let state = counting_state(&eval, 0);
     let transitions = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&transitions);
     state
@@ -280,22 +182,19 @@ fn healthz_reports_degraded_with_retry_after_and_recovers() {
     assert_eq!(healthy.body, b"{\"status\":\"ok\"}");
     assert_eq!(state.health.current(), HealthState::Healthy);
 
-    assert_eq!(send(&state, &degrade_request(330.0)).status, 500);
+    state.overload.conn_enqueued();
     let degraded = send(&state, &get("/healthz"));
     assert_eq!(degraded.status, 203);
-    let body = String::from_utf8(degraded.body.clone()).unwrap();
-    assert!(body.contains("\"status\":\"degraded\""), "{body}");
-    assert!(body.contains("\"breaker\":\"open\""), "{body}");
+    assert_eq!(degraded.body, b"{\"status\":\"degraded\",\"inflight\":1}");
     assert!(
         degraded.retry_after.is_some(),
         "degraded advertises a retry"
     );
     assert_eq!(state.health.current(), HealthState::Degraded);
 
-    // Recovery: close the breaker via a successful settle, and health
-    // walks back to Healthy on the next observation.
-    eval.heal();
-    state.overload.breaker(Endpoint::Degrade).record_success();
+    // Recovery: back under the mark, and health walks back to Healthy on
+    // the next observation.
+    state.overload.conn_dequeued();
     let healthy_again = send(&state, &get("/healthz"));
     assert_eq!(healthy_again.status, 200);
     assert_eq!(healthy_again.body, b"{\"status\":\"ok\"}");
@@ -308,43 +207,4 @@ fn healthz_reports_degraded_with_retry_after_and_recovers() {
     assert_eq!(log[0].from, HealthState::Healthy);
     assert_eq!(log[0].to, HealthState::Degraded);
     assert_eq!(log[1].to, HealthState::Healthy);
-}
-
-#[test]
-fn endpoint_breakers_are_independent() {
-    let eval = Arc::new(FlakyEval::new(true));
-    let state = flaky_state(
-        &eval,
-        OverloadConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(3600),
-            ..OverloadConfig::default()
-        },
-    );
-    assert_eq!(send(&state, &degrade_request(330.0)).status, 500);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Degrade).state(),
-        BreakerState::Open
-    );
-    // Sweep and fleet still run: their breakers never tripped. (The sweep
-    // here is a parse failure — a 400 — which must NOT burn their budget.)
-    let mut sweep = Request {
-        method: "POST".to_owned(),
-        target: "/v1/sweep".to_owned(),
-        http11: true,
-        headers: vec![],
-        body: b"{\"nonsense\":true}".to_vec(),
-    };
-    assert_eq!(send(&state, &sweep).status, 400);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Sweep).state(),
-        BreakerState::Closed,
-        "4xx answers do not burn the error budget"
-    );
-    sweep.body = b"not json at all".to_vec();
-    assert_eq!(send(&state, &sweep).status, 400);
-    assert_eq!(
-        state.overload.breaker(Endpoint::Sweep).state(),
-        BreakerState::Closed
-    );
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use relia_serve::{OverloadConfig, ServeConfig, ServeState, Server, ServerHandle};
+use relia_serve::{ServeConfig, ServeState, Server, ServerHandle, DEFAULT_BROWNOUT_HIGH_WATER};
 
 /// Every request's deadline: generous, so a debug build never times out.
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -160,9 +160,13 @@ impl Capture {
 }
 
 fn boot(
-    overload: OverloadConfig,
+    brownout_high_water: u64,
 ) -> (SocketAddr, ServerHandle, thread::JoinHandle<io::Result<()>>) {
-    let state = Arc::new(ServeState::new(TIMEOUT).unwrap().with_overload(overload));
+    let state = Arc::new(
+        ServeState::new(TIMEOUT)
+            .unwrap()
+            .with_brownout_high_water(brownout_high_water),
+    );
     let config = ServeConfig {
         threads: 6,
         queue_depth: 16,
@@ -177,7 +181,7 @@ fn boot(
 fn capture() -> Vec<u8> {
     let mut out = Capture::default();
 
-    let (addr, _handle, runner) = boot(OverloadConfig::default());
+    let (addr, _handle, runner) = boot(DEFAULT_BROWNOUT_HIGH_WATER);
     let mut keep_alive = Conn::open(addr);
     for (method, target, body) in script() {
         let raw = keep_alive.send(method, target, &body);
@@ -207,10 +211,7 @@ fn capture() -> Vec<u8> {
 
     // Every connection counts into the in-flight gauge, so a zero
     // high-water mark browns out the server for its own requests.
-    let (addr, handle, runner) = boot(OverloadConfig {
-        brownout_high_water: 0,
-        ..OverloadConfig::default()
-    });
+    let (addr, handle, runner) = boot(0);
     let mut conn = Conn::open(addr);
     for (method, target, body) in [
         ("POST", "/v1/degrade", DEGRADE),

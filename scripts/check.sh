@@ -83,7 +83,7 @@ cargo run -q --offline --release -p relia-serve --example obs_probe -- --addr "$
 wait "$serve_pid"
 rm -f "$serve_log"
 
-echo "==> relia serve (chaos: seeded socket faults, overload, drain)"
+echo "==> relia serve (chaos: seeded socket faults, drain)"
 # Self-hosted chaos run: 48 connections through a seeded mix of socket
 # faults (slow dribbles, short writes, mid-body disconnects, truncation,
 # stalled keep-alives). The example asserts the metrics ledger balances,

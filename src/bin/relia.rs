@@ -87,8 +87,7 @@ const USAGE: &str = "usage:
   relia liberty                                  characterized library export
   relia lib                                      cell-library leakage/MLV table
   relia serve   [--addr HOST:PORT] [--threads N] [--queue-depth N]
-                [--request-timeout SECS] [--breaker-threshold N]
-                [--breaker-cooldown SECS] [--brownout-high-water N]
+                [--request-timeout SECS] [--brownout-high-water N]
                 [--surface PATH]                 HTTP degradation-query service
   relia fleet   [--samples N] [--seed N] [--times S,...]
                 [--guardband G] [--workers N] [--chunk N]
@@ -545,11 +544,6 @@ flags:
                           (default 64, must be >= 1)
   --request-timeout SECS  per-request deadline: socket reads (408) and
                           evaluation (504) both (default 5)
-  --breaker-threshold N   consecutive evaluation failures (5xx) that open
-                          an endpoint's circuit breaker (default 5, must
-                          be >= 1)
-  --breaker-cooldown SECS open-breaker cooldown before a half-open probe
-                          is admitted (default 1)
   --brownout-high-water N in-flight connections beyond which brownout
                           engages: cache hits still answer, cold work is
                           shed with 503 + Retry-After (default 48)
@@ -577,7 +571,7 @@ all queries share one process-wide dVth memo cache. Health transitions
 fn run_serve_command(mut args: Args) -> Result<(), CliError> {
     let mut config = relia::serve::ServeConfig::default();
     let mut request_timeout = Duration::from_secs(5);
-    let mut overload = relia::serve::OverloadConfig::default();
+    let mut brownout_high_water = relia::serve::DEFAULT_BROWNOUT_HIGH_WATER;
     let mut trace_capacity = relia::serve::DEFAULT_TRACE_CAPACITY;
     let mut slow_ms: u64 = 0;
     let mut surface_path: Option<PathBuf> = None;
@@ -587,13 +581,7 @@ fn run_serve_command(mut args: Args) -> Result<(), CliError> {
             "--threads" => config.threads = args.count("thread count")?,
             "--queue-depth" => config.queue_depth = args.count("queue depth")?,
             "--request-timeout" => request_timeout = args.duration("timeout")?,
-            "--breaker-threshold" => {
-                overload.breaker_threshold = args.count("breaker threshold")?
-            }
-            "--breaker-cooldown" => overload.breaker_cooldown = args.duration("cooldown")?,
-            "--brownout-high-water" => {
-                overload.brownout_high_water = args.number("high-water mark")?;
-            }
+            "--brownout-high-water" => brownout_high_water = args.number("high-water mark")?,
             "--trace" => trace_capacity = args.number("trace capacity")?,
             "--slow-ms" => slow_ms = args.number("slow threshold")?,
             "--surface" => surface_path = Some(PathBuf::from(args.value()?)),
@@ -605,7 +593,7 @@ fn run_serve_command(mut args: Args) -> Result<(), CliError> {
         .with_slow_log(slow_ms, Box::new(|line| eprintln!("relia-serve {line}")));
     let mut state = relia::serve::ServeState::new(request_timeout)
         .map_err(CliError::Analysis)?
-        .with_overload(overload)
+        .with_brownout_high_water(brownout_high_water)
         .with_obs(obs);
     if let Some(path) = &surface_path {
         let surface = relia::surface::Surface::load(path).map_err(|e| {

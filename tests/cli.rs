@@ -523,8 +523,6 @@ fn serve_help_and_usage_exit_codes_are_pinned() {
         "/metrics",
         "--queue-depth",
         "--request-timeout",
-        "--breaker-threshold",
-        "--breaker-cooldown",
         "--brownout-high-water",
         "--trace",
         "--slow-ms",
@@ -541,13 +539,6 @@ fn serve_help_and_usage_exit_codes_are_pinned() {
     let (code, _, stderr) = relia_coded(&["serve", "--threads", "0"]);
     assert_eq!(code, Some(2), "{stderr}");
     let (code, _, stderr) = relia_coded(&["serve", "--request-timeout", "-1"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    let (code, _, stderr) = relia_coded(&["serve", "--breaker-threshold", "0"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert!(stderr.contains("--breaker-threshold"), "{stderr}");
-    let (code, _, stderr) = relia_coded(&["serve", "--breaker-threshold", "many"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    let (code, _, stderr) = relia_coded(&["serve", "--breaker-cooldown", "0"]);
     assert_eq!(code, Some(2), "{stderr}");
     let (code, _, stderr) = relia_coded(&["serve", "--brownout-high-water", "-3"]);
     assert_eq!(code, Some(2), "{stderr}");
