@@ -13,13 +13,14 @@
 //! accumulators merge in index order — so the summary is bit-identical for
 //! any worker count, and completed chunks checkpoint to disk for resume.
 
-use crate::accum::ChunkAccum;
+use crate::accum::{ChunkAccum, FRAC_HI};
 use crate::checkpoint::{self, CheckpointWriter};
 use crate::error::FleetError;
 use crate::spec::FleetSpec;
 use relia_core::seal::SplitMix64;
 use relia_core::{
-    CancelToken, HoistedStress, NbtiModel, Seconds, VariationKernel, Volts, VthDistribution,
+    CancelToken, HoistedStress, ModelError, NbtiModel, Seconds, VariationKernel, Volts,
+    VthDistribution,
 };
 use relia_jobs::{default_workers, run_folded, JobOutcome};
 use relia_obs::{fmt_ns, HistSnapshot, LatencyHist, Tracer};
@@ -187,8 +188,10 @@ impl FleetEvaluator {
     /// # Errors
     ///
     /// [`FleetError::Invalid`] for a bad spec, [`FleetError::Model`] when
-    /// the model rejects it (including a Vth distribution whose ±3.5σ
-    /// clamp range escapes `[0, vdd)`).
+    /// the model rejects it: a Vth distribution whose ±3.5σ clamp range
+    /// escapes `[0, vdd)`, or a worst device whose delay degradation
+    /// reaches [`FRAC_HI`], the top of the fleet's histogram (every device
+    /// past its gate overdrive does, since α > [`FRAC_HI`]).
     pub fn prepare(spec: &FleetSpec) -> Result<Self, FleetError> {
         spec.validate()?;
         let model = NbtiModel::ptm90()?;
@@ -196,15 +199,36 @@ impl FleetEvaluator {
         let stress = spec.stress()?;
         // The times share a schedule and stress: one AC walk hoists them all.
         let hoisted = model.hoist_lifetimes(&spec.times, &schedule, &stress)?;
-        // The Box–Muller draw clamps z to ±3.5, so these two extremes
-        // bound every vth0 the sampler can produce.
+        let kernel = VariationKernel::new(model.params());
         let mean = spec.dist.mean().0;
         let sigma = spec.dist.sigma().0;
-        if let Some(h) = hoisted.first() {
-            h.check_vth0(Volts(mean - 3.5 * sigma))?;
-            h.check_vth0(Volts(mean + 3.5 * sigma))?;
+        let corr_ortho = (1.0 - spec.correlation * spec.correlation).max(0.0).sqrt();
+        // Both Box–Muller draws clamp z to ±3.5. A device's delay fraction
+        // grows with time and is log-convex in its vth0 draw, so the worst
+        // device the sampler can draw has an extreme vth0 draw, the largest
+        // rate draw and the last time; at FRAC_HI the histogram saturates.
+        if let Some(last) = hoisted.last() {
+            for z in [-3.5, 3.5] {
+                last.check_vth0(Volts(mean + sigma * z))?;
+            }
+            let worst = [-3.5, 3.5]
+                .into_iter()
+                .map(|z| {
+                    let vth0 = mean + sigma * z;
+                    // Without a spread the sampler's correlated draw is 0.
+                    let z1 = if sigma > 0.0 { z } else { 0.0 };
+                    let m = (spec.rate_sigma * (spec.correlation * z1 + corr_ortho * 3.5)).exp();
+                    kernel.alpha * (last.delta_vth_at(vth0) * m) / (kernel.vdd - vth0)
+                })
+                .fold(0.0, f64::max);
+            if worst >= FRAC_HI {
+                return Err(FleetError::Model(ModelError::InvalidParameter {
+                    name: "worst-device delay degradation",
+                    value: worst,
+                    expected: "< 0.5, the top of the fleet's delay histogram",
+                }));
+            }
         }
-        let kernel = VariationKernel::new(model.params());
         // A unit-normal via the same clamped Box–Muller the distribution
         // API provides: N(1, 1) shifted back to zero mean.
         let unit = VthDistribution::new(Volts(1.0), Volts(1.0))?;
@@ -216,7 +240,7 @@ impl FleetEvaluator {
             mean,
             sigma,
             corr: spec.correlation,
-            corr_ortho: (1.0 - spec.correlation * spec.correlation).max(0.0).sqrt(),
+            corr_ortho,
             rate_sigma: spec.rate_sigma,
             vdd: kernel.vdd,
             alpha: kernel.alpha,
@@ -485,6 +509,22 @@ mod tests {
         let mut spec = FleetSpec::paper_defaults().expect("defaults build");
         spec.samples = samples;
         spec
+    }
+
+    #[test]
+    fn prepare_refuses_a_fleet_whose_worst_drawable_device_tops_the_histogram() {
+        // No V_th spread and a rate draw fully correlated with it: every
+        // device is the nominal one, a few percent at the defaults' times.
+        let mut spec = small_spec(100);
+        spec.dist = VthDistribution::new(Volts(0.22), Volts(0.0)).expect("no spread");
+        spec.rate_sigma = 2.0;
+        spec.correlation = 1.0;
+        let out = run_fleet(&spec, &FleetOptions::default()).expect("every device is nominal");
+        assert!(out.summary.points.iter().all(|p| p.p99 < 0.1), "{out:?}");
+        // An independent rate draw can reach e^7 times the nominal shift.
+        spec.correlation = 0.0;
+        let refused = FleetEvaluator::prepare(&spec).err();
+        assert!(matches!(refused, Some(FleetError::Model(_))), "{refused:?}");
     }
 
     #[test]

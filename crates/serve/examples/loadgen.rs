@@ -409,8 +409,6 @@ fn run() -> Result<(), String> {
     let metrics_text = String::from_utf8_lossy(&metrics_body);
     let hits = scrape_counter(&metrics_text, "relia_cache_hits ").unwrap_or(0);
     let misses = scrape_counter(&metrics_text, "relia_cache_misses ").unwrap_or(0);
-    let leads = scrape_counter(&metrics_text, "relia_serve_coalesce_leads ").unwrap_or(0);
-    let joins = scrape_counter(&metrics_text, "relia_serve_coalesce_joins ").unwrap_or(0);
     let surface_active = scrape_counter(&metrics_text, "relia_surface_active ").unwrap_or(0);
     let surface_hits = scrape_counter(&metrics_text, "relia_surface_hits ").unwrap_or(0);
     let surface_misses = scrape_counter(&metrics_text, "relia_surface_misses ").unwrap_or(0);
@@ -430,10 +428,7 @@ fn run() -> Result<(), String> {
 
     let completed = completed.load(Ordering::Relaxed);
     let failures = failures.load(Ordering::Relaxed);
-    println!(
-        "loadgen: {completed} ok, {failures} failed; cache {hits} hits / {misses} misses; \
-         coalesce {leads} leads / {joins} joins"
-    );
+    println!("loadgen: {completed} ok, {failures} failed; cache {hits} hits / {misses} misses");
     if latency.count > 0 {
         println!(
             "loadgen: client latency p50 {} / p90 {} / p99 {} over {} requests",

@@ -7,7 +7,10 @@
 //!   present; every `relia_serve_*_seconds` histogram well-formed:
 //!   cumulative `_bucket{le=…}` counts non-decreasing with strictly
 //!   increasing edges, the `+Inf` bucket equal to `_count`, and the
-//!   hot-path phases (`eval`, `coalesce`, `serialize`) actually populated.
+//!   hot-path phases (`eval`, `serialize`) populated by every degrade
+//!   request; and the memo-cache ledger: each degrade request adds one
+//!   `relia_cache_hits` or one `relia_cache_misses` (so the probe must be
+//!   the server's only client while it runs).
 //! * `GET /debug/trace` — parses as JSON of the pinned shape
 //!   (`{"dropped":N,"spans":[…]}`, each span carrying exactly
 //!   `dur_ns`/`id`/`name`/`parent`/`start_ns`), with the request-lifecycle
@@ -33,7 +36,7 @@ use relia_core::{json, Kelvin};
 use relia_serve::{DegradeQuery, ServeConfig, ServeState, Server};
 
 mod common;
-use common::{read_response, write_request};
+use common::{read_response, scrape_counter, write_request};
 
 fn parse_addr() -> Result<Option<String>, String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -143,12 +146,33 @@ fn check_trace(body: &[u8]) -> Result<usize, String> {
                 .to_owned(),
         );
     }
-    for want in ["request", "read", "coalesce", "evaluate", "serialize"] {
+    for want in ["request", "read", "evaluate", "serialize"] {
         if !names.iter().any(|n| n == want) {
             return Err(format!("trace: no {want:?} span in {names:?}"));
         }
     }
     Ok(spans.len())
+}
+
+/// The `GET /metrics` exposition text.
+fn scrape_metrics(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+) -> Result<String, String> {
+    write_request(stream, "GET", "/metrics", b"").map_err(|e| e.to_string())?;
+    let (status, body) = read_response(reader)?;
+    if status != 200 {
+        return Err(format!("/metrics returned {status}"));
+    }
+    Ok(String::from_utf8_lossy(&body).into_owned())
+}
+
+/// Memo-cache lookups so far: `relia_cache_hits + relia_cache_misses`.
+fn cache_lookups(metrics: &str) -> Result<u64, String> {
+    let counter = |name: &str| {
+        scrape_counter(metrics, &format!("{name} ")).ok_or(format!("metrics: missing {name}"))
+    };
+    Ok(counter("relia_cache_hits")? + counter("relia_cache_misses")?)
 }
 
 fn run() -> Result<(), String> {
@@ -176,7 +200,8 @@ fn run() -> Result<(), String> {
     let mut stream = stream;
 
     // A few degrade requests so the phase histograms and span ring have
-    // real traffic (repeats also exercise the coalesce/cache path).
+    // real traffic; the repeats are memo-cache hits.
+    let lookups_before = cache_lookups(&scrape_metrics(&mut stream, &mut reader)?)?;
     let query = DegradeQuery {
         ras: (2.0, 8.0),
         t_standby_k: Kelvin(350.0),
@@ -202,12 +227,7 @@ fn run() -> Result<(), String> {
         }
     }
 
-    write_request(&mut stream, "GET", "/metrics", b"").map_err(|e| e.to_string())?;
-    let (status, body) = read_response(&mut reader)?;
-    if status != 200 {
-        return Err(format!("/metrics returned {status}"));
-    }
-    let metrics = String::from_utf8_lossy(&body);
+    let metrics = scrape_metrics(&mut stream, &mut reader)?;
     if !metrics.contains("relia_build_info{version=\"") {
         return Err("metrics: missing relia_build_info line".to_owned());
     }
@@ -218,7 +238,6 @@ fn run() -> Result<(), String> {
         "serve_request_seconds",
         "serve_read_seconds",
         "serve_queue_seconds",
-        "serve_coalesce_seconds",
         "serve_eval_seconds",
         "serve_serialize_seconds",
         "serve_write_seconds",
@@ -227,21 +246,22 @@ fn run() -> Result<(), String> {
     for phase in phases {
         counts.push((phase, check_histogram(&metrics, phase)?));
     }
-    // The in-handler phases must have seen every degrade request; eval
-    // may legitimately be lower when the memo cache absorbed repeats, but
-    // never zero after a cold start.
-    for (phase, floor) in [
-        ("serve_coalesce_seconds", degrades),
-        ("serve_serialize_seconds", degrades),
-        ("serve_eval_seconds", 1),
-    ] {
+    // The in-handler phases must have seen every degrade request: each
+    // one looks its key up in the memo cache itself.
+    for phase in ["serve_eval_seconds", "serve_serialize_seconds"] {
         let &(_, got) = counts
             .iter()
             .find(|(name, _)| *name == phase)
             .ok_or("phase table out of sync")?;
-        if got < floor {
-            return Err(format!("{phase}: count {got} < expected floor {floor}"));
+        if got < degrades {
+            return Err(format!("{phase}: count {got} < expected floor {degrades}"));
         }
+    }
+    let lookups = cache_lookups(&metrics)? - lookups_before;
+    if lookups != degrades {
+        return Err(format!(
+            "cache: {lookups} hits + misses for {degrades} degrade requests"
+        ));
     }
 
     write_request(&mut stream, "GET", "/debug/trace", b"").map_err(|e| e.to_string())?;

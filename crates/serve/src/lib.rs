@@ -16,9 +16,9 @@
 //!   through one server-wide sharded ΔV_th cache
 //!   ([`relia_jobs::ShardedCache`], the type the sweep engine uses);
 //!   `relia sweep` owns a private one. Values are identical either way,
-//!   because every cached value is canonical per quantized stress key.
-//! * **Single-flight coalescing.** Concurrent identical queries on a cold
-//!   key share one model evaluation ([`coalesce`]).
+//!   because every cached value is canonical per quantized stress key, so
+//!   two requests racing on one cold key compute the same bits and the
+//!   second insert changes nothing.
 //! * **Backpressure, not backlog.** Connections run on a bounded
 //!   [`relia_jobs::TaskPool`]; a full queue sheds load with
 //!   `503 + Retry-After` at accept time ([`server`]).
@@ -53,7 +53,6 @@
 //! server.run().unwrap();
 //! ```
 
-pub mod coalesce;
 pub mod fault;
 pub mod http;
 pub mod metrics;
@@ -62,7 +61,6 @@ pub mod overload;
 pub mod server;
 pub mod service;
 
-pub use coalesce::SingleFlight;
 pub use fault::{ChaosPlan, ConnFault, FaultStream, Severable};
 pub use http::{
     read_request, write_chunk, write_chunked_end, write_chunked_head, write_response, Limits,
@@ -75,6 +73,6 @@ pub use overload::{
 };
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use service::{
-    degrade_body, handle, parse_degrade, parse_sweep, route, Action, CachedEval, DegradeQuery,
-    FleetJob, ModelEval, Reply, ServeState, SurfaceTier, MAX_SWEEP_POINTS,
+    degrade_body, handle, parse_degrade, parse_sweep, route, Action, DegradeQuery, FleetJob, Reply,
+    ServeState, SurfaceTier, MAX_SWEEP_POINTS,
 };

@@ -5,7 +5,7 @@
 //! One [`ServeObs`] lives on [`ServeState`](crate::service::ServeState).
 //! The connection loop opens a `request` span per message and records the
 //! `read`, `queue_wait`, and `write` phases; the degrade handler nests
-//! `coalesce`, `evaluate`, and `serialize` under it. Every phase also
+//! `surface`, `evaluate`, and `serialize` under it. Every phase also
 //! feeds a [`LatencyHist`], so `/metrics` carries the full latency
 //! breakdown as Prometheus histograms while `/debug/trace` shows the most
 //! recent individual spans.
@@ -42,9 +42,8 @@ pub struct ServeObs {
     pub queue: LatencyHist,
     /// Surface-tier interpolated lookups on `/v1/degrade`.
     pub surface: LatencyHist,
-    /// Single-flight wait on `/v1/degrade` (leader and joiners both).
-    pub coalesce: LatencyHist,
-    /// Leader-side model evaluations.
+    /// Exact-path `/v1/degrade` evaluations: the memo-cache lookup, and
+    /// the model on a miss.
     pub eval: LatencyHist,
     /// Response-body rendering.
     pub serialize: LatencyHist,
@@ -80,7 +79,6 @@ impl ServeObs {
             read: LatencyHist::new(),
             queue: LatencyHist::new(),
             surface: LatencyHist::new(),
-            coalesce: LatencyHist::new(),
             eval: LatencyHist::new(),
             serialize: LatencyHist::new(),
             write: LatencyHist::new(),
@@ -141,7 +139,6 @@ impl ServeObs {
                 ("serve_read_seconds", self.read.snapshot()),
                 ("serve_queue_seconds", self.queue.snapshot()),
                 ("serve_surface_seconds", self.surface.snapshot()),
-                ("serve_coalesce_seconds", self.coalesce.snapshot()),
                 ("serve_eval_seconds", self.eval.snapshot()),
                 ("serve_serialize_seconds", self.serialize.snapshot()),
                 ("serve_write_seconds", self.write.snapshot()),
@@ -188,7 +185,7 @@ mod tests {
         let s = obs.snapshot();
         assert!(s.gauge("process_uptime_seconds").is_some());
         assert_eq!(s.counter("serve_spans_dropped"), Some(0));
-        assert_eq!(s.histograms.len(), 8);
+        assert_eq!(s.histograms.len(), 7);
         assert_eq!(
             s.histogram("serve_surface_seconds").map(|h| h.count),
             Some(0)

@@ -579,6 +579,49 @@ mod tests {
     }
 
     #[test]
+    fn an_aging_sweep_point_the_model_refuses_is_a_client_error() {
+        let (addr, handle, runner) = boot(
+            ServeConfig {
+                threads: 2,
+                queue_depth: 8,
+                ..ServeConfig::default()
+            },
+            Duration::from_secs(30),
+        );
+        // Always stressed at 400 K for 1.8e16 s: c17's shifts pass the gate
+        // overdrive, where the degraded timing is undefined.
+        let body = "{\"workload\":{\"kind\":\"aging\",\"circuits\":[\"c17\"],\
+             \"policies\":[\"worst\"]},\"ras\":[[1,0]],\"t_standby_k\":[400],\
+             \"lifetime_s\":[1.8e16]}";
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut w = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        write!(
+            w,
+            "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let (status, text) = read_one_response(&mut reader);
+        assert_eq!(status, 400, "{text}");
+        assert!(
+            text.starts_with("{\"error\":\"timing: invalid threshold shift"),
+            "{text}"
+        );
+        // On the same connection, so the sweep's status is counted first.
+        w.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
+        let (_, metrics) = read_one_response(&mut reader);
+        assert!(
+            metrics.contains("relia_serve_responses_client_error 1\n")
+                && metrics.contains("relia_serve_responses_server_error 0\n"),
+            "{metrics}"
+        );
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn stalled_request_times_out_with_408() {
         let (addr, handle, runner) = boot(
             ServeConfig {
@@ -723,14 +766,7 @@ mod tests {
             "GET /debug/trace HTTP/1.1\r\nConnection: close\r\n\r\n",
         );
         assert_eq!(status, 200);
-        for name in [
-            "queue_wait",
-            "read",
-            "request",
-            "coalesce",
-            "evaluate",
-            "write",
-        ] {
+        for name in ["queue_wait", "read", "request", "evaluate", "write"] {
             assert!(
                 trace.contains(&format!("\"name\":\"{name}\"")),
                 "missing span {name:?} in {trace}"

@@ -21,9 +21,7 @@ use std::time::{Duration, Instant};
 
 use relia_core::ac::LANES;
 use relia_core::json::{self, fmt_f64, Json};
-use relia_core::{
-    Deadline, Kelvin, NbtiModel, NbtiParams, Ras, Seconds, StressKey, Volts, VthDistribution,
-};
+use relia_core::{Deadline, Kelvin, NbtiModel, Ras, Seconds, StressKey, Volts, VthDistribution};
 use relia_fleet::{ChunkAccum, FleetError, FleetEvaluator, FleetSpec, FleetSummary, DEFAULT_CHUNK};
 use relia_flow::{
     paper_stress_key, AgingAnalysis, AgingReport, AnalysisPrep, DeltaVthCache, FlowConfig,
@@ -36,7 +34,6 @@ use relia_jobs::{
 use relia_netlist::Circuit;
 use relia_surface::{Surface, SurfaceQuery};
 
-use crate::coalesce::SingleFlight;
 use crate::http::{write_chunk, write_chunked_end, write_chunked_head, Request, Response};
 use crate::metrics::{render_prometheus, ServeMetrics};
 use crate::obs::ServeObs;
@@ -52,48 +49,6 @@ pub const MAX_FLEET_SAMPLES: usize = 100_000;
 
 /// Most evaluation times one `/v1/fleet` request may carry.
 pub const MAX_FLEET_TIMES: usize = 16;
-
-/// How one model evaluation is produced. The production implementation is
-/// [`CachedEval`] (shared memo cache); tests inject gated/counting
-/// implementations to observe coalescing deterministically.
-pub trait ModelEval: Send + Sync {
-    /// ΔV_th in volts for the canonical point of `key`.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason; the service maps it to HTTP 500.
-    fn delta_vth(&self, key: StressKey) -> Result<f64, String>;
-
-    /// [`ModelEval::delta_vth`] for every key of `keys`, in order. The
-    /// default asks once per key; [`CachedEval`] evaluates a batch's
-    /// distinct cache misses together.
-    fn delta_vth_many(&self, keys: &[StressKey]) -> Vec<Result<f64, String>> {
-        keys.iter().map(|&key| self.delta_vth(key)).collect()
-    }
-}
-
-/// The production evaluator: the process-wide sharded memo cache in front
-/// of the NBTI model.
-pub struct CachedEval {
-    cache: Arc<ShardedCache>,
-    model: NbtiModel,
-}
-
-impl ModelEval for CachedEval {
-    fn delta_vth(&self, key: StressKey) -> Result<f64, String> {
-        self.cache
-            .delta_vth(key, &self.model)
-            .map_err(|e| e.to_string())
-    }
-
-    fn delta_vth_many(&self, keys: &[StressKey]) -> Vec<Result<f64, String>> {
-        self.cache
-            .delta_vth_many(keys, &self.model)
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect()
-    }
-}
 
 /// The precomputed response surface mounted under `/v1/degrade`, plus its
 /// serving ledger. In-domain lookups with a known stress pair answer by
@@ -150,11 +105,12 @@ impl SurfaceTier {
     }
 }
 
-/// Everything the handlers share: evaluator, memo cache, single-flight
-/// gate, prepared circuits, counters, and limits.
+/// Everything the handlers share: the memo cache and the model behind it,
+/// prepared circuits, counters, and limits.
 pub struct ServeState {
     /// The server-wide ΔV_th memo table that `/v1/degrade` and `/v1/sweep`
-    /// share (`relia sweep` owns a private one).
+    /// share (`relia sweep` owns a private one). Every value in it is
+    /// canonical per key, so a test may swap in a smaller table.
     pub cache: Arc<ShardedCache>,
     /// Service counters.
     pub metrics: ServeMetrics,
@@ -165,8 +121,7 @@ pub struct ServeState {
     /// Span ring, phase latency histograms, and the slow-request log.
     pub obs: ServeObs,
     surface: Option<SurfaceTier>,
-    eval: Arc<dyn ModelEval>,
-    flight: SingleFlight<StressKey, Result<f64, String>>,
+    model: NbtiModel,
     degradation: relia_core::DelayDegradation,
     preps: Mutex<HashMap<String, Arc<(Circuit, AnalysisPrep)>>>,
     base_config: FlowConfig,
@@ -183,37 +138,16 @@ impl ServeState {
     ///
     /// Only if the built-in calibration fails to validate (it cannot).
     pub fn new(request_timeout: Duration) -> Result<Self, String> {
-        let cache = Arc::new(ShardedCache::default());
         let model = NbtiModel::ptm90().map_err(|e| e.to_string())?;
-        let eval = Arc::new(CachedEval {
-            cache: Arc::clone(&cache),
-            model,
-        });
-        ServeState::with_eval(cache, eval, request_timeout)
-    }
-
-    /// State with an injected evaluator (tests observe or gate evaluations
-    /// through this seam; everything else is the production wiring).
-    ///
-    /// # Errors
-    ///
-    /// Only if the built-in calibration fails to validate (it cannot).
-    pub fn with_eval(
-        cache: Arc<ShardedCache>,
-        eval: Arc<dyn ModelEval>,
-        request_timeout: Duration,
-    ) -> Result<Self, String> {
-        let params = NbtiParams::ptm90().map_err(|e| e.to_string())?;
         Ok(ServeState {
-            cache,
+            cache: Arc::new(ShardedCache::default()),
             metrics: ServeMetrics::default(),
             overload: OverloadControl::default(),
             health: HealthMachine::new(),
             obs: ServeObs::new(),
             surface: None,
-            eval,
-            flight: SingleFlight::new(),
-            degradation: relia_core::DelayDegradation::new(&params),
+            degradation: relia_core::DelayDegradation::new(model.params()),
+            model,
             preps: Mutex::new(HashMap::new()),
             base_config: FlowConfig::paper_defaults().map_err(|e| e.to_string())?,
             request_timeout,
@@ -269,7 +203,7 @@ impl ServeState {
     }
 
     /// The merged metrics snapshot behind `GET /metrics`: service counters,
-    /// single-flight counters, and the shared memo cache.
+    /// phase histograms, and the shared memo cache.
     pub fn snapshot(&self) -> MetricsSnapshot {
         // The surface ledger is published even when no surface is mounted
         // (all zeros, gauge 0), so dashboards see stable series.
@@ -278,8 +212,6 @@ impl ServeState {
             .snapshot()
             .merged(MetricsSnapshot {
                 counters: vec![
-                    ("serve_coalesce_leads", self.flight.leads()),
-                    ("serve_coalesce_joins", self.flight.joins()),
                     ("serve_brownout_sheds", self.overload.brownout_sheds()),
                     ("serve_health_transitions", self.health.transitions()),
                     ("surface_hits", tier(SurfaceTier::hits)),
@@ -584,24 +516,14 @@ fn degrade_eval(state: &ServeState, key: StressKey, deadline: &Deadline, parent:
         return Response::error(504, "request deadline exceeded");
     }
     let obs = &state.obs;
-    // `coalesce` is what *this* request waited for the shared value —
-    // leader and joiners alike; `evaluate` exists only on the leader (the
-    // closure runs once per cold key).
-    let coalesce_span = obs.tracer.child("coalesce", parent);
-    let t_coalesce = Instant::now();
-    let result = state.flight.run(key, || {
-        let eval_span = obs.tracer.child("evaluate", coalesce_span.id());
-        let t_eval = Instant::now();
-        let value = state.eval.delta_vth(key);
-        obs.eval.record(t_eval.elapsed());
-        drop(eval_span);
-        value
-    });
-    obs.coalesce.record(t_coalesce.elapsed());
-    drop(coalesce_span);
+    let eval_span = obs.tracer.child("evaluate", parent);
+    let t_eval = Instant::now();
+    let result = state.cache.delta_vth(key, &state.model);
+    obs.eval.record(t_eval.elapsed());
+    drop(eval_span);
     let delta_vth = match result {
         Ok(v) => v,
-        Err(e) => return Response::error(500, &e),
+        Err(e) => return Response::error(500, &e.to_string()),
     };
     let serialize_span = obs.tracer.child("serialize", parent);
     let t_serialize = Instant::now();
@@ -812,9 +734,7 @@ impl SweepAnswer {
 
 /// A model sweep, [`LANES`] `(RAS, T_standby)` rows of lifetimes per
 /// batch, so each batch's memo-cache misses are evaluated together and
-/// their AC recursions share one lane-parallel walk. Rows skip
-/// single-flight: a cached value is canonical per key, so a row racing a
-/// degrade request for the same key computes the same bits.
+/// their AC recursions share one lane-parallel walk.
 ///
 /// A batch answers with the error a row-by-row loop meets first. A key is
 /// refused (400) for its row's RAS pair or the workload's probabilities,
@@ -855,8 +775,11 @@ fn model_points(
                 }
             }
         }
-        for (&point, value) in batch.iter().zip(state.eval.delta_vth_many(&keys)) {
-            let v = value.map_err(|e| Response::error(500, &e))?;
+        for (&point, value) in batch
+            .iter()
+            .zip(state.cache.delta_vth_many(&keys, &state.model))
+        {
+            let v = value.map_err(|e| Response::error(500, &e.to_string()))?;
             answer.point(point, |body| {
                 body.push_str("\"delta_vth_v\":");
                 json::push_f64(body, v);
@@ -926,6 +849,12 @@ fn run_aging_point(
         .run(&policy.to_policy())
         .map_err(|e| match e {
             FlowError::Cancelled => Response::error(504, "request deadline exceeded"),
+            // The model or the timing refuses the operating point itself
+            // (a shift past the gate overdrive, say): the query's fault,
+            // as on `/v1/degrade`.
+            FlowError::Sta(_) | FlowError::Model(_) | FlowError::InvalidParameter { .. } => {
+                Response::error(400, &e.to_string())
+            }
             other => Response::error(500, &other.to_string()),
         })
 }
@@ -1225,9 +1154,9 @@ impl Reply<'_> {
 ///
 /// Each path and its method appear once below: another method on a known
 /// path answers 405, an unknown path 404. While draining, everything but
-/// `/healthz` answers 503. Handler phases (`surface`, `coalesce`,
-/// `evaluate`, `serialize`) nest under the span `parent` in
-/// `GET /debug/trace`; 0 makes them roots.
+/// `/healthz` answers 503. Handler phases (`surface`, `evaluate`,
+/// `serialize`) nest under the span `parent` in `GET /debug/trace`; 0
+/// makes them roots.
 pub fn route<'a>(
     state: &ServeState,
     request: &Request,
@@ -1279,6 +1208,7 @@ pub fn handle(state: &ServeState, request: &Request, deadline: &Deadline) -> (Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relia_core::NbtiParams;
     use relia_flow::NoCache;
     use relia_jobs::SWEEP_PERIOD_S;
 
@@ -1477,12 +1407,8 @@ mod tests {
     #[test]
     fn model_sweeps_answer_the_same_bytes_from_a_constantly_evicting_cache() {
         let tiny = Arc::new(ShardedCache::with_capacity(2, 8));
-        let eval = Arc::new(CachedEval {
-            cache: Arc::clone(&tiny),
-            model: NbtiModel::ptm90().unwrap(),
-        });
-        let evicting =
-            ServeState::with_eval(Arc::clone(&tiny), eval, Duration::from_secs(5)).unwrap();
+        let mut evicting = state();
+        evicting.cache = Arc::clone(&tiny);
         let roomy = state();
         let d = deadline(Duration::from_secs(60));
         let bodies = [
@@ -1723,6 +1649,25 @@ mod tests {
     }
 
     #[test]
+    fn a_fleet_whose_worst_device_tops_the_histogram_answers_400() {
+        // Always stressed at 400 K for 1e12 s: the fleet's mean degradation
+        // alone is ~59 %, past the histogram's 50 % top edge.
+        let body = "{\"ras\":[1,0],\"t_standby_k\":400,\"p_active\":1,\"p_standby\":1,\
+             \"times_s\":[1e12],\"samples\":100}";
+        let s = state();
+        let d = deadline(Duration::from_secs(5));
+        let r = handle(&s, &post("/v1/fleet", body), &d).0;
+        let text = String::from_utf8_lossy(&r.body);
+        assert_eq!(r.status, 400, "{text}");
+        assert!(
+            text.starts_with(
+                "{\"error\":\"model error: invalid parameter worst-device delay degradation = 0.94"
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn fleet_honours_deadline_and_drain() {
         let s = state();
         let r = handle(
@@ -1756,7 +1701,6 @@ mod tests {
         let text = String::from_utf8(r.body).unwrap();
         assert!(text.contains("relia_serve_requests"));
         assert!(text.contains("relia_cache_hits"));
-        assert!(text.contains("relia_serve_coalesce_leads"));
 
         let r = handle(&s, &get("/debug/trace"), &d).0;
         assert_eq!(r.status, 200);
@@ -1795,11 +1739,7 @@ mod tests {
             200
         );
         let snap = s.snapshot();
-        for name in [
-            "serve_coalesce_seconds",
-            "serve_eval_seconds",
-            "serve_serialize_seconds",
-        ] {
+        for name in ["serve_eval_seconds", "serve_serialize_seconds"] {
             assert_eq!(snap.histogram(name).map(|h| h.count), Some(1), "{name}");
         }
         let text = String::from_utf8(handle(&s, &get("/metrics"), &d).0.body).unwrap();
@@ -1831,14 +1771,13 @@ mod tests {
             .iter()
             .map(|s| s.get("name").and_then(Json::as_str).unwrap())
             .collect();
-        assert_eq!(names, ["request", "coalesce", "evaluate", "serialize"]);
+        assert_eq!(names, ["request", "evaluate", "serialize"]);
         for span in spans {
             for key in ["dur_ns", "id", "parent", "start_ns"] {
                 assert!(span.get(key).and_then(Json::as_f64).is_some(), "{key}");
             }
         }
-        // `coalesce` and `serialize` nest under the request root;
-        // `evaluate` under `coalesce` (the leader's closure).
+        // Both phases nest under the request root.
         let by_name = |n: &str| {
             spans
                 .iter()
@@ -1846,18 +1785,13 @@ mod tests {
                 .unwrap()
         };
         let root_id = by_name("request").get("id").and_then(Json::as_f64).unwrap();
-        assert_eq!(
-            by_name("coalesce").get("parent").and_then(Json::as_f64),
-            Some(root_id)
-        );
-        assert_eq!(
-            by_name("serialize").get("parent").and_then(Json::as_f64),
-            Some(root_id)
-        );
-        assert_eq!(
-            by_name("evaluate").get("parent").and_then(Json::as_f64),
-            by_name("coalesce").get("id").and_then(Json::as_f64)
-        );
+        for phase in ["evaluate", "serialize"] {
+            assert_eq!(
+                by_name(phase).get("parent").and_then(Json::as_f64),
+                Some(root_id),
+                "{phase}"
+            );
+        }
     }
 
     /// One 9×9×13 surface shared by the tier tests — building it is the

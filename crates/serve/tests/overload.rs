@@ -1,50 +1,16 @@
 //! Overload-control integration: brownout mode and the health state
-//! machine, driven through the real `handle` router with an evaluator the
-//! test controls.
+//! machine, driven through the real `handle` router. The memo cache's miss
+//! counter counts the model evaluations.
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use relia_core::{CancelToken, Deadline, Kelvin, StressKey};
-use relia_jobs::ShardedCache;
+use relia_core::{CancelToken, Deadline, Kelvin};
 use relia_serve::{
-    handle, DegradeQuery, HealthState, ModelEval, Request, Response, ServeState,
-    DEFAULT_BROWNOUT_HIGH_WATER,
+    handle, DegradeQuery, HealthState, Request, Response, ServeState, DEFAULT_BROWNOUT_HIGH_WATER,
 };
-
-/// A counting evaluator that answers 0.0145 V for every key but one, which
-/// it refuses every time, as a deterministic model refusal would.
-struct CountingEval {
-    refused: Option<StressKey>,
-    calls: AtomicUsize,
-}
-
-impl CountingEval {
-    fn new(refused: Option<StressKey>) -> Self {
-        CountingEval {
-            refused,
-            calls: AtomicUsize::new(0),
-        }
-    }
-
-    fn calls(&self) -> usize {
-        self.calls.load(Ordering::SeqCst)
-    }
-}
-
-impl ModelEval for CountingEval {
-    fn delta_vth(&self, key: StressKey) -> Result<f64, String> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        if self.refused == Some(key) {
-            Err("refused operating point".to_owned())
-        } else {
-            Ok(0.0145)
-        }
-    }
-}
 
 fn query(t_standby: f64) -> DegradeQuery {
     DegradeQuery {
@@ -56,14 +22,18 @@ fn query(t_standby: f64) -> DegradeQuery {
     }
 }
 
-fn degrade_request(t_standby: f64) -> Request {
+fn post(body: String) -> Request {
     Request {
         method: "POST".to_owned(),
         target: "/v1/degrade".to_owned(),
         http11: true,
         headers: vec![],
-        body: query(t_standby).to_body().into_bytes(),
+        body: body.into_bytes(),
     }
+}
+
+fn degrade_request(t_standby: f64) -> Request {
+    post(query(t_standby).to_body())
 }
 
 fn get(path: &str) -> Request {
@@ -81,30 +51,39 @@ fn send(state: &ServeState, request: &Request) -> Response {
     handle(state, request, &deadline).0
 }
 
-fn counting_state(eval: &Arc<CountingEval>, high_water: u64) -> ServeState {
-    ServeState::with_eval(
-        Arc::new(ShardedCache::default()),
-        Arc::clone(eval) as Arc<dyn ModelEval>,
-        Duration::from_secs(30),
-    )
-    .unwrap()
-    .with_brownout_high_water(high_water)
+fn state(high_water: u64) -> ServeState {
+    ServeState::new(Duration::from_secs(30))
+        .unwrap()
+        .with_brownout_high_water(high_water)
+}
+
+/// Model evaluations so far: every one is a memo-cache miss.
+fn evaluations(state: &ServeState) -> u64 {
+    state.cache.stats().misses
 }
 
 #[test]
 fn one_clients_refused_key_sheds_no_one_else() {
-    let refused = query(330.0).stress_key().unwrap();
-    let eval = Arc::new(CountingEval::new(Some(refused)));
-    let state = counting_state(&eval, DEFAULT_BROWNOUT_HIGH_WATER);
+    let state = state(DEFAULT_BROWNOUT_HIGH_WATER);
+    // Always stressed at 400 K for 1.8e16 s: ΔV_th passes the gate
+    // overdrive, which the query answers for, not the server.
+    let refused = DegradeQuery {
+        ras: (1.0, 0.0),
+        t_standby_k: Kelvin(400.0),
+        lifetime_s: 1.8e16,
+        p_active: 1.0,
+        p_standby: 1.0,
+    };
 
-    // The same refusal, evaluated and answered every time.
+    // The same refusal every time; the model runs once, then the memo
+    // table answers.
     for i in 1..=6 {
-        assert_eq!(send(&state, &degrade_request(330.0)).status, 500, "{i}");
-        assert_eq!(eval.calls(), i);
+        assert_eq!(send(&state, &post(refused.to_body())).status, 400, "{i}");
+        assert_eq!(evaluations(&state), 1);
     }
     // Another client's cold key still evaluates, and health stays green.
     assert_eq!(send(&state, &degrade_request(360.0)).status, 200);
-    assert_eq!(eval.calls(), 7);
+    assert_eq!(evaluations(&state), 2);
     let health = send(&state, &get("/healthz"));
     assert_eq!(health.status, 200);
     assert_eq!(health.body, b"{\"status\":\"ok\"}");
@@ -113,8 +92,7 @@ fn one_clients_refused_key_sheds_no_one_else() {
 
 #[test]
 fn brownout_serves_memoized_answers_and_sheds_cold_work() {
-    let eval = Arc::new(CountingEval::new(None));
-    let state = counting_state(&eval, 0);
+    let state = state(0);
     // Warm the memo cache directly.
     let warm = query(330.0);
     state
@@ -130,21 +108,20 @@ fn brownout_serves_memoized_answers_and_sheds_cold_work() {
     assert!(String::from_utf8(hit.body.clone())
         .unwrap()
         .contains("\"delta_vth_v\":0.0145"));
-    assert_eq!(eval.calls(), 0, "served from the cache");
+    assert_eq!(evaluations(&state), 0, "served from the cache");
     // ...while a cold key is shed fast with a jittered Retry-After, and
     // without an evaluator call.
     let shed = send(&state, &degrade_request(360.0));
     assert_eq!(shed.status, 503);
     let retry_after = shed.retry_after.expect("shed advertises Retry-After");
     assert!((1..=3).contains(&retry_after), "default jitter is 1..=3");
-    assert_eq!(eval.calls(), 0, "shed without evaluating");
+    assert_eq!(evaluations(&state), 0, "shed without evaluating");
     assert_eq!(state.snapshot().counter("serve_brownout_sheds"), Some(1));
 }
 
 #[test]
 fn queue_congestion_engages_and_releases_brownout() {
-    let eval = Arc::new(CountingEval::new(None));
-    let state = counting_state(&eval, 0);
+    let state = state(0);
     let warm = query(330.0);
     state
         .cache
@@ -154,24 +131,23 @@ fn queue_congestion_engages_and_releases_brownout() {
     // At the (zero) high-water mark cold work evaluates...
     assert!(!state.overload.queue_congested());
     assert_eq!(send(&state, &degrade_request(360.0)).status, 200);
-    assert_eq!(eval.calls(), 1);
+    assert_eq!(evaluations(&state), 1);
     // ...one connection past it, cache hits answer and cold work sheds...
     state.overload.conn_enqueued();
     assert!(state.overload.queue_congested());
     assert_eq!(send(&state, &degrade_request(330.0)).status, 200);
     assert_eq!(send(&state, &degrade_request(390.0)).status, 503);
-    assert_eq!(eval.calls(), 1);
+    assert_eq!(evaluations(&state), 1);
     // ...and back under the mark, cold work evaluates again.
     state.overload.conn_dequeued();
     assert!(!state.overload.queue_congested());
     assert_eq!(send(&state, &degrade_request(390.0)).status, 200);
-    assert_eq!(eval.calls(), 2);
+    assert_eq!(evaluations(&state), 2);
 }
 
 #[test]
 fn healthz_reports_degraded_with_retry_after_and_recovers() {
-    let eval = Arc::new(CountingEval::new(None));
-    let state = counting_state(&eval, 0);
+    let state = state(0);
     let transitions = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&transitions);
     state

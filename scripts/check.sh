@@ -76,8 +76,10 @@ echo "==> relia serve (observability: /metrics histograms, /debug/trace shape)"
 # Boot the real CLI with tracing on, fire degrade traffic through the
 # probe, and validate the observability surface: build info + uptime on
 # /metrics, every phase histogram with non-decreasing cumulative buckets
-# and a consistent +Inf/_count pair, and /debug/trace JSON of the pinned
-# span schema. The probe exits non-zero on any shape violation.
+# and a consistent +Inf/_count pair, an `eval` and a `serialize` sample
+# and one memo-cache hit or miss per degrade request, and /debug/trace
+# JSON of the pinned span schema. The probe exits non-zero on any
+# violation.
 start_serve --threads 2 --trace 256
 cargo run -q --offline --release -p relia-serve --example obs_probe -- --addr "$serve_addr"
 wait "$serve_pid"

@@ -562,8 +562,7 @@ flags:
                           fingerprint mismatches the serving calibration
                           are refused at startup (exit 1)
 
-Identical concurrent queries are coalesced into one model evaluation, and
-all queries share one process-wide dVth memo cache. Health transitions
+All queries share one process-wide dVth memo cache. Health transitions
 (Healthy -> Degraded -> Draining) are logged to stderr; /healthz answers
 203 + Retry-After while degraded.";
 
